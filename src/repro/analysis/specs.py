@@ -294,21 +294,29 @@ def _mean(args, kwargs) -> ArraySpec:
 # -- graph ops ---------------------------------------------------------------------
 
 
-def _gather_rows(args, kwargs) -> ArraySpec:
-    x, index = args
-    # The index may itself be a plan input (MD plans rebind edge lists
-    # per replay), in which case it arrives abstract already.
+def _index_spec(index, what: str) -> ArraySpec:
+    """Spec of an index operand: a recorded array or an abstract tensor.
+
+    Index operands (edge lists, graph membership, species rows) are
+    either burned into the instruction as arrays or rebound per replay
+    as integer plan inputs, in which case they arrive abstract already.
+    """
     if not isinstance(index, ArraySpec):
         index = spec_of(np.asarray(index))
+    _require(index.dtype.kind in "iu", f"{what} must be integral, got {index.dtype}")
+    return index
+
+
+def _gather_rows(args, kwargs) -> ArraySpec:
+    x, index = args
+    index = _index_spec(index, "gather index")
     _require(x.ndim >= 1, "gather_rows needs at least 1-D input")
-    _require(index.dtype.kind in "iu", f"gather index must be integral, got {index.dtype}")
     return ArraySpec(index.shape + x.shape[1:], x.dtype)
 
 
 def _segment_sum(args, kwargs) -> ArraySpec:
     x, segment_ids, num_segments = args
-    if not isinstance(segment_ids, ArraySpec):
-        segment_ids = spec_of(np.asarray(segment_ids))
+    segment_ids = _index_spec(segment_ids, "segment ids")
     _require(x.ndim >= 1, "segment_sum needs at least 1-D input")
     _require(
         segment_ids.shape == x.shape[:1],
@@ -404,9 +412,9 @@ def _channelwise_tp(args, kwargs) -> ArraySpec:
 
 
 def _sym_contraction(args, kwargs) -> ArraySpec:
-    a, weights = args[0], args[1:]
+    a, species, weights = args[0], args[1], args[2:]
     spec = kwargs["spec"]
-    species = np.asarray(kwargs["species"])
+    species = _index_spec(species, "species")
     _require(
         a.ndim == 3 and a.shape[2] == _sh_dim(spec.lmax),
         f"A must be (N, K, {_sh_dim(spec.lmax)}), got {a.shape}",

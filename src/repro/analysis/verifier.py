@@ -12,7 +12,10 @@ build metadata the plan recorded (:class:`~repro.runtime.plan.PlanMeta`):
   capture, for every instruction;
 * **guard coverage** — every input and parameter slot the forward
   program reads appears in the replay guard specs, so no array that can
-  affect replay escapes the staleness check;
+  affect replay escapes the staleness check; integer operands (the
+  edge / graph / species index content training plans rebind per
+  replay) must be plan constants or guarded inputs, never computed or
+  parameter slots;
 * **backward integrity** — the compiled backward visits instructions in
   reverse-topological order, each gradient target maps back to the
   matching forward operand, and every preallocated accumulation buffer
@@ -150,6 +153,19 @@ def verify_plan(plan, strict: bool = True) -> Dict[str, int]:
                 if kind == "param":
                     _fail(where, f"parameter slot {slot} has no replay guard (missing guard)")
                 _fail(where, f"reads slot {slot} before it is defined (dangling slot)")
+            if slot_dtypes[slot].kind in "iu" and not (
+                const[slot] or kinds[slot] == "input"
+            ):
+                # Integer operands are index content (edge lists, graph
+                # membership, species rows).  The replay guard is the
+                # only thing standing between a rebound index and a
+                # wrong-shaped gather, so such an operand must be a
+                # constant of the plan or one of its guarded inputs.
+                _fail(
+                    f"forward[{i}] {_op_name(instr)}",
+                    f"integer operand slot {slot} is neither a plan constant "
+                    f"nor a guarded input (unguarded index)",
+                )
         out = instr.out_slot
         if not 0 <= out < n_slots:
             _fail(f"forward[{i}] {_op_name(instr)}", f"writes slot {out} outside the value table")

@@ -38,9 +38,12 @@ def _scatter_add_rows(
     Eager execution creates a fresh ``Function`` per call, so the first
     call takes the plain ``np.add.at`` path and merely remembers the
     index array.  A *replayed* instance (see :mod:`repro.runtime`) is
-    called repeatedly with the identical index object; from the second
-    call on it scatters through a memoized stable-sort + ``reduceat``
-    plan, which is severalfold faster on wide rows.  The stable sort
+    called again and again; from the second call on it scatters through
+    a stable-sort + ``reduceat`` plan, which is severalfold faster on
+    wide rows.  The plan is memoized on the index *object*: folded
+    constants and MD edge lists repeat by identity and sort once, while
+    training plans rebind a new batch's index every replay and pay one
+    argsort per call (still far below ``np.add.at``).  The stable sort
     preserves the per-segment contribution order, so results match the
     ``add.at`` path to summation-reassociation error (~1e-15), within
     the runtime's 1e-10 equivalence contract.
@@ -50,12 +53,12 @@ def _scatter_add_rows(
         out = np.zeros(shape, dtype=np.float64)
     else:
         out.fill(0.0)
-    if state is None or state[0] is not index:
+    if state is None:
         fn._scatter_plan = (index, None)
         np.add.at(out, index, values)
         return out
     plan = state[1]
-    if plan is None:
+    if plan is None or state[0] is not index:
         order = np.argsort(index, kind="stable")
         sorted_ids = index[order]
         if sorted_ids.size:

@@ -2,9 +2,9 @@
 
 Once compiled plans dominate step time, one background thread is enough
 to hide batch construction (shard read + neighbor-list filtering +
-collation, all inside the ``fetch`` callable — typically
-``Trainer._collate`` routed through ``CollateCache``) behind the
-previous batch's compute.  :class:`StreamingLoader` runs the epoch plan's
+collation + bucket padding + the parameter-free edge geometry, all
+inside the ``fetch`` callable — typically ``Trainer._collate`` routed
+through ``CollateCache``) behind the previous batch's compute.  :class:`StreamingLoader` runs the epoch plan's
 ``fetch`` calls on that thread into a bounded queue (``depth`` slots —
 double-buffering at the default 2) and yields ready batches to the
 training loop.
@@ -87,7 +87,9 @@ class StreamingLoader:
         Called with one plan entry unpacked, on the prefetch thread.
         Must be safe to run concurrently with the consumer's compute;
         ``Trainer._collate`` qualifies because during a streamed epoch
-        only this thread touches the collate cache and the dataset maps.
+        only this thread touches the collate cache, the dataset maps and
+        the cached batches' ``padded`` slot, and the geometry it computes runs
+        without a tape on thread-local engine/counter state.
     depth:
         Queue capacity — the number of batches fetched ahead.  2 is
         classic double-buffering: one batch in compute, one ready.

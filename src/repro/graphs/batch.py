@@ -7,18 +7,40 @@ component.  The batch additionally records *padding*: when the batch is
 allocated at a fixed token capacity (the bin size ``C`` of the load
 balancer), any capacity not filled by real atoms is zero-padded memory —
 the quantity objective (4) of the bin-packing formulation minimizes.
+
+Compiled execution plans (:mod:`repro.runtime`) are specific to array
+*shapes*, and every reshuffled training batch has its own.
+:func:`pad_to_bucket` rounds a batch's atom, edge and graph extents up
+to :func:`bucket_size` with ghost entries that contribute exactly zero,
+so the few buckets an epoch visits recur and their plans replay.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .molecular_graph import MolecularGraph
 
-__all__ = ["GraphBatch", "collate"]
+__all__ = ["GraphBatch", "bucket_size", "collate", "pad_to_bucket"]
+
+
+def bucket_size(n: int) -> int:
+    """Round ``n`` up to its shape bucket.
+
+    Buckets keep the four leading bits of ``n``: the step is
+    ``2**(floor(log2 n) - 3)``, so padding stays under 12.5% at any
+    scale, with a floor of 8 on the step so small extents (graphs per
+    batch, toy systems) still share buckets.  The one rule behind every
+    padded shape in the repository — training batches
+    (:func:`pad_to_bucket`) and padded MD edge sets
+    (:class:`repro.md.MACECalculator`).
+    """
+    n = int(n)
+    step = max(8, 1 << max(n.bit_length() - 4, 0))
+    return -(-n // step) * step
 
 
 @dataclass
@@ -49,6 +71,24 @@ class GraphBatch:
         than this radius so it contributes exactly zero (see
         :class:`repro.md.MACECalculator`).  ``None`` (default) means the
         edges are already exact.
+    ghost_atoms, ghost_edges, ghost_graphs:
+        Trailing entries of the atom / edge / graph arrays that are
+        bucket padding (:func:`pad_to_bucket`); all zero on an exact
+        batch.  ``n_atoms``, ``n_edges`` and ``n_graphs`` are array
+        extents and include them.
+    edge_sh, edge_radial:
+        Parameter-free edge features — spherical harmonics ``(E, d)``
+        and Bessel x envelope ``(E, n_basis)`` — attached by
+        :meth:`repro.mace.MACE.featurize`, with zero rows on ghost
+        edges.  ``None`` until featurized.
+    padded:
+        Memo slot for batches owned by a
+        :class:`~repro.graphs.CollateCache`: ``(model, batch)`` — this
+        batch's bucket-padded, featurized form and the model whose edge
+        features it carries — kept here by the trainer so the padded
+        form is cached, shared and evicted with the entry.  Cached
+        batches are shared objects and are never edited in place: mutate
+        the *graphs* and the cache key's fingerprint yields a new batch.
     """
 
     positions: np.ndarray
@@ -60,10 +100,16 @@ class GraphBatch:
     energies: np.ndarray
     capacity: int = 0
     masked_cutoff: "float | None" = None
+    ghost_atoms: int = 0
+    ghost_edges: int = 0
+    ghost_graphs: int = 0
+    edge_sh: Optional[np.ndarray] = None
+    edge_radial: Optional[np.ndarray] = None
+    padded: Optional[tuple] = field(default=None, repr=False, compare=False)
 
     @property
     def n_atoms(self) -> int:
-        """Real (non-padding) token count."""
+        """Rows of the atom arrays (ghost atoms included)."""
         return int(self.positions.shape[0])
 
     @property
@@ -75,7 +121,7 @@ class GraphBatch:
         """Zero-padded tokens when allocated at ``capacity``."""
         if self.capacity <= 0:
             return 0
-        return max(self.capacity - self.n_atoms, 0)
+        return max(self.capacity - (self.n_atoms - self.ghost_atoms), 0)
 
     @property
     def padding_fraction(self) -> float:
@@ -137,3 +183,54 @@ def collate(
             f"batch holds {batch.n_atoms} tokens, over capacity {capacity}"
         )
     return batch
+
+
+def pad_to_bucket(batch: GraphBatch) -> GraphBatch:
+    """``batch`` padded to its shape bucket with zero-contribution ghosts.
+
+    Atoms are padded to ``bucket_size(n_atoms)`` with ghost atoms (copies
+    of atom 0's species at the origin) that all belong to the first of
+    ``bucket_size(n_graphs + 1) - n_graphs`` ghost graphs; edges are
+    padded to ``bucket_size(n_edges)`` with ghost self-edges on the last
+    atom.  Real entries keep their order, so sums over them are
+    unchanged bit for bit.  Nothing here makes a ghost vanish by itself: consumers give ghost
+    edges zero feature rows (:meth:`repro.mace.MACE.featurize`) and ghost
+    graphs zero loss weight (:class:`repro.training.Trainer`), which
+    makes their contributions exactly ``0.0``.  Ghost graphs carry
+    energy ``0.0`` so label checks still see only real ``NaN`` s.
+    """
+    n_atoms, n_edges, n_graphs = batch.n_atoms, batch.n_edges, batch.n_graphs
+    pad_atoms = bucket_size(n_atoms) - n_atoms
+    pad_edges = bucket_size(n_edges) - n_edges
+    pad_graphs = bucket_size(n_graphs + 1) - n_graphs
+    last_atom = n_atoms + pad_atoms - 1
+    return GraphBatch(
+        positions=np.concatenate(
+            [batch.positions, np.zeros((pad_atoms, 3), dtype=batch.positions.dtype)]
+        ),
+        species=np.concatenate(
+            [batch.species, np.full(pad_atoms, batch.species[0])]
+        ),
+        edge_index=np.concatenate(
+            [
+                batch.edge_index,
+                np.full((2, pad_edges), last_atom, dtype=batch.edge_index.dtype),
+            ],
+            axis=1,
+        ),
+        edge_shift=np.concatenate(
+            [
+                batch.edge_shift,
+                np.zeros((pad_edges, 3), dtype=batch.edge_shift.dtype),
+            ]
+        ),
+        graph_index=np.concatenate(
+            [batch.graph_index, np.full(pad_atoms, n_graphs, dtype=np.int64)]
+        ),
+        n_graphs=n_graphs + pad_graphs,
+        energies=np.concatenate([batch.energies, np.zeros(pad_graphs)]),
+        capacity=batch.capacity,
+        ghost_atoms=pad_atoms,
+        ghost_edges=pad_edges,
+        ghost_graphs=pad_graphs,
+    )

@@ -337,14 +337,22 @@ class _ChannelwiseTPOptimized(Function):
         # old object, so the identity check alone stays sufficient.
         memo_ok = self.__dict__.get("const_args", (True,))[0]
         state = self.__dict__.get("_m_cache") if memo_ok else None
+        pair_shape = (E, K, table.n_pairs)
+        small = self.replay_scratch and E * K * table.n_pairs <= _PAIR_SAVE_MAX
         if state is not None and state[0] is Y:
             M = state[1]
+        elif small and not memo_ok:
+            # Y is rebound every replay (training plans bind it as an
+            # input, force plans recompute it): redo the GEMM, but into
+            # a reused buffer — a fresh operator-sized array per replay
+            # costs more in page faults than the GEMM itself.
+            M = np.matmul(
+                Y, table.reduce_y, out=self._scratch("M", (E, table.n_pairs * d3))
+            ).reshape(E, table.n_pairs, d3)
         else:
             M = (Y @ table.reduce_y).reshape(E, table.n_pairs, d3)
             if memo_ok:
                 self._m_cache = (Y, M)
-        pair_shape = (E, K, table.n_pairs)
-        small = self.replay_scratch and E * K * table.n_pairs <= _PAIR_SAVE_MAX
         if small:
             # mode="clip" keeps take on its unbuffered fast path (see
             # GatherRows); the pair indices come from the table and are

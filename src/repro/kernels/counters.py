@@ -14,6 +14,7 @@ Tests and benchmarks assert the optimized variants reduce all three.
 from __future__ import annotations
 
 import contextlib
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional
 
@@ -48,31 +49,47 @@ class KernelCounter:
         self.by_name.clear()
 
 
-_STACK: List[KernelCounter] = []
+class _Local(threading.local):
+    """Per-thread stack of active counters.
+
+    Kernels run on several threads at once (thread-pool workers, the
+    streaming prefetcher beside the training loop); a process-global
+    stack would let one thread's ``counting()`` block absorb — or pop —
+    another's.
+    """
+
+    def __init__(self) -> None:
+        self.stack: List[KernelCounter] = []
+
+
+_LOCAL = _Local()
 
 
 def active_counter() -> Optional[KernelCounter]:
-    """The innermost active counter, or None when not counting."""
-    return _STACK[-1] if _STACK else None
+    """The calling thread's innermost active counter, or None."""
+    stack = _LOCAL.stack
+    return stack[-1] if stack else None
 
 
 def record_kernel(name: str, launches: int, flops: float, bytes_: float) -> None:
     """Report a kernel-invocation group to the active counter (if any)."""
-    if _STACK:
-        _STACK[-1].record(name, launches, flops, bytes_)
+    stack = _LOCAL.stack
+    if stack:
+        stack[-1].record(name, launches, flops, bytes_)
 
 
 @contextlib.contextmanager
 def counting() -> Iterator[KernelCounter]:
-    """Context manager collecting kernel statistics::
+    """Context manager collecting the calling thread's kernel statistics::
 
         with counting() as kc:
             run_kernels()
         assert kc.launches < baseline_launches
     """
     counter = KernelCounter()
-    _STACK.append(counter)
+    stack = _LOCAL.stack
+    stack.append(counter)
     try:
         yield counter
     finally:
-        _STACK.pop()
+        stack.pop()

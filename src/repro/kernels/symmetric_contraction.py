@@ -385,7 +385,7 @@ def _check_inputs(A: np.ndarray, species: np.ndarray, weights, spec: SymContract
 class _SymContractionBaseline(Function):
     """Dense per-pattern chain (emulates the original e3nn implementation)."""
 
-    def forward(self, A, *weights, species: np.ndarray, spec: SymContractionSpec):
+    def forward(self, A, species, *weights, spec: SymContractionSpec):
         _check_inputs(A, species, weights, spec)
         self.saved = (A, species, weights, spec)
         N, K = A.shape[0], A.shape[1]
@@ -460,7 +460,7 @@ class _SymContractionBaseline(Function):
                     gA_f = np.einsum(spec_b, wg, *others, dense, optimize=True)
                     l = path.ls[f]
                     gA[:, :, l * l : (l + 1) * (l + 1)] += gA_f
-        return (gA, *gws)
+        return (gA, None, *gws)
 
 
 _DENSE_CACHE: Dict[tuple, np.ndarray] = {}
@@ -503,7 +503,7 @@ class _SymContractionOptimized(Function):
 
     supports_out = True  # (N, K, out_dim) accumulator: out may not alias A
 
-    def forward(self, A, *weights, species: np.ndarray, spec: SymContractionSpec, out=None):
+    def forward(self, A, species, *weights, spec: SymContractionSpec, out=None):
         _check_inputs(A, species, weights, spec)
         N, K = A.shape[0], A.shape[1]
         NK = N * K
@@ -566,11 +566,12 @@ class _SymContractionOptimized(Function):
         A, species, weights, spec, A2T, forest_products, saved_G = self.saved
         N, K = A.shape[0], A.shape[1]
         NK = N * K
-        mask = self.grad_mask or (True,) * (1 + len(weights))
-        need_a = mask[0]
+        # Mask layout follows the tensor inputs: A, species, then weights.
+        mask = self.grad_mask or (True,) * (2 + len(weights))
+        need_a, need_w = mask[0], mask[2:]
         gA2T = np.zeros_like(A2T)
         gws = [
-            np.zeros_like(wt) if mask[1 + i] else None
+            np.zeros_like(wt) if need_w[i] else None
             for i, wt in enumerate(weights)
         ]
         # One species selection matrix shared by every block: the
@@ -578,7 +579,7 @@ class _SymContractionOptimized(Function):
         # becomes a single GEMM against it (replacing the per-block
         # np.add.at scatters).
         n_species = weights[0].shape[0]
-        if any(mask[1:]):
+        if any(need_w):
             sp_select = np.zeros((n_species, N))
             sp_select[species, np.arange(N)] = 1.0
         g_forest = {forest.nu: None for forest in spec.forests}
@@ -589,7 +590,7 @@ class _SymContractionOptimized(Function):
             g_blockT = np.ascontiguousarray(
                 grad[:, :, base : base + M].reshape(NK, M).T
             )  # (M, NK)
-            if mask[1 + w_i]:
+            if need_w[w_i]:
                 # dW: small contraction, then segment-reduce atoms ->
                 # species rows.
                 if G_T.size <= _SMALL_CONTRACT_MAX:
@@ -629,12 +630,18 @@ class _SymContractionOptimized(Function):
                     # nu == 1: products were direct gathers of the (unique,
                     # sorted) tuple rows.
                     gA2T[forest.tuple_cols] += g_cur
-        return (gA2T.T.reshape(A.shape) if need_a else None, *gws)
+        return (gA2T.T.reshape(A.shape) if need_a else None, None, *gws)
+
+
+def _species_tensor(species) -> Tensor:
+    if isinstance(species, Tensor):
+        return species
+    return Tensor(np.asarray(species, dtype=np.int64))
 
 
 def symmetric_contraction_baseline(
     A: Tensor,
-    species: np.ndarray,
+    species,
     weights: Sequence[Tensor],
     spec: SymContractionSpec,
 ) -> Tensor:
@@ -645,7 +652,10 @@ def symmetric_contraction_baseline(
     A:
         ``(N, K, (lmax+1)^2)`` atomic-basis features.
     species:
-        ``(N,)`` species *indices* (rows of the weight tensors).
+        ``(N,)`` species *indices* (rows of the weight tensors): an
+        integer array, or an integer :class:`Tensor` that a compiled
+        plan may list among its inputs to rebind the species per replay
+        (see :func:`repro.autograd.gather_rows`).
     weights:
         One ``(n_species, K, n_paths)`` tensor per ``(nu, L)`` block, in
         :func:`weight_layout` order.
@@ -657,13 +667,13 @@ def symmetric_contraction_baseline(
     ``(N, K, (L_max+1)^2)`` higher body-order messages.
     """
     return _SymContractionBaseline.apply(
-        A, *weights, species=np.asarray(species, dtype=np.int64), spec=spec
+        A, _species_tensor(species), *weights, spec=spec
     )
 
 
 def symmetric_contraction_optimized(
     A: Tensor,
-    species: np.ndarray,
+    species,
     weights: Sequence[Tensor],
     spec: SymContractionSpec,
 ) -> Tensor:
@@ -672,5 +682,5 @@ def symmetric_contraction_optimized(
     Numerically identical to :func:`symmetric_contraction_baseline`.
     """
     return _SymContractionOptimized.apply(
-        A, *weights, species=np.asarray(species, dtype=np.int64), spec=spec
+        A, _species_tensor(species), *weights, spec=spec
     )

@@ -27,8 +27,9 @@ import numpy as np
 
 from ..autograd import Tensor, gather_rows, segment_sum
 from ..autograd.engine import no_grad
+from ..autograd.ops import concatenate
 from ..equivariant.spherical_harmonics import sh_dim
-from ..runtime import CompiledPlan, PlanCache, PlanStale, batch_signature, record_tape
+from ..runtime import PlanCache, batch_signature
 from ..graphs.batch import GraphBatch
 from ..kernels import (
     channelwise_tp_baseline,
@@ -47,7 +48,7 @@ from .geometry import (
     edge_vectors,
     within_cutoff,
 )
-from .radial import RadialNetwork
+from .radial import RadialNetwork, bessel_basis
 
 __all__ = ["MACE", "InteractionLayer"]
 
@@ -90,19 +91,22 @@ class InteractionLayer(Module):
         self,
         h: Tensor,
         Y: Tensor,
-        r: Tensor,
         edge_index,  # (2, E) array or (send, recv) pair; rows may be Tensors
-        species_idx: np.ndarray,
-        edge_mask: Optional[Tensor] = None,
+        species_idx,
+        r: Optional[Tensor] = None,
+        basis: Optional[Tensor] = None,
     ) -> Tensor:
+        """One interaction + product block.
+
+        The radial weights come from the edge lengths ``r`` or from a
+        precomputed Bessel ``basis`` of them (exactly one is given).
+        ``species_idx`` and the ``edge_index`` rows are integer arrays,
+        or integer Tensors when a plan rebinds them per replay.
+        """
         cfg = self.cfg
         send, recv = edge_index
         n_atoms = h.shape[0]
-        R = self.radial(r)  # (E, K, n_paths)
-        if edge_mask is not None:
-            # Padded-MD path: zero the radial weights of out-of-cutoff
-            # (candidate/ghost) edges so they contribute exactly nothing.
-            R = R * edge_mask
+        R = self.radial(r, basis)  # (E, K, n_paths)
         h_j = gather_rows(h, send)  # sender features on edges
         if cfg.kernel_variant == "optimized":
             A_edge = channelwise_tp_optimized(Y, h_j, R, self.tp_table)
@@ -181,9 +185,6 @@ class MACE(Module):
         cfg = self.cfg
         if positions is None:
             positions = Tensor(batch.positions)
-        species_idx = self.species_indices(batch.species)
-        n_atoms = batch.n_atoms
-
         if edges is None:
             send, recv = batch.edge_index
             shift = batch.edge_shift
@@ -192,22 +193,52 @@ class MACE(Module):
         vec = edge_vectors(positions, (send, recv), shift)
         r = edge_lengths(vec)
         Y = edge_spherical_harmonics(vec, cfg.lmax_sh)
-        edge_mask = None
         masked_cutoff = getattr(batch, "masked_cutoff", None)
         if masked_cutoff is not None:
             # The batch carries a candidate edge superset (Verlet skin +
-            # ghost padding); mask each interaction's radial weights so
-            # only the within-cutoff edges contribute.  The mask is part
-            # of the recorded graph: plan replays recompute it from the
-            # current positions, tracking edges that cross the cutoff.
-            mask = within_cutoff(r, masked_cutoff)
-            edge_mask = mask.reshape((batch.n_edges, 1, 1))
+            # ghost padding).  The channelwise TP is linear in Y, so
+            # zeroing the harmonics of out-of-cutoff edges removes them
+            # from every interaction at once.  The mask is part of the
+            # recorded graph: plan replays recompute it from the current
+            # positions, tracking edges that cross the cutoff.
+            Y = Y * within_cutoff(r, masked_cutoff).reshape((batch.n_edges, 1))
+        return self.message_passing(
+            self.species_indices(batch.species),
+            (send, recv),
+            batch.graph_index,
+            batch.n_graphs,
+            Y,
+            r=r,
+        )
 
+    def message_passing(
+        self,
+        species_idx,
+        edge_index,
+        graph_index,
+        n_graphs: int,
+        Y: Tensor,
+        r: Optional[Tensor] = None,
+        basis: Optional[Tensor] = None,
+    ) -> Tensor:
+        """Per-graph energies from edge features: everything in
+        :meth:`forward` downstream of the geometry.
+
+        ``Y`` is the ``(E, (lmax_sh+1)^2)`` edge harmonics; the radial
+        input is the edge lengths ``r`` or their precomputed Bessel
+        ``basis`` (see :meth:`featurize`).  The index operands —
+        ``species_idx``, the ``(send, recv)`` rows of ``edge_index`` and
+        ``graph_index`` — are integer arrays (structural constants of
+        the recorded graph) or integer Tensors, which a compiled plan
+        listing them among its inputs rebinds per replay: a training
+        plan binds *all* batch content this way, so one plan serves every
+        batch of its shape bucket.
+        """
+        cfg = self.cfg
+        n_atoms = species_idx.shape[0]
         # Embedding: degree-0 block carries the species embedding.
         h0 = self.embedding(species_idx)  # (N, K)
         zeros = Tensor(np.zeros((n_atoms, cfg.num_channels, sh_dim(cfg.l_hidden) - 1)))
-        from ..autograd.ops import concatenate
-
         h = concatenate(
             [h0.reshape((n_atoms, cfg.num_channels, 1)), zeros], axis=2
         )
@@ -215,7 +246,7 @@ class MACE(Module):
         site_energy = gather_rows(self.species_energy, species_idx)  # (N,)
         for t in range(cfg.n_layers):
             h = getattr(self, f"layer{t}")(
-                h, Y, r, (send, recv), species_idx, edge_mask=edge_mask
+                h, Y, edge_index, species_idx, r=r, basis=basis
             )
             invariant = h[:, :, 0]  # (N, K) degree-0 part
             if t < cfg.n_layers - 1:
@@ -223,7 +254,41 @@ class MACE(Module):
             else:
                 contrib = self.readout_final(invariant)
             site_energy = site_energy + self.energy_scale * contrib.reshape((n_atoms,))
-        return segment_sum(site_energy, batch.graph_index, batch.n_graphs)
+        return segment_sum(site_energy, graph_index, n_graphs)
+
+    def featurize(self, batch: GraphBatch) -> GraphBatch:
+        """Attach the parameter-free edge features to ``batch`` in place.
+
+        Evaluates the geometry pipeline of :meth:`forward` — edge
+        vectors, lengths, spherical harmonics and the Bessel x envelope
+        radial basis — once, without a tape, and stores the harmonics and
+        the basis as ``batch.edge_sh`` / ``batch.edge_radial``.  Ghost
+        edges (:func:`repro.graphs.pad_to_bucket`) get zero rows: the
+        channelwise TP is linear in the harmonics, so their messages are
+        exactly ``0.0`` with no mask op.  The features are a snapshot of
+        the batch's geometry at this call: whoever edits ``positions``
+        or the edge arrays afterwards must call it again.  Pure NumPy on
+        thread-local engine state, so the streaming prefetch thread runs
+        it beside the training loop.
+        """
+        cfg = self.cfg
+        n_real = batch.n_edges - batch.ghost_edges
+        with no_grad():
+            vec = edge_vectors(
+                Tensor(batch.positions),
+                batch.edge_index[:, :n_real],
+                batch.edge_shift[:n_real],
+            )
+            r = edge_lengths(vec)
+            features = (
+                edge_spherical_harmonics(vec, cfg.lmax_sh),
+                bessel_basis(r, cfg.n_radial_basis, cfg.cutoff),
+            )
+        batch.edge_sh, batch.edge_radial = (
+            np.concatenate([f.data, np.zeros((batch.ghost_edges, f.shape[1]))])
+            for f in features
+        )
+        return batch
 
     # -- compiled execution (repro.runtime) --------------------------------------
 
@@ -266,17 +331,40 @@ class MACE(Module):
         parameter-gradient branches the eager pass always pays for.
         Falls back to eager on any cache miss or guard rejection.
         """
+        padded = getattr(batch, "masked_cutoff", None) is not None
+        arrays = (batch.positions,)
+        if padded:
+            # Padded-MD batches bind the candidate edge arrays as replay
+            # inputs too (and drop the edge *content* from the key): a
+            # Verlet rebuild into the same capacity bucket then re-hits
+            # the plan instead of recapturing.  The signature still
+            # covers the edge count/dtype via the array shapes, and the
+            # replay guard rejects any capacity change.
+            arrays += (batch.edge_index[0], batch.edge_index[1], batch.edge_shift)
+
+        def eager():
+            inputs = (Tensor(arrays[0].copy(), requires_grad=True),) + tuple(
+                Tensor(a.copy()) for a in arrays[1:]
+            )
+            energies = self.forward(
+                batch, positions=inputs[0], edges=inputs[1:] or None
+            )
+            total = energies.sum()
+            total.backward()
+            return ([energies.numpy()], [inputs[0].grad]), dict(
+                outputs=(energies,),
+                seed=total,
+                inputs=inputs,
+                grad_params=False,
+                owner=self,
+            )
+
         cache = self._plan_cache_for(compiled)
-        if cache is not None:
-            padded = getattr(batch, "masked_cutoff", None) is not None
+        if cache is None:
+            (energies,), (grad,) = eager()[0]
+        else:
             # The plan pins this model as its owner, so id(self) cannot be
             # recycled into a key collision while the entry is alive.
-            # Padded-MD batches additionally exclude the edge *content*
-            # from the key and bind the candidate edge arrays as replay
-            # inputs: a Verlet rebuild into the same capacity bucket then
-            # re-hits this plan instead of recapturing (the signature
-            # still covers the edge count/dtype via the array shapes, and
-            # the replay guard rejects any capacity change).
             key = (
                 "forces",
                 id(self),  # lint: allow-id-keyed-dict
@@ -284,57 +372,14 @@ class MACE(Module):
                     batch, include_positions=False, include_edges=not padded
                 ),
             )
-            plan = cache.get(key)
-            if plan is not None:
-                try:
-                    if padded:
-                        (energies,), grads = plan.replay(
-                            batch.positions,
-                            batch.edge_index[0],
-                            batch.edge_index[1],
-                            batch.edge_shift,
-                        )
-                        grad = grads[0]
-                    else:
-                        (energies,), (grad,) = plan.replay(batch.positions)
-                    assert grad is not None
-                    return energies, -grad
-                except PlanStale:
-                    cache.invalidate(key)
-            else:
-                positions = Tensor(batch.positions.copy(), requires_grad=True)
-                if padded:
-                    edges = (
-                        Tensor(batch.edge_index[0].copy()),
-                        Tensor(batch.edge_index[1].copy()),
-                        Tensor(batch.edge_shift.copy()),
-                    )
-                    inputs = (positions,) + edges
-                else:
-                    edges = None
-                    inputs = (positions,)
-                with record_tape() as tape:
-                    energies = self.forward(batch, positions=positions, edges=edges)
-                    total = energies.sum()
-                total.backward()
-                assert positions.grad is not None
-                cache.put(
-                    key,
-                    CompiledPlan(
-                        tape,
-                        outputs=(energies,),
-                        seed=total,
-                        inputs=inputs,
-                        grad_params=False,
-                        owner=self,
-                    ),
-                )
-                return energies.numpy(), -positions.grad
-        positions = Tensor(batch.positions.copy(), requires_grad=True)
-        energies = self.forward(batch, positions=positions)
-        energies.sum().backward()
-        assert positions.grad is not None
-        return energies.numpy(), -positions.grad
+            (energies,), grads = cache.run(key, arrays, eager)
+            grad = grads[0]
+        assert grad is not None
+        return energies, -grad
+
+    def _energy_key(self, batch: GraphBatch) -> tuple:
+        # id(self) is safe for the same owner-pinning reason as above.
+        return ("energy", id(self), batch_signature(batch, include_positions=True))  # lint: allow-id-keyed-dict
 
     def predict_energy(self, batch: GraphBatch, compiled=None) -> np.ndarray:
         """Per-graph energies as a plain array (no tape).
@@ -345,25 +390,16 @@ class MACE(Module):
         plan constants, so the signature covers positions — mutated
         geometry is a miss followed by recapture, never a stale replay.
         """
+
+        def eager():
+            with no_grad():
+                out = self.forward(batch)
+            return ([out.numpy()], []), dict(outputs=(out,), owner=self)
+
         cache = self._plan_cache_for(compiled)
         if cache is None:
-            with no_grad():
-                return self.forward(batch).numpy()
-        # id(self) is safe here for the same owner-pinning reason as above.
-        key = ("energy", id(self), batch_signature(batch, include_positions=True))  # lint: allow-id-keyed-dict
-        plan = cache.get(key)
-        if plan is not None:
-            try:
-                (energies,), _ = plan.replay()
-                return energies
-            except PlanStale:
-                cache.invalidate(key)
-                with no_grad():
-                    return self.forward(batch).numpy()
-        with record_tape() as tape, no_grad():
-            out = self.forward(batch)
-        cache.put(key, CompiledPlan(tape, outputs=(out,), owner=self))
-        return out.numpy()
+            return eager()[0][0][0]
+        return cache.run(self._energy_key(batch), (), eager)[0][0]
 
     def energy_plan(self, batch: GraphBatch, compiled=None):
         """The cached zero-input energy plan for ``batch``, or ``None``.
@@ -376,5 +412,4 @@ class MACE(Module):
         cache = self._plan_cache_for(compiled)
         if cache is None:
             return None
-        key = ("energy", id(self), batch_signature(batch, include_positions=True))  # lint: allow-id-keyed-dict
-        return cache.get(key)
+        return cache.get(self._energy_key(batch))

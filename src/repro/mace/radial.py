@@ -9,6 +9,7 @@ the per-edge, per-path weights ``R^(t)_{ji,k l1 l2 l3}`` of Algorithm 2.
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 import numpy as np
 
@@ -102,7 +103,10 @@ class RadialNetwork(Module):
         self.n_paths = n_paths
         self.mlp = MLP([n_basis, *hidden, channels * n_paths], rng=rng)
 
-    def forward(self, r: Tensor) -> Tensor:
-        basis = bessel_basis(r, self.n_basis, self.cutoff)
+    def forward(self, r: Optional[Tensor], basis: Optional[Tensor] = None) -> Tensor:
+        """Path weights from edge lengths ``r``, or from a precomputed
+        ``bessel_basis`` of them (``r`` is then unused and may be None)."""
+        if basis is None:
+            basis = bessel_basis(r, self.n_basis, self.cutoff)
         flat = self.mlp(basis)  # (E, K * n_paths)
         return flat.reshape((flat.shape[0], self.channels, self.n_paths))

@@ -20,14 +20,10 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..data.labels import ReferencePotential
-from ..graphs.batch import collate
+from ..graphs.batch import bucket_size, collate
 from ..graphs.molecular_graph import MolecularGraph
 from ..graphs.pipeline import DEFAULT_SKIN, NeighborListCache
 from ..runtime import resolve_plan_cache
-
-# Padded-MD edge capacities are rounded up to a multiple of this, so the
-# shape buckets a trajectory visits stay few and recurring.
-EDGE_BUCKET = 32
 
 __all__ = ["MACECalculator", "ReferenceCalculator"]
 
@@ -62,7 +58,8 @@ class MACECalculator:
         Pad MD batches to capacity buckets so plan hit rates survive
         neighbor-list refilters.  The batch carries the Verlet
         *candidate* edge set (fixed between rebuilds) padded with ghost
-        self-edges up to a grow-only multiple of ``EDGE_BUCKET``; the
+        self-edges up to a grow-only :func:`repro.graphs.bucket_size`
+        capacity, so the shape buckets a trajectory visits stay few; the
         model masks out-of-cutoff edges so results match the exact edge
         set, while the plan-cache key stays constant between rebuilds
         instead of changing whenever an edge crosses the cutoff.  The
@@ -131,8 +128,7 @@ class MACECalculator:
         if self._pad_build != cache.rebuilds:
             cand_index, cand_shift = cache.candidate_edges()
             n_cand = cand_index.shape[1]
-            want = -(-max(n_cand, 1) // EDGE_BUCKET) * EDGE_BUCKET
-            self.edge_capacity = max(self.edge_capacity, want)
+            self.edge_capacity = max(self.edge_capacity, bucket_size(max(n_cand, 1)))
             pad = self.edge_capacity - n_cand
             ghost_index = np.zeros((2, pad), dtype=cand_index.dtype)
             ghost_shift = np.zeros((pad, 3))

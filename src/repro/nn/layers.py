@@ -173,10 +173,13 @@ class Embedding(Module):
         self.dim = dim
         self.weight = Parameter(rng.standard_normal((num_embeddings, dim)) / math.sqrt(dim))
 
-    def forward(self, ids: np.ndarray) -> Tensor:
+    def forward(self, ids) -> Tensor:
+        """Rows of the table for ``ids`` — an integer array, or an
+        integer :class:`Tensor` a compiled plan may rebind per replay
+        (see :func:`repro.autograd.gather_rows`)."""
         from ..autograd import gather_rows
 
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.min(initial=0) < 0 or (ids.size and ids.max() >= self.num_embeddings):
+        values = np.asarray(ids.data if isinstance(ids, Tensor) else ids)
+        if values.min(initial=0) < 0 or (values.size and values.max() >= self.num_embeddings):
             raise IndexError("embedding id out of range")
         return gather_rows(self.weight, ids)

@@ -15,26 +15,28 @@ fixed shape buckets thousands of times.  The pieces:
 * :class:`~repro.runtime.plan.CompiledPlan` — lowers the tape to a
   static, topo-ordered instruction list with resolved input slots,
   dead-node elimination, constant folding of parameter-free subgraphs
-  (edge geometry, spherical harmonics, radial features in training
+  (edge geometry, spherical harmonics, radial features in energy
   plans), a compiled backward with preallocated gradient buffers, and a
   guard-checked :meth:`~repro.runtime.plan.CompiledPlan.replay` that
   raises :class:`~repro.runtime.plan.PlanStale` instead of ever
   replaying stale shapes or dtypes;
 * :class:`~repro.runtime.cache.PlanCache` /
-  :func:`~repro.runtime.cache.batch_signature` — a bounded LRU keyed on
-  the same bin-composition fingerprint discipline as
-  :class:`repro.graphs.CollateCache`, so shape buckets hit compiled
-  plans and every invalidation event (new edge set, mutated positions,
-  relabeled targets, dtype drift) is a miss followed by recapture.
+  :func:`~repro.runtime.cache.batch_signature` — a bounded LRU with one
+  capture-or-replay protocol (``PlanCache.run``).  Energy and force
+  plans key on the bin-composition fingerprint discipline of
+  :class:`repro.graphs.CollateCache`, so every invalidation event (new
+  edge set, mutated positions, dtype drift) is a miss followed by
+  recapture; training plans key on the batch's shape bucket and rebind
+  all content per replay, so reshuffled epochs replay too.
 
 Threaded through the stack by default — ``Trainer(plan_cache="auto")``,
 ``MACECalculator(compiled="auto")``, ``InferenceEngine(plan_cache=
 "auto")`` and the ``compiled=`` argument of ``MACE.predict_energy`` /
 ``MACE.forces`` / ``MACE.energy_and_forces`` — with transparent eager
 fallback on any cache miss, guard rejection or model hot swap.
-``benchmarks/bench_runtime.py --smoke`` gates the >=1.5x replay speedup
-and the 1e-10 energy/force/gradient equivalence contract against the
-eager engine.
+``benchmarks/bench_runtime.py --smoke`` gates the replay speedup, the
+one-capture-per-shape-bucket count on reshuffled epochs and the 1e-10
+energy/force/gradient equivalence contract against the eager engine.
 """
 
 from .cache import PlanCache, batch_signature, resolve_plan_cache

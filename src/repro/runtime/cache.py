@@ -1,23 +1,29 @@
-"""Plan caching keyed on shape-bucket signatures.
+"""Plan caching: the LRU, its keys and the capture-or-replay protocol.
 
-A :class:`~repro.runtime.plan.CompiledPlan` is specific to one *shape
-bucket*: one batch composition (atom/edge/graph layout, species, edge
-set) and — when the plan folded them as constants — one set of position
-and label arrays.  :func:`batch_signature` digests exactly those fields
-of a :class:`~repro.graphs.batch.GraphBatch`, mirroring the
-bin-composition fingerprint :class:`repro.graphs.CollateCache` computes
-for batches, so the training loop's repeated shape buckets hit compiled
-plans with the same key discipline that already governs collation reuse.
-Content-derived keys make every invalidation event a *miss* (never a
-stale replay): a changed neighbor list, mutated positions, relabeled
-energies or a different dtype simply produce a different signature and
-trigger a fresh capture, while the stale entry ages out of the LRU.
+A :class:`~repro.runtime.plan.CompiledPlan` is specific to the array
+*shapes* of its capture and to whatever the capture folded as constants;
+everything it bound as an input is rebound per replay.  The key a caller
+files a plan under must therefore cover exactly the folded part:
+
+* energy and force plans fold batch *content* (species, graph
+  membership, the edge set — and positions, for zero-input energy
+  plans), so they key on :func:`batch_signature`, a digest of those
+  fields mirroring the fingerprint :class:`repro.graphs.CollateCache`
+  computes.  Content keys make every invalidation event a *miss* (never
+  a stale replay): a changed neighbor list, mutated positions or a
+  different dtype simply produce a different signature and trigger a
+  fresh capture, while the stale entry ages out of the LRU;
+* training-loss plans bind all batch content as inputs and key on the
+  input shapes alone (see :class:`repro.training.Trainer`), so one plan
+  serves every batch of a shape bucket.
 
 :class:`PlanCache` is the bounded LRU holding the plans, with hit /
-miss / capture / stale counters.  Hot-swapping a served model clears the
-engine's cache wholesale (see ``InferenceEngine.swap_model``); plans
-additionally pin their owning model so ``id(model)``-scoped keys can
-never be recycled into a collision while a plan is alive.
+miss / capture / stale counters, and :meth:`PlanCache.run` is the one
+lookup → replay → fallback → capture sequence every entry point uses.
+Hot-swapping a served model clears the engine's cache wholesale (see
+``InferenceEngine.swap_model``); plans additionally pin their owning
+model so ``id(model)``-scoped keys can never be recycled into a
+collision while a plan is alive.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from .plan import CompiledPlan
+from .plan import CompiledPlan, PlanStale, record_tape
 
 __all__ = ["PlanCache", "batch_signature", "resolve_plan_cache"]
 
@@ -60,7 +66,6 @@ def _update(h, array: np.ndarray) -> None:
 def batch_signature(
     batch,
     include_positions: bool = True,
-    include_labels: bool = False,
     include_edges: bool = True,
 ) -> bytes:
     """Digest of a batch's shape bucket for plan-cache keys.
@@ -68,11 +73,10 @@ def batch_signature(
     Always covers the structural layout (species, graph membership, edge
     counts) plus the position array's dtype, so a dtype change can never
     replay a stale plan.  ``include_positions`` adds the position values
-    — required for plans that folded geometry as constants (energy and
-    training-loss plans); force plans rebind positions per replay and
-    leave it off so an MD trajectory keeps hitting one plan while its
-    edge set is stable.  ``include_labels`` adds the energy labels
-    (training-loss plans fold the targets).  ``include_edges=False``
+    — required for plans that folded geometry as constants (energy
+    plans); force plans rebind positions per replay and leave it off so
+    an MD trajectory keeps hitting one plan while its edge set is
+    stable.  ``include_edges=False``
     drops the edge *content* while keeping the edge count and dtypes —
     for plans that bind the edge arrays as replay inputs (the padded-MD
     force plans), where a neighbor-list rebuild into the same capacity
@@ -99,8 +103,6 @@ def batch_signature(
         h.update(np.float64(masked).tobytes())
     if include_positions:
         _update(h, batch.positions)
-    if include_labels:
-        _update(h, batch.energies)
     return h.digest()
 
 
@@ -176,6 +178,32 @@ class PlanCache:
         if self.maxsize is not None and len(self._store) > self.maxsize:
             self._store.popitem(last=False)
         return plan
+
+    def run(self, key, inputs, eager, compute_grads: bool = True):
+        """Replay ``key``'s plan on ``inputs``, capturing it on a miss.
+
+        The one capture-or-replay protocol.  ``eager()`` runs the pass
+        the plan stands for and returns ``(result, plan_kwargs)``:
+        ``result`` in :meth:`CompiledPlan.replay`'s ``(outputs,
+        input_grads)`` form and ``plan_kwargs`` the
+        :class:`CompiledPlan` arguments describing the pass
+        (``outputs``, ``seed``, ``inputs``, ...).  A hit replays; a miss
+        runs ``eager`` under :func:`record_tape`, compiles and stores the
+        plan; a guard-rejected replay (:class:`PlanStale`) drops the
+        entry and answers from a plain ``eager()`` pass, so the next
+        call recaptures against the drifted shapes.
+        """
+        plan = self.get(key)
+        if plan is not None:
+            try:
+                return plan.replay(*inputs, compute_grads=compute_grads)
+            except PlanStale:
+                self.invalidate(key)
+                return eager()[0]
+        with record_tape() as tape:
+            result, plan_kwargs = eager()
+        self.put(key, CompiledPlan(tape, **plan_kwargs))
+        return result
 
     def invalidate(self, key) -> None:
         """Drop one entry (called after a ``PlanStale`` replay guard)."""

@@ -12,27 +12,22 @@ so the loss is well-scaled across chemical systems of very different size.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..autograd import Tensor, weighted_mse
+from ..autograd import Tensor
 from ..autograd.engine import no_grad
 from ..data.labels import ReferencePotential, attach_labels
 from ..data.stream import StreamingLoader, StreamStats
-from ..graphs.batch import GraphBatch, collate
+from ..graphs.batch import GraphBatch, collate, pad_to_bucket
 from ..graphs.molecular_graph import MolecularGraph
 from ..graphs.pipeline import CollateCache, epoch_plan_bins
 from ..mace import MACE
 from ..nn import Adam, ExponentialLR, ExponentialMovingAverage
-from ..runtime import (
-    CompiledPlan,
-    PlanStale,
-    batch_signature,
-    record_tape,
-    resolve_plan_cache,
-)
+from ..runtime import resolve_plan_cache
 
 __all__ = ["EnergyScaler", "Trainer", "TrainResult"]
 
@@ -133,23 +128,28 @@ class Trainer:
         so most epochs past the first are pure cache hits.  Pass an
         existing cache to share it (e.g. with
         ``sampler.rank_graph_batches``) or ``None`` to disable caching.
-        The key's geometry/label fingerprint makes in-place dataset
+        The key's geometry/label fingerprint makes in-place *graph*
         mutation a miss, never a stale read, and the loss is invariant to
         member order within a batch, so caching does not change training.
+        Each cached batch also carries its padded, featurized form
+        (``GraphBatch.padded``); cached batches are shared and must not
+        be edited in place — edit the graphs.
     plan_cache:
         :class:`repro.runtime.PlanCache` threading for compiled
         loss-step execution.  The default ``"auto"`` gives the trainer a
-        private cache: the first step on each shape bucket (batch
-        composition + geometry + labels, the same fingerprint discipline
-        as the collate cache) runs eagerly while recording, every later
-        step replays the compiled plan — no tape construction, a
-        precompiled backward into reused gradient buffers, and the whole
-        edge-geometry pipeline (spherical harmonics, radial features)
-        folded out of the step since positions are constants of a
-        training batch.  Any mutation event (new composition, edited
-        geometry or labels, dtype drift, parameter shape change) misses
-        or fails the replay guard and falls back to eager + recapture —
-        never a stale replay.  Pass ``None`` to always run eagerly.
+        private cache holding one plan per *shape bucket*: every batch
+        is padded to its ``(atoms, edges, graphs)`` bucket
+        (:func:`repro.graphs.pad_to_bucket`) and everything that is
+        batch *content* — species, edge and graph indices, the edge
+        features, per-graph counts / targets / loss weights — is bound
+        as a replay input.  The first step on a bucket runs eagerly
+        while recording; every later batch of that shape, whatever its
+        composition, replays the compiled plan — no tape construction,
+        a precompiled backward into reused gradient buffers.  Reshuffled
+        epochs therefore replay a handful of plans instead of
+        recapturing every batch.  Shape, dtype or parameter drift fails
+        the replay guard and falls back to eager — never a stale replay.
+        Pass ``None`` to always run eagerly.
     """
 
     def __init__(
@@ -223,7 +223,8 @@ class Trainer:
     # -- batching -----------------------------------------------------------------
 
     def _collate(self, batch_indices: Sequence[int], capacity: int = 0) -> GraphBatch:
-        """Collate a mini-batch, through the cache when one is attached.
+        """Collate a mini-batch into its trainable (padded, featurized)
+        form, through the cache when one is attached.
 
         ``capacity`` is the bin size the plan packed the batch into; it is
         part of the cache key (matching ``rank_graph_batches``) and stamps
@@ -242,66 +243,119 @@ class Trainer:
                 "batch contains graphs without energy labels "
                 "(dataset mutated after Trainer construction?)"
             )
-        return batch
+        # The padded form is memoized on the batch, so it is built once
+        # per cache entry (on the prefetch thread when streaming) and
+        # evicted with it; a shared cache keeps one per model in turn.
+        model, padded = batch.padded or (None, None)
+        if model is not self.model:
+            padded = self._pad(batch)
+            batch.padded = (self.model, padded)
+        return padded
+
+    def _pad(self, batch: GraphBatch) -> GraphBatch:
+        """A bucket-padded, featurized copy of an exact ``batch``: the
+        one form loss steps run on."""
+        return self.model.featurize(pad_to_bucket(batch))
 
     # -- loss ---------------------------------------------------------------------
 
-    def _batch_loss(self, batch: GraphBatch) -> Tensor:
-        n_atoms = np.bincount(batch.graph_index, minlength=batch.n_graphs).astype(
-            np.float64
+    def _loss_inputs(self, batch: GraphBatch) -> Tuple[np.ndarray, ...]:
+        """The content arrays a loss graph is a function of, in plan-input
+        order: species rows, edge senders / receivers, graph membership,
+        edge harmonics, edge radial basis, then per-graph atom counts,
+        standardized targets and normalized loss weights.  Ghost graphs
+        get count 1 (no 0/0), target 0 and weight 0.
+        """
+        n_real = batch.n_graphs - batch.ghost_graphs
+        counts = np.maximum(
+            np.bincount(batch.graph_index, minlength=batch.n_graphs), 1
+        ).astype(np.float64)
+        target = self.scaler.normalize(batch.energies, counts)
+        weights = 1.0 / counts if self.loss_weighting == "per_atom" else np.ones_like(counts)
+        target[n_real:] = 0.0
+        weights[n_real:] = 0.0
+        return (
+            self.model.species_indices(batch.species),
+            batch.edge_index[0],
+            batch.edge_index[1],
+            batch.graph_index,
+            batch.edge_sh,
+            batch.edge_radial,
+            counts,
+            target,
+            weights / weights.sum(),
         )
-        pred = self.model(batch) / Tensor(n_atoms)
-        target = (batch.energies / n_atoms - self.scaler.mean_per_atom) / self.scaler.std_per_atom
-        pred_norm = (pred - self.scaler.mean_per_atom) / self.scaler.std_per_atom
-        weights = 1.0 / n_atoms if self.loss_weighting == "per_atom" else np.ones_like(n_atoms)
-        return weighted_mse(pred_norm, target, weights)
+
+    def _batch_loss(
+        self, batch: GraphBatch, inputs: Optional[Sequence[Tensor]] = None
+    ) -> Tensor:
+        """Weighted-MSE loss graph of ``batch`` over its content ``inputs``
+        (default: fresh constant tensors of :meth:`_loss_inputs`).  Only
+        array *shapes* and the graph count are read off ``batch`` itself,
+        so a plan recorded here serves every batch of the same bucket.
+        """
+        if inputs is None:
+            inputs = tuple(Tensor(a) for a in self._loss_inputs(batch))
+        species, send, recv, graph_index, Y, basis, counts, target, weights = inputs
+        energies = self.model.message_passing(
+            species, (send, recv), graph_index, batch.n_graphs, Y, basis=basis
+        )
+        pred_norm = (energies / counts - self.scaler.mean_per_atom) / self.scaler.std_per_atom
+        diff = pred_norm - target
+        return (weights * diff * diff).sum()
 
     def _loss_step(self, batch: GraphBatch, with_grads: bool = True) -> float:
         """Loss of one batch, through the compiled-plan cache when attached.
 
         With ``with_grads`` the parameters' ``.grad`` is populated (the
         compiled replay overwrites it — callers zero first, as both step
-        entry points do).  The plan key is the batch's shape-bucket
-        signature (composition + geometry + labels + dtype): repeated
-        buckets replay, any mutation misses and recaptures, and a
-        guard-rejected replay (:class:`~repro.runtime.PlanStale`, e.g. a
-        parameter array swapped to a new shape/dtype) invalidates the
-        entry and falls back to eager.
+        entry points do).  The plan key is the batch's *shape bucket* —
+        the shapes and dtypes of its content inputs — plus what the
+        recorded graph burns in (model identity, scaler, loss
+        weighting); the content itself is rebound on every replay, so
+        any batch of a seen bucket replays.  A guard-rejected replay
+        (:class:`~repro.runtime.PlanStale`, e.g. a parameter array
+        swapped to a new shape/dtype) invalidates the entry and falls
+        back to eager.
+
+        ``batch`` is a featurized batch (what :meth:`_collate` returns)
+        or an exact one, which is padded and featurized here, afresh on
+        every call — nothing is remembered about a caller's batch, so
+        one edited between two steps trains on its new content.  A
+        featurized batch is taken as it is: its edge features are a
+        snapshot (:meth:`repro.mace.MACE.featurize`), its species and
+        labels are read live.
         """
+        if batch.edge_sh is None:
+            batch = self._pad(batch)
+        arrays = self._loss_inputs(batch)
+
+        def eager():
+            inputs = tuple(Tensor(a) for a in arrays)
+            loss = self._batch_loss(batch, inputs)
+            if with_grads:
+                loss.backward()
+            return ([loss.data], []), dict(
+                outputs=(loss,), seed=loss, inputs=inputs, owner=self.model
+            )
+
         cache = self.plan_cache
         if cache is None:
-            return self._eager_loss(batch, with_grads)
-        key = (
-            self.loss_weighting,
-            batch_signature(batch, include_positions=True, include_labels=True),
-        )
-        plan = cache.get(key)
-        if plan is not None:
-            try:
-                (loss_value,), _ = plan.replay(compute_grads=with_grads)
-                return float(loss_value)
-            except PlanStale:
-                cache.invalidate(key)
-                return self._eager_loss(batch, with_grads)
-        with record_tape() as tape:
-            loss = self._batch_loss(batch)
-        if with_grads:
-            loss.backward()
-        cache.put(
-            key,
-            CompiledPlan(
-                tape, outputs=(loss,), seed=loss, grad_params=True, owner=self.model
-            ),
-        )
-        return loss.item()
-
-    def _eager_loss(self, batch: GraphBatch, with_grads: bool) -> float:
-        if with_grads:
-            loss = self._batch_loss(batch)
-            loss.backward()
-            return loss.item()
-        with no_grad():
-            return self._batch_loss(batch).item()
+            with contextlib.nullcontext() if with_grads else no_grad():
+                (outputs, _), _ = eager()
+        else:
+            # The plan pins the model as its owner, so id() cannot be
+            # recycled into a key collision while the entry is alive.
+            key = (
+                "loss",
+                id(self.model),  # lint: allow-id-keyed-dict
+                self.loss_weighting,
+                self.scaler.mean_per_atom,
+                self.scaler.std_per_atom,
+                tuple((a.shape, a.dtype.str) for a in arrays),
+            )
+            outputs, _ = cache.run(key, arrays, eager, compute_grads=with_grads)
+        return float(outputs[0])
 
     # -- steps --------------------------------------------------------------------
 
@@ -372,13 +426,15 @@ class Trainer:
 
         With a ``dataset`` attached (default ``stream=None`` → auto),
         batch construction runs on a background prefetch thread through
-        :class:`~repro.data.StreamingLoader` — shard reads and collation
-        overlap the previous batch's compute, double-buffered at
-        ``prefetch_depth``.  Only the prefetch thread touches the
-        collate cache and shard maps during the epoch, so the streamed
-        loss sequence is exactly the serial one (``train_batch`` runs
-        the same ops on the same bytes).  Overlap counters accumulate
-        into ``stream_stats``.  Does **not** advance the scheduler —
+        :class:`~repro.data.StreamingLoader` — shard reads, collation,
+        bucket padding and the edge-geometry pipeline overlap the
+        previous batch's compute, double-buffered at ``prefetch_depth``.
+        Only the prefetch thread touches the collate cache, the shard
+        maps and the batches' ``padded`` memo during the epoch, so the
+        streamed loss sequence is exactly the serial one
+        (``train_batch`` runs the same ops on the same bytes).  Overlap
+        counters accumulate into ``stream_stats``.  Does **not** advance
+        the scheduler —
         epoch drivers (``fit``) own that, exactly as with ``train_step``
         loops.
         """
@@ -411,14 +467,13 @@ class Trainer:
         """
         if graphs is None:
             graphs = self.graphs
-        if self.collate_cache is not None and graphs is self.graphs:
-            batch = self.collate_cache.get(graphs, range(len(graphs)))
+        if graphs is self.graphs:
+            batch = self._collate(range(len(graphs)))
         else:
             batch = collate(list(graphs))
         # The compiled path replays (or captures) forward-only; explicit
-        # validation sets ride through too — their content-derived plan
-        # key memoizes repeated evaluations of a stable set and misses
-        # on any change, mirroring the collate-cache policy above.
+        # validation sets ride through too, padded and featurized per
+        # call, and share the plan of their shape bucket.
         return self._loss_step(batch, with_grads=False)
 
     def freeze_representation(self) -> int:

@@ -1,0 +1,323 @@
+"""Seeded randomized differential tests of shape-bucketed training plans.
+
+The numerics contract of the bucketed path: a loss step replayed from a
+shape-keyed plan on a padded batch equals the eager loss graph of the
+*unpadded* batch to 1e-10 — loss and every parameter gradient — for
+random bin contents, and everything the padding adds contributes
+exactly ``0.0``.
+"""
+
+import threading
+
+import numpy as np
+import pytest
+
+from repro.equivariant import random_rotation
+from repro.graphs import (
+    MolecularGraph,
+    bucket_size,
+    build_neighbor_list,
+    collate,
+    pad_to_bucket,
+)
+from repro.kernels import counting, record_kernel
+from repro.mace import MACE, MACEConfig
+from repro.training import Trainer
+
+CUTOFF = 3.0
+CFG = MACEConfig(
+    num_channels=4,
+    lmax_sh=2,
+    l_atomic_basis=2,
+    correlation=2,
+    cutoff=CUTOFF,
+    species=(1, 6, 8),
+)
+TOL = 1e-10
+
+
+def random_graph(rng, n_atoms: int, periodic: bool) -> MolecularGraph:
+    """A labeled graph of ``n_atoms`` at roughly constant density."""
+    box = 2.2 * max(n_atoms, 2) ** (1.0 / 3.0)
+    g = MolecularGraph(
+        rng.uniform(0.0, box, (n_atoms, 3)),
+        rng.choice(CFG.species, n_atoms),
+        cell=np.eye(3) * box + rng.normal(0.0, 0.1, (3, 3)) if periodic else None,
+        pbc=periodic,
+        energy=float(rng.normal(-2.0 * n_atoms, 1.0)),
+    )
+    return build_neighbor_list(g, cutoff=CUTOFF)
+
+
+def random_bin(rng, sizes) -> list:
+    """Graphs of the given sizes, periodic and open cells mixed."""
+    return [random_graph(rng, n, periodic=bool(rng.integers(2))) for n in sizes]
+
+
+def eager_unpadded(graphs, indices, weighting="per_atom"):
+    """Loss and parameter gradients of the exact batch on the eager tape."""
+    ref = Trainer(MACE(CFG, seed=0), graphs, plan_cache=None, loss_weighting=weighting)
+    loss = ref._batch_loss(ref.model.featurize(collate([graphs[i] for i in indices])))
+    loss.backward()
+    return loss.item(), [p.grad for p in ref.model.parameters()]
+
+
+def replayed(trainer, indices):
+    """Loss and gradients of one *replayed* step on ``indices``."""
+    trainer._loss_step(trainer._collate(indices))  # capture (or earlier replay)
+    hits = trainer.plan_cache.hits
+    trainer.model.zero_grad()
+    loss = trainer._loss_step(trainer._collate(indices))
+    assert trainer.plan_cache.hits == hits + 1  # this one replayed
+    return loss, [p.grad.copy() for p in trainer.model.parameters()]
+
+
+def assert_matches(graphs, weighting="per_atom"):
+    trainer = Trainer(MACE(CFG, seed=0), graphs, loss_weighting=weighting)
+    loss, grads = replayed(trainer, range(len(graphs)))
+    ref_loss, ref_grads = eager_unpadded(graphs, range(len(graphs)), weighting)
+    assert abs(loss - ref_loss) < TOL
+    for (name, _), g, r in zip(trainer.model.named_parameters(), grads, ref_grads):
+        np.testing.assert_allclose(g, r, rtol=0.0, atol=TOL, err_msg=name)
+    return trainer
+
+
+class TestBucketSize:
+    def test_padding_bound_and_monotone(self):
+        previous = 0
+        for n in range(0, 20000, 7):
+            b = bucket_size(n)
+            assert b >= n and b >= previous
+            assert b - n <= max(7, n // 8)  # <= 12.5%, or the 8-step floor
+            assert bucket_size(b) == b  # buckets are fixed points
+            previous = b
+
+
+class TestBucketedReplayMatchesEagerUnpadded:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_bins(self, seed):
+        rng = np.random.default_rng(1000 + seed)
+        sizes = rng.integers(2, 24, size=int(rng.integers(2, 7)))
+        weighting = ("per_atom", "uniform")[seed % 2]
+        assert_matches(random_bin(rng, sizes), weighting)
+
+    def test_one_atom_graph(self):
+        rng = np.random.default_rng(7)
+        graphs = random_bin(rng, [1, 9, 14])
+        graphs[0] = random_graph(rng, 1, periodic=False)  # isolated atom, no edges
+        assert graphs[0].n_edges == 0
+        assert_matches(graphs)
+
+    def test_bin_exactly_at_capacity_has_no_ghost_atom(self):
+        rng = np.random.default_rng(8)
+        graphs = random_bin(rng, [16, 20, 12])  # 48 atoms: a bucket boundary
+        trainer = assert_matches(graphs)
+        twin = trainer._collate(range(3))
+        assert twin.ghost_atoms == 0 and twin.n_atoms == 48
+        assert twin.ghost_graphs > 0  # ghost graph slots exist, all empty
+
+    def test_graph_count_crossing_a_bucket_edge(self):
+        rng = np.random.default_rng(9)
+        graphs = random_bin(rng, [5, 6, 4, 7, 5, 6, 4, 5])
+        seven = assert_matches(graphs[:7])._collate(range(7))
+        eight = assert_matches(graphs)._collate(range(8))
+        assert seven.n_graphs == 8 and eight.n_graphs == 16
+
+
+class TestGhostsContributeExactlyZero:
+    def setup_method(self):
+        rng = np.random.default_rng(11)
+        self.graphs = random_bin(rng, [7, 12, 10])
+        self.trainer = Trainer(MACE(CFG, seed=0), self.graphs, plan_cache=None)
+        self.twin = self.trainer._collate(range(3))
+        self.rng = rng
+
+    def _loss_and_grads(self, batch):
+        self.trainer.model.zero_grad()
+        loss = self.trainer._batch_loss(batch)
+        loss.backward()
+        return loss.item(), [p.grad.copy() for p in self.trainer.model.parameters()]
+
+    def test_ghost_rows_and_weights_are_zero(self):
+        twin = self.twin
+        assert twin.ghost_atoms and twin.ghost_edges and twin.ghost_graphs
+        e, g = twin.n_edges - twin.ghost_edges, twin.n_graphs - twin.ghost_graphs
+        assert not twin.edge_sh[e:].any() and not twin.edge_radial[e:].any()
+        *_, counts, target, weights = self.trainer._loss_inputs(twin)
+        assert not weights[g:].any() and not target[g:].any()
+        assert (counts[g + 1 :] == 1.0).all()  # empty ghost graphs: no 0/0
+        assert weights[:g].sum() == pytest.approx(1.0)
+
+    def test_scrambling_ghost_content_changes_nothing_bitwise(self):
+        """If every ghost contribution is exactly 0.0, arbitrary ghost
+        content — endpoints, species, positions, labels — is invisible."""
+        twin, rng = self.twin, self.rng
+        loss, grads = self._loss_and_grads(twin)
+        a = twin.n_atoms - twin.ghost_atoms
+        e = twin.n_edges - twin.ghost_edges
+        g = twin.n_graphs - twin.ghost_graphs
+        twin.edge_index[:, e:] = rng.integers(0, twin.n_atoms, (2, twin.ghost_edges))
+        twin.species[a:] = rng.choice(CFG.species, twin.ghost_atoms)
+        twin.positions[a:] = rng.normal(size=(twin.ghost_atoms, 3))
+        twin.energies[g:] = rng.normal(size=twin.ghost_graphs)
+        self.trainer.model.featurize(twin)  # features follow the edited geometry
+        assert not twin.edge_sh[e:].any() and not twin.edge_radial[e:].any()
+        loss2, grads2 = self._loss_and_grads(twin)
+        assert loss2 == loss
+        for p, q in zip(grads, grads2):
+            assert np.array_equal(p, q)
+
+
+class TestOnePlanPerBucket:
+    def test_two_contents_of_one_bucket_replay_the_same_plan(self):
+        rng = np.random.default_rng(21)
+        pool = [random_graph(rng, int(n), bool(rng.integers(2))) for n in rng.integers(6, 16, 24)]
+        # Two bins whose exact (atoms, edges) differ but whose bucket agrees.
+        by_bucket = {}
+        for start in range(0, len(pool) - 2):
+            idx = (start, start + 1, start + 2)
+            exact = collate([pool[i] for i in idx])
+            twin = pad_to_bucket(exact)
+            shape = (twin.n_atoms, twin.n_edges, twin.n_graphs)
+            by_bucket.setdefault(shape, {})[(exact.n_atoms, exact.n_edges)] = idx
+        first, second = next(
+            list(bins.values())[:2] for bins in by_bucket.values() if len(bins) >= 2
+        )
+        trainer = Trainer(MACE(CFG, seed=0), pool)
+        trainer._loss_step(trainer._collate(first))
+        (plan,) = trainer.plan_cache._store.values()
+        trainer.model.zero_grad()
+        loss = trainer._loss_step(trainer._collate(second))
+        stats = trainer.plan_cache.stats()
+        assert stats["captures"] == 1 and stats["hits"] == 1
+        assert list(trainer.plan_cache._store.values()) == [plan]  # same object
+        ref_loss, ref_grads = eager_unpadded(pool, second)
+        assert abs(loss - ref_loss) < TOL
+        for p, r in zip(trainer.model.parameters(), ref_grads):
+            np.testing.assert_allclose(p.grad, r, rtol=0.0, atol=TOL)
+
+    def test_reshuffled_epochs_capture_once_per_bucket(self):
+        from repro.distribution import BalancedDistributedSampler
+
+        rng = np.random.default_rng(22)
+        pool = [random_graph(rng, int(n), False) for n in rng.integers(3, 12, 40)]
+        trainer = Trainer(MACE(CFG, seed=0), pool)
+        sampler = BalancedDistributedSampler(
+            [g.n_atoms for g in pool], capacity=48, num_replicas=1, seed=3
+        )
+        buckets = set()
+        for epoch in range(3):
+            bins = sampler.plan_rank_bins(epoch, 0)
+            for indices, capacity in bins:
+                twin = trainer._collate(indices, capacity)
+                buckets.add((twin.n_atoms, twin.n_edges, twin.n_graphs))
+            trainer.train_epoch_bins(bins)
+        stats = trainer.plan_cache.stats()
+        assert stats["captures"] == len(buckets) < stats["hits"]
+
+
+class TestEditedContentIsNeverReplayedStale:
+    """What a loss step remembers about a batch: nothing for a caller's
+    batch, and for a cached one only what its graphs' fingerprint keys."""
+
+    def setup_method(self):
+        rng = np.random.default_rng(41)
+        self.graphs = random_bin(rng, [8, 11, 6])
+        self.trainer = Trainer(MACE(CFG, seed=0), self.graphs)
+        self.rng = rng
+
+    def _reference(self):
+        """An eager, cache-free trainer with the same weights and scaler."""
+        ref = Trainer(MACE(CFG, seed=0), self.graphs, plan_cache=None, collate_cache=None)
+        ref.scaler = self.trainer.scaler
+        return ref
+
+    def test_callers_batch_edited_between_steps_trains_on_the_new_content(self):
+        batch = collate(self.graphs)
+        first = self.trainer._loss_step(batch)
+        batch.positions += self.rng.normal(0.0, 0.05, batch.positions.shape)
+        batch.energies += 1.0
+        edited = self.trainer._loss_step(batch)  # same bucket: a replay
+        assert self.trainer.plan_cache.stats()["hits"] == 1
+        assert batch.padded is None  # nothing was remembered on it
+        ref = self._reference()._loss_step(batch)
+        assert edited != first and abs(edited - ref) < TOL
+
+    def test_graph_edited_in_place_yields_a_new_cached_batch(self):
+        trainer = self.trainer
+        stale = trainer._collate(range(3))
+        first = trainer._loss_step(stale)
+        g = self.graphs[1]
+        g.positions = g.positions + self.rng.normal(0.0, 0.05, g.positions.shape)
+        g.energy += 1.0
+        build_neighbor_list(g, cutoff=CUTOFF)
+        fresh = trainer._collate(range(3))
+        assert fresh is not stale and trainer.collate_cache.stats()["misses"] == 2
+        edited = trainer._loss_step(fresh)
+        ref = self._reference().evaluate()
+        assert edited != first and abs(edited - ref) < TOL
+
+    def test_cached_batch_is_padded_once_per_model(self):
+        trainer = self.trainer
+        padded = trainer._collate(range(3))
+        assert trainer._collate(range(3)) is padded
+        assert trainer.evaluate() == trainer._loss_step(padded, with_grads=False)
+        other = Trainer(MACE(CFG, seed=1), self.graphs, collate_cache=trainer.collate_cache)
+        assert other._collate(range(3)) is not padded  # another model's features
+
+    def test_labels_of_a_featurized_batch_are_read_live(self):
+        padded = self.trainer._collate(range(3))
+        first = self.trainer._loss_step(padded)
+        padded.energies[:3] += 1.0
+        assert self.trainer._loss_step(padded) != first
+        padded.energies[:3] -= 1.0
+        assert abs(self.trainer._loss_step(padded) - first) < TOL
+
+
+class TestRotationInvarianceThroughPaddedPlans:
+    def test_loss_is_rotation_invariant_on_the_compiled_path(self):
+        rng = np.random.default_rng(31)
+        graphs = random_bin(rng, [9, 13, 6, 11])
+        R = random_rotation(rng)
+        rotated = []
+        for g in graphs:
+            r = g.rotated(R)
+            # Same topology, rotated shifts: the rotated bin has the same
+            # shapes, so it replays the plan captured on the original.
+            r.edge_index, r.edge_shift = g.edge_index, g.edge_shift @ R.T
+            rotated.append(r)
+        trainer = Trainer(MACE(CFG, seed=0), graphs + rotated)
+        loss, grads = replayed(trainer, range(4))
+        trainer.model.zero_grad()
+        rot_loss = trainer._loss_step(trainer._collate(range(4, 8)))
+        assert trainer.plan_cache.stats()["captures"] == 1
+        assert abs(loss - rot_loss) < 1e-9
+        for g, p in zip(grads, trainer.model.parameters()):
+            np.testing.assert_allclose(g, p.grad, rtol=0.0, atol=1e-9)
+
+
+class TestKernelCountersAreThreadLocal:
+    def test_two_threads_count_independently(self):
+        """One thread's ``counting()`` must neither absorb nor pop another's
+        (the prefetch thread runs kernels beside the training loop)."""
+        inside = threading.Barrier(2, timeout=10)
+        totals = {}
+
+        def worker(name: str, launches: int) -> None:
+            with counting() as kc:
+                inside.wait()  # both blocks are open at once
+                for _ in range(launches):
+                    record_kernel(name, 1, 1.0, 1.0)
+                inside.wait()  # ... and still open when the other records
+            totals[name] = (kc.launches, sorted(kc.by_name))
+
+        threads = [
+            threading.Thread(target=worker, args=(name, n))
+            for name, n in (("a", 3), ("b", 5))
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+        assert not any(t.is_alive() for t in threads)
+        assert totals == {"a": (3, ["a"]), "b": (5, ["b"])}

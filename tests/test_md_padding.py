@@ -5,11 +5,10 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.data import generate_structure
-from repro.graphs import MolecularGraph, build_neighbor_list
+from repro.graphs import MolecularGraph, bucket_size, build_neighbor_list
 from repro.mace import MACE, MACEConfig
 from repro.mace.geometry import within_cutoff
 from repro.md import MACECalculator
-from repro.md.calculator import EDGE_BUCKET
 
 CFG = MACEConfig(num_channels=4, lmax_sh=2, l_atomic_basis=2, correlation=2)
 CUTOFF = 3.0
@@ -84,7 +83,7 @@ class TestPaddedCalculator:
         calc = MACECalculator(MACE(CFG, seed=0), cutoff=4.5)
         calc.energy_and_forces(g)
         cap = calc.edge_capacity
-        assert cap % EDGE_BUCKET == 0
+        assert cap == bucket_size(cap)  # sits on the shared bucket rule
         assert cap >= calc.neighbor_cache.candidate_edges()[0].shape[1]
         # Shrinking the system never shrinks the capacity.
         calc.energy_and_forces(triangle(2.9))

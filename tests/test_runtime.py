@@ -256,22 +256,26 @@ class TestTrainerPlanCache:
         plain = Trainer(MACE(CFG, seed=7), list(labeled), plan_cache=None)
         assert l2 == pytest.approx(plain.evaluate(), abs=1e-10)
 
-    def test_label_relabel_is_plan_miss(self, labeled):
-        """Relabeled energies at fixed geometry change the loss-plan key
-        (labels are folded constants of the plan)."""
+    def test_relabel_replays_with_the_new_labels(self, labeled):
+        """Labels are replay inputs of the shape-keyed loss plan: relabeled
+        energies at fixed geometry replay the same plan (a collate-cache
+        miss, not a plan miss) and the step sees the new targets."""
         import copy
 
         graphs = copy.deepcopy(list(labeled))
         trainer = Trainer(MACE(CFG, seed=8), graphs)
-        trainer.train_step([0, 1])
-        graphs[0].energy = graphs[0].energy + 0.5
-        trainer.train_step([0, 1])
-        assert trainer.plan_cache.captures == 2 and trainer.plan_cache.hits == 0
-        # And the new labels were really used:
         eager = Trainer(MACE(CFG, seed=8), copy.deepcopy(graphs), plan_cache=None)
-        # (same parameters cannot be compared after different label
-        # histories; just confirm the second step saw the new target)
-        assert trainer.plan_cache.stats()["misses"] == 2
+        old_labels = Trainer(MACE(CFG, seed=8), list(labeled), plan_cache=None)
+        first = trainer.train_step([0, 1])
+        assert first == pytest.approx(eager.train_step([0, 1]), abs=1e-10)
+        assert first == pytest.approx(old_labels.train_step([0, 1]), abs=1e-10)
+        for gs in (graphs, eager.graphs):
+            gs[0].energy = gs[0].energy + 0.5
+        relabeled = trainer.train_step([0, 1])
+        assert trainer.plan_cache.captures == 1 and trainer.plan_cache.hits == 1
+        assert relabeled == pytest.approx(eager.train_step([0, 1]), abs=1e-10)
+        # ... and not the targets the plan was captured with:
+        assert abs(relabeled - old_labels.train_step([0, 1])) > 1e-6
 
 
 class TestMDCompiled:

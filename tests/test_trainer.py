@@ -188,8 +188,9 @@ class TestTrainer:
         from repro.autograd import Tensor
 
         tb.optimizer.zero_grad()
-        l1 = tb._batch_loss(collate([labeled_graphs[0], labeled_graphs[1]]))
-        l2 = tb._batch_loss(collate([labeled_graphs[2], labeled_graphs[3]]))
+        featurize = model_b.featurize
+        l1 = tb._batch_loss(featurize(collate([labeled_graphs[0], labeled_graphs[1]])))
+        l2 = tb._batch_loss(featurize(collate([labeled_graphs[2], labeled_graphs[3]])))
         ((l1 + l2) * 0.5).backward()
         tb.optimizer.step()
         for (na, pa), (nb, pb) in zip(
