@@ -33,8 +33,9 @@ __all__ = ["MACEWorkloadModel", "PAPER_MODEL"]
 
 _BACKWARD_FACTOR = 2.0  # backward pass ~2x the forward FLOPs/bytes
 
-# Host-side batch-construction constants (seconds), calibrated against
-# ``benchmarks/bench_pipeline.py`` on the NumPy reference pipeline: a
+# Host-side batch-construction constants (seconds), calibrated on the
+# NumPy reference pipeline (``graphs.collate_s`` of ``python -m
+# bench.run`` is the measured twin): a
 # collate is a handful of array concatenations (per-token and per-edge
 # copies plus fixed allocation overhead), a CollateCache hit is a
 # dictionary lookup with LRU bookkeeping.

@@ -490,7 +490,7 @@ class ShardedDataset:
 
     Counters: ``payload_reads`` counts structure materializations and
     ``maps_opened`` counts shard maps — both stay at 0 under pure epoch
-    planning, which is exactly what ``bench_data.py`` gates.
+    planning (``tests/test_store.py::test_planning_is_payload_free``).
     """
 
     def __init__(self, path, resident_shards: int = 4) -> None:

@@ -12,8 +12,9 @@ training loop.
 The overlap is *measured*, not assumed: :class:`StreamStats` records how
 long the consumer blocked waiting on the queue (``stall_seconds``), how
 long the producer spent fetching (``fetch_seconds``), and the queue
-depth found on each get — ``bench_data.py`` bounds the stall fraction on
-a warmed run.
+depth found on each get — ``python -m bench.run`` reports them as
+``data.stream.stall_s`` / ``stalls`` / ``mean_depth`` on its training
+workloads.
 
 Crash/resume: the loader tracks ``next_step`` (the first plan step not
 yet yielded).  A fetch or consumer-side failure leaves the loader

@@ -150,7 +150,6 @@ class MACE(Module):
         self.readout_final = MLP([K, cfg.readout_mlp_hidden, 1], rng=rng)
         self.species_energy = Parameter(np.zeros(cfg.n_species))
         self.energy_scale = Parameter(np.ones(1))
-        self._plan_cache: Optional[PlanCache] = None  # lazy, compiled=True path
 
     # -- species handling -------------------------------------------------------
 
@@ -292,22 +291,14 @@ class MACE(Module):
 
     # -- compiled execution (repro.runtime) --------------------------------------
 
-    def _plan_cache_for(self, compiled) -> Optional[PlanCache]:
-        """Resolve the ``compiled=`` argument of the prediction entry points.
-
-        ``None``/``False`` — eager; a :class:`~repro.runtime.PlanCache` —
-        use it; ``True``/``"auto"`` — a lazily created model-private
-        cache shared by all compiled calls on this instance.
-        """
-        if compiled is None or compiled is False:
-            return None
-        if isinstance(compiled, PlanCache):
+    @staticmethod
+    def _checked_cache(compiled) -> Optional[PlanCache]:
+        """The ``compiled=`` argument of the prediction entry points:
+        ``None`` (eager) or the :class:`~repro.runtime.PlanCache` to
+        capture into and replay from."""
+        if compiled is None or isinstance(compiled, PlanCache):
             return compiled
-        if compiled is True or compiled == "auto":
-            if self._plan_cache is None:
-                self._plan_cache = PlanCache()
-            return self._plan_cache
-        raise TypeError(f"compiled must be None, bool, 'auto' or PlanCache, got {compiled!r}")
+        raise TypeError(f"compiled must be None or a PlanCache, got {compiled!r}")
 
     def forces(self, batch: GraphBatch, compiled=None) -> np.ndarray:
         """``(n_atoms, 3)`` forces, ``F = -dE/dr`` via reverse-mode autograd.
@@ -322,14 +313,14 @@ class MACE(Module):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-graph energies and per-atom forces from one forward+backward.
 
-        With ``compiled`` (``True``/``"auto"``/a
-        :class:`~repro.runtime.PlanCache`), the forward+backward pass is
-        captured once per shape bucket — positions are a replay *input*,
-        so an MD trajectory keeps hitting the same plan while its edge
-        set is unchanged — and replayed with no tape construction.  The
-        compiled backward targets only the positions, pruning the
-        parameter-gradient branches the eager pass always pays for.
-        Falls back to eager on any cache miss or guard rejection.
+        With ``compiled`` (a :class:`~repro.runtime.PlanCache`), the
+        forward+backward pass is captured once per shape bucket —
+        positions are a replay *input*, so an MD trajectory keeps hitting
+        the same plan while its edge set is unchanged — and replayed with
+        no tape construction.  The compiled backward targets only the
+        positions, pruning the parameter-gradient branches the eager pass
+        always pays for.  Falls back to eager on any cache miss or guard
+        rejection.
         """
         padded = getattr(batch, "masked_cutoff", None) is not None
         arrays = (batch.positions,)
@@ -359,7 +350,7 @@ class MACE(Module):
                 owner=self,
             )
 
-        cache = self._plan_cache_for(compiled)
+        cache = self._checked_cache(compiled)
         if cache is None:
             (energies,), (grad,) = eager()[0]
         else:
@@ -396,7 +387,7 @@ class MACE(Module):
                 out = self.forward(batch)
             return ([out.numpy()], []), dict(outputs=(out,), owner=self)
 
-        cache = self._plan_cache_for(compiled)
+        cache = self._checked_cache(compiled)
         if cache is None:
             return eager()[0][0][0]
         return cache.run(self._energy_key(batch), (), eager)[0][0]
@@ -409,7 +400,7 @@ class MACE(Module):
         composition; keeping the key construction here avoids leaking the
         cache-key format out of the model.
         """
-        cache = self._plan_cache_for(compiled)
+        cache = self._checked_cache(compiled)
         if cache is None:
             return None
         return cache.get(self._energy_key(batch))

@@ -7,8 +7,7 @@ wall-clock mode (:class:`repro.serving.InferenceEngine` with
 ``mode="wall-clock"``) and the trainer's real data-parallel mode
 (:class:`~repro.parallel.ParallelDDP`, threaded through
 ``repro.training.distributed``).  Comparing the two is the wall-clock
-validation of the cost model (``benchmarks/bench_parallel.py``,
-``repro.cli validate-cost-model``).
+validation of the cost model (``repro.cli validate-cost-model``).
 
 See ``README.md`` in this package for the executor API, the
 shared-memory ownership rules and the threads-versus-processes guidance.

@@ -30,13 +30,16 @@ fixed shape buckets thousands of times.  The pieces:
   all content per replay, so reshuffled epochs replay too.
 
 Threaded through the stack by default — ``Trainer(plan_cache="auto")``,
-``MACECalculator(compiled="auto")``, ``InferenceEngine(plan_cache=
-"auto")`` and the ``compiled=`` argument of ``MACE.predict_energy`` /
-``MACE.forces`` / ``MACE.energy_and_forces`` — with transparent eager
-fallback on any cache miss, guard rejection or model hot swap.
-``benchmarks/bench_runtime.py --smoke`` gates the replay speedup, the
-one-capture-per-shape-bucket count on reshuffled epochs and the 1e-10
-energy/force/gradient equivalence contract against the eager engine.
+``MACECalculator(compiled="auto")`` and ``InferenceEngine(plan_cache=
+"auto")`` each own a cache and hand it to ``MACE.predict_energy`` /
+``MACE.forces`` / ``MACE.energy_and_forces`` as ``compiled=`` (``None``
+there means eager) — with transparent eager fallback on any cache miss,
+guard rejection or model hot swap.  ``tests/test_runtime.py`` and
+``tests/test_bucketed_plans.py`` hold the 1e-10 energy/force/gradient
+equivalence contract against the eager engine and the
+one-capture-per-shape-bucket count on reshuffled epochs; replay time is
+the ``runtime.replay_s`` / ``training.step_p50_ms`` metrics of
+``python -m bench.run`` (workload ``train_fixed_plan``).
 """
 
 from .cache import PlanCache, batch_signature, resolve_plan_cache

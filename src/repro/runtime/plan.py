@@ -54,7 +54,7 @@ as the capture, so forward outputs are bitwise equal to eager for equal
 inputs.  Backward contributions may accumulate in a different (still
 valid reverse-topological) order than the eager DFS, so gradients agree
 with eager to floating-point reassociation error (far below the 1e-10
-equivalence gate in ``benchmarks/bench_runtime.py``).  Parameters are
+equivalence gate of ``tests/test_runtime.py``).  Parameters are
 *inputs* of every replay — their ``.data`` is re-read on each call, so
 in-place optimizer updates are always visible and never stale.  Gradient
 arrays written to ``param.grad`` (and returned input gradients) may
@@ -517,7 +517,8 @@ class CompiledPlan:
         and arena memory planning; see the module docstring).  ``False``
         reproduces the 1:1 record/replay behavior — one instruction per
         recorded op, every node buffer freshly allocated per replay —
-        which the runtime benchmark uses as its baseline.
+        the reference the verifier-corruption and liveness tests build
+        their plans with.
     owner:
         Optional object (the model) pinned by the plan so ``id(owner)``
         keys in a :class:`~repro.runtime.cache.PlanCache` cannot be

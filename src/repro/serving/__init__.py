@@ -19,8 +19,8 @@ energy requests whose cost spans orders of magnitude.  The pieces:
 * :mod:`~repro.serving.metrics` — p50/p95/p99 latency, throughput,
   queue depth, per-replica utilization imbalance, SLO attainment.
 
-``python -m repro serve-bench`` and ``benchmarks/bench_serving.py`` run
-the scheduler comparison end to end.
+``python -m repro serve-bench`` runs the scheduler comparison end to end;
+``tests/test_serving.py`` asserts its orderings.
 """
 
 from .engine import InferenceEngine, compare_policies

@@ -125,10 +125,6 @@ class InferenceEngine:
         :class:`~repro.parallel.BaseExecutor` to share one, or let the
         engine build (and own) a ``make_executor(backend, n_workers)``
         lazily on first use; :meth:`close` shuts an owned pool down.
-    charge_host_forward:
-        With ``execute=True``, add the *measured* host forward wall-time
-        to the simulated service time (makes reports hardware-dependent;
-        off by default so benchmarks stay deterministic).
     slo_seconds:
         Optional latency SLO recorded on reports (attainment fraction).
     """
@@ -150,7 +146,6 @@ class InferenceEngine:
         collate_cache: Optional[CollateCache] = None,
         plan_cache="auto",
         execute: bool = True,
-        charge_host_forward: bool = False,
         slo_seconds: Optional[float] = None,
         mode: str = "simulate",
         executor=None,
@@ -215,7 +210,6 @@ class InferenceEngine:
         )
         self.plan_cache = resolve_plan_cache(plan_cache)
         self.execute = execute
-        self.charge_host_forward = charge_host_forward
         self.slo_seconds = slo_seconds
         self.mode = mode
         if mode == "wall-clock" and (not execute or self.plan_cache is None):
@@ -469,7 +463,6 @@ class InferenceEngine:
                 edges = sum(r.edges for r in batch)
                 energies: Optional[np.ndarray] = None
                 cache_hit = False
-                forward_dt = 0.0
                 if self.execute:
                     comp = [r.graph_id for r in batch]
                     h_before = self.collate_cache.hits
@@ -498,8 +491,7 @@ class InferenceEngine:
                         energies = self.model.predict_energy(
                             gb, compiled=self.plan_cache
                         )
-                        forward_dt = perf_counter() - t0
-                        state["host_forward"] += forward_dt
+                        state["host_forward"] += perf_counter() - t0
                     self.cache_hit_ema += self._hit_ema_alpha * (
                         float(cache_hit) - self.cache_hit_ema
                     )
@@ -508,8 +500,6 @@ class InferenceEngine:
                 )
                 if wall:
                     predicted.append(service)
-                if self.charge_host_forward:
-                    service += forward_dt
                 start, finish = self.replicas[j].dispatch(
                     now, service, len(batch), tokens
                 )

@@ -15,7 +15,7 @@ molecule-size population.  This module generates both:
   swing, compressed to seconds so benchmarks stay fast).
 
 Traces are deterministic given a seed, which is what lets the scheduler
-comparison in ``benchmarks/bench_serving.py`` assert strict orderings.
+comparison in ``tests/test_serving.py`` assert strict orderings.
 """
 
 from __future__ import annotations

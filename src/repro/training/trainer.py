@@ -105,8 +105,8 @@ class Trainer:
         ``train_epoch_bins`` stream batches through a background
         prefetcher bounded at ``prefetch_depth`` buffers.  Losses are
         byte-identical to an in-memory trainer over the same structures
-        (gated in ``bench_data.py``).  A dataset passed positionally as
-        ``graphs`` is routed here automatically.
+        (``tests/test_store.py::TestStreamedTrainer``).  A dataset passed
+        positionally as ``graphs`` is routed here automatically.
     prefetch_depth:
         Streaming look-ahead in batches (2 = double buffering).
     lr:

@@ -215,6 +215,25 @@ class TestOnePlanPerBucket:
         stats = trainer.plan_cache.stats()
         assert stats["captures"] == len(buckets) < stats["hits"]
 
+    def test_second_reshuffled_epoch_replays_nine_steps_in_ten(self):
+        """At training size (192 graphs, 28 bins an epoch) the first
+        epoch already meets almost every bucket."""
+        from repro.data import attach_labels, build_training_set
+        from repro.distribution import BalancedDistributedSampler
+
+        graphs = attach_labels(build_training_set(192, seed=0, max_atoms=40), batch=True)
+        cfg = MACEConfig(num_channels=4, lmax_sh=2, l_atomic_basis=2, correlation=2)
+        trainer = Trainer(MACE(cfg, seed=0), graphs)
+        sampler = BalancedDistributedSampler(
+            [g.n_atoms for g in graphs], 192, num_replicas=1, seed=0
+        )
+        trainer.train_epoch_bins(sampler.plan_rank_bins(0, 0))
+        before = trainer.plan_cache.stats()
+        bins = sampler.plan_rank_bins(1, 0)  # shuffle=True: re-packed
+        trainer.train_epoch_bins(bins)
+        after = trainer.plan_cache.stats()
+        assert after["hits"] - before["hits"] >= 0.9 * len(bins)
+
 
 class TestEditedContentIsNeverReplayedStale:
     """What a loss step remembers about a batch: nothing for a caller's

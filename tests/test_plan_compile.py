@@ -17,7 +17,10 @@ from repro.autograd.gradcheck import check_gradients, numerical_gradient
 from repro.analysis.lint import lint_paths
 from repro.analysis.liveness import analyze_liveness
 from repro.analysis.verifier import PlanInvalid, verify_plan
+from repro.data import attach_labels, build_training_set
+from repro.mace import MACE, MACEConfig
 from repro.runtime.plan import CompiledPlan, _FusedElementwise, record_tape
+from repro.training import Trainer
 
 
 @pytest.fixture
@@ -97,7 +100,66 @@ class TestFusedChains:
         np.testing.assert_allclose(gx, x.grad, atol=1e-10, rtol=0.0)
 
 
+def _train_step_plan(optimize):
+    """The loss plan of one training step over a six-graph batch."""
+    cfg = MACEConfig(num_channels=4, lmax_sh=2, l_atomic_basis=2, correlation=2)
+    graphs = attach_labels(build_training_set(6, seed=7, max_atoms=40))
+    trainer = Trainer(MACE(cfg, seed=0), graphs, plan_cache=None)
+    batch = trainer._collate(list(range(len(graphs))), 0)
+    with record_tape() as tape:
+        loss = trainer._batch_loss(batch)
+    loss.backward()
+    plan = CompiledPlan(tape, outputs=(loss,), seed=loss, grad_params=True,
+                        optimize=optimize, owner=trainer.model)
+    return plan, trainer.model
+
+
+def _fresh_forward_arrays(plan):
+    """Forward instructions whose result lands at a new address on a
+    second pass.  Arena-backed, donated and view results reuse their
+    storage, so every mover is a per-replay allocation (plan outputs are
+    excluded from the arena on purpose: they must survive the next
+    replay)."""
+    rows = []
+    for _ in range(2):
+        values = plan._values.copy()
+        for slot, param, _, _ in plan._param_specs:
+            values[slot] = param.data
+        row = []
+        for instr in plan._forward:
+            args = instr.args
+            for position, slot in instr.bindings:
+                args[position] = values[slot]
+            if instr.donor_slot is not None:
+                result = instr.call(*args, out=values[instr.donor_slot])
+            elif instr.out_buffer is not None:
+                result = instr.call(*args, out=instr.out_buffer)
+            else:
+                result = instr.call(*args)
+            values[instr.out_slot] = result
+            row.append(result.__array_interface__["data"][0])
+        rows.append(row)
+        plan._release_activations()
+    return sum(a != b for a, b in zip(*rows))
+
+
 class TestArenaPlanning:
+    def test_train_step_plan_is_allocation_free_and_address_stable(self):
+        opt, model_opt = _train_step_plan(True)
+        oneone, model_one = _train_step_plan(False)
+        assert opt.n_fused_away > 0 and opt.n_donated > 0
+        assert opt.n_alloc_instrs == 0
+        for _ in range(3):  # steady state
+            opt.replay()
+            oneone.replay()
+        (l_opt,), _ = opt.replay()
+        (l_one,), _ = oneone.replay()
+        assert abs(float(l_opt) - float(l_one)) < 1e-10
+        for pa, pb in zip(model_opt.parameters(), model_one.parameters()):
+            if pa.grad is not None:
+                np.testing.assert_allclose(pa.grad, pb.grad, rtol=0.0, atol=1e-10)
+        assert _fresh_forward_arrays(opt) <= len(opt._output_slots)
+
     def test_forward_only_chain_is_allocation_free(self, rng):
         plan, x, c, out = _capture(
             lambda x, c: ((x * c) * 2.0 + 1.0).sum(), rng, with_grad=False

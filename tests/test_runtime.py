@@ -138,6 +138,16 @@ class TestModelCompiledPaths:
         assert np.abs(e_ref - e_c).max() < 1e-10
         assert np.abs(f_ref - f_c).max() < 1e-10
 
+    def test_plan_is_verified_at_insert_and_never_on_replay(self, model, labeled):
+        batch = collate(labeled[:2])
+        cache = PlanCache()
+        model.energy_and_forces(batch, compiled=cache)  # capture + verified insert
+        assert cache.stats()["verified"] == 1
+        for _ in range(5):
+            model.energy_and_forces(batch, compiled=cache)
+        stats = cache.stats()
+        assert stats["verified"] == 1 and stats["hits"] == 5
+
     def test_forces_plan_replays_across_position_changes(self, model, labeled):
         """Positions are a replay input: same edge set, new geometry
         hits the same plan and still matches eager."""

@@ -262,7 +262,9 @@ class TestEngine:
         assert n_old > 0 and n_new > 0  # the swap really happened mid-traffic
 
     def test_cost_aware_beats_round_robin_on_heterogeneous_trace(self, model):
-        # Miniature of the bench_serving gate.
+        # The paper's load-balancing result in the serving regime, on the
+        # virtual clock: identical offered load, only batching and placement
+        # differ.
         from dataclasses import replace
 
         from repro.cluster import A100
@@ -282,6 +284,7 @@ class TestEngine:
             execute=False,
         )
         rr, ca = reports["round-robin"], reports["cost-aware"]
+        assert rr.n_requests == ca.n_requests == 400  # both complete the trace
         assert ca.latency.p99 < rr.latency.p99
         assert ca.utilization_imbalance < rr.utilization_imbalance
         assert ca.throughput_rps >= rr.throughput_rps * 0.999

@@ -173,34 +173,48 @@ def _reference_legendre_p(lmax, x):
     return out
 
 
-import functools
-
-
-@functools.lru_cache(maxsize=1)
-def _bench_kernels_module():
-    """Load benchmarks/bench_kernels.py, the single home of the pre-PR
-    loop-assembly reference (avoids a second drifting copy here)."""
-    import importlib.util
-    import pathlib
-
-    path = pathlib.Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
-    spec = importlib.util.spec_from_file_location("bench_kernels_for_tests", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _sh_norm(l, m):
+    m = abs(m)
+    return math.sqrt(
+        (2 * l + 1) / (4.0 * math.pi) * math.factorial(l - m) / math.factorial(l + m)
+    )
 
 
 def _reference_spherical_harmonics(lmax, vectors, normalization="integral"):
     """The pre-vectorization per-(l, m) loop assembly (value reference).
 
-    Shared with the kernel benchmark; ``legendre_p``'s own bitwise
-    equivalence to the loop recursion is asserted separately above, so
-    composing the legacy assembly with the current ``legendre_p`` is an
-    exact reference.
+    ``legendre_p``'s own bitwise equivalence to the loop recursion is
+    asserted separately above, so composing the loop assembly with the
+    current ``legendre_p`` is an exact reference.
     """
-    return _bench_kernels_module().legacy_spherical_harmonics(
-        lmax, vectors, normalization
-    )
+    from repro.equivariant.spherical_harmonics import legendre_p
+
+    v = np.asarray(vectors, dtype=np.float64)
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    safe = np.where(norm > 0.0, norm, 1.0)
+    v = v / safe
+    v = np.where(norm > 0.0, v, np.array([0.0, 0.0, 1.0]))
+    y, z = v[..., 1], v[..., 2]
+    ct = np.clip(z, -1.0, 1.0)
+    phi = np.arctan2(y, v[..., 0])
+    plm = legendre_p(lmax, ct)
+    out = np.empty(v.shape[:-1] + (sh_dim(lmax),), dtype=np.float64)
+    sqrt2 = math.sqrt(2.0)
+    cos_m = [np.ones_like(phi)]
+    sin_m = [np.zeros_like(phi)]
+    cphi, sphi = np.cos(phi), np.sin(phi)
+    for m in range(1, lmax + 1):
+        cos_m.append(cos_m[-1] * cphi - sin_m[-1] * sphi)
+        sin_m.append(sin_m[-1] * cphi + cos_m[-2] * sphi)
+    for l in range(lmax + 1):
+        base = l * l
+        scale = 1.0 if normalization == "integral" else math.sqrt(4.0 * math.pi)
+        out[..., base + l] = scale * _sh_norm(l, 0) * plm[..., l, 0]
+        for m in range(1, l + 1):
+            n = scale * sqrt2 * _sh_norm(l, m)
+            out[..., base + l + m] = n * plm[..., l, m] * cos_m[m]
+            out[..., base + l - m] = n * plm[..., l, m] * sin_m[m]
+    return out
 
 
 class TestVectorizedRegression:

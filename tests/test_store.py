@@ -36,6 +36,7 @@ from repro.data import (
     pack_graphs,
     per_atom_energy_statistics,
 )
+from repro.distribution import BalancedDistributedSampler
 from repro.graphs import MolecularGraph, build_neighbor_list
 from repro.mace import MACE, MACEConfig
 from repro.training import Trainer
@@ -184,6 +185,12 @@ class TestMmapLifecycle:
         index = load_size_index(bare)
         assert index.n_samples == len(packed)
         np.testing.assert_array_equal(index.shard_id, packed.size_index.shard_id)
+        # ...and the whole epoch plan comes out of that index alone.
+        sampler = BalancedDistributedSampler(
+            index.n_atoms, 96, num_replicas=2, seed=1, shard_ids=index.shard_id
+        )
+        assert sum(len(rank) for rank in sampler.all_rank_bins(0)) > 0
+        assert len(sampler.plan_rank_shards(0, 0)) > 0
 
 
 class TestStreamingLoader:
@@ -240,6 +247,18 @@ class TestStreamedTrainer:
             )
         assert streamed.stream_stats.batches > 0
         assert packed.open_maps <= packed.resident_shards
+
+    def test_plan_cache_stops_missing_after_warm_epoch(self, packed):
+        """Streamed batch shapes are plan-stable: a repeating epoch plan
+        captures during its first epoch and only replays afterwards."""
+        streamed = Trainer(MACE(self.CFG, seed=0), dataset=packed)
+        sampler = packed.sampler(96, shuffle=False)
+        streamed.train_epoch_bins(sampler.plan_rank_bins(0, 0))
+        warm_misses = streamed.plan_cache.misses
+        assert warm_misses > 0
+        for epoch in (1, 2):
+            streamed.train_epoch_bins(sampler.plan_rank_bins(epoch, 0))
+        assert streamed.plan_cache.misses == warm_misses
 
     def test_unlabeled_dataset_rejected(self, tmp_path):
         g = MolecularGraph(np.zeros((2, 3)), np.array([1, 1]))
