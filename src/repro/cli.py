@@ -302,8 +302,9 @@ def _cmd_validate_cost_model(args: argparse.Namespace) -> int:
     with engine(
         mode="wall-clock", backend=args.backend, n_workers=args.workers
     ) as eng:
-        cold = eng.serve(trace)
-        rep = eng.serve(trace) if args.warm else cold
+        rep = eng.serve(trace)
+        if args.warm:
+            rep = eng.serve(trace)
 
     print(
         f"{trace.n_requests} requests on {args.workers} {args.backend} worker(s) "
@@ -316,13 +317,6 @@ def _cmd_validate_cost_model(args: argparse.Namespace) -> int:
     )
     print()
     print(f"wall-clock vs simulate max |dE|     : {err:.3e}")
-    if args.warm:
-        print(
-            f"cold-serve capture overhead         : "
-            f"{cold.capture_seconds * 1e3:.1f} ms "
-            f"({cold.capture_seconds / max(cold.measured_makespan, 1e-12):.0%} "
-            f"of cold makespan)"
-        )
     scale = rep.cost_model_scale
     p90 = rep.cost_model_p90_error
     print(

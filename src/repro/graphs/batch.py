@@ -85,8 +85,9 @@ class GraphBatch:
         Memo slot for batches owned by a
         :class:`~repro.graphs.CollateCache`: ``(model, batch)`` — this
         batch's bucket-padded, featurized form and the model whose edge
-        features it carries — kept here by the trainer so the padded
-        form is cached, shared and evicted with the entry.  Cached
+        features it carries — kept here by
+        :meth:`repro.mace.MACE.padded_twin` so the padded form is
+        cached, shared and evicted with the entry.  Cached
         batches are shared objects and are never edited in place: mutate
         the *graphs* and the cache key's fingerprint yields a new batch.
     """
@@ -193,11 +194,14 @@ def pad_to_bucket(batch: GraphBatch) -> GraphBatch:
     ``bucket_size(n_graphs + 1) - n_graphs`` ghost graphs; edges are
     padded to ``bucket_size(n_edges)`` with ghost self-edges on the last
     atom.  Real entries keep their order, so sums over them are
-    unchanged bit for bit.  Nothing here makes a ghost vanish by itself: consumers give ghost
-    edges zero feature rows (:meth:`repro.mace.MACE.featurize`) and ghost
-    graphs zero loss weight (:class:`repro.training.Trainer`), which
-    makes their contributions exactly ``0.0``.  Ghost graphs carry
-    energy ``0.0`` so label checks still see only real ``NaN`` s.
+    unchanged bit for bit; ``capacity`` and ``masked_cutoff`` carry
+    over.  Nothing here makes a ghost vanish by itself: consumers give
+    ghost edges zero feature rows (:meth:`repro.mace.MACE.featurize`)
+    and ghost graphs zero loss weight (:class:`repro.training.Trainer`),
+    which makes their contributions exactly ``0.0``, or drop the ghost
+    graphs' energies (:meth:`repro.mace.MACE.predict_energy`).  Ghost
+    graphs carry energy ``0.0`` so label checks still see only real
+    ``NaN`` s.
     """
     n_atoms, n_edges, n_graphs = batch.n_atoms, batch.n_edges, batch.n_graphs
     pad_atoms = bucket_size(n_atoms) - n_atoms
@@ -230,6 +234,7 @@ def pad_to_bucket(batch: GraphBatch) -> GraphBatch:
         n_graphs=n_graphs + pad_graphs,
         energies=np.concatenate([batch.energies, np.zeros(pad_graphs)]),
         capacity=batch.capacity,
+        masked_cutoff=batch.masked_cutoff,
         ghost_atoms=pad_atoms,
         ghost_edges=pad_edges,
         ghost_graphs=pad_graphs,

@@ -30,7 +30,7 @@ from ..autograd.engine import no_grad
 from ..autograd.ops import concatenate
 from ..equivariant.spherical_harmonics import sh_dim
 from ..runtime import PlanCache, batch_signature
-from ..graphs.batch import GraphBatch
+from ..graphs.batch import GraphBatch, pad_to_bucket
 from ..kernels import (
     channelwise_tp_baseline,
     channelwise_tp_optimized,
@@ -141,7 +141,10 @@ class MACE(Module):
         self.cfg = cfg
         rng = np.random.default_rng(seed)
         K = cfg.num_channels
-        self._z_to_idx = {z: i for i, z in enumerate(cfg.species)}
+        # Atomic number -> embedding row, -1 where the model has no such
+        # species; the extra last slot catches out-of-range numbers.
+        self._species_lut = np.full(max(cfg.species) + 2, -1, dtype=np.int64)
+        self._species_lut[list(cfg.species)] = np.arange(cfg.n_species)
         self.embedding = Embedding(cfg.n_species, K, rng=rng)
         for t in range(cfg.n_layers):
             setattr(self, f"layer{t}", InteractionLayer(cfg, rng))
@@ -155,12 +158,13 @@ class MACE(Module):
 
     def species_indices(self, atomic_numbers: np.ndarray) -> np.ndarray:
         """Map atomic numbers to embedding rows (raises on unknown species)."""
-        try:
-            return np.asarray(
-                [self._z_to_idx[int(z)] for z in atomic_numbers], dtype=np.int64
-            )
-        except KeyError as exc:  # pragma: no cover - defensive
-            raise KeyError(f"species {exc} not in model config") from exc
+        z = np.asarray(atomic_numbers, dtype=np.int64)
+        lut = self._species_lut
+        rows = lut[np.clip(z, -1, lut.size - 1)]
+        unknown = rows < 0
+        if unknown.any():
+            raise KeyError(f"species {int(z[unknown][0])} not in model config")
+        return rows
 
     # -- forward -----------------------------------------------------------------
 
@@ -262,13 +266,14 @@ class MACE(Module):
         vectors, lengths, spherical harmonics and the Bessel x envelope
         radial basis — once, without a tape, and stores the harmonics and
         the basis as ``batch.edge_sh`` / ``batch.edge_radial``.  Ghost
-        edges (:func:`repro.graphs.pad_to_bucket`) get zero rows: the
-        channelwise TP is linear in the harmonics, so their messages are
-        exactly ``0.0`` with no mask op.  The features are a snapshot of
-        the batch's geometry at this call: whoever edits ``positions``
-        or the edge arrays afterwards must call it again.  Pure NumPy on
-        thread-local engine state, so the streaming prefetch thread runs
-        it beside the training loop.
+        edges (:func:`repro.graphs.pad_to_bucket`) get zero rows, and so
+        do the harmonics of real edges beyond ``batch.masked_cutoff``:
+        the channelwise TP is linear in the harmonics, so their messages
+        are exactly ``0.0`` with no mask op.  The features are a
+        snapshot of the batch's geometry at this call: whoever edits
+        ``positions`` or the edge arrays afterwards must call it again.
+        Pure NumPy on thread-local engine state, so the streaming
+        prefetch thread runs it beside the training loop.
         """
         cfg = self.cfg
         n_real = batch.n_edges - batch.ghost_edges
@@ -283,11 +288,46 @@ class MACE(Module):
                 edge_spherical_harmonics(vec, cfg.lmax_sh),
                 bessel_basis(r, cfg.n_radial_basis, cfg.cutoff),
             )
+        if batch.masked_cutoff is not None:
+            features[0].data[r.data > batch.masked_cutoff] = 0.0
         batch.edge_sh, batch.edge_radial = (
             np.concatenate([f.data, np.zeros((batch.ghost_edges, f.shape[1]))])
             for f in features
         )
         return batch
+
+    def message_inputs(self, batch: GraphBatch) -> Tuple[np.ndarray, ...]:
+        """The content arrays :meth:`message_passing` is a function of,
+        read off a featurized ``batch`` in plan-input order: species
+        rows, edge senders / receivers, graph membership, edge
+        harmonics, edge radial basis."""
+        send, recv = batch.edge_index
+        return (
+            self.species_indices(batch.species),
+            send,
+            recv,
+            batch.graph_index,
+            batch.edge_sh,
+            batch.edge_radial,
+        )
+
+    def bucketed(self, batch: GraphBatch) -> GraphBatch:
+        """A bucket-padded, featurized copy of an exact ``batch``: the
+        one form compiled loss steps and energy predictions run on."""
+        return self.featurize(pad_to_bucket(batch))
+
+    def padded_twin(self, batch: GraphBatch) -> GraphBatch:
+        """:meth:`bucketed`, memoized in the ``padded`` slot of a
+        :class:`~repro.graphs.CollateCache`-owned ``batch``: built once
+        per cache entry (on the prefetch thread when streaming) and
+        evicted with it; a shared cache keeps one per model in turn.
+        Cached batches are never edited in place; a caller's own batch
+        goes through :meth:`bucketed` afresh."""
+        model, padded = batch.padded or (None, None)
+        if model is not self:
+            padded = self.bucketed(batch)
+            batch.padded = (self, padded)
+        return padded
 
     # -- compiled execution (repro.runtime) --------------------------------------
 
@@ -359,48 +399,56 @@ class MACE(Module):
             key = (
                 "forces",
                 id(self),  # lint: allow-id-keyed-dict
-                batch_signature(
-                    batch, include_positions=False, include_edges=not padded
-                ),
+                batch_signature(batch, include_edges=not padded),
             )
             (energies,), grads = cache.run(key, arrays, eager)
             grad = grads[0]
         assert grad is not None
         return energies, -grad
 
-    def _energy_key(self, batch: GraphBatch) -> tuple:
-        # id(self) is safe for the same owner-pinning reason as above.
-        return ("energy", id(self), batch_signature(batch, include_positions=True))  # lint: allow-id-keyed-dict
-
     def predict_energy(self, batch: GraphBatch, compiled=None) -> np.ndarray:
         """Per-graph energies as a plain array (no tape).
 
-        With ``compiled``, the inference graph is captured once per
-        shape bucket and replayed thereafter; the whole edge-geometry
-        pipeline (spherical harmonics, radial features) is folded as
-        plan constants, so the signature covers positions — mutated
-        geometry is a miss followed by recapture, never a stale replay.
+        With ``compiled``, :meth:`message_passing` is captured once per
+        *shape bucket* and replayed thereafter: species rows, edge
+        senders / receivers, graph membership, edge harmonics and the
+        radial basis are replay inputs and nothing of the batch is
+        folded into the plan, so any batch of a seen bucket replays,
+        whatever its composition.  ``batch`` is a featurized batch (what
+        :meth:`padded_twin` returns), taken as it is, or an exact one,
+        padded and featurized here afresh on every call — nothing is
+        remembered about a caller's batch, so one edited between two
+        calls answers for its new content.  Ghost graphs are dropped.
         """
+        cache = self._checked_cache(compiled)
+        if batch.edge_sh is None:
+            if cache is None:
+                with no_grad():
+                    return self.forward(batch).numpy()
+            batch = self.bucketed(batch)
+        arrays = self.message_inputs(batch)
 
         def eager():
+            inputs = tuple(Tensor(a) for a in arrays)
+            species, send, recv, graph_index, Y, basis = inputs
             with no_grad():
-                out = self.forward(batch)
-            return ([out.numpy()], []), dict(outputs=(out,), owner=self)
+                out = self.message_passing(
+                    species, (send, recv), graph_index, batch.n_graphs, Y, basis=basis
+                )
+            return ([out.numpy()], []), dict(outputs=(out,), inputs=inputs, owner=self)
 
-        cache = self._checked_cache(compiled)
         if cache is None:
-            return eager()[0][0][0]
-        return cache.run(self._energy_key(batch), (), eager)[0][0]
-
-    def energy_plan(self, batch: GraphBatch, compiled=None):
-        """The cached zero-input energy plan for ``batch``, or ``None``.
-
-        The serving engine's wall-clock mode broadcasts this plan to pool
-        workers after the first (capturing) ``predict_energy`` call for a
-        composition; keeping the key construction here avoids leaking the
-        cache-key format out of the model.
-        """
-        cache = self._checked_cache(compiled)
-        if cache is None:
-            return None
-        return cache.get(self._energy_key(batch))
+            (energies,), _ = eager()[0]
+        else:
+            # The graph count is burned into the recorded segment sum and
+            # no input shape carries it, so it is part of the key.  The
+            # plan pins this model as its owner, so id(self) cannot be
+            # recycled into a key collision while the entry is alive.
+            key = (
+                "energy",
+                id(self),  # lint: allow-id-keyed-dict
+                batch.n_graphs,
+                tuple((a.shape, a.dtype.str) for a in arrays),
+            )
+            (energies,), _ = cache.run(key, arrays, eager)
+        return energies[: batch.n_graphs - batch.ghost_graphs]

@@ -29,7 +29,6 @@ from .worker import (
     ForwardTask,
     GradStep,
     InstallModel,
-    InstallPlan,
     SetupRank,
     WorkerContext,
 )
@@ -41,7 +40,6 @@ __all__ = [
     "ForwardTask",
     "GradStep",
     "InstallModel",
-    "InstallPlan",
     "LocalSlab",
     "ParallelDDP",
     "ProcessExecutor",

@@ -7,10 +7,10 @@ reconstructed exactly by replaying the executor's install log (see
 
 Two message kinds cross the task queue:
 
-- **install messages** (:class:`InstallModel`, :class:`InstallPlan`,
-  :class:`SetupRank`) mutate the context and are idempotent — the
-  executor logs them per worker and replays the log into a respawned
-  replacement after a worker death;
+- **install messages** (:class:`InstallModel`, :class:`SetupRank`)
+  mutate the context and are idempotent — the executor logs them per
+  worker and replays the log into a respawned replacement after a
+  worker death;
 - **tasks** (:class:`ForwardTask`, :class:`GradStep`) compute and return
   a small metadata dict; array payloads travel through the executor's
   shared-memory slab (:mod:`repro.parallel.shm`) whenever they fit, and
@@ -26,7 +26,7 @@ from __future__ import annotations
 import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "ForwardTask",
     "GradStep",
     "InstallModel",
-    "InstallPlan",
     "SetupRank",
     "WorkerContext",
 ]
@@ -46,8 +45,9 @@ def _clone(obj):
     """Process-equivalent copy: the same round trip the queue would do.
 
     Thread workers install through this too, so every backend gives each
-    worker private model/plan instances — replaying a shared plan from
-    two threads would race on its instruction state and arena buffers.
+    worker a private model instance (and each worker captures its own
+    plans against it) — replaying a shared plan from two threads would
+    race on its instruction state and arena buffers.
     """
     return pickle.loads(pickle.dumps(obj))
 
@@ -69,7 +69,6 @@ class WorkerContext:
         self.slab = slab  # attached ShmSlab (process), LocalSlab, or None
         self.models: Dict[int, Any] = {}  # version -> MACE
         self.plan_caches: Dict[int, Any] = {}  # version -> PlanCache
-        self.plans: Dict[Tuple[int, bytes], Any] = {}  # (version, key) -> plan
         self.ranks: Dict[int, RankState] = {}
 
     def _array(self, ref):
@@ -93,37 +92,12 @@ class InstallModel:
         from ..runtime import PlanCache
 
         ctx.models[self.version] = _clone(self.model)
-        # Worker-side captures happen off the driver's verified path, and
-        # conftest-style verify hooks don't exist here: skip verification
-        # (the driver broadcasts verified plans for the hot compositions;
-        # this cache only serves the self-capture fallback).
-        ctx.plan_caches[self.version] = PlanCache(verify=False)
+        # One bucket-keyed plan cache per version: plans are captured
+        # here, against the worker's private clone, and die with it.
+        ctx.plan_caches[self.version] = PlanCache()
 
     def replaces(self, other) -> bool:
         return isinstance(other, InstallModel) and other.version == self.version
-
-
-@dataclass
-class InstallPlan:
-    """Publish one compiled plan under a content key.
-
-    The plan arrives pickled (scratch stripped — see
-    ``CompiledPlan.__getstate__``); its buffers are rebuilt lazily on the
-    worker's first replay.
-    """
-
-    version: int
-    key: bytes
-    plan: Any
-
-    def install(self, ctx: WorkerContext) -> None:
-        ctx.plans[(self.version, self.key)] = _clone(self.plan)
-
-    def replaces(self, other) -> bool:
-        return (
-            isinstance(other, InstallPlan)
-            and (other.version, other.key) == (self.version, self.key)
-        )
 
 
 @dataclass
@@ -174,12 +148,16 @@ class SetupRank:
 class ForwardTask:
     """One micro-batch energy evaluation.
 
-    Fast path: ``plan_key`` names an installed forward plan whose
-    constants *are* the batch (serving pools are static, so a micro-batch
-    composition pins its content); the worker replays it with zero
-    inputs.  Fallback: ``batch`` carries the collated arrays (handles or
-    inline) and the worker runs ``predict_energy`` against its own plan
-    cache — used when a plan broadcast was skipped or lost.
+    ``batch`` carries the exact collated arrays by field name (slab
+    handles, or inline ndarrays when the slab is full) — inputs only,
+    nothing compiled crosses the wire.  The worker rebuilds the
+    :class:`~repro.graphs.GraphBatch` and runs
+    :meth:`repro.mace.MACE.predict_energy` against the plan cache of its
+    model ``version``: the batch is padded to its shape bucket and bound
+    to that bucket's plan as replay inputs, so a worker captures once
+    per bucket and a respawned one needs the ``InstallModel`` log alone.
+    ``masked_cutoff`` marks a candidate-edge batch whose over-long edges
+    must be masked.
 
     ``result`` optionally names a driver-allocated slab segment of shape
     ``(n_graphs,)``; the energies are written there and the returned
@@ -187,58 +165,44 @@ class ForwardTask:
     inline.
     """
 
+    FIELDS: ClassVar[Tuple[str, ...]] = (
+        "positions",
+        "species",
+        "edge_index",
+        "edge_shift",
+        "graph_index",
+        "energies",
+    )  # the GraphBatch arrays ``batch`` carries
+
     task_id: Any
     version: int
-    plan_key: Optional[bytes] = None
-    batch: Optional[Dict[str, Any]] = None
-    n_graphs: int = 0
+    batch: Dict[str, Any]
+    n_graphs: int
     masked_cutoff: Optional[float] = None
     result: Optional[ArrayHandle] = None
 
     def run(self, ctx: WorkerContext) -> Dict[str, Any]:
+        from ..graphs.batch import GraphBatch
+
         start = time.monotonic()
-        plan = None
-        if self.plan_key is not None:
-            plan = ctx.plans.get((self.version, self.plan_key))
-        if plan is not None:
-            (energies,), _ = plan.replay(compute_grads=False)
-        else:
-            energies = self._fallback(ctx)
+        model = ctx.models[self.version]
+        batch = GraphBatch(
+            **{name: np.asarray(ctx._array(ref)) for name, ref in self.batch.items()},
+            n_graphs=self.n_graphs,
+            masked_cutoff=self.masked_cutoff,
+        )
+        energies = model.predict_energy(batch, compiled=ctx.plan_caches[self.version])
         out: Dict[str, Any] = {
             "task_id": self.task_id,
             "worker": ctx.worker_id,
             "start": start,
             "finish": time.monotonic(),
-            "replayed": plan is not None,
         }
         if self.result is not None:
             ctx.slab.view(self.result)[...] = energies
         else:
             out["energies"] = np.asarray(energies, dtype=np.float64)
         return out
-
-    def _fallback(self, ctx: WorkerContext) -> np.ndarray:
-        if self.batch is None:
-            raise RuntimeError(
-                f"task {self.task_id}: plan {self.plan_key!r} not installed "
-                "and no batch payload to fall back to"
-            )
-        from ..graphs.batch import GraphBatch
-
-        arrays = {name: np.asarray(ctx._array(ref)) for name, ref in self.batch.items()}
-        batch = GraphBatch(
-            positions=arrays["positions"],
-            species=arrays["species"],
-            graph_index=arrays["graph_index"],
-            edge_index=arrays["edge_index"],
-            edge_shift=arrays["edge_shift"],
-            energies=arrays["energies"],
-            n_graphs=self.n_graphs,
-        )
-        if self.masked_cutoff is not None:
-            batch.masked_cutoff = self.masked_cutoff
-        model = ctx.models[self.version]
-        return model.predict_energy(batch, compiled=ctx.plan_caches[self.version])
 
 
 @dataclass

@@ -15,19 +15,21 @@ fixed shape buckets thousands of times.  The pieces:
 * :class:`~repro.runtime.plan.CompiledPlan` — lowers the tape to a
   static, topo-ordered instruction list with resolved input slots,
   dead-node elimination, constant folding of parameter-free subgraphs
-  (edge geometry, spherical harmonics, radial features in energy
-  plans), a compiled backward with preallocated gradient buffers, and a
+  (edge geometry, spherical harmonics, radial features of whatever the
+  capture did not bind as an input), a compiled backward with
+  preallocated gradient buffers, and a
   guard-checked :meth:`~repro.runtime.plan.CompiledPlan.replay` that
   raises :class:`~repro.runtime.plan.PlanStale` instead of ever
   replaying stale shapes or dtypes;
 * :class:`~repro.runtime.cache.PlanCache` /
   :func:`~repro.runtime.cache.batch_signature` — a bounded LRU with one
-  capture-or-replay protocol (``PlanCache.run``).  Energy and force
-  plans key on the bin-composition fingerprint discipline of
-  :class:`repro.graphs.CollateCache`, so every invalidation event (new
-  edge set, mutated positions, dtype drift) is a miss followed by
-  recapture; training plans key on the batch's shape bucket and rebind
-  all content per replay, so reshuffled epochs replay too.
+  capture-or-replay protocol (``PlanCache.run``).  Training-loss and
+  energy plans key on the batch's shape bucket and rebind all content
+  per replay — inputs carry the content, the key carries only what the
+  graph burns in — so reshuffled epochs and bursty serving traces
+  replay a handful of plans; force plans still fold the edge set and
+  key on a digest of it (``batch_signature``), so a new neighbor list
+  is a miss followed by recapture.
 
 Threaded through the stack by default — ``Trainer(plan_cache="auto")``,
 ``MACECalculator(compiled="auto")`` and ``InferenceEngine(plan_cache=
@@ -37,7 +39,8 @@ there means eager) — with transparent eager fallback on any cache miss,
 guard rejection or model hot swap.  ``tests/test_runtime.py`` and
 ``tests/test_bucketed_plans.py`` hold the 1e-10 energy/force/gradient
 equivalence contract against the eager engine and the
-one-capture-per-shape-bucket count on reshuffled epochs; replay time is
+one-capture-per-shape-bucket count on reshuffled epochs and served
+traces; replay time is
 the ``runtime.replay_s`` / ``training.step_p50_ms`` metrics of
 ``python -m bench.run`` (workload ``train_fixed_plan``).
 """

@@ -5,17 +5,20 @@ A :class:`~repro.runtime.plan.CompiledPlan` is specific to the array
 everything it bound as an input is rebound per replay.  The key a caller
 files a plan under must therefore cover exactly the folded part:
 
-* energy and force plans fold batch *content* (species, graph
-  membership, the edge set — and positions, for zero-input energy
-  plans), so they key on :func:`batch_signature`, a digest of those
-  fields mirroring the fingerprint :class:`repro.graphs.CollateCache`
-  computes.  Content keys make every invalidation event a *miss* (never
-  a stale replay): a changed neighbor list, mutated positions or a
-  different dtype simply produce a different signature and trigger a
-  fresh capture, while the stale entry ages out of the LRU;
-* training-loss plans bind all batch content as inputs and key on the
-  input shapes alone (see :class:`repro.training.Trainer`), so one plan
-  serves every batch of a shape bucket.
+* training-loss and energy plans bind all batch content as inputs —
+  species rows, edge and graph indices, edge harmonics, radial basis —
+  and key on the input shapes and dtypes plus what the recorded graph
+  burns in as Python scalars (the padded graph count; the scaler and
+  loss weighting for losses), so one plan serves every batch of a shape
+  bucket (see :class:`repro.training.Trainer`,
+  :meth:`repro.mace.MACE.predict_energy`).  Such a plan has no content
+  to go stale: a replay computes on the arrays it is handed, and a shape
+  or dtype change of any of them is a new key and a fresh capture;
+* force plans still fold batch *content* (species, graph membership,
+  the exact edge set) and rebind only positions, so they key on
+  :func:`batch_signature`, a digest of the folded fields: a changed
+  neighbor list or dtype is a different signature and a fresh capture,
+  while the superseded entry ages out of the LRU.
 
 :class:`PlanCache` is the bounded LRU holding the plans, with hit /
 miss / capture / stale counters, and :meth:`PlanCache.run` is the one
@@ -63,22 +66,16 @@ def _update(h, array: np.ndarray) -> None:
     h.update(np.ascontiguousarray(array).tobytes())
 
 
-def batch_signature(
-    batch,
-    include_positions: bool = True,
-    include_edges: bool = True,
-) -> bytes:
-    """Digest of a batch's shape bucket for plan-cache keys.
+def batch_signature(batch, include_edges: bool = True) -> bytes:
+    """Digest of what a force plan folds from ``batch``, for its cache key.
 
-    Always covers the structural layout (species, graph membership, edge
-    counts) plus the position array's dtype, so a dtype change can never
-    replay a stale plan.  ``include_positions`` adds the position values
-    — required for plans that folded geometry as constants (energy
-    plans); force plans rebind positions per replay and leave it off so
-    an MD trajectory keeps hitting one plan while its edge set is
-    stable.  ``include_edges=False``
-    drops the edge *content* while keeping the edge count and dtypes —
-    for plans that bind the edge arrays as replay inputs (the padded-MD
+    Covers the structural layout (species, graph membership, the edge
+    set) plus the position array's dtype, so a dtype change can never
+    replay a stale plan — never the position *values*: force plans
+    rebind positions per replay, so an MD trajectory keeps hitting one
+    plan while its edge set is stable.  ``include_edges=False`` drops
+    the edge *content* while keeping the edge count and dtypes — for
+    plans that bind the edge arrays as replay inputs too (the padded-MD
     force plans), where a neighbor-list rebuild into the same capacity
     bucket must hit the same key.
     """
@@ -101,8 +98,6 @@ def batch_signature(
         # an (improbably) identical exact-edge batch, nor across mask radii.
         h.update(b"masked")
         h.update(np.float64(masked).tobytes())
-    if include_positions:
-        _update(h, batch.positions)
     return h.digest()
 
 

@@ -100,11 +100,13 @@ class InferenceEngine:
     plan_cache:
         :class:`~repro.runtime.PlanCache` for compiled model execution
         (default ``"auto"``: a private cache).  With ``execute=True``,
-        hot micro-batch compositions replay a compiled plan instead of
-        rebuilding the eager tape; :meth:`swap_model` (and therefore
-        every registry deploy) clears the cache so a hot swap can never
-        replay plans captured against the previous model.  ``None``
-        disables compiled execution.
+        every micro-batch runs on its bucket-padded, featurized twin
+        (memoized on its collate-cache entry) and replays the one plan
+        of its ``(atoms, edges, graphs)`` shape bucket, whatever its
+        composition — a warmed round is collate hit → replay;
+        :meth:`swap_model` (and therefore every registry deploy) clears
+        the cache so a hot swap can never replay plans captured against
+        the previous model.  ``None`` disables compiled execution.
     execute:
         Run the real NumPy forward per micro-batch and fill per-request
         energies (True), or simulate timing only (False).
@@ -113,13 +115,14 @@ class InferenceEngine:
         virtual clock.  ``"wall-clock"`` keeps the *identical* virtual
         schedule — same admission, batching, placement and records — but
         additionally executes every micro-batch on a real worker pool
-        (:mod:`repro.parallel`): the driver captures one zero-input
-        compiled plan per micro-batch composition and broadcasts it, the
-        pinned worker (``replica % n_workers``) replays it, and the
-        report gains measured per-batch seconds, the real makespan and
-        the pool's robustness counters beside the predictions — the raw
-        material of cost-model validation.  Requires ``execute=True``
-        and a plan cache.
+        (:mod:`repro.parallel`): the driver ships the exact collated
+        arrays, the pinned worker (``replica % n_workers``) runs the
+        same ``predict_energy`` against its own per-version plan cache
+        (one capture per shape bucket), and the report gains measured
+        per-batch seconds, the real makespan and the pool's robustness
+        counters beside the predictions — the raw material of
+        cost-model validation.  Requires ``execute=True`` and a plan
+        cache.
     executor, backend, n_workers:
         Wall-clock pool configuration.  Pass an existing
         :class:`~repro.parallel.BaseExecutor` to share one, or let the
@@ -215,16 +218,14 @@ class InferenceEngine:
         if mode == "wall-clock" and (not execute or self.plan_cache is None):
             raise ValueError(
                 "mode='wall-clock' needs execute=True and a plan cache "
-                "(workers replay driver-captured plans)"
+                "(workers run compiled plans)"
             )
         self.backend = backend
         self.n_workers = int(n_workers)
         self._executor = executor
         self._own_executor = False
-        # Install bookkeeping: model versions and (version, signature)
-        # plan keys already broadcast to the pool.
+        # Model versions already broadcast to the pool.
         self._installed_versions: set = set()
-        self._installed_plans: set = set()
         # Async submit()/drain() state.
         self._async_pending: List[Tuple[int, int]] = []  # (req_id, graph_id)
         self._async_tokens = 0
@@ -324,7 +325,6 @@ class InferenceEngine:
             self._executor = None
             self._own_executor = False
         self._installed_versions.clear()
-        self._installed_plans.clear()
 
     def __enter__(self):
         return self
@@ -340,55 +340,53 @@ class InferenceEngine:
             ex.install(InstallModel(version=self.model_version, model=self.model))
             self._installed_versions.add(self.model_version)
 
-    def _broadcast_plan(self, ex, gb) -> Tuple[bytes, float]:
-        """Make sure the pool holds this composition's zero-input plan.
+    def _submit_forward(self, ex, gb, task_id, worker: int) -> Tuple[object, list]:
+        """Ship one exact micro-batch to a worker.
 
-        The serving pool is static, so a micro-batch composition pins its
-        content: the energy plan folds everything — positions included —
-        as constants and replays with no inputs.  First occurrence per
-        composition: the driver captures through its own plan cache and
-        broadcasts the plan.  Returns ``(signature, capture_seconds)``.
+        Arrays travel as slab handles (inline through the queue when the
+        slab is full).  Returns ``(result segment or None, input
+        segments)`` for :meth:`_collect_forward`; the inputs stay
+        allocated until then, so a task resubmitted after a worker death
+        still finds them.
         """
-        from ..parallel import InstallPlan
-        from ..runtime.cache import batch_signature
+        from ..parallel import ArrayHandle, ForwardTask, SlabFull
 
-        sig = batch_signature(gb, include_positions=True)
-        ident = (self.model_version, sig)
-        if ident in self._installed_plans:
-            return sig, 0.0
-        t0 = perf_counter()
-        self.model.predict_energy(gb, compiled=self.plan_cache)
-        plan = self.model.energy_plan(gb, compiled=self.plan_cache)
-        capture_dt = perf_counter() - t0
-        if plan is None:
-            raise RuntimeError(
-                "energy plan missing after capture (plan cache evicting "
-                "under the serving working set?)"
-            )
+        def place(array):
+            try:
+                return ex.slab.place(array)
+            except SlabFull:
+                return array
+
         self._install_model(ex)
-        ex.install(InstallPlan(version=self.model_version, key=sig, plan=plan))
-        self._installed_plans.add(ident)
-        return sig, capture_dt
-
-    def _submit_forward(self, ex, gb, sig: bytes, task_id, worker: int):
-        """Submit one micro-batch replay; returns its result segment (or None)."""
-        from ..parallel import ForwardTask, SlabFull
-
         try:
-            seg = ex.slab.alloc((gb.n_graphs,), np.float64)
+            result = ex.slab.alloc((gb.n_graphs,), np.float64)
         except SlabFull:
-            seg = None  # energies ride back inline through the queue
+            result = None  # energies ride back inline through the queue
+        payload = {name: place(getattr(gb, name)) for name in ForwardTask.FIELDS}
         ex.submit(
             ForwardTask(
                 task_id=task_id,
                 version=self.model_version,
-                plan_key=sig,
+                batch=payload,
                 n_graphs=gb.n_graphs,
-                result=seg,
+                masked_cutoff=gb.masked_cutoff,
+                result=result,
             ),
             worker=worker,
         )
-        return seg
+        return result, [h for h in payload.values() if isinstance(h, ArrayHandle)]
+
+    @staticmethod
+    def _collect_forward(ex, task_id, res, segments) -> np.ndarray:
+        """Energies of one finished micro-batch; frees its slab segments."""
+        result, inputs = segments
+        for seg in inputs:
+            ex.slab.free(seg)
+        if "error" in res:
+            raise RuntimeError(
+                f"micro-batch {task_id!r} failed on worker:\n{res['error']}"
+            )
+        return ex.slab.take(result) if result is not None else res["energies"]
 
     # -- serving ------------------------------------------------------------------
 
@@ -430,7 +428,6 @@ class InferenceEngine:
         wall = self.mode == "wall-clock"
         ex = self._ensure_executor() if wall else None
         if wall:
-            self._install_model(ex)
             deaths0 = ex.stats.worker_deaths
             resub0 = ex.stats.resubmitted
             wall_t0 = monotonic()
@@ -438,9 +435,9 @@ class InferenceEngine:
         records: List[RequestRecord] = []
         batch_tokens: List[int] = []
         predicted: List[float] = []
-        # batch_id -> (first record index, n requests, result segment)
-        wall_meta: Dict[int, Tuple[int, int, object]] = {}
-        state = {"swap_idx": 0, "batch_id": 0, "host_forward": 0.0, "capture": 0.0}
+        # batch_id -> (first record index, n requests, slab segments)
+        wall_meta: Dict[int, Tuple[int, int, tuple]] = {}
+        state = {"swap_idx": 0, "batch_id": 0, "host_forward": 0.0}
 
         def flush(pending: List[TraceRequest], now: float) -> None:
             while (
@@ -476,20 +473,17 @@ class InferenceEngine:
                         # whole schedule — identical); the forward itself
                         # runs on the pinned worker and its energies are
                         # filled into the records at drain time.
-                        sig, capture_dt = self._broadcast_plan(ex, gb)
-                        state["capture"] += capture_dt
-                        seg = self._submit_forward(
-                            ex, gb, sig, state["batch_id"], j % ex.n_workers
-                        )
                         wall_meta[state["batch_id"]] = (
                             len(records),
                             len(batch),
-                            seg,
+                            self._submit_forward(
+                                ex, gb, state["batch_id"], j % ex.n_workers
+                            ),
                         )
                     else:
                         t0 = perf_counter()
                         energies = self.model.predict_energy(
-                            gb, compiled=self.plan_cache
+                            self.model.padded_twin(gb), compiled=self.plan_cache
                         )
                         state["host_forward"] += perf_counter() - t0
                     self.cache_hit_ema += self._hit_ema_alpha * (
@@ -571,17 +565,11 @@ class InferenceEngine:
             self._collect_async(results, ex)
             measured = [0.0] * state["batch_id"]
             finishes: List[float] = []
-            for bid, (first, n, seg) in wall_meta.items():
+            for bid, (first, n, segments) in wall_meta.items():
                 res = results[bid]
-                if "error" in res:
-                    raise RuntimeError(
-                        f"micro-batch {bid} failed on worker:\n{res['error']}"
-                    )
-                energies = (
-                    ex.slab.take(seg) if seg is not None else res["energies"]
-                )
+                energies = self._collect_forward(ex, bid, res, segments)
                 # Same ordering contract as the simulate path: the worker
-                # replayed the collated batch, so energies[pos] belongs to
+                # ran the collated batch, so energies[pos] belongs to
                 # the pos-th record appended for this micro-batch.
                 for pos in range(n):
                     records[first + pos].energy = float(energies[pos])
@@ -594,7 +582,6 @@ class InferenceEngine:
                 batch_predicted_seconds=predicted,
                 batch_measured_seconds=measured,
                 measured_makespan=max(finishes) - wall_t0 if finishes else 0.0,
-                capture_seconds=state["capture"],
                 worker_deaths=ex.stats.worker_deaths - deaths0,
                 resubmitted=ex.stats.resubmitted - resub0,
             )
@@ -625,8 +612,8 @@ class InferenceEngine:
         into a pending micro-batch that is shipped to a worker whenever
         the next request would overflow the ``max_batch_tokens`` budget
         (and unconditionally at :meth:`drain`).  The driver never blocks —
-        batching, plan broadcast and submission all happen inline; the
-        energies come back from :meth:`drain`.
+        batching and submission happen inline; the energies come back
+        from :meth:`drain`.
         """
         if not 0 <= graph_id < len(self.pool):
             raise ValueError(f"unknown graph id {graph_id}")
@@ -660,16 +647,12 @@ class InferenceEngine:
 
     def _collect_async(self, results: Dict, ex) -> None:
         """Fold drained executor results into the async result map."""
-        for task_id, (req_order, seg) in list(self._async_tasks.items()):
+        for task_id, (req_order, segments) in list(self._async_tasks.items()):
             res = results.get(task_id)
             if res is None:
                 continue
             del self._async_tasks[task_id]
-            if "error" in res:
-                raise RuntimeError(
-                    f"async batch {task_id} failed on worker:\n{res['error']}"
-                )
-            energies = ex.slab.take(seg) if seg is not None else res["energies"]
+            energies = self._collect_forward(ex, task_id, res, segments)
             for pos, req_id in enumerate(req_order):
                 self._async_results[req_id] = float(energies[pos])
 
@@ -678,19 +661,17 @@ class InferenceEngine:
         if not self._async_pending:
             return
         ex = self._ensure_executor()
-        self._install_model(ex)
         comp = [graph_id for _, graph_id in self._async_pending]
         gb = self.collate_cache.get(self.pool, comp, capacity=self.max_batch_tokens)
-        sig, _ = self._broadcast_plan(ex, gb)
         # The cache collates members in sorted-graph_id order (stable), so
         # energies[pos] belongs to the pos-th request in that order.
         order = sorted(range(len(comp)), key=lambda k: comp[k])
         req_order = [self._async_pending[k][0] for k in order]
         task_id = f"async-{self._async_batches}"
-        seg = self._submit_forward(
-            ex, gb, sig, task_id, self._async_batches % ex.n_workers
+        self._async_tasks[task_id] = (
+            req_order,
+            self._submit_forward(ex, gb, task_id, self._async_batches % ex.n_workers),
         )
-        self._async_tasks[task_id] = (req_order, seg)
         self._async_batches += 1
         self._async_pending, self._async_tokens = [], 0
 

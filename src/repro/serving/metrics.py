@@ -102,7 +102,6 @@ class ServingReport:
     batch_predicted_seconds: List[float] = field(default_factory=list)
     batch_measured_seconds: List[float] = field(default_factory=list)
     measured_makespan: float = 0.0
-    capture_seconds: float = 0.0
     worker_deaths: int = 0
     resubmitted: int = 0
 
@@ -253,7 +252,6 @@ class ServingReport:
                 lines.append(
                     f"measured          makespan {self.measured_makespan * 1e3:.2f} ms"
                     f"  throughput {self.measured_throughput_rps:.1f} req/s"
-                    f"  capture {self.capture_seconds * 1e3:.2f} ms"
                 )
             scale = self.cost_model_scale
             if scale is not None:

@@ -22,7 +22,7 @@ from ..autograd import Tensor
 from ..autograd.engine import no_grad
 from ..data.labels import ReferencePotential, attach_labels
 from ..data.stream import StreamingLoader, StreamStats
-from ..graphs.batch import GraphBatch, collate, pad_to_bucket
+from ..graphs.batch import GraphBatch, collate
 from ..graphs.molecular_graph import MolecularGraph
 from ..graphs.pipeline import CollateCache, epoch_plan_bins
 from ..mace import MACE
@@ -243,28 +243,16 @@ class Trainer:
                 "batch contains graphs without energy labels "
                 "(dataset mutated after Trainer construction?)"
             )
-        # The padded form is memoized on the batch, so it is built once
-        # per cache entry (on the prefetch thread when streaming) and
-        # evicted with it; a shared cache keeps one per model in turn.
-        model, padded = batch.padded or (None, None)
-        if model is not self.model:
-            padded = self._pad(batch)
-            batch.padded = (self.model, padded)
-        return padded
-
-    def _pad(self, batch: GraphBatch) -> GraphBatch:
-        """A bucket-padded, featurized copy of an exact ``batch``: the
-        one form loss steps run on."""
-        return self.model.featurize(pad_to_bucket(batch))
+        return self.model.padded_twin(batch)
 
     # -- loss ---------------------------------------------------------------------
 
     def _loss_inputs(self, batch: GraphBatch) -> Tuple[np.ndarray, ...]:
         """The content arrays a loss graph is a function of, in plan-input
-        order: species rows, edge senders / receivers, graph membership,
-        edge harmonics, edge radial basis, then per-graph atom counts,
-        standardized targets and normalized loss weights.  Ghost graphs
-        get count 1 (no 0/0), target 0 and weight 0.
+        order: the model's :meth:`~repro.mace.MACE.message_inputs`, then
+        per-graph atom counts, standardized targets and normalized loss
+        weights.  Ghost graphs get count 1 (no 0/0), target 0 and
+        weight 0.
         """
         n_real = batch.n_graphs - batch.ghost_graphs
         counts = np.maximum(
@@ -274,13 +262,7 @@ class Trainer:
         weights = 1.0 / counts if self.loss_weighting == "per_atom" else np.ones_like(counts)
         target[n_real:] = 0.0
         weights[n_real:] = 0.0
-        return (
-            self.model.species_indices(batch.species),
-            batch.edge_index[0],
-            batch.edge_index[1],
-            batch.graph_index,
-            batch.edge_sh,
-            batch.edge_radial,
+        return self.model.message_inputs(batch) + (
             counts,
             target,
             weights / weights.sum(),
@@ -327,7 +309,7 @@ class Trainer:
         labels are read live.
         """
         if batch.edge_sh is None:
-            batch = self._pad(batch)
+            batch = self.model.bucketed(batch)
         arrays = self._loss_inputs(batch)
 
         def eager():

@@ -1,12 +1,15 @@
-"""Seeded randomized differential tests of shape-bucketed training plans.
+"""Seeded randomized differential tests of shape-bucketed plans.
 
-The numerics contract of the bucketed path: a loss step replayed from a
+The numerics contract of the bucketed paths: a loss step replayed from a
 shape-keyed plan on a padded batch equals the eager loss graph of the
 *unpadded* batch to 1e-10 — loss and every parameter gradient — for
 random bin contents, and everything the padding adds contributes
-exactly ``0.0``.
+exactly ``0.0``; energies served from a bucket plan equal the unbatched
+eager prediction of each member to 1e-10, whatever else shares the
+micro-batch.
 """
 
+import hashlib
 import threading
 
 import numpy as np
@@ -22,6 +25,8 @@ from repro.graphs import (
 )
 from repro.kernels import counting, record_kernel
 from repro.mace import MACE, MACEConfig
+from repro.runtime import PlanCache
+from repro.serving import InferenceEngine, build_request_pool, generate_trace
 from repro.training import Trainer
 
 CUTOFF = 3.0
@@ -291,6 +296,220 @@ class TestEditedContentIsNeverReplayedStale:
         assert self.trainer._loss_step(padded) != first
         padded.energies[:3] -= 1.0
         assert abs(self.trainer._loss_step(padded) - first) < TOL
+
+
+def unbatched(model, graphs) -> np.ndarray:
+    """Each graph's eager energy, predicted on its own."""
+    return np.array([model.predict_energy(collate([g]))[0] for g in graphs])
+
+
+def served(model, graphs, cache) -> np.ndarray:
+    """Energies of ``graphs`` as one micro-batch, from a *replayed* plan."""
+    model.predict_energy(collate(graphs), compiled=cache)  # capture (or replay)
+    hits = cache.hits
+    energies = model.predict_energy(collate(graphs), compiled=cache)
+    assert cache.hits == hits + 1  # this one replayed
+    return energies
+
+
+class TestServedEnergiesMatchUnbatchedEager:
+    def setup_method(self):
+        self.model, self.cache = MACE(CFG, seed=0), PlanCache()
+
+    def _assert_served(self, graphs):
+        energies = served(self.model, graphs, self.cache)
+        assert energies.shape == (len(graphs),)  # ghost graphs dropped
+        np.testing.assert_allclose(
+            energies, unbatched(self.model, graphs), rtol=0.0, atol=TOL
+        )
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_pools_through_the_engine(self, seed):
+        rng = np.random.default_rng(2000 + seed)
+        pool = random_bin(rng, rng.integers(1, 24, size=10))
+        engine = InferenceEngine(self.model, pool, n_replicas=2, max_batch_tokens=64)
+        trace = generate_trace(pool, 30, rate=4000.0, process="bursty", seed=seed)
+        report = engine.serve(trace)
+        assert report.n_batches <= report.n_requests / 2  # really batched
+        singles = unbatched(self.model, pool)
+        for rec in report.records:
+            assert abs(rec.energy - singles[rec.graph_id]) < TOL
+
+    def test_one_atom_graph(self):
+        rng = np.random.default_rng(7)
+        lone = random_graph(rng, 1, periodic=False)  # isolated atom, no edges
+        assert lone.n_edges == 0
+        self._assert_served([lone] + random_bin(rng, [9, 14]))
+        self._assert_served([lone])  # a batch with no edge at all
+
+    def test_batch_exactly_at_its_atom_bucket(self):
+        rng = np.random.default_rng(8)
+        graphs = random_bin(rng, [16, 20, 12])  # 48 atoms: a bucket boundary
+        twin = pad_to_bucket(collate(graphs))
+        assert twin.ghost_atoms == 0 and twin.ghost_graphs > 0
+        self._assert_served(graphs)
+
+    def test_graph_count_crossing_a_bucket_edge(self):
+        rng = np.random.default_rng(9)
+        graphs = random_bin(rng, [5, 6, 4, 7, 5, 6, 4, 5])
+        assert pad_to_bucket(collate(graphs[:7])).n_graphs == 8
+        assert pad_to_bucket(collate(graphs)).n_graphs == 16
+        self._assert_served(graphs[:7])
+        self._assert_served(graphs)
+
+
+class TestServedEnergiesOnePlanPerBucket:
+    def setup_method(self):
+        self.model, self.cache = MACE(CFG, seed=0), PlanCache()
+
+    def test_graph_count_is_part_of_the_key(self):
+        """Seven and eight dimers pad to the same atom and edge buckets —
+        every bound array has the same shape — but to 8 and 16 graph
+        slots, which the recorded segment sum burns in."""
+
+        def dimer(d):
+            g = MolecularGraph(np.array([[0.0, 0.0, 0.0], [d, 0.0, 0.0]]), np.array([1, 8]))
+            return build_neighbor_list(g, cutoff=CUTOFF)
+
+        dimers = [dimer(0.9 + 0.1 * k) for k in range(8)]
+        seven, eight = pad_to_bucket(collate(dimers[:7])), pad_to_bucket(collate(dimers))
+        assert (seven.n_atoms, seven.n_edges) == (eight.n_atoms, eight.n_edges) == (16, 16)
+        assert (seven.n_graphs, eight.n_graphs) == (8, 16)
+        for graphs in (dimers[:7], dimers):
+            np.testing.assert_allclose(
+                served(self.model, graphs, self.cache),
+                unbatched(self.model, graphs),
+                rtol=0.0,
+                atol=TOL,
+            )
+        assert self.cache.captures == len(self.cache) == 2
+
+    def test_two_compositions_of_one_bucket_replay_one_plan(self):
+        rng = np.random.default_rng(21)
+        pool = [random_graph(rng, int(n), bool(rng.integers(2))) for n in rng.integers(6, 16, 24)]
+        by_bucket = {}
+        for start in range(len(pool) - 2):
+            members = pool[start : start + 3]
+            twin = pad_to_bucket(collate(members))
+            shape = (twin.n_atoms, twin.n_edges, twin.n_graphs)
+            by_bucket.setdefault(shape, []).append(members)
+        first, second = next(bins[:2] for bins in by_bucket.values() if len(bins) >= 2)
+        self.model.predict_energy(collate(first), compiled=self.cache)
+        energies = self.model.predict_energy(collate(second), compiled=self.cache)
+        stats = self.cache.stats()
+        assert stats["captures"] == 1 and stats["hits"] == 1
+        np.testing.assert_allclose(
+            energies, unbatched(self.model, second), rtol=0.0, atol=TOL
+        )
+
+
+class TestServedEnergiesIgnoreGhosts:
+    def test_scrambling_ghost_content_changes_no_energy_bitwise(self):
+        rng = np.random.default_rng(11)
+        model, cache = MACE(CFG, seed=0), PlanCache()
+        twin = model.bucketed(collate(random_bin(rng, [7, 12, 10])))
+        assert twin.ghost_atoms and twin.ghost_edges and twin.ghost_graphs
+        model.predict_energy(twin, compiled=cache)  # capture
+        energies = model.predict_energy(twin, compiled=cache)
+        a = twin.n_atoms - twin.ghost_atoms
+        e = twin.n_edges - twin.ghost_edges
+        twin.edge_index[:, e:] = rng.integers(0, twin.n_atoms, (2, twin.ghost_edges))
+        twin.species[a:] = rng.choice(CFG.species, twin.ghost_atoms)
+        twin.positions[a:] = rng.normal(size=(twin.ghost_atoms, 3))
+        model.featurize(twin)  # features follow the edited geometry
+        assert not twin.edge_sh[e:].any() and not twin.edge_radial[e:].any()
+        assert np.array_equal(model.predict_energy(twin, compiled=cache), energies)
+        assert cache.stats()["captures"] == 1  # all three were the one plan
+
+
+class TestServedEnergiesAreNeverStale:
+    def test_callers_batch_edited_between_calls_answers_for_the_new_content(self):
+        rng = np.random.default_rng(41)
+        model, cache = MACE(CFG, seed=0), PlanCache()
+        batch = collate(random_bin(rng, [8, 11, 6]))
+        first = model.predict_energy(batch, compiled=cache)
+        batch.positions += rng.normal(0.0, 0.05, batch.positions.shape)
+        batch.species[:] = np.roll(batch.species, 1)
+        edited = model.predict_energy(batch, compiled=cache)  # same bucket: a replay
+        assert cache.stats()["hits"] == 1
+        assert batch.padded is None and batch.edge_sh is None  # nothing remembered
+        assert np.abs(edited - first).min() > 1e-6
+        np.testing.assert_allclose(edited, model.predict_energy(batch), rtol=0.0, atol=TOL)
+
+
+class TestServedEnergiesOnABurstyTrace:
+    """One engine, one 40-request bursty trace, the schedule pinned from
+    the commit before serving plans were bucketed."""
+
+    # (req_id, dispatch, finish, replica, batch_id) of every record plus
+    # batch_tokens, digested; passes differ because the first one fills
+    # the collate cache the modeled host time depends on.
+    PARENT_BATCH_TOKENS = [36, 33, 19, 24, 89, 85, 93, 95, 86, 87, 90, 93, 84, 87, 95]
+    PARENT_SCHEDULE = ("2b8cf2c2a3c0774a", "59008cd14cbf2de4")
+    PARENT_P50_P95 = (
+        (0.0010964967696265291, 0.0016049459679794527),
+        (0.0009501099236028767, 0.0013776558833010209),
+    )
+
+    def setup_method(self):
+        self.cfg = MACEConfig(num_channels=4, lmax_sh=2, l_atomic_basis=2, correlation=2)
+        self.pool = build_request_pool(24, seed=3, max_atoms=40)
+        self.trace = generate_trace(self.pool, 40, rate=2000.0, process="bursty", seed=11)
+        self.engine = InferenceEngine(
+            MACE(self.cfg, seed=0),
+            self.pool,
+            n_replicas=2,
+            scheduler="cost-aware",
+            max_batch_tokens=96,
+            max_wait=5e-3,
+        )
+
+    def test_second_pass_captures_and_evicts_nothing(self):
+        cache = self.engine.plan_cache
+        first = self.engine.serve(self.trace)
+        compositions = {
+            tuple(sorted(r.graph_id for r in first.records if r.batch_id == b))
+            for b in range(first.n_batches)
+        }
+        # Fewer plans than compositions: buckets, not content, are keyed.
+        assert cache.captures == len(cache) < len(compositions)
+        before = cache.stats()
+        second = self.engine.serve(self.trace)
+        after = cache.stats()
+        assert after["captures"] == before["captures"]  # 0 captures ...
+        assert after["size"] == after["captures"] <= 32  # ... and nothing ever evicted
+        assert after["hits"] - before["hits"] == second.n_batches
+        singles = unbatched(self.engine.model, self.pool)
+        for rec in second.records:
+            assert abs(rec.energy - singles[rec.graph_id]) < TOL
+
+    def test_virtual_schedule_equals_the_parents(self):
+        for n_pass in range(2):
+            report = self.engine.serve(self.trace)
+            schedule = [
+                (r.req_id, r.dispatch, r.finish, r.replica, r.batch_id)
+                for r in report.records
+            ]
+            digest = hashlib.blake2b(
+                repr((schedule, report.batch_tokens)).encode(), digest_size=8
+            ).hexdigest()
+            assert report.batch_tokens == self.PARENT_BATCH_TOKENS
+            assert digest == self.PARENT_SCHEDULE[n_pass]
+            latency = report.latency
+            assert (latency.p50, latency.p95) == self.PARENT_P50_P95[n_pass]
+
+    def test_swap_model_leaves_no_plan_and_the_next_pass_is_the_new_model(self):
+        self.engine.serve(self.trace)
+        assert len(self.engine.plan_cache) > 0
+        other = MACE(self.cfg, seed=1)
+        self.engine.swap_model(other)
+        assert len(self.engine.plan_cache) == 0
+        report = self.engine.serve(self.trace)
+        singles = unbatched(other, self.pool)
+        stale = unbatched(MACE(self.cfg, seed=0), self.pool)
+        assert np.abs(singles - stale).min() > 1e-6  # the models really differ
+        for rec in report.records:
+            assert abs(rec.energy - singles[rec.graph_id]) < TOL
 
 
 class TestRotationInvarianceThroughPaddedPlans:

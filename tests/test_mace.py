@@ -212,8 +212,21 @@ class TestMACEModel:
         g = MolecularGraph(np.zeros((1, 3)), np.array([99]))
         g.edge_index = np.zeros((2, 0), dtype=np.int64)
         g.edge_shift = np.zeros((0, 3))
-        with pytest.raises(KeyError):
+        with pytest.raises(KeyError, match="species 99 not in model config"):
             model.predict_energy(collate([g]))
+        for unknown in (-1, 0, 2, 10**6):  # below, between and beyond the table
+            with pytest.raises(KeyError, match=f"species {unknown} "):
+                model.species_indices(np.array([1, unknown, 8]))
+
+    def test_species_indices_match_config_order(self, rng):
+        model = MACE(CFG, seed=0)
+        species = np.array(CFG.species)
+        z = rng.choice(species, 200)
+        rows = model.species_indices(z)
+        assert rows.dtype == np.int64
+        np.testing.assert_array_equal(species[rows], z)
+        np.testing.assert_array_equal(model.species_indices(list(z)), rows)
+        assert model.species_indices(np.zeros(0, dtype=np.int64)).shape == (0,)
 
     def test_parameter_count_reasonable(self):
         model = MACE(CFG, seed=0)

@@ -138,3 +138,32 @@ class TestPaddedCalculator:
         assert calc.neighbor_cache.rebuilds >= 2  # the rebuild happened
         assert calc.plan_cache.misses == 1  # one capture for the run
         assert calc.plan_cache.hits == 3  # every later step replayed
+
+
+class TestMaskedBatchesThroughEnergyPlans:
+    def test_candidate_batch_is_never_served_unmasked(self, rng):
+        """``predict_energy`` through a bucket plan masks a candidate
+        batch exactly as the eager ``forward`` does: ``pad_to_bucket``
+        carries ``masked_cutoff`` and ``featurize`` zeroes the harmonics
+        of real edges beyond it."""
+        from repro.autograd.engine import no_grad
+        from repro.runtime import PlanCache
+
+        g = generate_structure("Water clusters", rng, n_atoms=18)
+        model = MACE(CFG, seed=0)  # model cutoff 4.5: the mask radius is the batch's
+        calc = MACECalculator(model, cutoff=CUTOFF)
+        calc.neighbor_cache.update(g)
+        batch = calc._padded_batch(g)  # Verlet candidates + ghost self-edges
+        assert batch.masked_cutoff == CUTOFF
+        n_candidates = calc.neighbor_cache.candidate_edges()[0].shape[1]
+        assert calc.edge_capacity > n_candidates > g.n_edges  # skin-shell and ghost edges
+        with no_grad():
+            masked = model.forward(batch).numpy()
+        cache = PlanCache()
+        captured = model.predict_energy(batch, compiled=cache)
+        replayed = model.predict_energy(batch, compiled=cache)
+        assert cache.stats()["hits"] == 1
+        np.testing.assert_allclose(captured, masked, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(replayed, masked, rtol=0.0, atol=1e-12)
+        batch.masked_cutoff = None  # the same edges unmasked answer differently
+        assert abs(model.predict_energy(batch)[0] - masked[0]) > 1e-6

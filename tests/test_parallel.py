@@ -19,6 +19,7 @@ The contracts under test (this PR's tentpole):
 import os
 import signal
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -57,15 +58,8 @@ def model():
 
 
 def _batch_payload(batch):
-    """Inline ForwardTask fallback payload from a collated batch."""
-    return {
-        "positions": batch.positions,
-        "species": batch.species,
-        "graph_index": batch.graph_index,
-        "edge_index": batch.edge_index,
-        "edge_shift": batch.edge_shift,
-        "energies": batch.energies,
-    }
+    """Inline ForwardTask payload from a collated batch."""
+    return {name: getattr(batch, name) for name in ForwardTask.FIELDS}
 
 
 class TestSlab:
@@ -161,12 +155,67 @@ class TestExecutors:
             with pytest.raises(ValueError, match="duplicate"):
                 ex.submit(task)
 
-    def test_task_error_is_reported_not_raised(self):
+    def test_task_error_is_reported_not_raised(self, labeled):
+        batch = collate(labeled[:1])
         with make_executor("serial", 1) as ex:
-            ex.submit(ForwardTask(task_id="boom", version=99, n_graphs=1))
+            ex.submit(  # no model version 99 was ever installed
+                ForwardTask(
+                    task_id="boom", version=99, batch=_batch_payload(batch), n_graphs=1
+                )
+            )
             results = ex.drain()
-        assert "error" in results["boom"]
+        assert "KeyError: 99" in results["boom"]["error"]
         assert ex.stats.errors == 1
+
+    def test_workers_capture_one_verified_plan_per_bucket(self, model, labeled):
+        """Nothing compiled crosses the wire: a worker pads what it is
+        sent and captures into its own per-version cache, once per shape
+        bucket whatever the composition."""
+        with make_executor("serial", 1) as ex:
+            ex.install(InstallModel(version=0, model=model))
+            for t, members in enumerate(([0, 1], [1, 0], [0, 1], [2, 3, 4])):
+                batch = collate([labeled[i] for i in members])
+                ex.submit(
+                    ForwardTask(
+                        task_id=t,
+                        version=0,
+                        batch=_batch_payload(batch),
+                        n_graphs=batch.n_graphs,
+                    )
+                )
+                res = ex.drain()[t]
+                np.testing.assert_allclose(
+                    res["energies"], model.predict_energy(batch), atol=1e-10
+                )
+            stats = ex._contexts[0].plan_caches[0].stats()
+        assert stats["captures"] == stats["verified"] == 2 and stats["hits"] == 2
+
+    def test_masked_candidate_batch_is_masked_on_the_worker(self, model):
+        """``masked_cutoff`` rides the task: a Verlet candidate superset
+        answers like the exact edge set it contains."""
+        from repro.graphs import MolecularGraph, build_neighbor_list
+
+        rng = np.random.default_rng(3)
+        g = MolecularGraph(rng.uniform(0.0, 4.0, (12, 3)), rng.choice([1, 8], 12))
+        exact = collate([build_neighbor_list(g, cutoff=3.0)])
+        wide = collate([build_neighbor_list(g, cutoff=4.0)])
+        assert wide.n_edges > exact.n_edges
+        masked = MACE(replace(CFG, cutoff=3.0), seed=0)
+        with make_executor("serial", 1) as ex:
+            ex.install(InstallModel(version=0, model=masked))
+            ex.submit(
+                ForwardTask(
+                    task_id="m",
+                    version=0,
+                    batch=_batch_payload(wide),
+                    n_graphs=1,
+                    masked_cutoff=3.0,
+                )
+            )
+            res = ex.drain()["m"]
+        np.testing.assert_allclose(
+            res["energies"], masked.predict_energy(exact), atol=1e-12
+        )
 
     def test_install_log_compaction(self, model):
         ex = SerialExecutor(1)
@@ -374,6 +423,7 @@ class TestEngineWallClock:
             n_workers=2,
         ) as eng:
             rep = eng.serve(trace)
+            assert eng._ensure_executor().slab.live_bytes == 0  # segments released
         # Identical virtual schedule...
         assert [(r.req_id, r.batch_id, r.replica) for r in rep.records] == [
             (r.req_id, r.batch_id, r.replica) for r in sim.records
@@ -383,7 +433,7 @@ class TestEngineWallClock:
             [r.finish for r in sim.records],
             atol=1e-12,
         )
-        # ...and matching energies from the worker-side replays.
+        # ...and matching energies from the workers' own bucket plans.
         e_wall = np.array([r.energy for r in rep.records])
         e_sim = np.array([r.energy for r in sim.records])
         np.testing.assert_allclose(e_wall, e_sim, atol=1e-12)
@@ -396,6 +446,27 @@ class TestEngineWallClock:
         assert rep.measured_throughput_rps > 0
         assert rep.cost_model_scale > 0
         assert "wall-clock" in rep.summary()
+
+    def test_full_slab_ships_arrays_inline(self, pool, trace):
+        """A slab with room for one result and no batch array: everything
+        else rides the queue inline — slower, never wrong, nothing leaks."""
+        sim = self._simulate(pool, trace)
+        with make_executor("thread", 2, slab_bytes=64) as ex:
+            eng = InferenceEngine(
+                MACE(CFG, seed=0),
+                pool,
+                n_replicas=2,
+                max_batch_tokens=96,
+                mode="wall-clock",
+                executor=ex,
+            )
+            rep = eng.serve(trace)
+            assert ex.slab.live_bytes == 0
+        np.testing.assert_allclose(
+            [r.energy for r in rep.records],
+            [r.energy for r in sim.records],
+            atol=1e-12,
+        )
 
     def test_async_submit_drain(self, pool):
         with InferenceEngine(
@@ -451,15 +522,21 @@ class TestEngineWallClock:
             backend="process",
             n_workers=2,
         ) as eng:
-            warm = eng.serve(trace)  # installs plans, warms workers
+            warm = eng.serve(trace)  # installs the model, warms worker plans
             assert warm.worker_deaths == 0
             ex = eng._ensure_executor()
+            # The respawn below has the model log alone to rebuild from.
+            assert all(
+                isinstance(m, InstallModel) for log in ex._logs for m in log.messages
+            )
             os.kill(ex.worker_pids[0], signal.SIGKILL)
             time.sleep(0.05)  # let the process actually die
             rep = eng.serve(trace)
+            live_bytes = ex.slab.live_bytes
         e_wall = np.array([r.energy for r in rep.records])
         e_sim = np.array([r.energy for r in sim.records])
         np.testing.assert_allclose(e_wall, e_sim, atol=1e-12)
         assert rep.worker_deaths >= 1
         assert rep.resubmitted >= 1
         assert "worker deaths" in rep.summary()
+        assert live_bytes == 0  # every input and result segment was released

@@ -175,18 +175,32 @@ class TestModelCompiledPaths:
         model.predict_energy(collate(labeled[2:5]), compiled=cache)
         assert cache.hits == 2
 
-    def test_position_dtype_change_never_replays_stale(self, model, labeled):
-        cache = PlanCache()
+    def test_input_dtype_change_is_a_new_key_and_a_recapture(self, model, labeled):
+        """Energy plans bind all batch content as inputs and key on the
+        inputs' shapes and dtypes: the same content in another dtype
+        never reaches the old plan's replay guard, it captures afresh."""
         batch = collate(labeled[:2])
-        model.predict_energy(batch, compiled=cache)
-        f32 = collate(labeled[:2])
+        for field, dtype, tol in (
+            ("edge_index", np.int32, 1e-10),
+            ("graph_index", np.int32, 1e-10),
+            ("edge_sh", np.float32, 1e-5),
+            ("edge_radial", np.float32, 1e-5),
+        ):
+            cache = PlanCache()
+            model.predict_energy(model.bucketed(batch), compiled=cache)
+            drifted = model.bucketed(batch)
+            setattr(drifted, field, getattr(drifted, field).astype(dtype))
+            energies = model.predict_energy(drifted, compiled=cache)
+            stats = cache.stats()
+            assert (stats["captures"], stats["hits"], stats["stale"]) == (2, 0, 0), field
+            assert np.abs(energies - model.predict_energy(batch)).max() < tol, field
+            model.predict_energy(drifted, compiled=cache)
+            assert cache.hits == 1, field  # and the new key replays
+
+    def test_force_plan_signature_covers_position_dtype(self, labeled):
+        batch, f32 = collate(labeled[:2]), collate(labeled[:2])
         f32.positions = f32.positions.astype(np.float32)
-        sig64 = batch_signature(batch)
-        sig32 = batch_signature(f32)
-        assert sig64 != sig32  # dtype is part of the shape-bucket key
-        energies = model.predict_energy(f32, compiled=cache)
-        assert cache.captures == 2  # recaptured, not replayed
-        assert np.abs(energies - model.predict_energy(f32)).max() < 1e-10
+        assert batch_signature(batch) != batch_signature(f32)
 
     def test_param_array_swap_falls_back_to_eager(self, labeled):
         """Replacing a parameter array with a different dtype trips the
@@ -429,21 +443,33 @@ class TestPlanPickle:
         assert a == b
         np.testing.assert_array_equal(ga, gb)
 
-    def test_zero_input_energy_plan_roundtrip(self, model, labeled):
+    def test_bucket_energy_plan_roundtrip_replays_on_rebound_inputs(
+        self, model, labeled
+    ):
+        """A bucket energy plan carries no batch content, so its clone
+        answers for whatever same-shaped inputs it is handed."""
         import pickle
 
-        from repro.autograd.engine import no_grad
-
-        batch = collate(labeled[:2])
-        with record_tape() as tape, no_grad():
-            out = model.forward(batch)
-        plan = CompiledPlan(tape, outputs=(out,))
+        inputs = model.message_inputs
+        cache = PlanCache()
+        captured = model.bucketed(collate(labeled[:2]))
+        model.predict_energy(captured, compiled=cache)
+        (plan,) = cache._store.values()
         clone = pickle.loads(pickle.dumps(plan))
-        (e0,), _ = plan.replay()
-        (e1,), _ = clone.replay()  # first replay rebuilds buffers
-        np.testing.assert_allclose(e1, e0, atol=1e-12)
-        (e2,), _ = clone.replay()  # second replay is bitwise-stable
-        np.testing.assert_array_equal(e2, e1)
+        # Other content of the same shapes: the members swapped and jiggled.
+        exact = collate(labeled[1::-1])
+        exact.positions += np.random.default_rng(5).normal(0.0, 0.01, exact.positions.shape)
+        other = model.bucketed(exact)
+        assert [a.shape for a in inputs(other)] == [a.shape for a in inputs(captured)]
+        (e0,), _ = plan.replay(*inputs(other))
+        (e1,), _ = clone.replay(*inputs(other))  # first replay rebuilds buffers
+        np.testing.assert_array_equal(e1, e0)
+        n_real = other.n_graphs - other.ghost_graphs
+        np.testing.assert_allclose(e1[:n_real], model.predict_energy(exact), atol=1e-10)
+        (e2,), _ = clone.replay(*inputs(captured))  # rebinding again
+        np.testing.assert_array_equal(
+            e2[:n_real], model.predict_energy(captured, compiled=cache)
+        )
 
     def test_double_roundtrip(self):
         """A rebuilt plan can be pickled again (re-broadcast path)."""
