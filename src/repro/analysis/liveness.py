@@ -73,7 +73,6 @@ SAVED_ARRAYS: Dict[str, str] = {
     "Softplus": "inputs",
     "SiLU": "inputs",
     "Clip": "inputs",
-    "EinsumTP": "inputs",
     "_ChannelMix": "inputs",
     "_BesselBasis": "inputs",
     "_SphericalHarmonicsOp": "inputs",

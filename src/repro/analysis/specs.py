@@ -325,30 +325,6 @@ def _segment_sum(args, kwargs) -> ArraySpec:
     return ArraySpec((int(num_segments),) + x.shape[1:], _F64)
 
 
-def _einsum_tp(args, kwargs) -> ArraySpec:
-    a, b, const = args[0], args[1], spec_of(args[2])
-    spec = kwargs["spec_fwd"].replace(" ", "")
-    _require("->" in spec and "..." not in spec, f"unsupported einsum spec {spec!r}")
-    lhs, rhs = spec.split("->")
-    terms = lhs.split(",")
-    _require(len(terms) == 3, f"einsum_tp expects 3 operands, spec {spec!r}")
-    dims: Dict[str, int] = {}
-    for term, op in zip(terms, (const, a, b)):
-        _require(
-            len(term) == op.ndim,
-            f"einsum term {term!r} rank {len(term)} vs operand {op.shape}",
-        )
-        for letter, size in zip(term, op.shape):
-            if dims.setdefault(letter, size) != size:
-                raise SpecError(
-                    f"einsum index {letter!r} bound to both "
-                    f"{dims[letter]} and {size}"
-                )
-    _require(all(letter in dims for letter in rhs), f"unbound output index in {spec!r}")
-    shape = tuple(dims[letter] for letter in rhs)
-    return ArraySpec(shape, np.result_type(const.dtype, a.dtype, b.dtype))
-
-
 # -- equivariant kernels and model ops ---------------------------------------------
 
 
@@ -454,7 +430,6 @@ register_spec(_ops.SegmentSum, _segment_sum)
 register_spec(_ops.Concatenate, _concatenate)
 register_spec(_ops.Where, _where)
 register_spec(_ops.Clip, _clip)
-register_spec(_ops.EinsumTP, _einsum_tp)
 register_spec(_ChannelMix, _channel_mix)
 register_spec(_EdgeNorm, _edge_norm)
 register_spec(_WithinCutoff, _float_unary)

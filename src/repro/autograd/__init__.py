@@ -4,7 +4,6 @@ from .engine import Function, Tensor, as_tensor, is_grad_enabled, no_grad
 from .ops import (
     clip,
     concatenate,
-    einsum_tp,
     gather_rows,
     segment_sum,
     stack,
@@ -33,7 +32,6 @@ __all__ = [
     "stack",
     "where",
     "clip",
-    "einsum_tp",
     "silu",
     "relu",
     "sigmoid",

@@ -9,7 +9,7 @@ are the NumPy analogues of ``torch.index_select`` / ``scatter_add`` /
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -22,7 +22,6 @@ __all__ = [
     "stack",
     "where",
     "clip",
-    "einsum_tp",
 ]
 
 
@@ -101,9 +100,9 @@ def gather_rows(x: Tensor, index) -> Tensor:
     ``index`` is normally a raw integer array (a structural constant of
     the graph, burned into compiled plans).  It may also be an integer
     :class:`Tensor` (``requires_grad=False``), in which case a compiled
-    plan that lists it among its inputs treats the gather pattern as a
-    replayable *input* — the MD calculator uses this so neighbor-list
-    rebuilds replay the same plan instead of recapturing.
+    plan that lists it among its inputs rebinds the gather pattern per
+    replay — loss, energy and force plans all bind their batch's indices
+    this way, so one plan serves every batch of a shape bucket.
     """
     if not isinstance(index, Tensor):
         index = np.asarray(index, dtype=np.int64)
@@ -213,38 +212,3 @@ class Clip(Function):
 def clip(x: Tensor, lo: Optional[float], hi: Optional[float]) -> Tensor:
     """Differentiable clamp (zero gradient outside the active range)."""
     return Clip.apply(x, lo, hi)
-
-
-class EinsumTP(Function):
-    """Generic two-operand einsum with a constant third factor.
-
-    Used by the *baseline* kernels to emulate e3nn's per-segment dense
-    contractions: ``out = einsum(spec, const, a, b)`` where ``const`` is a
-    CG block.  Backward einsums are derived by index bookkeeping.
-    """
-
-    def forward(self, a, b, const, spec_fwd, spec_da, spec_db):
-        self.saved = (a, b, const, spec_da, spec_db)
-        return np.einsum(spec_fwd, const, a, b, optimize=True)
-
-    def backward(self, grad):
-        a, b, const, spec_da, spec_db = self.saved
-        ga = np.einsum(spec_da, const, grad, b, optimize=True)
-        gb = np.einsum(spec_db, const, grad, a, optimize=True)
-        return (ga, gb, None)
-
-
-def einsum_tp(
-    a: Tensor,
-    b: Tensor,
-    const: np.ndarray,
-    spec_fwd: str,
-    spec_da: str,
-    spec_db: str,
-) -> Tensor:
-    """Differentiable ``einsum(spec_fwd, const, a, b)`` with constant ``const``.
-
-    ``spec_da``/``spec_db`` must compute the gradients wrt ``a`` and ``b``
-    given operands ``(const, grad, other)``.
-    """
-    return EinsumTP.apply(a, b, const, spec_fwd=spec_fwd, spec_da=spec_da, spec_db=spec_db)

@@ -34,9 +34,9 @@ def bucket_size(n: int) -> int:
     ``2**(floor(log2 n) - 3)``, so padding stays under 12.5% at any
     scale, with a floor of 8 on the step so small extents (graphs per
     batch, toy systems) still share buckets.  The one rule behind every
-    padded shape in the repository — training batches
-    (:func:`pad_to_bucket`) and padded MD edge sets
-    (:class:`repro.md.MACECalculator`).
+    padded shape in the repository, applied by :func:`pad_to_bucket` to
+    training batches, served micro-batches and MD candidate batches
+    alike.
     """
     n = int(n)
     step = max(8, 1 << max(n.bit_length() - 4, 0))
@@ -65,12 +65,13 @@ class GraphBatch:
     capacity:
         Token capacity the batch was packed into (0 = no fixed capacity).
     masked_cutoff:
-        When set, ``edge_index`` is a candidate superset (Verlet-skin
-        candidates plus ghost padding) rather than the exact
-        within-cutoff set, and the model must mask every edge longer
-        than this radius so it contributes exactly zero (see
-        :class:`repro.md.MACECalculator`).  ``None`` (default) means the
-        edges are already exact.
+        When set, ``edge_index`` is a candidate superset (the Verlet-skin
+        candidates of :class:`repro.md.MACECalculator`) rather than the
+        exact within-cutoff set, and the model masks every edge longer
+        than this radius so it contributes exactly zero; the radius is
+        burned into force plans and part of their key.  ``None``
+        (default) means the edges are already exact.  Either way the
+        zero-length ghost edges of :func:`pad_to_bucket` are masked too.
     ghost_atoms, ghost_edges, ghost_graphs:
         Trailing entries of the atom / edge / graph arrays that are
         bucket padding (:func:`pad_to_bucket`); all zero on an exact
@@ -191,51 +192,55 @@ def pad_to_bucket(batch: GraphBatch) -> GraphBatch:
 
     Atoms are padded to ``bucket_size(n_atoms)`` with ghost atoms (copies
     of atom 0's species at the origin) that all belong to the first of
-    ``bucket_size(n_graphs + 1) - n_graphs`` ghost graphs; edges are
-    padded to ``bucket_size(n_edges)`` with ghost self-edges on the last
-    atom.  Real entries keep their order, so sums over them are
-    unchanged bit for bit; ``capacity`` and ``masked_cutoff`` carry
-    over.  Nothing here makes a ghost vanish by itself: consumers give
-    ghost edges zero feature rows (:meth:`repro.mace.MACE.featurize`)
-    and ghost graphs zero loss weight (:class:`repro.training.Trainer`),
-    which makes their contributions exactly ``0.0``, or drop the ghost
-    graphs' energies (:meth:`repro.mace.MACE.predict_energy`).  Ghost
-    graphs carry energy ``0.0`` so label checks still see only real
-    ``NaN`` s.
+    ``bucket_size(n_graphs + 1) - n_graphs`` ghost graphs — at least one,
+    so ``ghost_graphs > 0`` marks a padded batch; edges are padded to
+    ``bucket_size(n_edges)`` with ghost self-edges on the last atom (a
+    real one when the atoms sit exactly at their bucket) with zero
+    shift, so every ghost edge has length exactly ``0.0``.  Real entries
+    keep their order, so sums over them are unchanged bit for bit;
+    ``capacity`` and ``masked_cutoff`` carry over.  Nothing here makes a
+    ghost vanish by itself: consumers zero the harmonics of zero-length
+    edges (:meth:`repro.mace.MACE.featurize` gives ghost edges zero
+    feature rows, the force path masks ``r == 0``), give ghost graphs
+    zero loss weight (:class:`repro.training.Trainer`), which makes
+    their contributions exactly ``0.0``, and drop ghost graphs' energies
+    and ghost atoms' forces (:meth:`repro.mace.MACE.predict_energy`,
+    :meth:`repro.mace.MACE.energy_and_forces`).  Ghost graphs carry
+    energy ``0.0`` so label checks still see only real ``NaN`` s.
     """
     n_atoms, n_edges, n_graphs = batch.n_atoms, batch.n_edges, batch.n_graphs
-    pad_atoms = bucket_size(n_atoms) - n_atoms
-    pad_edges = bucket_size(n_edges) - n_edges
-    pad_graphs = bucket_size(n_graphs + 1) - n_graphs
-    last_atom = n_atoms + pad_atoms - 1
+    ghost_atoms = bucket_size(n_atoms) - n_atoms
+    ghost_edges = bucket_size(n_edges) - n_edges
+    ghost_graphs = bucket_size(n_graphs + 1) - n_graphs
+    last_atom = n_atoms + ghost_atoms - 1
     return GraphBatch(
         positions=np.concatenate(
-            [batch.positions, np.zeros((pad_atoms, 3), dtype=batch.positions.dtype)]
+            [batch.positions, np.zeros((ghost_atoms, 3), dtype=batch.positions.dtype)]
         ),
         species=np.concatenate(
-            [batch.species, np.full(pad_atoms, batch.species[0])]
+            [batch.species, np.full(ghost_atoms, batch.species[0])]
         ),
         edge_index=np.concatenate(
             [
                 batch.edge_index,
-                np.full((2, pad_edges), last_atom, dtype=batch.edge_index.dtype),
+                np.full((2, ghost_edges), last_atom, dtype=batch.edge_index.dtype),
             ],
             axis=1,
         ),
         edge_shift=np.concatenate(
             [
                 batch.edge_shift,
-                np.zeros((pad_edges, 3), dtype=batch.edge_shift.dtype),
+                np.zeros((ghost_edges, 3), dtype=batch.edge_shift.dtype),
             ]
         ),
         graph_index=np.concatenate(
-            [batch.graph_index, np.full(pad_atoms, n_graphs, dtype=np.int64)]
+            [batch.graph_index, np.full(ghost_atoms, n_graphs, dtype=np.int64)]
         ),
-        n_graphs=n_graphs + pad_graphs,
-        energies=np.concatenate([batch.energies, np.zeros(pad_graphs)]),
+        n_graphs=n_graphs + ghost_graphs,
+        energies=np.concatenate([batch.energies, np.zeros(ghost_graphs)]),
         capacity=batch.capacity,
         masked_cutoff=batch.masked_cutoff,
-        ghost_atoms=pad_atoms,
-        ghost_edges=pad_edges,
-        ghost_graphs=pad_graphs,
+        ghost_atoms=ghost_atoms,
+        ghost_edges=ghost_edges,
+        ghost_graphs=ghost_graphs,
     )

@@ -257,8 +257,9 @@ class NeighborListCache:
         """The current candidate set ``(index, shift)`` at ``cutoff + skin``.
 
         Fixed between rebuilds (the arrays are reused by identity), which
-        is what lets padded-MD plan caches key on a step-invariant edge
-        set.  Raises if no query has been served yet.
+        is what lets :class:`repro.md.MACECalculator` build its padded
+        candidate batch once per rebuild.  Raises if no query has been
+        served yet.
         """
         if self._cand_index is None:
             raise ValueError("no candidate list yet; call update() first")

@@ -418,14 +418,14 @@ class _ChannelwiseTPOptimized(Function):
                     if small
                     else g_hr * Rp
                 )
-                gh = (tmp.reshape(E * K, -1) @ table.scatter_h).reshape(h.shape)
+                gh = (tmp.reshape(E * K, table.n_pairs) @ table.scatter_h).reshape(h.shape)
             if need_r:
                 tmp = (
                     np.multiply(g_hr, hp, out=self._scratch("g_hr_hp", pair_shape))
                     if small
                     else g_hr * hp
                 )
-                gR = (tmp.reshape(E * K, -1) @ table.scatter_path).reshape(R.shape)
+                gR = (tmp.reshape(E * K, table.n_pairs) @ table.scatter_path).reshape(R.shape)
         if need_y:
             # d(M) reduces over channels, then the transposed Y reduction.
             gM = np.matmul(
@@ -435,7 +435,7 @@ class _ChannelwiseTPOptimized(Function):
                 if small
                 else None,
             )  # (E, n_pairs, d3)
-            gY = gM.reshape(E, -1) @ table.reduce_y.T
+            gY = gM.reshape(E, table.reduce_y.shape[1]) @ table.reduce_y.T
         return gY, gh, gR, None
 
 

@@ -14,6 +14,9 @@ finite-difference forward evaluations an FD Jacobian would need.
 
 from __future__ import annotations
 
+import math
+from typing import Optional
+
 import numpy as np
 
 from ..autograd.engine import Function, Tensor
@@ -38,10 +41,11 @@ def edge_vectors(positions: Tensor, edge_index, edge_shift) -> Tensor:
     ``edge_index`` is a ``(2, n_edges)`` integer array or a
     ``(send, recv)`` pair; the components (and ``edge_shift``) may be
     integer/float :class:`Tensor` objects, in which case a compiled plan
-    listing them among its inputs treats the whole edge set as a
-    replayable *input* — the padded-MD path uses this so a neighbor-list
-    rebuild into the same capacity bucket re-hits the plan instead of
-    recapturing (see :meth:`repro.mace.MACE.energy_and_forces`).
+    listing them among its inputs rebinds the edge set per replay — the
+    force plans do, so one plan serves every edge set of a shape bucket
+    (see :meth:`repro.mace.MACE.energy_and_forces`).  A ghost self-edge
+    of :func:`repro.graphs.pad_to_bucket` (``send == recv``, zero shift)
+    has the exact zero vector ``p - p + 0``.
     """
     send, recv = edge_index
     pj = gather_rows(positions, send)
@@ -99,14 +103,17 @@ def edge_spherical_harmonics(vec: Tensor, lmax: int) -> Tensor:
 
 
 class _WithinCutoff(Function):
-    """Indicator ``1.0 where r <= cutoff else 0.0`` per edge.
+    """Indicator ``1.0 where 0 < r <= cutoff else 0.0`` per edge.
 
-    The padded-MD path evaluates on a candidate edge superset (Verlet
-    candidates plus ghost padding) and multiplies each edge's radial
-    weights by this mask, so out-of-cutoff edges contribute exactly
-    zero.  The indicator is piecewise constant in ``r``: its derivative
-    is zero almost everywhere, so backward propagates no gradient (the
-    model's energy is already discontinuous at edge-set changes).
+    :meth:`repro.mace.MACE.forward` and the force plans multiply the
+    edge harmonics by this mask, so an edge it zeroes contributes
+    exactly ``0.0`` to energies and forces (the channelwise TP is
+    linear in the harmonics): real edges beyond a candidate batch's
+    ``masked_cutoff`` (Verlet skin) and the zero-length ghost self-edges
+    of :func:`repro.graphs.pad_to_bucket`.  The indicator is piecewise
+    constant in ``r``: its derivative is zero almost everywhere, so
+    backward propagates no gradient (the model's energy is already
+    discontinuous at edge-set changes).
     """
 
     supports_out = True  # (E,) -> (E,): elementwise, out never aliases r
@@ -114,13 +121,16 @@ class _WithinCutoff(Function):
     def forward(self, r, cutoff: float, out=None):
         if out is None:
             out = np.empty(r.shape, dtype=r.dtype)
+        positive = r > 0.0
         np.less_equal(r, cutoff, out=out)
+        out *= positive
         return out
 
     def backward(self, grad):
         return (None,)
 
 
-def within_cutoff(r: Tensor, cutoff: float) -> Tensor:
-    """``(E,)`` float indicator of edges within the interaction cutoff."""
-    return _WithinCutoff.apply(r, cutoff=cutoff)
+def within_cutoff(r: Tensor, cutoff: Optional[float]) -> Tensor:
+    """``(E,)`` float indicator of non-zero-length edges within ``cutoff``
+    (``None``: no upper bound)."""
+    return _WithinCutoff.apply(r, cutoff=math.inf if cutoff is None else cutoff)

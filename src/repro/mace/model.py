@@ -29,7 +29,7 @@ from ..autograd import Tensor, gather_rows, segment_sum
 from ..autograd.engine import no_grad
 from ..autograd.ops import concatenate
 from ..equivariant.spherical_harmonics import sh_dim
-from ..runtime import PlanCache, batch_signature
+from ..runtime import PlanCache
 from ..graphs.batch import GraphBatch, pad_to_bucket
 from ..kernels import (
     channelwise_tp_baseline,
@@ -168,50 +168,52 @@ class MACE(Module):
 
     # -- forward -----------------------------------------------------------------
 
-    def forward(
-        self,
-        batch: GraphBatch,
-        positions: Optional[Tensor] = None,
-        edges: Optional[Tuple] = None,
-    ) -> Tensor:
-        """Per-graph total energies, shape ``(n_graphs,)``.
-
-        Pass a ``positions`` tensor with ``requires_grad=True`` to obtain
-        forces via ``backward`` (see :meth:`forces`).  ``edges`` optionally
-        overrides the batch's edge arrays with a ``(send, recv, shift)``
-        triple of (integer) tensors, making the edge set a replayable
-        plan input instead of a folded constant — the padded-MD path
-        threads the Verlet candidate arrays through here so a
-        neighbor-list rebuild into the same capacity bucket re-hits the
-        compiled plan.
-        """
-        cfg = self.cfg
-        if positions is None:
-            positions = Tensor(batch.positions)
-        if edges is None:
-            send, recv = batch.edge_index
-            shift = batch.edge_shift
-        else:
-            send, recv, shift = edges
-        vec = edge_vectors(positions, (send, recv), shift)
-        r = edge_lengths(vec)
-        Y = edge_spherical_harmonics(vec, cfg.lmax_sh)
-        masked_cutoff = getattr(batch, "masked_cutoff", None)
-        if masked_cutoff is not None:
-            # The batch carries a candidate edge superset (Verlet skin +
-            # ghost padding).  The channelwise TP is linear in Y, so
-            # zeroing the harmonics of out-of-cutoff edges removes them
-            # from every interaction at once.  The mask is part of the
-            # recorded graph: plan replays recompute it from the current
-            # positions, tracking edges that cross the cutoff.
-            Y = Y * within_cutoff(r, masked_cutoff).reshape((batch.n_edges, 1))
-        return self.message_passing(
+    def forward(self, batch: GraphBatch) -> Tensor:
+        """Per-graph total energies, shape ``(n_graphs,)``, with the
+        batch's arrays as constants of the graph (see
+        :meth:`energy_and_forces` for forces and compiled replay)."""
+        send, recv = batch.edge_index
+        return self._energies(
+            Tensor(batch.positions),
             self.species_indices(batch.species),
-            (send, recv),
+            send,
+            recv,
+            batch.edge_shift,
             batch.graph_index,
             batch.n_graphs,
-            Y,
-            r=r,
+            batch.masked_cutoff,
+        )
+
+    def _energies(
+        self,
+        positions,
+        species_idx,
+        send,
+        recv,
+        edge_shift,
+        graph_index,
+        n_graphs: int,
+        masked_cutoff: Optional[float],
+    ) -> Tensor:
+        """Per-graph energies from atom positions: edge geometry → mask
+        → :meth:`message_passing`, the one path of :meth:`forward` and
+        the force plans.
+
+        The harmonics of every edge outside ``0 < r <= masked_cutoff``
+        (no upper bound when it is ``None``) are zeroed.  The channelwise
+        TP is linear in them, so the Verlet-skin edges of a candidate
+        batch and the zero-length ghost self-edges of
+        :func:`~repro.graphs.pad_to_bucket` contribute exactly ``0.0`` to
+        energies and forces.  The mask is part of the recorded graph: a
+        replay recomputes it from the current positions, tracking edges
+        that cross the cutoff.
+        """
+        vec = edge_vectors(positions, (send, recv), edge_shift)
+        r = edge_lengths(vec)
+        mask = within_cutoff(r, masked_cutoff).reshape((r.shape[0], 1))
+        Y = edge_spherical_harmonics(vec, self.cfg.lmax_sh) * mask
+        return self.message_passing(
+            species_idx, (send, recv), graph_index, n_graphs, Y, r=r
         )
 
     def message_passing(
@@ -233,9 +235,9 @@ class MACE(Module):
         ``species_idx``, the ``(send, recv)`` rows of ``edge_index`` and
         ``graph_index`` — are integer arrays (structural constants of
         the recorded graph) or integer Tensors, which a compiled plan
-        listing them among its inputs rebinds per replay: a training
-        plan binds *all* batch content this way, so one plan serves every
-        batch of its shape bucket.
+        listing them among its inputs rebinds per replay: loss, energy
+        and force plans bind *all* batch content this way, so one plan
+        serves every batch of its shape bucket.
         """
         cfg = self.cfg
         n_atoms = species_idx.shape[0]
@@ -266,10 +268,11 @@ class MACE(Module):
         vectors, lengths, spherical harmonics and the Bessel x envelope
         radial basis — once, without a tape, and stores the harmonics and
         the basis as ``batch.edge_sh`` / ``batch.edge_radial``.  Ghost
-        edges (:func:`repro.graphs.pad_to_bucket`) get zero rows, and so
-        do the harmonics of real edges beyond ``batch.masked_cutoff``:
-        the channelwise TP is linear in the harmonics, so their messages
-        are exactly ``0.0`` with no mask op.  The features are a
+        edges (:func:`repro.graphs.pad_to_bucket`) get zero rows, and the
+        harmonics of the other edges outside ``0 < r <= masked_cutoff``
+        are zeroed (the mask of :meth:`forward`): the channelwise TP is
+        linear in the harmonics, so their messages are exactly ``0.0``
+        with no mask op in the plan.  The features are a
         snapshot of the batch's geometry at this call: whoever edits
         ``positions`` or the edge arrays afterwards must call it again.
         Pure NumPy on thread-local engine state, so the streaming
@@ -288,8 +291,7 @@ class MACE(Module):
                 edge_spherical_harmonics(vec, cfg.lmax_sh),
                 bessel_basis(r, cfg.n_radial_basis, cfg.cutoff),
             )
-        if batch.masked_cutoff is not None:
-            features[0].data[r.data > batch.masked_cutoff] = 0.0
+            features[0].data[within_cutoff(r, batch.masked_cutoff).data == 0.0] = 0.0
         batch.edge_sh, batch.edge_radial = (
             np.concatenate([f.data, np.zeros((batch.ghost_edges, f.shape[1]))])
             for f in features
@@ -353,36 +355,40 @@ class MACE(Module):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Per-graph energies and per-atom forces from one forward+backward.
 
-        With ``compiled`` (a :class:`~repro.runtime.PlanCache`), the
-        forward+backward pass is captured once per shape bucket —
-        positions are a replay *input*, so an MD trajectory keeps hitting
-        the same plan while its edge set is unchanged — and replayed with
-        no tape construction.  The compiled backward targets only the
-        positions, pruning the parameter-gradient branches the eager pass
-        always pays for.  Falls back to eager on any cache miss or guard
-        rejection.
+        With ``compiled`` (a :class:`~repro.runtime.PlanCache`), the pass
+        is captured once per *shape bucket* and replayed thereafter, as
+        in :meth:`predict_energy`: positions, species rows, edge senders
+        / receivers / shifts and graph membership are replay inputs, and
+        the key adds only what the recorded graph burns in — the padded
+        graph count and ``masked_cutoff`` — so later MD steps, Verlet
+        rebuilds and other systems of a seen bucket all replay.
+        ``batch`` is a bucket-padded one (``ghost_graphs > 0``, what
+        :func:`~repro.graphs.pad_to_bucket` returns), taken as it is, or
+        an exact one, padded here afresh on every call.  The compiled
+        backward targets only the positions, pruning the
+        parameter-gradient branches the eager pass always pays for.
+        Ghost graphs' energies and ghost atoms' forces are dropped.
         """
-        padded = getattr(batch, "masked_cutoff", None) is not None
-        arrays = (batch.positions,)
-        if padded:
-            # Padded-MD batches bind the candidate edge arrays as replay
-            # inputs too (and drop the edge *content* from the key): a
-            # Verlet rebuild into the same capacity bucket then re-hits
-            # the plan instead of recapturing.  The signature still
-            # covers the edge count/dtype via the array shapes, and the
-            # replay guard rejects any capacity change.
-            arrays += (batch.edge_index[0], batch.edge_index[1], batch.edge_shift)
+        cache = self._checked_cache(compiled)
+        if cache is not None and not batch.ghost_graphs:
+            batch = pad_to_bucket(batch)
+        send, recv = batch.edge_index
+        arrays = (
+            batch.positions,
+            self.species_indices(batch.species),
+            send,
+            recv,
+            batch.edge_shift,
+            batch.graph_index,
+        )
 
         def eager():
-            inputs = (Tensor(arrays[0].copy(), requires_grad=True),) + tuple(
-                Tensor(a.copy()) for a in arrays[1:]
-            )
-            energies = self.forward(
-                batch, positions=inputs[0], edges=inputs[1:] or None
-            )
+            positions = Tensor(arrays[0].copy(), requires_grad=True)
+            inputs = (positions,) + tuple(Tensor(a) for a in arrays[1:])
+            energies = self._energies(*inputs, batch.n_graphs, batch.masked_cutoff)
             total = energies.sum()
             total.backward()
-            return ([energies.numpy()], [inputs[0].grad]), dict(
+            return ([energies.numpy()], [positions.grad]), dict(
                 outputs=(energies,),
                 seed=total,
                 inputs=inputs,
@@ -390,21 +396,15 @@ class MACE(Module):
                 owner=self,
             )
 
-        cache = self._checked_cache(compiled)
         if cache is None:
             (energies,), (grad,) = eager()[0]
         else:
-            # The plan pins this model as its owner, so id(self) cannot be
-            # recycled into a key collision while the entry is alive.
-            key = (
-                "forces",
-                id(self),  # lint: allow-id-keyed-dict
-                batch_signature(batch, include_edges=not padded),
-            )
-            (energies,), grads = cache.run(key, arrays, eager)
-            grad = grads[0]
-        assert grad is not None
-        return energies, -grad
+            key = ("forces", self, batch.n_graphs, batch.masked_cutoff)
+            (energies,), (grad, *_) = cache.run(key, arrays, eager)
+        return (
+            energies[: batch.n_graphs - batch.ghost_graphs],
+            -grad[: batch.n_atoms - batch.ghost_atoms],
+        )
 
     def predict_energy(self, batch: GraphBatch, compiled=None) -> np.ndarray:
         """Per-graph energies as a plain array (no tape).
@@ -441,14 +441,7 @@ class MACE(Module):
             (energies,), _ = eager()[0]
         else:
             # The graph count is burned into the recorded segment sum and
-            # no input shape carries it, so it is part of the key.  The
-            # plan pins this model as its owner, so id(self) cannot be
-            # recycled into a key collision while the entry is alive.
-            key = (
-                "energy",
-                id(self),  # lint: allow-id-keyed-dict
-                batch.n_graphs,
-                tuple((a.shape, a.dtype.str) for a in arrays),
-            )
+            # no input shape carries it, so it is part of the key.
+            key = ("energy", self, batch.n_graphs)
             (energies,), _ = cache.run(key, arrays, eager)
         return energies[: batch.n_graphs - batch.ghost_graphs]

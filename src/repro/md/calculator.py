@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..data.labels import ReferencePotential
-from ..graphs.batch import bucket_size, collate
+from ..graphs.batch import collate, pad_to_bucket
 from ..graphs.molecular_graph import MolecularGraph
 from ..graphs.pipeline import DEFAULT_SKIN, NeighborListCache
 from ..runtime import resolve_plan_cache
@@ -33,7 +33,20 @@ class MACECalculator:
 
     The model's autograd graph supplies exact forces ``-dE/dr``; energy
     and forces come from a *single* forward+backward pass
-    (:meth:`repro.mace.MACE.energy_and_forces`).
+    (:meth:`repro.mace.MACE.energy_and_forces`) on a bucket-padded batch
+    (:func:`repro.graphs.pad_to_bucket`), so the force plan is keyed on
+    the batch's shape bucket and every step of a trajectory whose edge
+    count stays in one bucket replays it.
+
+    With a ``cutoff`` the batch holds the Verlet *candidate* edges at
+    ``cutoff + skin``, fixed between neighbor-list rebuilds, with
+    ``masked_cutoff = cutoff``: the model zeroes the harmonics of
+    candidates beyond the cutoff, so results equal the exact edge set
+    while the batch's shapes stay put.  It is built once per rebuild
+    (``collate`` → ``masked_cutoff`` → ``pad_to_bucket``) and each step
+    only writes positions into it, so its index arrays stay the same
+    objects from step to step.  Without a ``cutoff`` the graph's own
+    edges are collated and padded afresh every call.
 
     Parameters
     ----------
@@ -49,29 +62,15 @@ class MACECalculator:
         Compiled-plan threading (:mod:`repro.runtime`).  The default
         ``"auto"`` gives the calculator a private
         :class:`~repro.runtime.PlanCache`: the force graph is captured
-        once per edge set and replayed every MD step with positions as
-        the replay input, falling back to eager capture whenever the
-        Verlet rebuild changes the edge set (a new shape bucket) and to
-        plain eager on any replay-guard rejection.  Pass ``None`` to
-        always run eagerly, or an existing cache to share it.
-    pad_edges:
-        Pad MD batches to capacity buckets so plan hit rates survive
-        neighbor-list refilters.  The batch carries the Verlet
-        *candidate* edge set (fixed between rebuilds) padded with ghost
-        self-edges up to a grow-only :func:`repro.graphs.bucket_size`
-        capacity, so the shape buckets a trajectory visits stay few; the
-        model masks out-of-cutoff edges so results match the exact edge
-        set, while the plan-cache key stays constant between rebuilds
-        instead of changing whenever an edge crosses the cutoff.  The
-        default ``"auto"`` enables this exactly when the calculator owns
-        both a neighbor list and a plan cache (the regime where it
-        pays); ``True`` additionally requires ``cutoff``.
+        once per shape bucket and replayed with all batch content as
+        replay inputs, falling back to plain eager on any replay-guard
+        rejection.  Pass ``None`` to always run eagerly, or an existing
+        cache to share it.
 
     Attributes
     ----------
     edge_capacity:
-        Current (grow-only) padded edge capacity; 0 until the first
-        padded evaluation.
+        Padded edge extent of the last evaluation; 0 before the first.
     """
 
     def __init__(
@@ -80,79 +79,54 @@ class MACECalculator:
         cutoff: Optional[float] = None,
         skin: float = DEFAULT_SKIN,
         compiled="auto",
-        pad_edges="auto",
     ) -> None:
         self.model = model
         self.neighbor_cache = (
             NeighborListCache(cutoff, skin) if cutoff is not None else None
         )
         self.plan_cache = resolve_plan_cache(compiled)
-        if pad_edges == "auto":
-            pad_edges = (
-                self.neighbor_cache is not None and self.plan_cache is not None
-            )
-        elif pad_edges and self.neighbor_cache is None:
-            raise ValueError(
-                "pad_edges needs the calculator-owned neighbor list; pass cutoff"
-            )
-        self.pad_edges = bool(pad_edges)
         self.edge_capacity = 0
-        self._pad_build = -1  # neighbor_cache.rebuilds the padding was built at
-        self._pad_batch = None  # collated padded batch, reused between rebuilds
+        self._built = -1  # neighbor_cache.rebuilds the candidate batch was built at
+        self._candidates = None  # padded candidate batch, reused between rebuilds
 
     def energy_and_forces(self, graph: MolecularGraph) -> Tuple[float, np.ndarray]:
         if self.neighbor_cache is not None:
-            self.neighbor_cache.update(graph)
-        elif not graph.has_edges:
-            raise ValueError("graph needs a neighbor list")
-        if self.pad_edges:
-            batch = self._padded_batch(graph)
+            batch = self._candidate_batch(graph)
+        elif graph.has_edges:
+            batch = pad_to_bucket(collate([graph]))
         else:
-            batch = collate([graph])
+            raise ValueError("graph needs a neighbor list")
+        self.edge_capacity = batch.n_edges
         energies, forces = self.model.energy_and_forces(
             batch, compiled=self.plan_cache
         )
         return float(energies[0]), forces
 
-    def _padded_batch(self, graph: MolecularGraph):
-        """Collate ``graph`` on its padded candidate edge set.
-
-        The padded arrays are rebuilt only when the Verlet cache
-        rebuilds its candidate list; between rebuilds every step sees
-        bit-identical edge arrays, so force-plan signatures repeat and
-        replays hit.  Ghost edges are self-edges on atom 0 displaced by
-        ``2 * cutoff`` — beyond the cutoff, so the model's within-cutoff
-        mask zeroes their contribution exactly.
-        """
+    def _candidate_batch(self, graph: MolecularGraph):
+        """The padded candidate batch of ``graph`` at its current positions
+        (also attaches the exact edges to ``graph``)."""
         cache = self.neighbor_cache
-        if self._pad_build != cache.rebuilds:
-            cand_index, cand_shift = cache.candidate_edges()
-            n_cand = cand_index.shape[1]
-            self.edge_capacity = max(self.edge_capacity, bucket_size(max(n_cand, 1)))
-            pad = self.edge_capacity - n_cand
-            ghost_index = np.zeros((2, pad), dtype=cand_index.dtype)
-            ghost_shift = np.zeros((pad, 3))
-            ghost_shift[:, 0] = 2.0 * cache.cutoff
-            padded = MolecularGraph(
-                graph.positions,
-                graph.species,
-                cell=graph.cell,
-                pbc=graph.pbc,
-                edge_index=np.concatenate([cand_index, ghost_index], axis=1),
-                edge_shift=np.concatenate([cand_shift, ghost_shift], axis=0),
-                system=graph.system,
+        cache.update(graph)
+        if self._built != cache.rebuilds:
+            index, shift = cache.candidate_edges()
+            candidates = collate(
+                [
+                    MolecularGraph(
+                        graph.positions,
+                        graph.species,
+                        cell=graph.cell,
+                        pbc=graph.pbc,
+                        edge_index=index,
+                        edge_shift=shift,
+                        system=graph.system,
+                    )
+                ]
             )
-            # The collated batch is cached between rebuilds — not just
-            # the padded arrays — so the *objects* the model sees stay
-            # stable step to step.  The edge arrays are bound as replay
-            # inputs; keeping them the same objects preserves the
-            # per-index scatter memoization and keeps signature hashing
-            # off the hot path's edge content.
-            self._pad_batch = collate([padded])
-            self._pad_batch.masked_cutoff = cache.cutoff
-            self._pad_build = cache.rebuilds
-        batch = self._pad_batch
-        batch.positions = graph.positions.copy()
+            candidates.masked_cutoff = cache.cutoff
+            self._candidates = pad_to_bucket(candidates)
+            self._built = cache.rebuilds
+        batch = self._candidates
+        batch.positions[: graph.n_atoms] = graph.positions
         return batch
 
 

@@ -21,15 +21,13 @@ fixed shape buckets thousands of times.  The pieces:
   guard-checked :meth:`~repro.runtime.plan.CompiledPlan.replay` that
   raises :class:`~repro.runtime.plan.PlanStale` instead of ever
   replaying stale shapes or dtypes;
-* :class:`~repro.runtime.cache.PlanCache` /
-  :func:`~repro.runtime.cache.batch_signature` — a bounded LRU with one
-  capture-or-replay protocol (``PlanCache.run``).  Training-loss and
-  energy plans key on the batch's shape bucket and rebind all content
-  per replay — inputs carry the content, the key carries only what the
-  graph burns in — so reshuffled epochs and bursty serving traces
-  replay a handful of plans; force plans still fold the edge set and
-  key on a digest of it (``batch_signature``), so a new neighbor list
-  is a miss followed by recapture.
+* :class:`~repro.runtime.cache.PlanCache` — a bounded LRU with one
+  capture-or-replay protocol (``PlanCache.run``).  Training-loss,
+  energy and force plans all key on the batch's shape bucket and rebind
+  all content per replay — inputs carry the content, the key carries
+  only what the graph burns in — so reshuffled epochs, bursty serving
+  traces and MD trajectories across Verlet rebuilds replay a handful of
+  plans.
 
 Threaded through the stack by default — ``Trainer(plan_cache="auto")``,
 ``MACECalculator(compiled="auto")`` and ``InferenceEngine(plan_cache=
@@ -45,7 +43,7 @@ the ``runtime.replay_s`` / ``training.step_p50_ms`` metrics of
 ``python -m bench.run`` (workload ``train_fixed_plan``).
 """
 
-from .cache import PlanCache, batch_signature, resolve_plan_cache
+from .cache import PlanCache, resolve_plan_cache
 from .plan import CompiledPlan, PlanStale, TapeRecorder, record_tape
 
 __all__ = [
@@ -53,7 +51,6 @@ __all__ = [
     "PlanCache",
     "PlanStale",
     "TapeRecorder",
-    "batch_signature",
     "record_tape",
     "resolve_plan_cache",
 ]

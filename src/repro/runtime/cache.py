@@ -2,44 +2,34 @@
 
 A :class:`~repro.runtime.plan.CompiledPlan` is specific to the array
 *shapes* of its capture and to whatever the capture folded as constants;
-everything it bound as an input is rebound per replay.  The key a caller
-files a plan under must therefore cover exactly the folded part:
-
-* training-loss and energy plans bind all batch content as inputs —
-  species rows, edge and graph indices, edge harmonics, radial basis —
-  and key on the input shapes and dtypes plus what the recorded graph
-  burns in as Python scalars (the padded graph count; the scaler and
-  loss weighting for losses), so one plan serves every batch of a shape
-  bucket (see :class:`repro.training.Trainer`,
-  :meth:`repro.mace.MACE.predict_energy`).  Such a plan has no content
-  to go stale: a replay computes on the arrays it is handed, and a shape
-  or dtype change of any of them is a new key and a fresh capture;
-* force plans still fold batch *content* (species, graph membership,
-  the exact edge set) and rebind only positions, so they key on
-  :func:`batch_signature`, a digest of the folded fields: a changed
-  neighbor list or dtype is a different signature and a fresh capture,
-  while the superseded entry ages out of the LRU.
+everything it bound as an input is rebound per replay.  Every plan in
+the repository — training loss (:class:`repro.training.Trainer`),
+energy (:meth:`repro.mace.MACE.predict_energy`) and forces
+(:meth:`repro.mace.MACE.energy_and_forces`) — binds all batch content
+as inputs, so a key covers the folded part only: the caller names the
+plan kind, the owning model object and the Python scalars the recorded
+graph burns in (the padded graph count; the mask radius for forces;
+the scaler and loss weighting for losses), and :meth:`PlanCache.run`
+appends the shapes and dtypes of the inputs.  One plan then serves
+every batch of a shape bucket, and it has no content to go stale: a
+replay computes on the arrays it is handed, and a shape or dtype
+change of any of them is a new key and a fresh capture.
 
 :class:`PlanCache` is the bounded LRU holding the plans, with hit /
 miss / capture / stale counters, and :meth:`PlanCache.run` is the one
 lookup → replay → fallback → capture sequence every entry point uses.
 Hot-swapping a served model clears the engine's cache wholesale (see
-``InferenceEngine.swap_model``); plans additionally pin their owning
-model so ``id(model)``-scoped keys can never be recycled into a
-collision while a plan is alive.
+``InferenceEngine.swap_model``).
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections import OrderedDict
 from typing import Dict, Optional
 
-import numpy as np
-
 from .plan import CompiledPlan, PlanStale, record_tape
 
-__all__ = ["PlanCache", "batch_signature", "resolve_plan_cache"]
+__all__ = ["PlanCache", "resolve_plan_cache"]
 
 
 def resolve_plan_cache(value) -> Optional["PlanCache"]:
@@ -59,46 +49,6 @@ def resolve_plan_cache(value) -> Optional["PlanCache"]:
     raise TypeError(
         f"plan cache must be 'auto', None, a bool or a PlanCache, got {value!r}"
     )
-
-
-def _update(h, array: np.ndarray) -> None:
-    h.update(str(array.dtype).encode())
-    h.update(np.ascontiguousarray(array).tobytes())
-
-
-def batch_signature(batch, include_edges: bool = True) -> bytes:
-    """Digest of what a force plan folds from ``batch``, for its cache key.
-
-    Covers the structural layout (species, graph membership, the edge
-    set) plus the position array's dtype, so a dtype change can never
-    replay a stale plan — never the position *values*: force plans
-    rebind positions per replay, so an MD trajectory keeps hitting one
-    plan while its edge set is stable.  ``include_edges=False`` drops
-    the edge *content* while keeping the edge count and dtypes — for
-    plans that bind the edge arrays as replay inputs too (the padded-MD
-    force plans), where a neighbor-list rebuild into the same capacity
-    bucket must hit the same key.
-    """
-    h = hashlib.blake2b(digest_size=16)
-    h.update(int(batch.n_graphs).to_bytes(8, "little", signed=False))
-    _update(h, batch.species)
-    _update(h, batch.graph_index)
-    if include_edges:
-        _update(h, batch.edge_index)
-        _update(h, batch.edge_shift)
-    else:
-        h.update(b"edges-as-inputs")
-        h.update(int(batch.n_edges).to_bytes(8, "little", signed=False))
-        h.update(str(batch.edge_index.dtype).encode())
-        h.update(str(batch.edge_shift.dtype).encode())
-    h.update(str(batch.positions.dtype).encode())
-    masked = getattr(batch, "masked_cutoff", None)
-    if masked is not None:
-        # Padded batches record a masked graph; never share a plan with
-        # an (improbably) identical exact-edge batch, nor across mask radii.
-        h.update(b"masked")
-        h.update(np.float64(masked).tobytes())
-    return h.digest()
 
 
 class PlanCache:
@@ -177,7 +127,10 @@ class PlanCache:
     def run(self, key, inputs, eager, compute_grads: bool = True):
         """Replay ``key``'s plan on ``inputs``, capturing it on a miss.
 
-        The one capture-or-replay protocol.  ``eager()`` runs the pass
+        The one capture-or-replay protocol.  The plan is filed under
+        ``key`` extended by the shapes and dtypes of ``inputs`` (arrays),
+        so the caller's ``key`` names only what the recorded graph folds
+        in beyond them.  ``eager()`` runs the pass
         the plan stands for and returns ``(result, plan_kwargs)``:
         ``result`` in :meth:`CompiledPlan.replay`'s ``(outputs,
         input_grads)`` form and ``plan_kwargs`` the
@@ -188,6 +141,7 @@ class PlanCache:
         entry and answers from a plain ``eager()`` pass, so the next
         call recaptures against the drifted shapes.
         """
+        key = (key, tuple((a.shape, a.dtype.str) for a in inputs))
         plan = self.get(key)
         if plan is not None:
             try:

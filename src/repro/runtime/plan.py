@@ -520,9 +520,9 @@ class CompiledPlan:
         the reference the verifier-corruption and liveness tests build
         their plans with.
     owner:
-        Optional object (the model) pinned by the plan so ``id(owner)``
-        keys in a :class:`~repro.runtime.cache.PlanCache` cannot be
-        recycled while the plan is alive.
+        Optional object (the model) the plan was captured from, kept
+        alive with it; :class:`~repro.runtime.cache.PlanCache` keys name
+        the same object.
 
     Notes
     -----
@@ -920,8 +920,8 @@ class CompiledPlan:
     # that survives a replay — so pickling serializes only the layout
     # recipes and the first replay after ``pickle.loads`` rebuilds the
     # memory (``_rebuild_buffers``).  The ``owner`` pin is process-local
-    # (it guards ``id()``-scoped cache keys, which never cross pickle)
-    # and is dropped; ``_param_specs`` tensors are serialized by value,
+    # (the model stays with the capturing process's cache keys) and is
+    # dropped; ``_param_specs`` tensors are serialized by value,
     # so an unpickled plan is frozen at ship-time parameters — exactly
     # the versioned-snapshot semantics serving workers need.
 

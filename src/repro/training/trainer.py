@@ -326,15 +326,12 @@ class Trainer:
             with contextlib.nullcontext() if with_grads else no_grad():
                 (outputs, _), _ = eager()
         else:
-            # The plan pins the model as its owner, so id() cannot be
-            # recycled into a key collision while the entry is alive.
             key = (
                 "loss",
-                id(self.model),  # lint: allow-id-keyed-dict
+                self.model,
                 self.loss_weighting,
                 self.scaler.mean_per_atom,
                 self.scaler.std_per_atom,
-                tuple((a.shape, a.dtype.str) for a in arrays),
             )
             outputs, _ = cache.run(key, arrays, eager, compute_grads=with_grads)
         return float(outputs[0])

@@ -13,7 +13,6 @@ from repro.autograd import (
     check_gradients,
     clip,
     concatenate,
-    einsum_tp,
     gather_rows,
     is_grad_enabled,
     mse,
@@ -257,28 +256,6 @@ class TestStructuralOps:
         np.testing.assert_allclose(out.numpy(), [-1.0, -0.5, 0.5, 1.0])
         # Gradient only flows inside the active range (check away from kinks).
         check_gradients(lambda a: (clip(a, -1.0, 1.0) * 3.0).sum(), [a])
-
-    def test_einsum_tp_values(self, rng):
-        const = rng.standard_normal((2, 3, 4))  # (paths, i, j) CG-like block
-        a = Tensor(rng.standard_normal((5, 3)))
-        b = Tensor(rng.standard_normal((5, 4)))
-        out = einsum_tp(a, b, const, "pij,ei,ej->ep", "pij,ep,ej->ei", "pij,ep,ei->ej")
-        expected = np.einsum("pij,ei,ej->ep", const, a.numpy(), b.numpy())
-        np.testing.assert_allclose(out.numpy(), expected)
-
-    def test_einsum_tp_gradients(self, rng):
-        const = rng.standard_normal((2, 3, 4))
-        a = Tensor(rng.standard_normal((5, 3)))
-        b = Tensor(rng.standard_normal((5, 4)))
-        check_gradients(
-            lambda a, b: (
-                einsum_tp(
-                    a, b, const, "pij,ei,ej->ep", "pij,ep,ej->ei", "pij,ep,ei->ej"
-                )
-                ** 2.0
-            ).sum(),
-            [a, b],
-        )
 
 
 class TestActivations:

@@ -6,7 +6,9 @@ shape-keyed plan on a padded batch equals the eager loss graph of the
 random bin contents, and everything the padding adds contributes
 exactly ``0.0``; energies served from a bucket plan equal the unbatched
 eager prediction of each member to 1e-10, whatever else shares the
-micro-batch.
+micro-batch; energies and forces replayed from a bucket force plan equal
+the eager pass on the exact batch to 1e-10, rotate with the input, and
+ignore ghost atoms bit for bit.
 """
 
 import hashlib
@@ -559,3 +561,143 @@ class TestKernelCountersAreThreadLocal:
             t.join(timeout=10)
         assert not any(t.is_alive() for t in threads)
         assert totals == {"a": (3, ["a"]), "b": (5, ["b"])}
+
+
+def forces_replayed(model, graphs, cache):
+    """Energies and forces of ``graphs`` as one batch, from a *replayed*
+    bucket plan."""
+    model.energy_and_forces(collate(graphs), compiled=cache)  # capture (or replay)
+    hits = cache.hits
+    out = model.energy_and_forces(collate(graphs), compiled=cache)
+    assert cache.hits == hits + 1  # this one replayed
+    return out
+
+
+class TestForcesMatchEagerUnpadded:
+    """Compiled bucket-padded energies and forces ≡ the eager pass on the
+    exact, unpadded batch."""
+
+    def setup_method(self):
+        self.model, self.cache = MACE(CFG, seed=0), PlanCache()
+
+    def _assert_matches(self, graphs):
+        energies, forces = forces_replayed(self.model, graphs, self.cache)
+        ref_e, ref_f = self.model.energy_and_forces(collate(graphs))
+        n_atoms = sum(g.n_atoms for g in graphs)
+        assert energies.shape == (len(graphs),) and forces.shape == (n_atoms, 3)
+        np.testing.assert_allclose(energies, ref_e, rtol=0.0, atol=TOL)
+        np.testing.assert_allclose(forces, ref_f, rtol=0.0, atol=TOL)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_pools(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        self._assert_matches(random_bin(rng, rng.integers(1, 24, size=int(rng.integers(1, 6)))))
+
+    def test_one_atom_graph(self):
+        rng = np.random.default_rng(7)
+        lone = random_graph(rng, 1, periodic=False)  # isolated atom, no edges
+        assert lone.n_edges == 0
+        self._assert_matches([lone] + random_bin(rng, [9, 14]))
+        self._assert_matches([lone])  # a batch with no edge at all
+
+    def test_batch_exactly_at_its_atom_bucket(self):
+        """No ghost atom: the ghost self-edges sit on a real atom."""
+        rng = np.random.default_rng(8)
+        graphs = random_bin(rng, [16, 20, 12])  # 48 atoms: a bucket boundary
+        twin = pad_to_bucket(collate(graphs))
+        assert twin.ghost_atoms == 0 and twin.ghost_edges > 0
+        self._assert_matches(graphs)
+
+    def test_edge_count_exactly_at_its_bucket(self):
+        rng = np.random.default_rng(10)
+        pool = random_bin(rng, rng.integers(2, 16, size=24))
+        graphs = next(
+            pool[i : i + 3]
+            for i in range(len(pool) - 2)
+            if pad_to_bucket(collate(pool[i : i + 3])).ghost_edges == 0
+        )
+        self._assert_matches(graphs)
+
+    def test_graph_count_crossing_a_bucket_edge(self):
+        rng = np.random.default_rng(9)
+        graphs = random_bin(rng, [5, 6, 4, 7, 5, 6, 4, 5])
+        self._assert_matches(graphs[:7])
+        self._assert_matches(graphs)
+        assert self.cache.captures == 2  # 8 and 16 graph slots
+
+
+class TestForcesOnePlanPerBucket:
+    def test_two_compositions_of_one_bucket_replay_one_plan(self):
+        rng = np.random.default_rng(21)
+        pool = [random_graph(rng, int(n), bool(rng.integers(2))) for n in rng.integers(6, 16, 24)]
+        by_bucket = {}
+        for start in range(len(pool) - 2):
+            members = pool[start : start + 3]
+            twin = pad_to_bucket(collate(members))
+            by_bucket.setdefault((twin.n_atoms, twin.n_edges, twin.n_graphs), []).append(members)
+        first, second = next(bins[:2] for bins in by_bucket.values() if len(bins) >= 2)
+        model, cache = MACE(CFG, seed=0), PlanCache()
+        model.energy_and_forces(collate(first), compiled=cache)
+        energies, forces = model.energy_and_forces(collate(second), compiled=cache)
+        stats = cache.stats()
+        assert stats["captures"] == 1 and stats["hits"] == 1
+        ref_e, ref_f = model.energy_and_forces(collate(second))
+        np.testing.assert_allclose(energies, ref_e, rtol=0.0, atol=TOL)
+        np.testing.assert_allclose(forces, ref_f, rtol=0.0, atol=TOL)
+
+
+class TestForcesIgnoreGhosts:
+    def test_scrambling_ghost_atoms_changes_no_real_result_bitwise(self):
+        rng = np.random.default_rng(11)
+        model, cache = MACE(CFG, seed=0), PlanCache()
+        twin = pad_to_bucket(collate(random_bin(rng, [7, 12, 10])))
+        assert twin.ghost_atoms and twin.ghost_edges and twin.ghost_graphs
+        model.energy_and_forces(twin, compiled=cache)  # capture
+        energies, forces = model.energy_and_forces(twin, compiled=cache)
+        a = twin.n_atoms - twin.ghost_atoms
+        twin.species[a:] = rng.choice(CFG.species, twin.ghost_atoms)
+        twin.positions[a:] = rng.normal(size=(twin.ghost_atoms, 3))
+        scrambled = model.energy_and_forces(twin, compiled=cache)
+        assert np.array_equal(scrambled[0], energies)
+        assert np.array_equal(scrambled[1], forces)
+        assert cache.stats()["captures"] == 1
+
+
+class TestForcesEquivariantThroughPaddedPlans:
+    def test_energy_invariant_and_forces_rotate(self):
+        rng = np.random.default_rng(31)
+        graphs = random_bin(rng, [9, 13, 6])
+        R = random_rotation(rng)
+        rotated = []
+        for g in graphs:
+            r = g.rotated(R)
+            # Same topology, rotated shifts: the same bucket, the same plan.
+            r.edge_index, r.edge_shift = g.edge_index, g.edge_shift @ R.T
+            rotated.append(r)
+        model, cache = MACE(CFG, seed=0), PlanCache()
+        energies, forces = forces_replayed(model, graphs, cache)
+        rot_e, rot_f = model.energy_and_forces(collate(rotated), compiled=cache)
+        assert cache.stats()["captures"] == 1
+        np.testing.assert_allclose(rot_e, energies, rtol=0.0, atol=TOL)
+        np.testing.assert_allclose(rot_f, forces @ R.T, rtol=0.0, atol=TOL)
+
+
+class TestForcesThroughMD:
+    def test_cutoffless_calculator_captures_once_per_bucket_visited(self):
+        from repro.data import generate_structure
+        from repro.md import MACECalculator, VelocityVerlet
+
+        water = generate_structure("Water clusters", np.random.default_rng(51), n_atoms=12)
+        calc = MACECalculator(MACE(CFG, seed=0))  # the integrator owns the edges
+        md = VelocityVerlet(
+            calc, water, timestep_fs=2.0, cutoff=CUTOFF, rebuild_every=5, seed=1
+        )
+        md.initialize_velocities(3000.0)
+        edge_sets, buckets = {md.graph.n_edges}, {calc.edge_capacity}
+        for _ in range(40):
+            md.step()
+            edge_sets.add(md.graph.n_edges)
+            buckets.add(calc.edge_capacity)
+        assert len(edge_sets) > len(buckets) > 1
+        assert calc.plan_cache.captures == len(buckets)
+        assert calc.plan_cache.hits == 40 + 1 - len(buckets)

@@ -162,23 +162,26 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "packed" in out and "straggler" in out
 
-    def test_plan_report_optimized(self, capsys):
+    @pytest.mark.parametrize("plan", ["train", "forces", "energy"])
+    def test_plan_report_optimized(self, plan, capsys):
         from repro.cli import main
 
         code = main(
             [
-                "plan-report", "--plan", "train", "--optimized",
+                "plan-report", "--plan", plan, "--optimized",
                 "--samples", "2", "--max-atoms", "20",
             ]
         )
         assert code == 0
         out = capsys.readouterr().out
+        assert out.count("plan — verified:") == 1
         assert "post-optimization" in out
         assert "fused chains" in out
-        # A fully planned training-step plan leaves no legal donation
-        # unconsumed and allocates nothing per replay.
-        assert "(0 left undonated)" in out
-        assert "0 fresh-allocating instructions, 0 bytes" in out
+        if plan == "train":
+            # A fully planned training-step plan leaves no legal donation
+            # unconsumed and allocates nothing per replay.
+            assert "(0 left undonated)" in out
+            assert "0 fresh-allocating instructions, 0 bytes" in out
 
     def test_simulate_command(self, capsys):
         from repro.cli import main

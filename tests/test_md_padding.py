@@ -1,11 +1,12 @@
-"""Tests for padded-MD capacity buckets (plan hits across edge refilters)."""
+"""Tests for padded MD: candidate batches through ``pad_to_bucket``, plan
+hits across edge refilters and Verlet rebuilds."""
 
 import numpy as np
 import pytest
 
 from repro.autograd import Tensor
 from repro.data import generate_structure
-from repro.graphs import MolecularGraph, bucket_size, build_neighbor_list
+from repro.graphs import MolecularGraph, build_neighbor_list, collate
 from repro.mace import MACE, MACEConfig
 from repro.mace.geometry import within_cutoff
 from repro.md import MACECalculator
@@ -23,11 +24,19 @@ def triangle(d: float) -> MolecularGraph:
     return g
 
 
+def exact(model, g: MolecularGraph, cutoff: float = CUTOFF):
+    """Eager energy and forces of ``g`` on its exact within-``cutoff`` edges."""
+    energies, forces = model.energy_and_forces(
+        collate([build_neighbor_list(g, cutoff=cutoff)])
+    )
+    return energies[0], forces
+
+
 class TestWithinCutoff:
     def test_indicator_values(self):
-        r = Tensor(np.array([0.5, 2.0, 2.5, 2.5000001, 9.0]))
+        r = Tensor(np.array([0.0, 0.5, 2.0, 2.5, 2.5000001, 9.0]))
         m = within_cutoff(r, 2.5)
-        np.testing.assert_array_equal(m.data, [1.0, 1.0, 1.0, 0.0, 0.0])
+        np.testing.assert_array_equal(m.data, [0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
     def test_zero_gradient(self):
         r = Tensor(np.array([1.0, 3.0]), requires_grad=True)
@@ -50,53 +59,32 @@ class TestPaddedCalculator:
         """Padded (masked-superset) results equal the exact-edge results
         even while an edge oscillates across the cutoff."""
         model = MACE(CFG, seed=0)
-        plain = MACECalculator(model, cutoff=CUTOFF, pad_edges=False)
         padded = MACECalculator(model, cutoff=CUTOFF)
-        assert padded.pad_edges
         edge_counts = set()
         for d in (2.90, 2.95, 3.02, 2.97, 3.04, 2.92):
-            ga, gb = triangle(d), triangle(d)
-            ea, fa = plain.energy_and_forces(ga)
-            eb, fb = padded.energy_and_forces(gb)
-            edge_counts.add(ga.n_edges)
+            ea, fa = exact(model, triangle(d))
+            g = triangle(d)
+            eb, fb = padded.energy_and_forces(g)
+            edge_counts.add(g.n_edges)
             assert eb == pytest.approx(ea, abs=1e-12)
             np.testing.assert_allclose(fb, fa, atol=1e-12)
         assert len(edge_counts) > 1  # the exact edge set really changed
 
     def test_plan_hits_survive_refilter(self):
         """One capture serves every step between rebuilds, even when the
-        exact edge set changes; the unpadded path must recapture."""
+        exact edge set changes."""
         model = MACE(CFG, seed=0)
-        plain = MACECalculator(model, cutoff=CUTOFF, pad_edges=False)
         padded = MACECalculator(model, cutoff=CUTOFF)
+        edge_counts = set()
         for d in (2.90, 3.02, 2.97, 3.04, 2.92):
-            plain.energy_and_forces(triangle(d))
-            padded.energy_and_forces(triangle(d))
+            g = triangle(d)
+            padded.energy_and_forces(g)
+            edge_counts.add(g.n_edges)
+        assert len(edge_counts) > 1
         assert padded.neighbor_cache.rebuilds == 1
         assert padded.plan_cache.misses == 1
         assert padded.plan_cache.hits == 4
         assert padded.plan_cache.verified == 1  # padded plans verify clean
-        assert plain.plan_cache.misses > 1
-
-    def test_capacity_buckets_grow_only(self, rng):
-        g = generate_structure("Water clusters", rng, n_atoms=9)
-        calc = MACECalculator(MACE(CFG, seed=0), cutoff=4.5)
-        calc.energy_and_forces(g)
-        cap = calc.edge_capacity
-        assert cap == bucket_size(cap)  # sits on the shared bucket rule
-        assert cap >= calc.neighbor_cache.candidate_edges()[0].shape[1]
-        # Shrinking the system never shrinks the capacity.
-        calc.energy_and_forces(triangle(2.9))
-        assert calc.edge_capacity >= cap
-
-    def test_pad_edges_resolution(self):
-        model = MACE(CFG, seed=0)
-        # auto: off without a calculator-owned neighbor list or plan cache.
-        assert not MACECalculator(model).pad_edges
-        assert not MACECalculator(model, cutoff=CUTOFF, compiled=None).pad_edges
-        assert MACECalculator(model, cutoff=CUTOFF).pad_edges
-        with pytest.raises(ValueError):
-            MACECalculator(model, pad_edges=True)
 
     def test_unpadded_graph_unaffected(self):
         """The caller's graph keeps its exact edges (padding is internal)."""
@@ -111,30 +99,23 @@ class TestPaddedCalculator:
         """Masking is exact independently of plan compilation."""
         g = generate_structure("Water clusters", rng, n_atoms=9)
         model = MACE(CFG, seed=0)
-        e0, f0 = MACECalculator(
-            model, cutoff=4.5, compiled=None, pad_edges=False
-        ).energy_and_forces(g)
         g2 = MolecularGraph(g.positions.copy(), g.species.copy())
-        calc = MACECalculator(model, cutoff=4.5, compiled=None, pad_edges=True)
-        # pad_edges=True with compiled=None still pads (explicit request).
-        e1, f1 = calc.energy_and_forces(g2)
+        e0, f0 = exact(model, g, cutoff=4.5)
+        e1, f1 = MACECalculator(model, cutoff=4.5, compiled=None).energy_and_forces(g2)
         assert e1 == pytest.approx(e0, abs=1e-12)
         np.testing.assert_allclose(f1, f0, atol=1e-12)
 
     def test_rebuild_into_same_bucket_rehits_plan(self):
         """A Verlet rebuild whose candidate set stays inside the same
-        capacity bucket re-hits the compiled plan: the candidate edges
-        are replay *inputs*, not plan constants, so no recapture."""
+        shape bucket re-hits the compiled plan: the candidate edges are
+        replay *inputs*, not plan constants, so no recapture."""
         model = MACE(CFG, seed=0)
         calc = MACECalculator(model, cutoff=CUTOFF)
-        plain = MACECalculator(model, cutoff=CUTOFF, pad_edges=False)
-        reference = []
         for d in (2.90, 2.85, 2.50, 2.45):  # 2.85 -> 2.50 drifts > skin/2
             e, f = calc.energy_and_forces(triangle(d))
-            e0, f0 = plain.energy_and_forces(triangle(d))
+            e0, f0 = exact(model, triangle(d))
             assert e == pytest.approx(e0, abs=1e-12)
             np.testing.assert_allclose(f, f0, atol=1e-12)
-            reference.append(e)
         assert calc.neighbor_cache.rebuilds >= 2  # the rebuild happened
         assert calc.plan_cache.misses == 1  # one capture for the run
         assert calc.plan_cache.hits == 3  # every later step replayed
@@ -145,18 +126,17 @@ class TestMaskedBatchesThroughEnergyPlans:
         """``predict_energy`` through a bucket plan masks a candidate
         batch exactly as the eager ``forward`` does: ``pad_to_bucket``
         carries ``masked_cutoff`` and ``featurize`` zeroes the harmonics
-        of real edges beyond it."""
+        of real edges beyond it and of zero-length ghost edges."""
         from repro.autograd.engine import no_grad
         from repro.runtime import PlanCache
 
         g = generate_structure("Water clusters", rng, n_atoms=18)
         model = MACE(CFG, seed=0)  # model cutoff 4.5: the mask radius is the batch's
         calc = MACECalculator(model, cutoff=CUTOFF)
-        calc.neighbor_cache.update(g)
-        batch = calc._padded_batch(g)  # Verlet candidates + ghost self-edges
+        batch = calc._candidate_batch(g)  # Verlet candidates + ghosts
         assert batch.masked_cutoff == CUTOFF
         n_candidates = calc.neighbor_cache.candidate_edges()[0].shape[1]
-        assert calc.edge_capacity > n_candidates > g.n_edges  # skin-shell and ghost edges
+        assert batch.n_edges > n_candidates > g.n_edges  # skin-shell and ghost edges
         with no_grad():
             masked = model.forward(batch).numpy()
         cache = PlanCache()

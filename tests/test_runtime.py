@@ -13,13 +13,12 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.data import attach_labels, build_training_set
-from repro.graphs.batch import collate
+from repro.graphs.batch import collate, pad_to_bucket
 from repro.mace import MACE, MACEConfig
 from repro.runtime import (
     CompiledPlan,
     PlanCache,
     PlanStale,
-    batch_signature,
     record_tape,
 )
 from repro.training import Trainer
@@ -197,10 +196,25 @@ class TestModelCompiledPaths:
             model.predict_energy(drifted, compiled=cache)
             assert cache.hits == 1, field  # and the new key replays
 
-    def test_force_plan_signature_covers_position_dtype(self, labeled):
-        batch, f32 = collate(labeled[:2]), collate(labeled[:2])
-        f32.positions = f32.positions.astype(np.float32)
-        assert batch_signature(batch) != batch_signature(f32)
+    def test_force_plan_signature_covers_position_dtype(self, model, labeled):
+        """Force plans bind positions and edge shifts as inputs, so their
+        key covers those inputs' dtypes: float32 geometry is a new key and
+        a fresh capture, never a guard rejection of the float64 plan."""
+        batch = collate(labeled[:2])
+        e_ref, f_ref = model.energy_and_forces(batch)
+        for field in ("positions", "edge_shift"):
+            cache = PlanCache()
+            model.energy_and_forces(pad_to_bucket(batch), compiled=cache)
+            f32 = pad_to_bucket(batch)
+            setattr(f32, field, getattr(f32, field).astype(np.float32))
+            energies, forces = model.energy_and_forces(f32, compiled=cache)
+            stats = cache.stats()
+            assert (stats["captures"], stats["hits"], stats["stale"]) == (2, 0, 0), field
+            assert len(cache) == 2, field
+            assert np.abs(energies - e_ref).max() < 1e-8, field
+            assert np.abs(forces - f_ref).max() < 1e-8, field
+            model.energy_and_forces(f32, compiled=cache)
+            assert cache.hits == 1, field  # and the new key replays
 
     def test_param_array_swap_falls_back_to_eager(self, labeled):
         """Replacing a parameter array with a different dtype trips the
