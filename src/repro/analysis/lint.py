@@ -91,11 +91,43 @@ def _is_np_attr(node: ast.AST, *path: str) -> bool:
     return isinstance(node, ast.Name) and node.id in ("np", "numpy")
 
 
-def _contains_shape_or_size(node: ast.AST) -> bool:
+def _is_data_sized(node: ast.AST, sized: Set[str]) -> bool:
+    """Whether ``node`` reads a ``.shape``/``.size`` or a name in ``sized``."""
     return any(
-        isinstance(sub, ast.Attribute) and sub.attr in ("shape", "size")
+        (isinstance(sub, ast.Attribute) and sub.attr in ("shape", "size"))
+        or (isinstance(sub, ast.Name) and sub.id in sized)
         for sub in ast.walk(node)
     )
+
+
+def _data_sized_locals(func: ast.AST) -> Set[str]:
+    """Names ``func`` assigns from array extents, directly or via each other
+    (``E = x.shape[0]`` and ``n = E - 1`` both count)."""
+    assigns = [node for node in ast.walk(func) if isinstance(node, ast.Assign)]
+    sized: Set[str] = set()
+    changed = True
+    while changed:
+        changed = False
+        for node in assigns:
+            if not _is_data_sized(node.value, sized):
+                continue
+            for target in node.targets:
+                for sub in ast.walk(target):
+                    if isinstance(sub, ast.Name) and sub.id not in sized:
+                        sized.add(sub.id)
+                        changed = True
+    return sized
+
+
+def _module_constants(tree: ast.AST) -> Set[str]:
+    """ALL_CAPS names (leading underscores allowed) bound at module level."""
+    return {
+        target.id
+        for node in getattr(tree, "body", ())
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.lstrip("_").isupper()
+    }
 
 
 class HotLoopScatterRule(Rule):
@@ -103,7 +135,10 @@ class HotLoopScatterRule(Rule):
     explanation = (
         "kernels/ and equivariant/ are the measured hot paths: no np.add.at "
         "(orders of magnitude slower than sort+reduceat or GEMM scatters) and "
-        "no per-element Python loops inside forward/backward"
+        "no per-element Python loops inside forward/backward.  A loop bound "
+        "counts as data-sized when it reads .shape/.size or a local assigned "
+        "from one.  Allowed: range(start, stop, STEP) with STEP a module-level "
+        "ALL_CAPS constant — an O(E/T) loop over tiles of T elements"
     )
 
     def visit(self, tree, ctx):
@@ -115,21 +150,27 @@ class HotLoopScatterRule(Rule):
                     "np.add.at in a hot path — use a sort+reduceat plan or a "
                     "matmul scatter instead"
                 )
+        constants = _module_constants(tree)
         for func in ast.walk(tree):
             if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             if func.name not in ("forward", "backward"):
                 continue
+            sized = _data_sized_locals(func)
             for node in ast.walk(func):
                 if not isinstance(node, (ast.For, ast.AsyncFor)):
                     continue
                 it = node.iter
-                if (
+                if not (
                     isinstance(it, ast.Call)
                     and isinstance(it.func, ast.Name)
                     and it.func.id == "range"
-                    and any(_contains_shape_or_size(arg) for arg in it.args)
                 ):
+                    continue
+                step = it.args[2] if len(it.args) == 3 else None
+                if isinstance(step, ast.Name) and step.id in constants:
+                    continue  # tile loop: one iteration per STEP elements
+                if any(_is_data_sized(arg, sized) for arg in it.args):
                     yield node.lineno, (
                         f"data-sized Python loop in {func.name}() of a hot-path "
                         "kernel — vectorize over the array axis"

@@ -15,17 +15,27 @@ Two implementations share one precomputed path table:
 * :func:`channelwise_tp_optimized` — a single fused pass over the non-zero
   CG entries only (§4.2: kernel fusion + CG sparsity + one output write).
 
-The optimized variant is formulated as a *segment reduction* over the
-non-zero CG entries, realized with sparse reduction matrices built once in
-:func:`channelwise_tp_table` (cached per degree cap).  Entries are grouped
-by their unique ``(i2, path)`` pair; a single GEMM against ``reduce_y``
-folds the CG values and reduces ``Y`` into a per-edge operator
-``M[e, pair, i3]``, one fused elementwise pass forms the pair features
-``h[:, :, i2] * R[:, :, path]``, and one batched matmul contracts the two —
-every output component in one shot.  Backward runs the same three stages
+The optimized variant is a *segment reduction* over the non-zero CG
+entries, grouped by their distinct ``(i2, path)`` pairs, with sparse
+reduction matrices built once in :func:`channelwise_tp_table` (cached per
+degree cap).  It runs **three stages per edge tile** of ``_TILE_EDGES``
+edges:
+
+1. ``M_t = Y_t @ reduce_y`` — one GEMM folds the CG values and reduces the
+   tile's harmonics onto a per-edge operator ``(T, n_pairs, d3)``;
+2. ``hr_t = h_t[:, :, pair_i2] * R_t[:, :, pair_path]`` — two gathers and
+   one in-place multiply form the tile's pair features;
+3. ``out_t = hr_t @ M_t`` — one batched matmul writes every output
+   component of the tile straight into its rows of the result.
+
+The tile's intermediates live in one scratch set allocated per call and
+reused by every tile, so nothing shaped like ``(E, K, n_pairs)`` is ever
+materialised — the NumPy stand-in for the paper's fused kernel keeping its
+intermediates out of slow memory.  Backward recomputes each tile's
+operator and gathers from the saved operands and runs the same stages
 transposed, scattering pair gradients onto ``h``/``R`` with precomputed
-one-hot GEMMs: no per-component Python loop and no ``np.add.at`` anywhere
-in forward or backward.
+one-hot GEMMs written straight into the gradient rows: no per-component
+Python loop and no ``np.add.at`` anywhere.
 
 Both are differentiable (custom backward passes, validated by gradcheck)
 and numerically identical.
@@ -42,7 +52,6 @@ import numpy as np
 from ..autograd.engine import Function, Tensor
 from ..equivariant.clebsch_gordan import cg_selection_ok, cg_sparse, clebsch_gordan
 from ..equivariant.spherical_harmonics import sh_block_slice, sh_dim
-from ..utils.alloc import colored_empty
 from .counters import record_kernel
 
 __all__ = [
@@ -54,11 +63,10 @@ __all__ = [
 
 _F8 = 8.0  # bytes per float64 element
 
-# Above this element count per gathered (E, K, n_pairs) block, forward
-# stops keeping the pair gathers alive for backward (they would pin
-# hundreds of MB across the tape on MD-sized batches) and backward
-# re-gathers them instead.
-_PAIR_SAVE_MAX = 1 << 23
+# Edges per tile of the optimized kernel.  One tile's scratch buffer is
+# T * K * n_pairs floats (~170 KB at K=16, lmax (2, 1, 2)), so the whole
+# set stays cache-resident while every tile reuses it.
+_TILE_EDGES = 64
 
 
 @dataclass(frozen=True)
@@ -278,106 +286,37 @@ class _ChannelwiseTPBaseline(Function):
 
 
 class _ChannelwiseTPOptimized(Function):
-    """Single fused pass over non-zero CG entries (§4.2).
+    """Single fused pass over non-zero CG entries (§4.2), tiled over edges.
 
-    Segment-reduction formulation over the table's distinct ``(i2, path)``
-    pairs (all matrices precomputed in :func:`channelwise_tp_table`):
-
-    1. ``M = (Y @ reduce_y)`` — one GEMM folds the CG values and reduces
-       ``Y`` onto a per-edge operator ``(E, n_pairs, d3)``;
-    2. ``hr = h[:, :, pair_i2] * R[:, :, pair_path]`` — one fused
-       elementwise pass over the pair columns;
-    3. ``out = hr @ M`` — one batched matmul writes every output
-       component at once.
-
-    Backward is the same pipeline transposed (two batched matmuls for the
-    pair/operator gradients, one GEMM each for ``gY``/``gh``/``gR``) — no
-    per-``i3`` Python loop and no ``np.add.at``.
+    Three stages per edge tile (module docstring): operator ``M_t``, pair
+    features ``hr_t``, and ``hr_t @ M_t`` written straight into the tile's
+    rows of the result — the planner's ``out=`` buffer when one is given.
+    One set of three tile buffers is allocated per call and shared by
+    every tile.  ``saved`` holds only the operands: backward recomputes
+    each tile's operator and gathers, then runs the stages transposed — a
+    batched matmul each for the pair and operator gradients, one GEMM each
+    writing the tile's rows of ``gY``/``gh``/``gR``.  ``grad_mask`` skips
+    the GEMMs and gathers of unneeded gradients.
     """
 
     supports_out = True  # batched GEMM: out may not alias the operands
 
-    # Flipped to True per instance by the plan compiler (repro.runtime)
-    # when the instruction joins an optimized plan: only then is the
-    # instance long-lived and called once per replay, making transient
-    # reuse pay off.  Eager one-shot instances and 1:1 replay plans keep
-    # the allocate-fresh path.
-    replay_scratch = False
-
-    def _scratch(self, key: str, shape) -> np.ndarray:
-        """Per-instance transient buffer, reused across replays.
-
-        Only reached when ``replay_scratch`` is set: the pair-gather
-        transients — the largest per-call allocations in a compiled
-        training plan — would otherwise churn the allocator every
-        replay.  Keeping them on the instance makes steady-state replay
-        allocation-free and the buffer layout deterministic (same
-        memoization pattern as ``_scatter_plan``).
-        """
-        cache = self.__dict__.setdefault("_scratch_bufs", {})
-        buf = cache.get(key)
-        if buf is None or buf.shape != shape:
-            buf = colored_empty(shape, np.float64)
-            cache[key] = buf
-        return buf
-
     def forward(self, Y, h, R, table: ChannelwiseTPTable, out=None):
         _check_shapes(Y, h, R, table)
         E, K = h.shape[0], h.shape[1]
-        d3 = sh_dim(table.l3max)
-        # The per-edge operator M depends only on Y.  A *replayed*
-        # instance (repro.runtime) whose Y was constant-folded sees the
-        # identical array object on every call, so the reduction GEMM is
-        # memoized per instance.  Identity is only trustworthy when the
-        # plan marked Y const: optimized plans reuse arena buffer
-        # *objects* across replays with fresh contents, so they publish
-        # const_args and the memo defers to it (force plans recompute Y
-        # from the rebound positions every replay).  Eager one-shot
-        # instances and 1:1 replays never alias fresh contents into an
-        # old object, so the identity check alone stays sufficient.
-        memo_ok = self.__dict__.get("const_args", (True,))[0]
-        state = self.__dict__.get("_m_cache") if memo_ok else None
-        pair_shape = (E, K, table.n_pairs)
-        small = self.replay_scratch and E * K * table.n_pairs <= _PAIR_SAVE_MAX
-        if state is not None and state[0] is Y:
-            M = state[1]
-        elif small and not memo_ok:
-            # Y is rebound every replay (training plans bind it as an
-            # input, force plans recompute it): redo the GEMM, but into
-            # a reused buffer — a fresh operator-sized array per replay
-            # costs more in page faults than the GEMM itself.
-            M = np.matmul(
-                Y, table.reduce_y, out=self._scratch("M", (E, table.n_pairs * d3))
-            ).reshape(E, table.n_pairs, d3)
-        else:
-            M = (Y @ table.reduce_y).reshape(E, table.n_pairs, d3)
-            if memo_ok:
-                self._m_cache = (Y, M)
-        if small:
-            # mode="clip" keeps take on its unbuffered fast path (see
-            # GatherRows); the pair indices come from the table and are
-            # in-range by construction.
-            hp = np.take(h, table.pair_i2, axis=2,
-                         out=self._scratch("hp", pair_shape), mode="clip")
-            Rp = np.take(R, table.pair_path, axis=2,
-                         out=self._scratch("Rp", pair_shape), mode="clip")
-            hr = np.multiply(hp, Rp, out=self._scratch("hr", pair_shape))
-        else:
-            # MD-sized blocks: transient buffers would pin hundreds of
-            # MB on the instance; allocate fresh as before.
-            hp = h[:, :, table.pair_i2]
-            Rp = R[:, :, table.pair_path]
-            hr = hp * Rp
-        if out is not None:
-            np.matmul(hr, M, out=out)  # (E, K, d3)
-            out_arr = out
-        else:
-            out_arr = np.matmul(hr, M)
-        # M (the only term depending on Y) is always kept; the pair
-        # gathers are kept too when small, else recomputed in backward
-        # (see _PAIR_SAVE_MAX).
-        pair_cache = (hp, Rp, hr) if hr.size <= _PAIR_SAVE_MAX else None
-        self.saved = (h, R, table, M, pair_cache)
+        P, d3 = table.n_pairs, sh_dim(table.l3max)
+        if out is None:
+            out = np.empty((E, K, d3))
+        T = min(_TILE_EDGES, E)
+        M, hr, Rp = np.empty((T, P * d3)), np.empty((T, K, P)), np.empty((T, K, P))
+        for s in range(0, E, _TILE_EDGES):
+            e = min(s + _TILE_EDGES, E)
+            n = e - s
+            M_t = np.matmul(Y[s:e], table.reduce_y, out=M[:n]).reshape(n, P, d3)
+            hr_t = _gather_pairs(h[s:e], table.pair_i2, hr[:n])
+            np.multiply(hr_t, _gather_pairs(R[s:e], table.pair_path, Rp[:n]), out=hr_t)
+            np.matmul(hr_t, M_t, out=out[s:e])
+        self.saved = (Y, h, R, table)
         record_kernel(
             "tp_fused",
             1,
@@ -390,53 +329,58 @@ class _ChannelwiseTPOptimized(Function):
                 + E * K * d3
             ),
         )
-        return out_arr
+        return out
 
     def backward(self, grad):
-        h, R, table, M, pair_cache = self.saved
-        E, K = h.shape[0], h.shape[1]
+        Y, h, R, table = self.saved
+        E, K, d2 = h.shape
+        P, d3, n_paths = table.n_pairs, sh_dim(table.l3max), R.shape[2]
         need_y, need_h, need_r = self.grad_mask or (True, True, True)
-        if pair_cache is None:
-            hp = h[:, :, table.pair_i2] if (need_r or need_y) else None
-            Rp = R[:, :, table.pair_path] if (need_h or need_y) else None
-            hr = hp * Rp if need_y else None
-        else:
-            hp, Rp, hr = pair_cache
-        pair_shape = (E, K, table.n_pairs)
-        small = self.replay_scratch and E * K * table.n_pairs <= _PAIR_SAVE_MAX
-        gY = gh = gR = None
-        if need_h or need_r:
-            # d(hr): batched matmul against the per-edge operator.
-            g_hr = np.matmul(
-                grad,
-                M.transpose(0, 2, 1),
-                out=self._scratch("g_hr", pair_shape) if small else None,
-            )  # (E, K, n_pairs)
-            if need_h:
-                tmp = (
-                    np.multiply(g_hr, Rp, out=self._scratch("g_hr_Rp", pair_shape))
-                    if small
-                    else g_hr * Rp
-                )
-                gh = (tmp.reshape(E * K, table.n_pairs) @ table.scatter_h).reshape(h.shape)
-            if need_r:
-                tmp = (
-                    np.multiply(g_hr, hp, out=self._scratch("g_hr_hp", pair_shape))
-                    if small
-                    else g_hr * hp
-                )
-                gR = (tmp.reshape(E * K, table.n_pairs) @ table.scatter_path).reshape(R.shape)
-        if need_y:
-            # d(M) reduces over channels, then the transposed Y reduction.
-            gM = np.matmul(
-                hr.transpose(0, 2, 1),
-                grad,
-                out=self._scratch("gM", (E, table.n_pairs, grad.shape[2]))
-                if small
-                else None,
-            )  # (E, n_pairs, d3)
-            gY = gM.reshape(E, table.reduce_y.shape[1]) @ table.reduce_y.T
+        gY = np.empty(Y.shape) if need_y else None
+        gh = np.empty(h.shape) if need_h else None
+        gR = np.empty(R.shape) if need_r else None
+        T = min(_TILE_EDGES, E)
+        M = np.empty((T, P * d3))  # the tile's operator, then its gradient
+        hp, Rp, g_hr, prod = (np.empty((T, K, P)) for _ in range(4))
+        for s in range(0, E, _TILE_EDGES):
+            e = min(s + _TILE_EDGES, E)
+            n, g = e - s, grad[s:e]
+            if need_y or need_r:
+                hp_t = _gather_pairs(h[s:e], table.pair_i2, hp[:n])
+            if need_y or need_h:
+                Rp_t = _gather_pairs(R[s:e], table.pair_path, Rp[:n])
+            if need_h or need_r:
+                # d(hr_t): batched matmul against the tile's operator.
+                M_t = np.matmul(Y[s:e], table.reduce_y, out=M[:n]).reshape(n, P, d3)
+                g_hr_t = np.matmul(g, M_t.transpose(0, 2, 1), out=g_hr[:n])
+                if need_h:
+                    np.matmul(
+                        np.multiply(g_hr_t, Rp_t, out=prod[:n]).reshape(n * K, P),
+                        table.scatter_h,
+                        out=gh[s:e].reshape(n * K, d2),
+                    )
+                if need_r:
+                    np.matmul(
+                        np.multiply(g_hr_t, hp_t, out=prod[:n]).reshape(n * K, P),
+                        table.scatter_path,
+                        out=gR[s:e].reshape(n * K, n_paths),
+                    )
+            if need_y:
+                # d(M_t) reduces over channels, then the transposed Y reduction.
+                hr_t = np.multiply(hp_t, Rp_t, out=prod[:n])
+                gM_t = np.matmul(hr_t.transpose(0, 2, 1), g, out=M[:n].reshape(n, P, d3))
+                np.matmul(gM_t.reshape(n, P * d3), table.reduce_y.T, out=gY[s:e])
         return gY, gh, gR, None
+
+
+def _gather_pairs(x: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x[:, :, cols]`` written into the tile buffer ``out``.
+
+    ``mode="clip"`` keeps ``np.take`` on its unbuffered fast path (see
+    ``GatherRows``); the pair columns come from the table and are in range
+    by construction.
+    """
+    return np.take(x, cols, axis=2, out=out, mode="clip")
 
 
 def channelwise_tp_baseline(Y: Tensor, h: Tensor, R: Tensor, table: ChannelwiseTPTable) -> Tensor:

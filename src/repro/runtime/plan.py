@@ -774,18 +774,6 @@ class CompiledPlan:
         if optimize and forward:
             from ..analysis.liveness import analyze_liveness  # lazy: analysis imports the model stack
 
-            # Opt-in kernels (channelwise TP) reuse internal transients
-            # across replays; only long-lived optimized-plan instances
-            # qualify, so the flag is flipped here, not in the kernel.
-            # const_args tells identity-keyed kernel memos which operands
-            # are plan constants: arena-backed replays reuse buffer
-            # *objects* with fresh contents, so object identity alone no
-            # longer implies an unchanged operand.
-            for instr in forward:
-                if getattr(type(instr.fn), "replay_scratch", None) is False:
-                    instr.fn.replay_scratch = True
-                instr.fn.const_args = tuple(const[s] for s in instr.tensor_slots)
-
             report = analyze_liveness(self)
             last_use = [iv.last_use for iv in report.intervals]
             # A buffer stays pinned while *any* view of its storage lives.

@@ -231,6 +231,45 @@ class TestLintRules:
         )
         assert [f.rule for f in findings] == ["hot-loop-scatter"]
 
+    def test_hot_loop_scatter_allows_tile_loop_over_module_constant(self, tmp_path):
+        findings = _lint(
+            tmp_path,
+            "kernels/ok.py",
+            "_TILE = 64\n"
+            "class K:\n"
+            "    def forward(self, x):\n"
+            "        E = x.shape[0]\n"
+            "        for s in range(0, E, _TILE):\n"
+            "            pass\n"
+            "        for s in range(0, x.shape[0], _TILE):\n"
+            "            pass\n"
+            "    def backward(self, g):\n"
+            "        for l in range(3):\n"
+            "            pass\n",
+        )
+        assert findings == []
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "E = x.shape[0]\n        for i in range(E):",
+            "E, K = x.shape[0], 4\n        n = E - 1\n        for i in range(1, n):",
+            "E = x.size\n        for s in range(0, E, 64):",
+            "E = x.shape[0]\n        TILE = 64\n        for s in range(0, E, TILE):",
+        ],
+        ids=["local-bound", "derived-local", "literal-step", "local-step"],
+    )
+    def test_hot_loop_scatter_flags_loop_over_shape_local(self, tmp_path, body):
+        findings = _lint(
+            tmp_path,
+            "kernels/bad.py",
+            "class K:\n"
+            "    def backward(self, x):\n"
+            f"        {body}\n"
+            "            pass\n",
+        )
+        assert [f.rule for f in findings] == ["hot-loop-scatter"]
+
     def test_forward_mutates_input(self, tmp_path):
         findings = _lint(
             tmp_path,

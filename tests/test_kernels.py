@@ -9,6 +9,8 @@ The central claims verified here:
   and moves fewer bytes (Observations 2-3 / §4.2).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,11 @@ from repro.kernels import (
     symmetric_contraction_baseline,
     symmetric_contraction_optimized,
     weight_layout,
+)
+from repro.kernels.channelwise_tp import (
+    _TILE_EDGES as TILE,
+    _ChannelwiseTPBaseline,
+    _ChannelwiseTPOptimized,
 )
 
 TP_TABLE = channelwise_tp_table(2, 1, 2)
@@ -130,6 +137,68 @@ class TestChannelwiseTP:
             channelwise_tp_optimized(Y, Tensor(np.zeros((6, 3, 9))), R, TP_TABLE)
         with pytest.raises(ValueError):
             channelwise_tp_optimized(Y, h, Tensor(np.zeros((6, 3, 1))), TP_TABLE)
+
+
+class TestEdgeTiles:
+    """The optimized TP runs one loop over tiles of ``_TILE_EDGES`` edges;
+    every tile boundary, each ``grad_mask`` and the planner's ``out=``
+    buffer must reproduce the baseline."""
+
+    @pytest.mark.parametrize("use_out", [False, True], ids=["fresh", "out"])
+    @pytest.mark.parametrize(
+        "mask",
+        [(True, True, True), (False, True, True), (True, False, True), (True, True, False)],
+        ids=["all", "no-Y", "no-h", "no-R"],
+    )
+    @pytest.mark.parametrize("K", [1, 3])
+    @pytest.mark.parametrize("E", [0, 1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
+    def test_matches_baseline(self, E, K, mask, use_out, rng):
+        Y = rng.standard_normal((E, sh_dim(2)))
+        h = rng.standard_normal((E, K, sh_dim(1)))
+        R = rng.standard_normal((E, K, TP_TABLE.num_paths))
+        g = rng.standard_normal((E, K, sh_dim(2)))
+        ref = _ChannelwiseTPBaseline()
+        ref_out = ref.forward(Y, h, R, TP_TABLE)
+        ref.grad_mask = mask
+        ref_grads = ref.backward(g)
+
+        fn = _ChannelwiseTPOptimized()
+        buf = np.full(ref_out.shape, np.nan)
+        out = fn.forward(Y, h, R, TP_TABLE, out=buf if use_out else None)
+        assert (out is buf) == use_out
+        # Nothing pair-shaped outlives forward: saved holds the operands.
+        saved = [a for a in fn.saved if isinstance(a, np.ndarray)]
+        assert len(saved) == 3
+        assert all(any(a is x for x in (Y, h, R)) for a in saved)
+        fn.grad_mask = mask
+        grads = fn.backward(g)
+
+        np.testing.assert_allclose(out, ref_out, atol=1e-10)
+        for need, ga, gb in zip(mask, grads[:3], ref_grads[:3]):
+            if need:
+                np.testing.assert_allclose(ga, gb, atol=1e-10)
+            else:
+                assert ga is None
+
+    def test_scratch_stays_tile_sized(self):
+        """One eager forward+backward at MD size holds less than one
+        ``(E, K, n_pairs)`` array beyond its output and three gradients."""
+        E, K = 9792, 16
+        rng = np.random.default_rng(0)
+        Y = Tensor(rng.standard_normal((E, sh_dim(2))), requires_grad=True)
+        h = Tensor(rng.standard_normal((E, K, sh_dim(1))), requires_grad=True)
+        R = Tensor(rng.standard_normal((E, K, TP_TABLE.num_paths)), requires_grad=True)
+        g = np.ones((E, K, sh_dim(2)))
+        tracemalloc.start()
+        try:
+            out = channelwise_tp_optimized(Y, h, R, TP_TABLE)
+            out.backward(g)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = out.numpy().nbytes + sum(t.grad.nbytes for t in (Y, h, R))
+        pair_array = E * K * TP_TABLE.n_pairs * np.dtype(np.float64).itemsize
+        assert peak - kept < pair_array
 
 
 class TestSymContractionSpec:
@@ -348,25 +417,6 @@ class TestSegmentPlan:
         out = plan.scatter(np.ones((4, 2)))
         assert out.shape == (n_dst, 2)
         assert out[1, 0] == 2.0 and out[n_dst - 1, 0] == 1.0
-
-    def test_tp_backward_recompute_path_matches(self, rng, monkeypatch):
-        """Large batches recompute the pair gathers in backward instead of
-        pinning them; both paths must produce identical gradients."""
-        import repro.kernels.channelwise_tp as ctp
-
-        Y = Tensor(rng.standard_normal((5, sh_dim(2))), requires_grad=True)
-        h = Tensor(rng.standard_normal((5, 3, sh_dim(1))), requires_grad=True)
-        R = Tensor(rng.standard_normal((5, 3, TP_TABLE.num_paths)), requires_grad=True)
-        g = rng.standard_normal((5, 3, sh_dim(2)))
-        grads = {}
-        for name, cap in (("saved", 1 << 23), ("recompute", 0)):
-            monkeypatch.setattr(ctp, "_PAIR_SAVE_MAX", cap)
-            for t in (Y, h, R):
-                t.zero_grad()
-            channelwise_tp_optimized(Y, h, R, TP_TABLE).backward(g)
-            grads[name] = [t.grad.copy() for t in (Y, h, R)]
-        for ga, gb in zip(grads["saved"], grads["recompute"]):
-            np.testing.assert_array_equal(ga, gb)
 
     def test_tp_pair_reduction_consistent_with_entries(self):
         """reduce_y folds exactly the table's non-zero CG entries."""
