@@ -134,7 +134,8 @@ class HotLoopScatterRule(Rule):
     name = "hot-loop-scatter"
     explanation = (
         "kernels/ and equivariant/ are the measured hot paths: no np.add.at "
-        "(orders of magnitude slower than sort+reduceat or GEMM scatters) and "
+        "(orders of magnitude slower than the CSR segment sum of "
+        "repro.autograd.ops.scatter_rows / scatter_matrix) and "
         "no per-element Python loops inside forward/backward.  A loop bound "
         "counts as data-sized when it reads .shape/.size or a local assigned "
         "from one.  Allowed: range(start, stop, STEP) with STEP a module-level "
@@ -147,8 +148,8 @@ class HotLoopScatterRule(Rule):
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and _is_np_attr(node.func, "add", "at"):
                 yield node.lineno, (
-                    "np.add.at in a hot path — use a sort+reduceat plan or a "
-                    "matmul scatter instead"
+                    "np.add.at in a hot path — use the segment-sum primitive "
+                    "repro.autograd.ops.scatter_rows / scatter_matrix instead"
                 )
         constants = _module_constants(tree)
         for func in ast.walk(tree):

@@ -5,19 +5,27 @@ gathering per-atom features onto edges, scatter-summing edge messages back
 onto atoms, pooling per-atom energies per graph, and concatenation.  These
 are the NumPy analogues of ``torch.index_select`` / ``scatter_add`` /
 ``segment_sum``.
+
+Every row scatter of the model — receiver aggregation, per-graph pooling,
+the gather backward, and the symmetric contraction's level and species
+reductions — is one sparse product through :func:`scatter_matrix`.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .engine import Function, Tensor, _unbroadcast, as_tensor
 
 __all__ = [
     "gather_rows",
     "segment_sum",
+    "scatter_matrix",
+    "scatter_rows",
     "concatenate",
     "stack",
     "where",
@@ -25,51 +33,44 @@ __all__ = [
 ]
 
 
-def _scatter_add_rows(
-    fn: Function,
-    shape,
-    index: np.ndarray,
+def scatter_matrix(index: np.ndarray, n_rows: int) -> csr_array:
+    """The ``(n_rows, len(index))`` 0/1 CSR matrix with ``S[index[i], i] = 1``.
+
+    ``S @ values`` is the row scatter-add ``out[index[i]] += values[i]``,
+    the one segment-sum primitive.  Column indices are a stable argsort
+    of ``index`` and row pointers a cumulative ``bincount``, so every row
+    sums its entries in index order, starting from zero — the order
+    ``np.add.at`` adds in, which the product therefore matches bitwise.
+    Rows no entry maps to are empty and sum to ``0.0``.  Building it
+    costs one sort of ``index``; callers whose index is fixed build it
+    once and keep it.
+    """
+    index = np.asarray(index)
+    indptr = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(index, minlength=n_rows), out=indptr[1:])
+    order = np.argsort(index, kind="stable")
+    return csr_array((np.ones(index.size), order, indptr), shape=(n_rows, index.size))
+
+
+def scatter_rows(
     values: np.ndarray,
+    index: np.ndarray,
+    n_rows: int,
     out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Row scatter-add with a per-instance plan for replayed Functions.
+    """``out[s] = sum_{i : index[i] == s} values[i]`` along axis 0.
 
-    Eager execution creates a fresh ``Function`` per call, so the first
-    call takes the plain ``np.add.at`` path and merely remembers the
-    index array.  A *replayed* instance (see :mod:`repro.runtime`) is
-    called again and again; from the second call on it scatters through
-    a stable-sort + ``reduceat`` plan, which is severalfold faster on
-    wide rows.  The plan is memoized on the index *object*: folded
-    constants and MD edge lists repeat by identity and sort once, while
-    training plans rebind a new batch's index every replay and pay one
-    argsort per call (still far below ``np.add.at``).  The stable sort
-    preserves the per-segment contribution order, so results match the
-    ``add.at`` path to summation-reassociation error (~1e-15), within
-    the runtime's 1e-10 equivalence contract.
+    The trailing axes of ``values`` are flattened into the columns of one
+    :func:`scatter_matrix` product; the result has shape
+    ``(n_rows,) + values.shape[1:]`` and is written into ``out`` when given.
     """
-    state = fn.__dict__.get("_scatter_plan")
+    trailing = values.shape[1:]
+    sums = scatter_matrix(index, n_rows) @ values.reshape(
+        values.shape[0], math.prod(trailing)
+    )
     if out is None:
-        out = np.zeros(shape, dtype=np.float64)
-    else:
-        out.fill(0.0)
-    if state is None:
-        fn._scatter_plan = (index, None)
-        np.add.at(out, index, values)
-        return out
-    plan = state[1]
-    if plan is None or state[0] is not index:
-        order = np.argsort(index, kind="stable")
-        sorted_ids = index[order]
-        if sorted_ids.size:
-            starts = np.flatnonzero(np.r_[True, sorted_ids[1:] != sorted_ids[:-1]])
-            segments = sorted_ids[starts]
-        else:
-            starts = segments = sorted_ids
-        plan = (order, segments, starts)
-        fn._scatter_plan = (index, plan)
-    order, segments, starts = plan
-    if starts.size:
-        out[segments] = np.add.reduceat(values[order], starts, axis=0)
+        return sums.reshape((n_rows,) + trailing)
+    out[...] = sums.reshape(out.shape)
     return out
 
 
@@ -91,7 +92,7 @@ class GatherRows(Function):
 
     def backward(self, grad):
         shape, index = self.saved
-        return (_scatter_add_rows(self, shape, index, grad), None)
+        return (scatter_rows(grad, index, shape[0]), None)
 
 
 def gather_rows(x: Tensor, index) -> Tensor:
@@ -116,9 +117,7 @@ class SegmentSum(Function):
 
     def forward(self, x, segment_ids, num_segments, out=None):
         self.saved = (segment_ids,)
-        return _scatter_add_rows(
-            self, (num_segments,) + x.shape[1:], segment_ids, x, out=out
-        )
+        return scatter_rows(x, segment_ids, num_segments, out=out)
 
     def backward(self, grad):
         (segment_ids,) = self.saved

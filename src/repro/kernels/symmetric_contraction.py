@@ -19,19 +19,15 @@ share precomputed tables:
 
 The optimized variant evaluates each distinct factor tuple once through a
 shared-prefix product chain and reduces tuple products onto
-``(pattern, M)`` slots with one GEMM per block.  Its backward is a
-*segment reduction* over precomputed index plans built in
-:func:`_build_prefix_plan` (:class:`_SegmentPlan`): every gradient
-scatter down the chain is a segment sum whose realization the plan picks
-up front — a BLAS GEMM against the plan's selection matrix for the tiny
-destination counts of this model (``np.add.reduceat``'s inner loop is not
-SIMD-vectorized and measures ~8x slower there), the gather +
-``reduceat`` pass for wide destinations.  Per-atom weight gradients
-reduce onto species rows through one selection GEMM shared by all blocks
-instead of per-block ``np.add.at`` scatters, and backward re-gathers
-operands from forward's saved level products with contiguous row copies
-(the transposed layout makes every gather a memcpy, every scatter a
-row-block reduction).
+``(pattern, M)`` slots with one GEMM per block.  Every gradient scatter
+of its backward is the repository's one segment-sum primitive, a sparse
+product with a :func:`~repro.autograd.ops.scatter_matrix`: each level of
+the prefix chain holds two such matrices, built once per spec in
+:func:`_build_forest`, and per-atom weight gradients reduce onto species
+rows through one matrix built per backward and shared by all blocks.
+Backward re-gathers operands from forward's saved level products with
+contiguous row copies (the transposed layout makes every gather a
+memcpy, every scatter a row-block reduction).
 
 Weights are passed as a list with one ``(n_species, K, n_paths)`` tensor per
 ``(nu, L)`` in the order produced by :func:`weight_layout`.
@@ -41,11 +37,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from ..autograd.engine import Function, Tensor
+from ..autograd.ops import scatter_matrix, scatter_rows
 from ..equivariant.coupling import CouplingTable, coupling_table
 from ..equivariant.spherical_harmonics import sh_dim
 from .counters import record_kernel
@@ -61,10 +59,6 @@ __all__ = [
 _F8 = 8.0
 
 
-# Above this destination-matrix size the dense selection matrix of a
-# segment reduction is no longer worth materializing (memory ~ n * n_dst
-# doubles) and the plan falls back to the reduceat segment sum.
-_SELECT_DENSE_MAX = 1 << 22
 # Below this operand size the weight/block contraction runs as a
 # broadcast multiply + axis sum instead of np.einsum: the einsum wrapper
 # dispatch dominates sub-saturation shapes (serving micro-batches, small
@@ -73,92 +67,20 @@ _SMALL_CONTRACT_MAX = 1 << 17
 
 
 @dataclass(frozen=True)
-class _SegmentPlan:
-    """Precomputed index plan for the row scatter ``dst[rows] += segsum(src)``.
-
-    The fused kernel works in *structure-major* (transposed) layout —
-    source arrays are ``(n, N*K)`` with the structural axis leading — so a
-    gradient scatter groups source **rows** by destination row.  ``order``
-    permutes the rows so equal destinations become contiguous runs,
-    ``starts`` are the run boundaries (``np.add.reduceat`` input) and
-    ``targets`` the distinct destination rows.  The same segment reduction
-    has two interchangeable realizations:
-
-    * ``select`` — the ``(n_dst, n)`` 0/1 selection matrix; the segment
-      sum is one BLAS GEMM.  For the tiny destination counts of the hot
-      path the GEMM is the fastest segment sum NumPy can express.
-    * the ``order``/``starts``/``ends`` arrays — a row gather followed by
-      a contiguous ``np.cumsum`` scan whose per-segment sums are the
-      boundary differences ``cs[ends - 1] - cs[starts - 1]``, used when
-      ``n * n_dst`` is too large to materialize densely.  Unlike the
-      ``np.add.reduceat`` fallback it replaces, the scan's inner loop is
-      SIMD-vectorized and its cost has no dependence on the segment-length
-      distribution (reduceat degenerates to a scalar loop on many short
-      segments — exactly this kernel's shape).
-
-    Both are driven by the same precomputed index plan; tests assert they
-    agree.
-    """
-
-    order: np.ndarray  # (n,) stable sort of the destination rows
-    starts: np.ndarray  # (n_segments,) segment start offsets into order
-    ends: np.ndarray  # (n_segments,) segment end offsets (exclusive)
-    targets: np.ndarray  # (n_segments,) distinct destination rows
-    n_dst: int  # destination slot count
-    select: Optional[np.ndarray]  # (n_dst, n) dense selection, or None
-
-    def _segment_sums(self, src: np.ndarray) -> np.ndarray:
-        """Per-segment row sums via one contiguous cumulative-sum scan."""
-        cs = np.cumsum(src[self.order], axis=0)
-        sums = cs[self.ends - 1]
-        sums[1:] -= cs[self.starts[1:] - 1]
-        return sums
-
-    def scatter_add(self, dst: np.ndarray, src: np.ndarray) -> None:
-        """``dst[targets] +=`` segment sums of ``src`` rows."""
-        if self.select is not None:
-            dst += self.select @ src
-        else:
-            dst[self.targets] += self._segment_sums(src)
-
-    def scatter(self, src: np.ndarray) -> np.ndarray:
-        """Fresh ``(n_dst, cols)`` array holding the scattered sums."""
-        if self.select is not None:
-            return self.select @ src
-        out = np.zeros((self.n_dst, src.shape[1]), dtype=np.float64)
-        out[self.targets] = self._segment_sums(src)
-        return out
-
-
-def _segment_plan(rows: np.ndarray, n_dst: int) -> _SegmentPlan:
-    """Build the segment-reduction plan for scattering onto rows ``rows``."""
-    rows = np.asarray(rows, dtype=np.int64)
-    order = np.argsort(rows, kind="stable")
-    sorted_rows = rows[order]
-    starts = np.concatenate(([0], np.nonzero(np.diff(sorted_rows))[0] + 1))
-    ends = np.concatenate((starts[1:], [rows.size]))
-    select: Optional[np.ndarray] = None
-    if rows.size * n_dst <= _SELECT_DENSE_MAX:
-        select = np.zeros((n_dst, rows.size))
-        select[rows, np.arange(rows.size)] = 1.0
-    return _SegmentPlan(order, starts, ends, sorted_rows[starts], int(n_dst), select)
-
-
-@dataclass(frozen=True)
 class _Level:
     """One depth of the prefix-product chain of the fused kernel.
 
     Depth-``d`` products are built by multiplying a depth-``(d-1)`` product
-    (``prev_map``) with one more feature column (``new_col``).  The segment
-    plans scatter gradients back down the chain as segment sums over the
-    sorted destination columns.
+    (``prev_map``) with one more feature column (``new_col``).  The two
+    :func:`~repro.autograd.ops.scatter_matrix` products scatter gradients
+    back down the chain: the layout is structure-major, so a gradient
+    scatter sums source *rows* onto destination rows.
     """
 
     prev_map: np.ndarray  # (n_d,) index into the previous level's products
     new_col: np.ndarray  # (n_d,) flattened feature column of the new factor
-    n_prev: int  # slot count of the previous level
-    new_plan: _SegmentPlan  # scatter (n_d,) -> feature columns
-    prev_plan: _SegmentPlan  # scatter (n_d,) -> previous-level products
+    new_scatter: csr_array  # (dim, n_d): scatter onto feature columns
+    prev_scatter: csr_array  # (n_prev, n_d): scatter onto previous products
 
 
 @dataclass(frozen=True)
@@ -193,8 +115,7 @@ class _BlockTable:
     all blocks of the same ``nu`` — builds each distinct factor-tuple
     product exactly once, ``V`` reduces the forest's tuple products onto
     this block's ``(pattern, M)`` slots with one GEMM, and each level's
-    :class:`_SegmentPlan` routes gradients back down the chain as segment
-    sums instead of dense one-hot GEMMs.
+    scatter matrices route gradients back down the chain as segment sums.
     """
 
     nu: int
@@ -289,9 +210,8 @@ def _build_forest(nu: int, tuples: np.ndarray, dim: int) -> _PrefixForest:
             _Level(
                 prev_map,
                 new_col,
-                n_prev,
-                _segment_plan(new_col, dim),
-                _segment_plan(prev_map, n_prev),
+                scatter_matrix(new_col, dim),
+                scatter_matrix(prev_map, n_prev),
             )
         )
         prev_lookup = {tuple(row): i for i, row in enumerate(uniq)}
@@ -447,7 +367,7 @@ class _SymContractionBaseline(Function):
                 letters = "abcdef"[: path.nu]
                 spec_fwd = ",".join(f"nk{c}" for c in letters) + f",{letters}M->nkM"
                 t = np.einsum(spec_fwd, *ops, dense, optimize=True)
-                gws[w_i][:, :, p_id] = _scatter_species(
+                gws[w_i][:, :, p_id] = scatter_rows(
                     np.einsum("nkM,nkM->nk", gL, t), species, w.shape[0]
                 )
                 # d(out)/d(A): product rule over factor positions.
@@ -483,22 +403,13 @@ def _dense_path_tensor(path) -> np.ndarray:
     return dense
 
 
-def _scatter_species(per_atom: np.ndarray, species: np.ndarray, n_species: int) -> np.ndarray:
-    """Sum per-atom values into per-species slots: (N, K) -> (S, K)."""
-    out = np.zeros((n_species,) + per_atom.shape[1:], dtype=np.float64)
-    # Baseline (reference) path only; the optimized kernel's gradients go
-    # through the _SegmentPlan sort+reduceat plans instead.
-    np.add.at(out, species, per_atom)  # lint: allow-hot-loop-scatter
-    return out
-
-
 class _SymContractionOptimized(Function):
     """Fused sparse sweep (the paper's Listing 1, vectorized in NumPy).
 
     Runs in structure-major (transposed) layout: arrays are
     ``(structure, N*K)`` so chain gathers are contiguous row copies and
-    gradient scatters are row-segment reductions over the precomputed
-    :class:`_SegmentPlan` index plans (see the module docstring).
+    gradient scatters are sparse products with the scatter matrices
+    precomputed per spec (see the module docstring).
     """
 
     supports_out = True  # (N, K, out_dim) accumulator: out may not alias A
@@ -574,14 +485,10 @@ class _SymContractionOptimized(Function):
             np.zeros_like(wt) if need_w[i] else None
             for i, wt in enumerate(weights)
         ]
-        # One species selection matrix shared by every block: the
-        # atoms -> species-rows reduction of each per-atom weight gradient
-        # becomes a single GEMM against it (replacing the per-block
-        # np.add.at scatters).
-        n_species = weights[0].shape[0]
+        # One atoms -> species-rows scatter matrix shared by every block's
+        # per-atom weight gradient.
         if any(need_w):
-            sp_select = np.zeros((n_species, N))
-            sp_select[species, np.arange(N)] = 1.0
+            sp_scatter = scatter_matrix(species, weights[0].shape[0])
         g_forest = {forest.nu: None for forest in spec.forests}
         for w_i, (w, block) in enumerate(zip(weights, spec.blocks)):
             P, M = block.n_paths, 2 * block.L + 1
@@ -598,7 +505,7 @@ class _SymContractionOptimized(Function):
                 else:
                     gw2 = np.einsum("mn,pmn->np", g_blockT, G_T, optimize=True)
                 gws[w_i][:] = (
-                    sp_select @ gw2.reshape(N, K * P)
+                    sp_scatter @ gw2.reshape(N, K * P)
                 ).reshape(w.shape)
             if not need_a:
                 continue
@@ -613,7 +520,7 @@ class _SymContractionOptimized(Function):
             # Walk each nu's prefix chain backwards ONCE on the summed
             # tuple gradients (product rule per level); operand re-gathers
             # are contiguous row copies off the saved products, and each
-            # scatter is a segment reduction over the level's plan.
+            # scatter is a product with one of the level's scatter matrices.
             for forest in spec.forests:
                 g_cur = g_forest[forest.nu]
                 if g_cur is None:
@@ -622,8 +529,8 @@ class _SymContractionOptimized(Function):
                 for d in range(len(forest.levels) - 1, -1, -1):
                     level = forest.levels[d]
                     prev = A2T if d == 0 else products[d - 1]
-                    level.new_plan.scatter_add(gA2T, g_cur * prev[level.prev_map])
-                    g_cur = level.prev_plan.scatter(g_cur * A2T[level.new_col])
+                    gA2T += level.new_scatter @ (g_cur * prev[level.prev_map])
+                    g_cur = level.prev_scatter @ (g_cur * A2T[level.new_col])
                 if forest.levels:
                     gA2T += g_cur  # depth-1 grads land on raw feature rows
                 else:

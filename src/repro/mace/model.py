@@ -66,7 +66,6 @@ class InteractionLayer(Module):
             cfg.radial_mlp_hidden,
             K,
             self.tp_table.num_paths,
-            cfg.cutoff,
             rng,
         )
         self.linear_A = EquivariantLinear(K, K, cfg.l_atomic_basis, rng=rng)
@@ -93,20 +92,18 @@ class InteractionLayer(Module):
         Y: Tensor,
         edge_index,  # (2, E) array or (send, recv) pair; rows may be Tensors
         species_idx,
-        r: Optional[Tensor] = None,
-        basis: Optional[Tensor] = None,
+        basis: Tensor,
     ) -> Tensor:
         """One interaction + product block.
 
-        The radial weights come from the edge lengths ``r`` or from a
-        precomputed Bessel ``basis`` of them (exactly one is given).
+        The radial weights come from the edge lengths' Bessel ``basis``.
         ``species_idx`` and the ``edge_index`` rows are integer arrays,
         or integer Tensors when a plan rebinds them per replay.
         """
         cfg = self.cfg
         send, recv = edge_index
         n_atoms = h.shape[0]
-        R = self.radial(r, basis)  # (E, K, n_paths)
+        R = self.radial(basis)  # (E, K, n_paths)
         h_j = gather_rows(h, send)  # sender features on edges
         if cfg.kernel_variant == "optimized":
             A_edge = channelwise_tp_optimized(Y, h_j, R, self.tp_table)
@@ -196,8 +193,8 @@ class MACE(Module):
         masked_cutoff: Optional[float],
     ) -> Tensor:
         """Per-graph energies from atom positions: edge geometry → mask
-        → :meth:`message_passing`, the one path of :meth:`forward` and
-        the force plans.
+        and radial basis → :meth:`message_passing`, the one path of
+        :meth:`forward` and the force plans.
 
         The harmonics of every edge outside ``0 < r <= masked_cutoff``
         (no upper bound when it is ``None``) are zeroed.  The channelwise
@@ -212,8 +209,9 @@ class MACE(Module):
         r = edge_lengths(vec)
         mask = within_cutoff(r, masked_cutoff).reshape((r.shape[0], 1))
         Y = edge_spherical_harmonics(vec, self.cfg.lmax_sh) * mask
+        basis = bessel_basis(r, self.cfg.n_radial_basis, self.cfg.cutoff)
         return self.message_passing(
-            species_idx, (send, recv), graph_index, n_graphs, Y, r=r
+            species_idx, (send, recv), graph_index, n_graphs, Y, basis
         )
 
     def message_passing(
@@ -223,15 +221,14 @@ class MACE(Module):
         graph_index,
         n_graphs: int,
         Y: Tensor,
-        r: Optional[Tensor] = None,
-        basis: Optional[Tensor] = None,
+        basis: Tensor,
     ) -> Tensor:
         """Per-graph energies from edge features: everything in
         :meth:`forward` downstream of the geometry.
 
-        ``Y`` is the ``(E, (lmax_sh+1)^2)`` edge harmonics; the radial
-        input is the edge lengths ``r`` or their precomputed Bessel
-        ``basis`` (see :meth:`featurize`).  The index operands —
+        ``Y`` is the ``(E, (lmax_sh+1)^2)`` edge harmonics and ``basis``
+        the ``(E, n_radial_basis)`` Bessel x envelope features of the edge
+        lengths, evaluated once for every layer.  The index operands —
         ``species_idx``, the ``(send, recv)`` rows of ``edge_index`` and
         ``graph_index`` — are integer arrays (structural constants of
         the recorded graph) or integer Tensors, which a compiled plan
@@ -250,9 +247,7 @@ class MACE(Module):
 
         site_energy = gather_rows(self.species_energy, species_idx)  # (N,)
         for t in range(cfg.n_layers):
-            h = getattr(self, f"layer{t}")(
-                h, Y, edge_index, species_idx, r=r, basis=basis
-            )
+            h = getattr(self, f"layer{t}")(h, Y, edge_index, species_idx, basis)
             invariant = h[:, :, 0]  # (N, K) degree-0 part
             if t < cfg.n_layers - 1:
                 contrib = getattr(self, f"readout{t}")(invariant)
@@ -433,7 +428,7 @@ class MACE(Module):
             species, send, recv, graph_index, Y, basis = inputs
             with no_grad():
                 out = self.message_passing(
-                    species, (send, recv), graph_index, batch.n_graphs, Y, basis=basis
+                    species, (send, recv), graph_index, batch.n_graphs, Y, basis
                 )
             return ([out.numpy()], []), dict(outputs=(out,), inputs=inputs, owner=self)
 

@@ -9,8 +9,6 @@ the per-edge, per-path weights ``R^(t)_{ji,k l1 l2 l3}`` of Algorithm 2.
 from __future__ import annotations
 
 import math
-from typing import Optional
-
 import numpy as np
 
 from ..autograd.engine import Function, Tensor
@@ -93,20 +91,14 @@ class RadialNetwork(Module):
         hidden: tuple,
         channels: int,
         n_paths: int,
-        cutoff: float,
         rng: np.random.Generator,
     ) -> None:
         super().__init__()
-        self.n_basis = n_basis
-        self.cutoff = cutoff
         self.channels = channels
         self.n_paths = n_paths
         self.mlp = MLP([n_basis, *hidden, channels * n_paths], rng=rng)
 
-    def forward(self, r: Optional[Tensor], basis: Optional[Tensor] = None) -> Tensor:
-        """Path weights from edge lengths ``r``, or from a precomputed
-        ``bessel_basis`` of them (``r`` is then unused and may be None)."""
-        if basis is None:
-            basis = bessel_basis(r, self.n_basis, self.cutoff)
+    def forward(self, basis: Tensor) -> Tensor:
+        """Path weights from the ``bessel_basis`` of the edge lengths."""
         flat = self.mlp(basis)  # (E, K * n_paths)
         return flat.reshape((flat.shape[0], self.channels, self.n_paths))

@@ -280,7 +280,7 @@ class Trainer:
             inputs = tuple(Tensor(a) for a in self._loss_inputs(batch))
         species, send, recv, graph_index, Y, basis, counts, target, weights = inputs
         energies = self.model.message_passing(
-            species, (send, recv), graph_index, batch.n_graphs, Y, basis=basis
+            species, (send, recv), graph_index, batch.n_graphs, Y, basis
         )
         pred_norm = (energies / counts - self.scaler.mean_per_atom) / self.scaler.std_per_atom
         diff = pred_norm - target

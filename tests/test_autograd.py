@@ -26,6 +26,7 @@ from repro.autograd import (
     weighted_mse,
     where,
 )
+from repro.autograd.ops import scatter_rows
 
 
 class TestTensorBasics:
@@ -330,3 +331,36 @@ def test_property_segment_sum_conserves_mass(seg_ids):
     x = np.random.default_rng(0).standard_normal((len(seg_ids), 2))
     out = segment_sum(Tensor(x), np.array(seg_ids), 4)
     np.testing.assert_allclose(out.numpy().sum(), x.sum(), atol=1e-10)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    n_rows=st.integers(0, 8),
+    n_entries=st.integers(0, 16),
+    trailing=st.sampled_from([(), (1,), (3,), (2, 3)]),
+    strided=st.booleans(),
+    with_out=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_property_scatter_rows_is_add_at_bitwise(
+    n_rows, n_entries, trailing, strided, with_out, seed
+):
+    """The one segment-sum primitive equals ``np.add.at`` bit for bit:
+    zero entries, rows no entry maps to (atoms without edges, ghost
+    atoms), 1-D values, non-contiguous values and ``out=``.  Values span
+    sixteen decades, so any other summation order would show."""
+    rng = np.random.default_rng(seed)
+    if n_rows == 0:
+        n_entries = 0  # nothing can land in zero rows
+    index = rng.integers(0, max(n_rows, 1), n_entries)
+    shape = (n_entries, 2) + trailing
+    wide = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    values = wide[:, 1] if strided else np.ascontiguousarray(wide[:, 1])
+    ref = np.zeros((n_rows,) + trailing)
+    np.add.at(ref, index, values)
+    out = np.full(ref.shape, np.nan) if with_out else None
+    got = scatter_rows(values, index, n_rows, out=out)
+    if with_out:
+        assert got is out
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()

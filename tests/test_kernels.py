@@ -385,38 +385,26 @@ class TestRandomizedEquivalence:
 
 
 class TestSegmentPlan:
-    """Both realizations of the precomputed segment reduction agree."""
+    """The kernels' precomputed scatter matrices and reduction tables."""
 
-    def test_gemm_and_reduceat_realizations_match(self, rng):
-        from dataclasses import replace
-
-        from repro.kernels.symmetric_contraction import _segment_plan
-
-        rows = rng.integers(0, 7, 23)
-        plan = _segment_plan(rows, 7)
-        assert plan.select is not None  # tiny plans pick the dense GEMM
-        src = rng.standard_normal((rows.size, 11))
-        dense = plan.scatter(src)
-        sparse_plan = replace(plan, select=None)
-        np.testing.assert_allclose(dense, sparse_plan.scatter(src), atol=1e-12)
-        dst_a = rng.standard_normal((7, 11))
-        dst_b = dst_a.copy()
-        plan.scatter_add(dst_a, src)
-        sparse_plan.scatter_add(dst_b, src)
-        np.testing.assert_allclose(dst_a, dst_b, atol=1e-12)
-
-    def test_wide_plans_skip_dense_matrix(self, rng):
-        from repro.kernels.symmetric_contraction import (
-            _SELECT_DENSE_MAX,
-            _segment_plan,
-        )
-
-        n_dst = _SELECT_DENSE_MAX  # rows * n_dst overflows the budget
-        plan = _segment_plan(np.array([0, 1, 1, n_dst - 1]), n_dst)
-        assert plan.select is None
-        out = plan.scatter(np.ones((4, 2)))
-        assert out.shape == (n_dst, 2)
-        assert out[1, 0] == 2.0 and out[n_dst - 1, 0] == 1.0
+    @pytest.mark.parametrize("config", [(2, 3, 1), (2, 2, 2), (1, 3, 1)])
+    def test_level_scatters_match_select_gemm(self, rng, config):
+        """Each prefix-chain level's CSR scatters equal the dense 0/1
+        selection GEMM the kernel used to run, to 1e-12."""
+        spec = sym_contraction_spec(*config)
+        dim = sh_dim(config[0])
+        levels = [level for forest in spec.forests for level in forest.levels]
+        assert levels
+        for level in levels:
+            assert level.new_scatter.shape == (dim, level.new_col.size)
+            for rows, S in (
+                (level.new_col, level.new_scatter),
+                (level.prev_map, level.prev_scatter),
+            ):
+                select = np.zeros(S.shape)
+                select[rows, np.arange(rows.size)] = 1.0
+                src = rng.standard_normal((rows.size, 208))
+                np.testing.assert_allclose(S @ src, select @ src, rtol=0, atol=1e-12)
 
     def test_tp_pair_reduction_consistent_with_entries(self):
         """reduce_y folds exactly the table's non-zero CG entries."""
