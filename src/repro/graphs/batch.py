@@ -35,8 +35,7 @@ def bucket_size(n: int) -> int:
     scale, with a floor of 8 on the step so small extents (graphs per
     batch, toy systems) still share buckets.  The one rule behind every
     padded shape in the repository, applied by :func:`pad_to_bucket` to
-    training batches, served micro-batches and MD candidate batches
-    alike.
+    training batches, served micro-batches and MD force batches alike.
     """
     n = int(n)
     step = max(8, 1 << max(n.bit_length() - 4, 0))
@@ -64,14 +63,6 @@ class GraphBatch:
         ``(n_graphs,)`` reference energies (NaN where unlabeled).
     capacity:
         Token capacity the batch was packed into (0 = no fixed capacity).
-    masked_cutoff:
-        When set, ``edge_index`` is a candidate superset (the Verlet-skin
-        candidates of :class:`repro.md.MACECalculator`) rather than the
-        exact within-cutoff set, and the model masks every edge longer
-        than this radius so it contributes exactly zero; the radius is
-        burned into force plans and part of their key.  ``None``
-        (default) means the edges are already exact.  Either way the
-        zero-length ghost edges of :func:`pad_to_bucket` are masked too.
     ghost_atoms, ghost_edges, ghost_graphs:
         Trailing entries of the atom / edge / graph arrays that are
         bucket padding (:func:`pad_to_bucket`); all zero on an exact
@@ -101,7 +92,6 @@ class GraphBatch:
     n_graphs: int
     energies: np.ndarray
     capacity: int = 0
-    masked_cutoff: "float | None" = None
     ghost_atoms: int = 0
     ghost_edges: int = 0
     ghost_graphs: int = 0
@@ -198,8 +188,8 @@ def pad_to_bucket(batch: GraphBatch) -> GraphBatch:
     real one when the atoms sit exactly at their bucket) with zero
     shift, so every ghost edge has length exactly ``0.0``.  Real entries
     keep their order, so sums over them are unchanged bit for bit;
-    ``capacity`` and ``masked_cutoff`` carry over.  Nothing here makes a
-    ghost vanish by itself: consumers zero the harmonics of zero-length
+    ``capacity`` carries over.  Nothing here makes a ghost vanish by
+    itself: consumers zero the harmonics of zero-length
     edges (:meth:`repro.mace.MACE.featurize` gives ghost edges zero
     feature rows, the force path masks ``r == 0``), give ghost graphs
     zero loss weight (:class:`repro.training.Trainer`), which makes
@@ -239,7 +229,6 @@ def pad_to_bucket(batch: GraphBatch) -> GraphBatch:
         n_graphs=n_graphs + ghost_graphs,
         energies=np.concatenate([batch.energies, np.zeros(ghost_graphs)]),
         capacity=batch.capacity,
-        masked_cutoff=batch.masked_cutoff,
         ghost_atoms=ghost_atoms,
         ghost_edges=ghost_edges,
         ghost_graphs=ghost_graphs,

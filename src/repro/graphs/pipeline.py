@@ -253,18 +253,6 @@ class NeighborListCache:
         graph.edge_shift = self._cand_shift[within]
         return rebuilt
 
-    def candidate_edges(self):
-        """The current candidate set ``(index, shift)`` at ``cutoff + skin``.
-
-        Fixed between rebuilds (the arrays are reused by identity), which
-        is what lets :class:`repro.md.MACECalculator` build its padded
-        candidate batch once per rebuild.  Raises if no query has been
-        served yet.
-        """
-        if self._cand_index is None:
-            raise ValueError("no candidate list yet; call update() first")
-        return self._cand_index, self._cand_shift
-
     @property
     def reuse_fraction(self) -> float:
         """Fraction of queries served without a rebuild."""

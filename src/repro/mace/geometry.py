@@ -14,9 +14,6 @@ finite-difference forward evaluations an FD Jacobian would need.
 
 from __future__ import annotations
 
-import math
-from typing import Optional
-
 import numpy as np
 
 from ..autograd.engine import Function, Tensor
@@ -103,34 +100,32 @@ def edge_spherical_harmonics(vec: Tensor, lmax: int) -> Tensor:
 
 
 class _WithinCutoff(Function):
-    """Indicator ``1.0 where 0 < r <= cutoff else 0.0`` per edge.
+    """Indicator ``1.0 where r > 0 else 0.0`` per edge.
 
+    Every real edge of a batch lies within the cutoff by construction
+    (neighbor lists are exact), so the only edges this zeroes are the
+    zero-length ghost self-edges of :func:`repro.graphs.pad_to_bucket`.
     :meth:`repro.mace.MACE.forward` and the force plans multiply the
-    edge harmonics by this mask, so an edge it zeroes contributes
-    exactly ``0.0`` to energies and forces (the channelwise TP is
-    linear in the harmonics): real edges beyond a candidate batch's
-    ``masked_cutoff`` (Verlet skin) and the zero-length ghost self-edges
-    of :func:`repro.graphs.pad_to_bucket`.  The indicator is piecewise
-    constant in ``r``: its derivative is zero almost everywhere, so
-    backward propagates no gradient (the model's energy is already
-    discontinuous at edge-set changes).
+    edge harmonics by it, and the channelwise TP is linear in the
+    harmonics, so a ghost edge contributes exactly ``0.0`` to energies
+    and forces.  The indicator is piecewise constant in ``r``: its
+    derivative is zero almost everywhere, so backward propagates no
+    gradient.
     """
 
     supports_out = True  # (E,) -> (E,): elementwise, out never aliases r
 
-    def forward(self, r, cutoff: float, out=None):
+    def forward(self, r, out=None):
         if out is None:
             out = np.empty(r.shape, dtype=r.dtype)
-        positive = r > 0.0
-        np.less_equal(r, cutoff, out=out)
-        out *= positive
+        np.greater(r, 0.0, out=out)
         return out
 
     def backward(self, grad):
         return (None,)
 
 
-def within_cutoff(r: Tensor, cutoff: Optional[float]) -> Tensor:
-    """``(E,)`` float indicator of non-zero-length edges within ``cutoff``
-    (``None``: no upper bound)."""
-    return _WithinCutoff.apply(r, cutoff=math.inf if cutoff is None else cutoff)
+def within_cutoff(r: Tensor) -> Tensor:
+    """``(E,)`` float indicator of the edges of non-zero length: the real
+    edges of a padded batch, as opposed to its ghosts."""
+    return _WithinCutoff.apply(r)

@@ -178,7 +178,6 @@ class MACE(Module):
             batch.edge_shift,
             batch.graph_index,
             batch.n_graphs,
-            batch.masked_cutoff,
         )
 
     def _energies(
@@ -190,24 +189,19 @@ class MACE(Module):
         edge_shift,
         graph_index,
         n_graphs: int,
-        masked_cutoff: Optional[float],
     ) -> Tensor:
         """Per-graph energies from atom positions: edge geometry → mask
         and radial basis → :meth:`message_passing`, the one path of
         :meth:`forward` and the force plans.
 
-        The harmonics of every edge outside ``0 < r <= masked_cutoff``
-        (no upper bound when it is ``None``) are zeroed.  The channelwise
-        TP is linear in them, so the Verlet-skin edges of a candidate
-        batch and the zero-length ghost self-edges of
+        The harmonics of every zero-length edge are zeroed.  The
+        channelwise TP is linear in them, so the ghost self-edges of
         :func:`~repro.graphs.pad_to_bucket` contribute exactly ``0.0`` to
-        energies and forces.  The mask is part of the recorded graph: a
-        replay recomputes it from the current positions, tracking edges
-        that cross the cutoff.
+        energies and forces.
         """
         vec = edge_vectors(positions, (send, recv), edge_shift)
         r = edge_lengths(vec)
-        mask = within_cutoff(r, masked_cutoff).reshape((r.shape[0], 1))
+        mask = within_cutoff(r).reshape((r.shape[0], 1))
         Y = edge_spherical_harmonics(vec, self.cfg.lmax_sh) * mask
         basis = bessel_basis(r, self.cfg.n_radial_basis, self.cfg.cutoff)
         return self.message_passing(
@@ -263,11 +257,9 @@ class MACE(Module):
         vectors, lengths, spherical harmonics and the Bessel x envelope
         radial basis — once, without a tape, and stores the harmonics and
         the basis as ``batch.edge_sh`` / ``batch.edge_radial``.  Ghost
-        edges (:func:`repro.graphs.pad_to_bucket`) get zero rows, and the
-        harmonics of the other edges outside ``0 < r <= masked_cutoff``
-        are zeroed (the mask of :meth:`forward`): the channelwise TP is
-        linear in the harmonics, so their messages are exactly ``0.0``
-        with no mask op in the plan.  The features are a
+        edges (:func:`repro.graphs.pad_to_bucket`) get zero rows: the
+        channelwise TP is linear in the harmonics, so their messages are
+        exactly ``0.0`` with no mask op in the plan.  The features are a
         snapshot of the batch's geometry at this call: whoever edits
         ``positions`` or the edge arrays afterwards must call it again.
         Pure NumPy on thread-local engine state, so the streaming
@@ -286,7 +278,6 @@ class MACE(Module):
                 edge_spherical_harmonics(vec, cfg.lmax_sh),
                 bessel_basis(r, cfg.n_radial_basis, cfg.cutoff),
             )
-            features[0].data[within_cutoff(r, batch.masked_cutoff).data == 0.0] = 0.0
         batch.edge_sh, batch.edge_radial = (
             np.concatenate([f.data, np.zeros((batch.ghost_edges, f.shape[1]))])
             for f in features
@@ -354,9 +345,9 @@ class MACE(Module):
         is captured once per *shape bucket* and replayed thereafter, as
         in :meth:`predict_energy`: positions, species rows, edge senders
         / receivers / shifts and graph membership are replay inputs, and
-        the key adds only what the recorded graph burns in — the padded
-        graph count and ``masked_cutoff`` — so later MD steps, Verlet
-        rebuilds and other systems of a seen bucket all replay.
+        the key adds only the padded graph count, which the recorded
+        graph burns in, so every MD step whose exact edge set stays in
+        a seen bucket, and every other system of that bucket, replays.
         ``batch`` is a bucket-padded one (``ghost_graphs > 0``, what
         :func:`~repro.graphs.pad_to_bucket` returns), taken as it is, or
         an exact one, padded here afresh on every call.  The compiled
@@ -380,7 +371,7 @@ class MACE(Module):
         def eager():
             positions = Tensor(arrays[0].copy(), requires_grad=True)
             inputs = (positions,) + tuple(Tensor(a) for a in arrays[1:])
-            energies = self._energies(*inputs, batch.n_graphs, batch.masked_cutoff)
+            energies = self._energies(*inputs, batch.n_graphs)
             total = energies.sum()
             total.backward()
             return ([energies.numpy()], [positions.grad]), dict(
@@ -394,7 +385,7 @@ class MACE(Module):
         if cache is None:
             (energies,), (grad,) = eager()[0]
         else:
-            key = ("forces", self, batch.n_graphs, batch.masked_cutoff)
+            key = ("forces", self, batch.n_graphs)
             (energies,), (grad, *_) = cache.run(key, arrays, eager)
         return (
             energies[: batch.n_graphs - batch.ghost_graphs],

@@ -38,15 +38,13 @@ class MACECalculator:
     the batch's shape bucket and every step of a trajectory whose edge
     count stays in one bucket replays it.
 
-    With a ``cutoff`` the batch holds the Verlet *candidate* edges at
-    ``cutoff + skin``, fixed between neighbor-list rebuilds, with
-    ``masked_cutoff = cutoff``: the model zeroes the harmonics of
-    candidates beyond the cutoff, so results equal the exact edge set
-    while the batch's shapes stay put.  It is built once per rebuild
-    (``collate`` → ``masked_cutoff`` → ``pad_to_bucket``) and each step
-    only writes positions into it, so its index arrays stay the same
-    objects from step to step.  Without a ``cutoff`` the graph's own
-    edges are collated and padded afresh every call.
+    Every call collates and pads the graph's own exact within-cutoff
+    edges.  With a ``cutoff`` the calculator first refreshes them
+    through its Verlet-skin cache, which re-filters the candidates at
+    ``cutoff + skin`` every step and rebuilds them only after enough
+    drift; the skin sets that rebuild cadence and nothing else, since
+    the model never sees a candidate beyond the cutoff.  Without a
+    ``cutoff`` the graph must arrive with its edges built.
 
     Parameters
     ----------
@@ -86,48 +84,18 @@ class MACECalculator:
         )
         self.plan_cache = resolve_plan_cache(compiled)
         self.edge_capacity = 0
-        self._built = -1  # neighbor_cache.rebuilds the candidate batch was built at
-        self._candidates = None  # padded candidate batch, reused between rebuilds
 
     def energy_and_forces(self, graph: MolecularGraph) -> Tuple[float, np.ndarray]:
         if self.neighbor_cache is not None:
-            batch = self._candidate_batch(graph)
-        elif graph.has_edges:
-            batch = pad_to_bucket(collate([graph]))
-        else:
+            self.neighbor_cache.update(graph)
+        elif not graph.has_edges:
             raise ValueError("graph needs a neighbor list")
+        batch = pad_to_bucket(collate([graph]))
         self.edge_capacity = batch.n_edges
         energies, forces = self.model.energy_and_forces(
             batch, compiled=self.plan_cache
         )
         return float(energies[0]), forces
-
-    def _candidate_batch(self, graph: MolecularGraph):
-        """The padded candidate batch of ``graph`` at its current positions
-        (also attaches the exact edges to ``graph``)."""
-        cache = self.neighbor_cache
-        cache.update(graph)
-        if self._built != cache.rebuilds:
-            index, shift = cache.candidate_edges()
-            candidates = collate(
-                [
-                    MolecularGraph(
-                        graph.positions,
-                        graph.species,
-                        cell=graph.cell,
-                        pbc=graph.pbc,
-                        edge_index=index,
-                        edge_shift=shift,
-                        system=graph.system,
-                    )
-                ]
-            )
-            candidates.masked_cutoff = cache.cutoff
-            self._candidates = pad_to_bucket(candidates)
-            self._built = cache.rebuilds
-        batch = self._candidates
-        batch.positions[: graph.n_atoms] = graph.positions
-        return batch
 
 
 class ReferenceCalculator:

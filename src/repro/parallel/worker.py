@@ -156,8 +156,6 @@ class ForwardTask:
     model ``version``: the batch is padded to its shape bucket and bound
     to that bucket's plan as replay inputs, so a worker captures once
     per bucket and a respawned one needs the ``InstallModel`` log alone.
-    ``masked_cutoff`` marks a candidate-edge batch whose over-long edges
-    must be masked.
 
     ``result`` optionally names a driver-allocated slab segment of shape
     ``(n_graphs,)``; the energies are written there and the returned
@@ -178,7 +176,6 @@ class ForwardTask:
     version: int
     batch: Dict[str, Any]
     n_graphs: int
-    masked_cutoff: Optional[float] = None
     result: Optional[ArrayHandle] = None
 
     def run(self, ctx: WorkerContext) -> Dict[str, Any]:
@@ -189,7 +186,6 @@ class ForwardTask:
         batch = GraphBatch(
             **{name: np.asarray(ctx._array(ref)) for name, ref in self.batch.items()},
             n_graphs=self.n_graphs,
-            masked_cutoff=self.masked_cutoff,
         )
         energies = model.predict_energy(batch, compiled=ctx.plan_caches[self.version])
         out: Dict[str, Any] = {

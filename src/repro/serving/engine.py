@@ -369,7 +369,6 @@ class InferenceEngine:
                 version=self.model_version,
                 batch=payload,
                 n_graphs=gb.n_graphs,
-                masked_cutoff=gb.masked_cutoff,
                 result=result,
             ),
             worker=worker,

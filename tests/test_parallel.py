@@ -19,7 +19,6 @@ The contracts under test (this PR's tentpole):
 import os
 import signal
 import time
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -189,33 +188,6 @@ class TestExecutors:
                 )
             stats = ex._contexts[0].plan_caches[0].stats()
         assert stats["captures"] == stats["verified"] == 2 and stats["hits"] == 2
-
-    def test_masked_candidate_batch_is_masked_on_the_worker(self, model):
-        """``masked_cutoff`` rides the task: a Verlet candidate superset
-        answers like the exact edge set it contains."""
-        from repro.graphs import MolecularGraph, build_neighbor_list
-
-        rng = np.random.default_rng(3)
-        g = MolecularGraph(rng.uniform(0.0, 4.0, (12, 3)), rng.choice([1, 8], 12))
-        exact = collate([build_neighbor_list(g, cutoff=3.0)])
-        wide = collate([build_neighbor_list(g, cutoff=4.0)])
-        assert wide.n_edges > exact.n_edges
-        masked = MACE(replace(CFG, cutoff=3.0), seed=0)
-        with make_executor("serial", 1) as ex:
-            ex.install(InstallModel(version=0, model=masked))
-            ex.submit(
-                ForwardTask(
-                    task_id="m",
-                    version=0,
-                    batch=_batch_payload(wide),
-                    n_graphs=1,
-                    masked_cutoff=3.0,
-                )
-            )
-            res = ex.drain()["m"]
-        np.testing.assert_allclose(
-            res["energies"], masked.predict_energy(exact), atol=1e-12
-        )
 
     def test_install_log_compaction(self, model):
         ex = SerialExecutor(1)
