@@ -356,12 +356,14 @@ def verify_plan(plan, strict: bool = True) -> Dict[str, int]:
         _, last_use, members, donations = _liveness_core(plan)
         legal = {(i, donor) for i, donor, _ in donations}
         class_last = list(last_use)
-        for cls in members.values():
+        storage = list(range(len(last_use)))  # slot -> its alias class's root
+        for root, cls in members.items():
             if len(cls) < 2:
                 continue
             t = max(last_use[m] for m in cls)
             for m in cls:
                 class_last[m] = max(class_last[m], t)
+                storage[m] = root
 
         for i, instr in donor_instrs:
             where = f"forward[{i}] {_op_name(instr)}"
@@ -417,18 +419,19 @@ def verify_plan(plan, strict: bool = True) -> Dict[str, int]:
         # may host several slots over the program, but their storage
         # lifetimes must be disjoint — except the in-place handoff of a
         # donation, where the new occupant starts exactly where the
-        # donor's lifetime ends.
+        # donor's lifetime ends.  Buffers are held per alias class, so a
+        # donation through a view of a buffer's occupant is audited too.
         occupants: Dict[int, List[tuple]] = {}  # lint: allow-id-keyed-dict
-        holder: Dict[int, int] = {}  # slot -> id(buffer) backing its value
+        holder: Dict[int, int] = {}  # alias root -> id(buffer) backing it
         buffer_of: Dict[int, np.ndarray] = {}  # lint: allow-id-keyed-dict
         for i, instr in enumerate(plan._forward):
             out = instr.out_slot
             donor = getattr(instr, "donor_slot", None)
             if donor is not None:
-                buf_id = holder.get(donor)
+                buf_id = holder.get(storage[donor])
                 if buf_id is None:
                     continue  # donor storage is dynamic; nothing static to audit
-                via = donor
+                via = storage[donor]
             elif instr.out_buffer is not None:
                 buf_id = id(instr.out_buffer)  # lint: allow-id-keyed-dict
                 buffer_of[buf_id] = instr.out_buffer
@@ -436,13 +439,13 @@ def verify_plan(plan, strict: bool = True) -> Dict[str, int]:
             else:
                 continue
             occupants.setdefault(buf_id, []).append((i, class_last[out], out, via))
-            holder[out] = buf_id
+            holder[storage[out]] = buf_id
         for entries in occupants.values():
             entries.sort()
             for (p_def, p_end, p_slot, _), (c_def, c_end, c_slot, c_via) in zip(
                 entries, entries[1:]
             ):
-                handoff = c_via == p_slot and p_end <= c_def
+                handoff = c_via == storage[p_slot] and p_end <= c_def
                 if p_end >= c_def and not handoff:
                     _fail(
                         "plan",

@@ -70,6 +70,10 @@ class MACEWorkloadModel:
 
     Defaults correspond to the paper's production run: 128 channels,
     spherical harmonics to l=3, max L=2, message body order 4 (nu=3).
+    Every layer is charged at ``l_hidden`` on both sides, although
+    :class:`repro.mace.MACE` runs its first layer on scalar inputs and
+    its last on invariant outputs; the simulated figures and the serving
+    virtual schedule thus stay those of the uniform-degree model.
     """
 
     channels: int = 128

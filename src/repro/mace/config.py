@@ -25,8 +25,11 @@ class MACEConfig:
     lmax_sh:
         Highest spherical-harmonic degree of the edge attributes (paper: 3).
     l_hidden:
-        Highest degree of the hidden node features (paper: 1, i.e.
-        ``0e + 1o``).
+        Highest degree of the node features passed *between* interaction
+        layers (paper: 1, i.e. ``0e + 1o``).  The first layer reads only
+        the scalar species embedding and the last writes only the
+        invariants the readout uses, so with one layer ``l_hidden`` is
+        unused.
     l_atomic_basis:
         Truncation of the atomic basis ``A`` built by the channelwise TP
         (paper: max L = 2).

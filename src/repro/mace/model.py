@@ -2,16 +2,20 @@
 
 Architecture (paper Figure 2):
 
-1. **Embedding** — species -> channel features (degree-0 block of ``h``);
+1. **Embedding** — species -> scalar channel features ``(N, K, 1)``;
    edge displacements -> spherical harmonics + Bessel radial features.
 2. **Interaction** (x ``n_layers``) — channelwise tensor product of edge
    harmonics with sender features, weighted by a radial MLP (Algorithm 2),
-   pooled over neighborhoods into the atomic basis ``A_{i,klm}``.
+   pooled over neighborhoods into the atomic basis ``A_{i,klm}``.  Each
+   layer reads features up to degree ``l_in``: 0 for the first layer,
+   which sees only the embedding, ``l_hidden`` after it.
 3. **Product** — symmetric tensor contraction of ``A`` up to correlation
    order ``nu`` (Algorithm 3) followed by an equivariant linear update with
-   a residual connection.
-4. **Readout** — intermediate layers: linear on the invariant part; final
-   layer: MLP.  Per-atom energies are pooled per graph.
+   a residual connection at ``min(l_in, l_out)``.  Each layer writes
+   features up to degree ``l_out``: ``l_hidden``, except 0 for the last
+   layer, whose only reader is the invariant readout.
+4. **Readout** — intermediate layers: linear on the invariant (degree-0)
+   part; final layer: MLP.  Per-atom energies are pooled per graph.
 
 The ``kernel_variant`` config switch selects baseline vs optimized
 implementations of Algorithms 2-3 — everything else is shared, which is
@@ -54,13 +58,23 @@ __all__ = ["MACE", "InteractionLayer"]
 
 
 class InteractionLayer(Module):
-    """One MACE interaction + product block (Figure 2 c-d)."""
+    """One MACE interaction + product block (Figure 2 c-d).
 
-    def __init__(self, cfg: MACEConfig, rng: np.random.Generator) -> None:
+    ``l_in`` caps the degree of the node features the layer reads and
+    ``l_out`` the degree it writes: the channelwise TP takes sender
+    features up to ``l_in``, the symmetric contraction and ``linear_msg``
+    make messages up to ``l_out``, and the residual ``linear_skip`` runs
+    at ``min(l_in, l_out)``, adding into that low-degree prefix of the
+    output.  :class:`MACE` sets them from the layer's position.
+    """
+
+    def __init__(
+        self, cfg: MACEConfig, rng: np.random.Generator, l_in: int, l_out: int
+    ) -> None:
         super().__init__()
         self.cfg = cfg
         K = cfg.num_channels
-        self.tp_table = channelwise_tp_table(cfg.lmax_sh, cfg.l_hidden, cfg.l_atomic_basis)
+        self.tp_table = channelwise_tp_table(cfg.lmax_sh, l_in, cfg.l_atomic_basis)
         self.radial = RadialNetwork(
             cfg.n_radial_basis,
             cfg.radial_mlp_hidden,
@@ -69,7 +83,7 @@ class InteractionLayer(Module):
             rng,
         )
         self.linear_A = EquivariantLinear(K, K, cfg.l_atomic_basis, rng=rng)
-        self.sc_spec = sym_contraction_spec(cfg.l_atomic_basis, cfg.correlation, cfg.l_hidden)
+        self.sc_spec = sym_contraction_spec(cfg.l_atomic_basis, cfg.correlation, l_out)
         scale = 1.0 / math.sqrt(max(self.sc_spec.total_nnz(), 1))
         for i, (nu, L, n_paths) in enumerate(weight_layout(self.sc_spec)):
             setattr(
@@ -77,8 +91,8 @@ class InteractionLayer(Module):
                 f"product_weight_{i}",
                 Parameter(rng.standard_normal((cfg.n_species, K, n_paths)) * scale),
             )
-        self.linear_msg = EquivariantLinear(K, K, cfg.l_hidden, rng=rng)
-        self.linear_skip = EquivariantLinear(K, K, cfg.l_hidden, rng=rng)
+        self.linear_msg = EquivariantLinear(K, K, l_out, rng=rng)
+        self.linear_skip = EquivariantLinear(K, K, min(l_in, l_out), rng=rng)
 
     def _product_weights(self) -> List[Parameter]:
         return [
@@ -94,7 +108,8 @@ class InteractionLayer(Module):
         species_idx,
         basis: Tensor,
     ) -> Tensor:
-        """One interaction + product block.
+        """One interaction + product block: ``(N, K, (l_in+1)^2)`` node
+        features in, ``(N, K, (l_out+1)^2)`` out.
 
         The radial weights come from the edge lengths' Bessel ``basis``.
         ``species_idx`` and the ``edge_index`` rows are integer arrays,
@@ -117,7 +132,12 @@ class InteractionLayer(Module):
             msg = symmetric_contraction_optimized(A, species_idx, weights, self.sc_spec)
         else:
             msg = symmetric_contraction_baseline(A, species_idx, weights, self.sc_spec)
-        return self.linear_msg(msg) + self.linear_skip(h)
+        out = self.linear_msg(msg)
+        d = sh_dim(self.linear_skip.lmax)
+        skip = self.linear_skip(h if h.shape[2] == d else h[:, :, :d])
+        if out.shape[2] == d:
+            return out + skip
+        return concatenate([out[:, :, :d] + skip, out[:, :, d:]], axis=2)
 
 
 class MACE(Module):
@@ -143,8 +163,11 @@ class MACE(Module):
         self._species_lut = np.full(max(cfg.species) + 2, -1, dtype=np.int64)
         self._species_lut[list(cfg.species)] = np.arange(cfg.n_species)
         self.embedding = Embedding(cfg.n_species, K, rng=rng)
+        last = cfg.n_layers - 1
         for t in range(cfg.n_layers):
-            setattr(self, f"layer{t}", InteractionLayer(cfg, rng))
+            l_in = 0 if t == 0 else cfg.l_hidden
+            l_out = 0 if t == last else cfg.l_hidden
+            setattr(self, f"layer{t}", InteractionLayer(cfg, rng, l_in, l_out))
         for t in range(cfg.n_layers - 1):
             setattr(self, f"readout{t}", Linear(K, 1, rng=rng))
         self.readout_final = MLP([K, cfg.readout_mlp_hidden, 1], rng=rng)
@@ -232,12 +255,8 @@ class MACE(Module):
         """
         cfg = self.cfg
         n_atoms = species_idx.shape[0]
-        # Embedding: degree-0 block carries the species embedding.
-        h0 = self.embedding(species_idx)  # (N, K)
-        zeros = Tensor(np.zeros((n_atoms, cfg.num_channels, sh_dim(cfg.l_hidden) - 1)))
-        h = concatenate(
-            [h0.reshape((n_atoms, cfg.num_channels, 1)), zeros], axis=2
-        )
+        # The species embedding: the scalar features the first layer reads.
+        h = self.embedding(species_idx).reshape((n_atoms, cfg.num_channels, 1))
 
         site_energy = gather_rows(self.species_energy, species_idx)  # (N,)
         for t in range(cfg.n_layers):

@@ -778,11 +778,13 @@ class CompiledPlan:
             last_use = [iv.last_use for iv in report.intervals]
             # A buffer stays pinned while *any* view of its storage lives.
             class_last = list(last_use)
+            storage = list(range(len(tensors)))  # slot -> its alias class's root
             out_set = set(output_slots)
             for cls in report.alias_classes:
                 t = max(last_use[m] for m in cls)
                 for m in cls:
                     class_last[m] = max(class_last[m], t)
+                    storage[m] = cls[0]
                 if any(m in out_set for m in cls):
                     excluded.update(cls)
             donate_at: Dict[int, object] = {}
@@ -791,9 +793,11 @@ class CompiledPlan:
             # Storage requests: [def_time, end_time, size64, instr, shape,
             # dtype, offset].  A donated output occupies its donor's
             # storage in place, extending that request's lifetime instead
-            # of opening a new one.
+            # of opening a new one.  Requests are held per alias class, so
+            # a donation through a view (a reshaped matmul result scaled
+            # in place) extends the request backing the view's base.
             requests: List[list] = []
-            holder: Dict[int, list] = {}  # slot -> request backing its value
+            holder: Dict[int, list] = {}  # alias root -> request backing it
             for i, instr in enumerate(forward):
                 fn = instr.fn
                 out = instr.out_slot
@@ -803,10 +807,10 @@ class CompiledPlan:
                 if d is not None and fn.out_alias_safe:
                     instr.donor_slot = d.donor
                     donated_trail.append((i, type(fn).__name__, d.donor, out))
-                    req = holder.get(d.donor)
+                    req = holder.get(storage[d.donor])
                     if req is not None:
                         req[1] = max(req[1], class_last[out])
-                        holder[out] = req
+                        holder[storage[out]] = req
                     continue
                 shape = self.meta.slot_shapes[out]
                 dtype = self.meta.slot_dtypes[out]
@@ -814,7 +818,7 @@ class CompiledPlan:
                 size64 = (nbytes + 63) & ~63  # cache-line granularity
                 req = [i, max(class_last[out], i), size64, instr, shape, dtype, 0]
                 requests.append(req)
-                holder[out] = req
+                holder[storage[out]] = req
             # Offset assignment: greedy by size, largest block first, each
             # at the lowest offset whose bytes are free over the block's
             # whole lifetime.  All buffers are then views into ONE slab,

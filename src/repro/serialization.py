@@ -30,7 +30,9 @@ __all__ = ["save_model", "load_model"]
 
 _CONFIG_KEY = "__mace_config_json__"
 _VERSION_KEY = "__repro_checkpoint_version__"
-_VERSION = 1
+# 2: the first layer reads scalars and the last writes invariants only,
+# which changed parameter shapes; version-1 archives do not load.
+_VERSION = 2
 
 
 def save_model(model: MACE, path: Union[str, Path]) -> Path:

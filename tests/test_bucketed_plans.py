@@ -13,6 +13,7 @@ ignore ghost atoms bit for bit.
 
 import hashlib
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,6 +42,10 @@ CFG = MACEConfig(
     species=(1, 6, 8),
 )
 TOL = 1e-10
+# One layer reads and writes scalars only; three put a middle layer at
+# ``l_hidden`` on both sides between the scalar-input first layer and the
+# invariant-output last one.
+LAYER_COUNTS = pytest.mark.parametrize("n_layers", [1, 3])
 
 
 def random_graph(rng, n_atoms: int, periodic: bool) -> MolecularGraph:
@@ -61,9 +66,9 @@ def random_bin(rng, sizes) -> list:
     return [random_graph(rng, n, periodic=bool(rng.integers(2))) for n in sizes]
 
 
-def eager_unpadded(graphs, indices, weighting="per_atom"):
+def eager_unpadded(graphs, indices, weighting="per_atom", cfg=CFG):
     """Loss and parameter gradients of the exact batch on the eager tape."""
-    ref = Trainer(MACE(CFG, seed=0), graphs, plan_cache=None, loss_weighting=weighting)
+    ref = Trainer(MACE(cfg, seed=0), graphs, plan_cache=None, loss_weighting=weighting)
     loss = ref._batch_loss(ref.model.featurize(collate([graphs[i] for i in indices])))
     loss.backward()
     return loss.item(), [p.grad for p in ref.model.parameters()]
@@ -79,10 +84,10 @@ def replayed(trainer, indices):
     return loss, [p.grad.copy() for p in trainer.model.parameters()]
 
 
-def assert_matches(graphs, weighting="per_atom"):
-    trainer = Trainer(MACE(CFG, seed=0), graphs, loss_weighting=weighting)
+def assert_matches(graphs, weighting="per_atom", cfg=CFG):
+    trainer = Trainer(MACE(cfg, seed=0), graphs, loss_weighting=weighting)
     loss, grads = replayed(trainer, range(len(graphs)))
-    ref_loss, ref_grads = eager_unpadded(graphs, range(len(graphs)), weighting)
+    ref_loss, ref_grads = eager_unpadded(graphs, range(len(graphs)), weighting, cfg)
     assert abs(loss - ref_loss) < TOL
     for (name, _), g, r in zip(trainer.model.named_parameters(), grads, ref_grads):
         np.testing.assert_allclose(g, r, rtol=0.0, atol=TOL, err_msg=name)
@@ -129,6 +134,11 @@ class TestBucketedReplayMatchesEagerUnpadded:
         seven = assert_matches(graphs[:7])._collate(range(7))
         eight = assert_matches(graphs)._collate(range(8))
         assert seven.n_graphs == 8 and eight.n_graphs == 16
+
+    @LAYER_COUNTS
+    def test_layer_counts(self, n_layers):
+        rng = np.random.default_rng(1100 + n_layers)
+        assert_matches(random_bin(rng, [5, 11, 17]), cfg=replace(CFG, n_layers=n_layers))
 
 
 class TestGhostsContributeExactlyZero:
@@ -358,6 +368,12 @@ class TestServedEnergiesMatchUnbatchedEager:
         assert pad_to_bucket(collate(graphs)).n_graphs == 16
         self._assert_served(graphs[:7])
         self._assert_served(graphs)
+
+    @LAYER_COUNTS
+    def test_layer_counts(self, n_layers):
+        self.model = MACE(replace(CFG, n_layers=n_layers), seed=0)
+        rng = np.random.default_rng(2100 + n_layers)
+        self._assert_served(random_bin(rng, [3, 9, 14]))
 
 
 class TestServedEnergiesOnePlanPerBucket:
@@ -624,6 +640,12 @@ class TestForcesMatchEagerUnpadded:
         self._assert_matches(graphs[:7])
         self._assert_matches(graphs)
         assert self.cache.captures == 2  # 8 and 16 graph slots
+
+    @LAYER_COUNTS
+    def test_layer_counts(self, n_layers):
+        self.model = MACE(replace(CFG, n_layers=n_layers), seed=0)
+        rng = np.random.default_rng(3100 + n_layers)
+        self._assert_matches(random_bin(rng, [3, 9, 14]))
 
 
 class TestForcesOnePlanPerBucket:

@@ -34,6 +34,11 @@ from repro.kernels.channelwise_tp import (
 )
 
 TP_TABLE = channelwise_tp_table(2, 1, 2)
+GRAD_MASKS = pytest.mark.parametrize(
+    "mask",
+    [(True, True, True), (False, True, True), (True, False, True), (True, True, False)],
+    ids=["all", "no-Y", "no-h", "no-R"],
+)
 SC_SPEC = sym_contraction_spec(2, 3, 1)
 
 
@@ -145,11 +150,7 @@ class TestEdgeTiles:
     buffer must reproduce the baseline."""
 
     @pytest.mark.parametrize("use_out", [False, True], ids=["fresh", "out"])
-    @pytest.mark.parametrize(
-        "mask",
-        [(True, True, True), (False, True, True), (True, False, True), (True, True, False)],
-        ids=["all", "no-Y", "no-h", "no-R"],
-    )
+    @GRAD_MASKS
     @pytest.mark.parametrize("K", [1, 3])
     @pytest.mark.parametrize("E", [0, 1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
     def test_matches_baseline(self, E, K, mask, use_out, rng):
@@ -179,6 +180,47 @@ class TestEdgeTiles:
                 np.testing.assert_allclose(ga, gb, atol=1e-10)
             else:
                 assert ga is None
+
+    @pytest.mark.parametrize(
+        "fn_cls",
+        [_ChannelwiseTPBaseline, _ChannelwiseTPOptimized],
+        ids=["baseline", "optimized"],
+    )
+    @GRAD_MASKS
+    @pytest.mark.parametrize("E", [0, 1, TILE - 1, TILE, TILE + 1])
+    def test_scalar_input_matches_zero_padded(self, E, mask, fn_cls, rng):
+        """A layer reading scalars runs ``table(2, 0, 2)`` on ``h[..., :1]``:
+        bitwise what ``table(2, 1, 2)`` gives on the zero-padded ``h``,
+        whatever the radial weights of its dead paths hold, and those
+        paths' ``gR`` is exactly 0."""
+        K = 3
+        scalar = channelwise_tp_table(2, 0, 2)
+        live = [TP_TABLE.paths.index(p) for p in scalar.paths]
+        dead = [p for p in range(TP_TABLE.num_paths) if p not in live]
+        Y = rng.standard_normal((E, sh_dim(2)))
+        h0 = rng.standard_normal((E, K, 1))
+        h = np.concatenate([h0, np.zeros((E, K, sh_dim(1) - 1))], axis=2)
+        R = rng.standard_normal((E, K, TP_TABLE.num_paths))
+        g = rng.standard_normal((E, K, sh_dim(2)))
+        results = []
+        for table, h_in, R_in in ((TP_TABLE, h, R), (scalar, h0, R[:, :, live])):
+            fn = fn_cls()
+            out = fn.forward(Y, h_in, R_in, table)
+            fn.grad_mask = mask
+            results.append((out, fn.backward(g)[:3]))
+        (out_full, (gY_full, gh_full, gR_full)), (out, (gY, gh, gR)) = results
+        np.testing.assert_array_equal(out, out_full)
+        for need, small, full in (
+            (mask[0], gY, gY_full),
+            (mask[1], gh, None if gh_full is None else gh_full[:, :, :1]),
+            (mask[2], gR, None if gR_full is None else gR_full[:, :, live]),
+        ):
+            if need:
+                np.testing.assert_array_equal(small, full)
+            else:
+                assert small is None and full is None
+        if mask[2]:
+            assert not np.any(gR_full[:, :, dead])
 
     def test_scratch_stays_tile_sized(self):
         """One eager forward+backward at MD size holds less than one
@@ -289,6 +331,37 @@ class TestSymmetricContraction:
             Tensor(3.0 * A.numpy()), species, weights, SC_SPEC
         ).numpy()
         np.testing.assert_allclose(out2, 9.0 * out1, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "fn", [symmetric_contraction_baseline, symmetric_contraction_optimized]
+    )
+    def test_invariant_spec_is_the_L0_slice(self, fn, rng):
+        """A last layer makes only invariants with ``spec(2, 3, 0)``: bitwise
+        the ``L = 0`` slice of ``spec(2, 3, 1)`` given that spec's ``L = 0``
+        weights, on the output and on ``gA`` and ``gW``."""
+        invariant = sym_contraction_spec(2, 3, 0)
+        keep = [i for i, (_, L, _) in enumerate(weight_layout(SC_SPEC)) if L == 0]
+        assert weight_layout(invariant) == [weight_layout(SC_SPEC)[i] for i in keep]
+        A, species, weights = _sc_inputs(rng, N=7, K=3)
+        A.requires_grad = True
+        for w in weights:
+            w.requires_grad = True
+        g = rng.standard_normal((7, 3, 1))
+        results = []
+        for spec, ws, g_out in (
+            (SC_SPEC, weights, np.concatenate([g, np.zeros((7, 3, 3))], axis=2)),
+            (invariant, [weights[i] for i in keep], g),
+        ):
+            for t in (A, *weights):
+                t.zero_grad()
+            out = fn(A, species, ws, spec)
+            out.backward(g_out)
+            results.append((out.numpy()[:, :, :1], A.grad.copy(), [w.grad.copy() for w in ws]))
+        (out_full, gA_full, gW_full), (out, gA, gW) = results
+        np.testing.assert_array_equal(out, out_full)
+        np.testing.assert_array_equal(gA, gA_full)
+        for i, gw in zip(keep, gW):
+            np.testing.assert_array_equal(gw, gW_full[i])
 
     def test_input_validation(self, rng):
         A, species, weights = _sc_inputs(rng)

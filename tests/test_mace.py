@@ -1,6 +1,7 @@
 """Tests for the MACE model: radial basis, geometry ops, symmetries, forces."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,6 +20,9 @@ from repro.mace import (
 )
 
 CFG = MACEConfig(num_channels=4, lmax_sh=2, l_atomic_basis=2, correlation=2)
+# The repo benchmark's training and MD models.
+BENCH_CFG = MACEConfig(num_channels=8, lmax_sh=2, l_atomic_basis=2, correlation=2)
+BENCH_MD_CFG = replace(BENCH_CFG, num_channels=16, correlation=3)
 
 
 @pytest.fixture(scope="module")
@@ -232,6 +236,37 @@ class TestMACEModel:
         model = MACE(CFG, seed=0)
         n = model.num_parameters()
         assert 1000 < n < 100000
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [BENCH_CFG, BENCH_MD_CFG, replace(BENCH_CFG, n_layers=1), replace(BENCH_CFG, n_layers=3)],
+        ids=["bench", "bench-md", "1-layer", "3-layer"],
+    )
+    def test_every_parameter_is_live(self, cfg, small_graphs):
+        """One energy backward reaches every parameter array and every
+        radial output column: the first layer reads only scalars and the
+        last makes only the invariants the readout uses, so no weight
+        multiplies structural zeros or feeds a discarded degree."""
+        model = MACE(cfg, seed=0)
+        model.forward(collate(small_graphs[:3])).sum().backward()
+        dead = [name for name, p in model.named_parameters() if not np.any(p.grad)]
+        assert dead == []
+        for t in range(cfg.n_layers):
+            mlp = getattr(model, f"layer{t}").radial.mlp
+            grad = getattr(mlp, f"layer{mlp.n_layers - 1}").weight.grad
+            assert np.all(np.any(grad, axis=0)), f"layer{t}"
+
+    def test_layers_run_at_the_degrees_they_read_and_write(self):
+        """Layer 0's TP takes scalar senders (3 paths, 9 CG entries), the
+        last layer's product makes only ``L = 0``, a middle layer runs at
+        ``l_hidden`` on both sides."""
+        model = MACE(replace(BENCH_CFG, n_layers=3), seed=0)
+        first, middle, last = model.layer0, model.layer1, model.layer2
+        assert (first.tp_table.l2max, first.tp_table.num_paths, first.tp_table.nnz) == (0, 3, 9)
+        assert first.radial.mlp.layer2.weight.shape[1] == 8 * 3
+        assert middle.tp_table.l2max == 1 and middle.sc_spec.L_max == 1
+        assert last.sc_spec.L_max == 0 and last.linear_msg.lmax == 0
+        assert [layer.linear_skip.lmax for layer in (first, middle, last)] == [0, 1, 0]
 
     def test_state_dict_roundtrip_changes_nothing(self, water_batch):
         model = MACE(CFG, seed=0)

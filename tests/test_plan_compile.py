@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import functional as F
-from repro.autograd.engine import Tensor
+from repro.autograd.engine import Tensor, no_grad
 from repro.autograd.gradcheck import check_gradients, numerical_gradient
 from repro.analysis.lint import lint_paths
 from repro.analysis.liveness import analyze_liveness
@@ -114,6 +114,24 @@ def _train_step_plan(optimize):
     return plan, trainer.model
 
 
+def _readout_sum_plan(rng):
+    """``g + k * r0 + k * r1 + k * r2`` with ``r_t = (x @ W_t + 1)`` flattened,
+    the per-layer readout sum of a three-layer model: each middle
+    ``k * r_t`` is donated the storage of its matmul *through* the
+    reshape view and stays live until the final sum, while later matmuls
+    take arena buffers."""
+    x = Tensor(rng.standard_normal((6, 4)))
+    g = Tensor(rng.standard_normal(24))
+    k = Tensor(np.array([1.5]), requires_grad=True)
+    weights = [Tensor(rng.standard_normal((4, 4)), requires_grad=True) for _ in range(3)]
+    with record_tape() as tape, no_grad():
+        total = g
+        for W in weights:
+            total = total + k * (x @ W + 1.0).reshape((24,))
+        out = total.sum()
+    return CompiledPlan(tape, outputs=(out,), inputs=(x, g)), x, g, out
+
+
 def _fresh_forward_arrays(plan):
     """Forward instructions whose result lands at a new address on a
     second pass.  Arena-backed, donated and view results reuse their
@@ -188,6 +206,16 @@ class TestArenaPlanning:
         # replay on different data leaves the first results intact.
         assert np.all(out1 != out2)
         np.testing.assert_array_equal(g1, g1.copy())
+
+    def test_donation_through_a_view_keeps_its_storage_live(self, rng):
+        plan, x, g, out = _readout_sum_plan(rng)
+        views = {i.out_slot for i in plan._forward if type(i.fn).__name__ == "Reshape"}
+        # k * r1 and k * r2 write into r_t (k * r0 is fused into the sum).
+        assert sum(donor in views for _, _, donor, _ in plan.meta.donated) == 2
+        verify_plan(plan)
+        for _ in range(2):
+            (replayed,), _ = plan.replay(x.data, g.data)
+            assert replayed == out.data
 
     def test_donation_never_corrupts_saved_arrays(self, rng):
         # Mul saves its operands for backward; a donation that overwrote a
@@ -281,6 +309,16 @@ class TestDonationAudit:
         shared = np.empty((8, 5))
         plan._forward[0].out_buffer = shared
         plan._forward[1].out_buffer = shared  # reads forward[0]'s output: live
+        with pytest.raises(PlanInvalid, match="still live"):
+            verify_plan(plan)
+
+    def test_reuse_of_storage_donated_through_a_view_rejected(self, rng):
+        plan, _, _, _ = _readout_sum_plan(rng)
+        matmuls = [i for i in plan._forward if type(i.fn).__name__ == "MatMul"]
+        # The second matmul's storage ends up holding k * r1 (donated
+        # through the reshape view) until the final sum; handing it to the
+        # third matmul clobbers that value.
+        matmuls[2].out_buffer = matmuls[1].out_buffer
         with pytest.raises(PlanInvalid, match="still live"):
             verify_plan(plan)
 

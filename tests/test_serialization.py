@@ -41,6 +41,20 @@ class TestRoundTrip:
         with pytest.raises(ValueError, match="unsupported checkpoint version 99"):
             load_model(path)
 
+    def test_version_1_archive_refused_before_its_state_is_read(self, tmp_path):
+        """Version 1 stored the last layer's ``L = 1`` weights, which the
+        current layout lacks: the version check refuses it with a
+        ``ValueError`` instead of ``load_state_dict`` raising ``KeyError``."""
+        assert serialization._VERSION == 2
+        path = save_model(MACE(CFG, seed=0), tmp_path / "m.npz")
+        with np.load(path) as archive:
+            payload = {k: archive[k] for k in archive.files}
+        payload["layer1.linear_msg.weight_l1"] = np.zeros((4, 4))
+        payload[serialization._VERSION_KEY] = np.array([1])
+        np.savez_compressed(path, **payload)
+        with pytest.raises(ValueError, match="^unsupported checkpoint version 1$"):
+            load_model(path)
+
     def test_non_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "junk.npz"
         np.savez_compressed(path, stuff=np.arange(3))
