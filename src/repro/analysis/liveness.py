@@ -1,7 +1,8 @@
 """Buffer liveness, view aliasing and donation legality for compiled plans.
 
-This pass produces the artifact ROADMAP item 2 (op fusion / ``out=``
-buffer donation / arena planning) consumes: for every value slot of a
+This pass produces the artifact the plan compiler's op fusion, ``out=``
+buffer donation and arena planning (:mod:`repro.runtime.plan`) consume:
+for every value slot of a
 :class:`~repro.runtime.plan.CompiledPlan`, the interval of program time
 during which its buffer must stay intact, plus the alias structure that
 makes overwriting it legal or not.

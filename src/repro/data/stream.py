@@ -2,7 +2,7 @@
 
 Once compiled plans dominate step time, one background thread is enough
 to hide batch construction (shard read + neighbor-list filtering +
-collation + bucket padding + the parameter-free edge geometry, all
+bucket-shaped collation + the parameter-free edge geometry, all
 inside the ``fetch`` callable — typically ``Trainer._collate`` routed
 through ``CollateCache``) behind the previous batch's compute.  :class:`StreamingLoader` runs the epoch plan's
 ``fetch`` calls on that thread into a bounded queue (``depth`` slots —
@@ -89,7 +89,7 @@ class StreamingLoader:
         Must be safe to run concurrently with the consumer's compute;
         ``Trainer._collate`` qualifies because during a streamed epoch
         only this thread touches the collate cache, the dataset maps and
-        the cached batches' ``padded`` slot, and the geometry it computes runs
+        the cached batches' ``features`` memo, and the geometry it computes runs
         without a tape on thread-local engine/counter state.
     depth:
         Queue capacity — the number of batches fetched ahead.  2 is

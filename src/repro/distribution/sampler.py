@@ -118,9 +118,11 @@ class _EpochPlanMixin:
     ) -> List:
         """Collated :class:`GraphBatch` list for ``rank``'s epoch plan.
 
-        Each batch is stamped with its bin's capacity so padding metrics
-        (objective 4) survive materialization; with a ``cache``, bins
-        whose composition was seen before reuse the cached batch.
+        Each batch is bucket-shaped (:func:`repro.graphs.collate`) and
+        its real atoms are checked against its bin's capacity; the
+        paper's padding metric (objective 4) comes from the plan, via
+        :func:`~repro.distribution.evaluate_bins`.  With a ``cache``,
+        bins whose composition was seen before reuse the cached batch.
         """
         return materialize_epoch(self, graphs, epoch, rank, cache=cache)
 

@@ -7,7 +7,7 @@ from .neighborlist import (
     build_neighbor_list,
     cell_list_neighbor_list,
 )
-from .batch import GraphBatch, bucket_size, collate, pad_to_bucket
+from .batch import GraphBatch, bucket_size, collate
 from .pipeline import (
     DEFAULT_SKIN,
     CollateCache,
@@ -22,7 +22,6 @@ __all__ = [
     "GraphBatch",
     "collate",
     "bucket_size",
-    "pad_to_bucket",
     "build_neighbor_list",
     "brute_force_neighbor_list",
     "cell_list_neighbor_list",

@@ -3,16 +3,19 @@
 Graph neural network libraries combine many small graphs into one batch by
 stacking adjacency structure block-diagonally (paper Figure 3): atom arrays
 are concatenated and edge indices offset so each graph stays an isolated
-component.  The batch additionally records *padding*: when the batch is
-allocated at a fixed token capacity (the bin size ``C`` of the load
-balancer), any capacity not filled by real atoms is zero-padded memory —
-the quantity objective (4) of the bin-packing formulation minimizes.
+component.
 
 Compiled execution plans (:mod:`repro.runtime`) are specific to array
-*shapes*, and every reshuffled training batch has its own.
-:func:`pad_to_bucket` rounds a batch's atom, edge and graph extents up
-to :func:`bucket_size` with ghost entries that contribute exactly zero,
-so the few buckets an epoch visits recur and their plans replay.
+*shapes*, and every reshuffled training batch has its own.  So a batch
+is born bucket-shaped: :func:`collate` allocates its atom, edge and
+graph arrays at :func:`bucket_size` extents, writes the member graphs
+as a prefix and fills the rest with ghost entries that contribute
+exactly zero, so the few buckets an epoch visits recur and their plans
+replay.  :meth:`GraphBatch.real` is the exact batch, as views of that
+prefix.  The paper's padding (objective 4: a bin filled short of its
+capacity ``C``) is a planning quantity and lives in
+:func:`repro.distribution.evaluate_bins`; ``collate`` only checks that
+a bin's real atoms fit it.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .molecular_graph import MolecularGraph
 
-__all__ = ["GraphBatch", "bucket_size", "collate", "pad_to_bucket"]
+__all__ = ["GraphBatch", "bucket_size", "collate"]
 
 
 def bucket_size(n: int) -> int:
@@ -34,7 +37,7 @@ def bucket_size(n: int) -> int:
     ``2**(floor(log2 n) - 3)``, so padding stays under 12.5% at any
     scale, with a floor of 8 on the step so small extents (graphs per
     batch, toy systems) still share buckets.  The one rule behind every
-    padded shape in the repository, applied by :func:`pad_to_bucket` to
+    padded shape in the repository, applied by :func:`collate` to
     training batches, served micro-batches and MD force batches alike.
     """
     n = int(n)
@@ -44,44 +47,35 @@ def bucket_size(n: int) -> int:
 
 @dataclass
 class GraphBatch:
-    """A block-diagonal batch of molecular graphs.
+    """A block-diagonal batch of molecular graphs at its shape bucket.
 
     Attributes
     ----------
     positions, species:
-        Concatenated per-atom arrays over all member graphs.
+        Per-atom arrays: the member graphs' atoms, then the ghost atoms.
     edge_index:
         ``(2, n_edges)`` with per-graph vertex offsets applied.
     edge_shift:
         ``(n_edges, 3)`` periodic shift vectors.
     graph_index:
-        ``(n_atoms,)`` id of the member graph owning each atom (for
-        per-graph energy pooling).
+        ``(n_atoms,)`` id of the graph owning each atom (for per-graph
+        energy pooling).
     n_graphs:
-        Number of member graphs.
+        Number of graphs, ghost graphs included.
     energies:
         ``(n_graphs,)`` reference energies (NaN where unlabeled).
-    capacity:
-        Token capacity the batch was packed into (0 = no fixed capacity).
     ghost_atoms, ghost_edges, ghost_graphs:
         Trailing entries of the atom / edge / graph arrays that are
-        bucket padding (:func:`pad_to_bucket`); all zero on an exact
-        batch.  ``n_atoms``, ``n_edges`` and ``n_graphs`` are array
-        extents and include them.
-    edge_sh, edge_radial:
-        Parameter-free edge features — spherical harmonics ``(E, d)``
-        and Bessel x envelope ``(E, n_basis)`` — attached by
-        :meth:`repro.mace.MACE.featurize`, with zero rows on ghost
-        edges.  ``None`` until featurized.
-    padded:
-        Memo slot for batches owned by a
-        :class:`~repro.graphs.CollateCache`: ``(model, batch)`` — this
-        batch's bucket-padded, featurized form and the model whose edge
-        features it carries — kept here by
-        :meth:`repro.mace.MACE.padded_twin` so the padded form is
-        cached, shared and evicted with the entry.  Cached
-        batches are shared objects and are never edited in place: mutate
-        the *graphs* and the cache key's fingerprint yields a new batch.
+        bucket padding (see :func:`collate`).  ``n_atoms``, ``n_edges``
+        and ``n_graphs`` are array extents and include them;
+        :meth:`real` drops them.
+    features:
+        Edge-feature memo of a :class:`~repro.graphs.CollateCache`-owned
+        batch, filled by :meth:`repro.mace.MACE.featurize` and evicted
+        with the entry; ``None`` on every other batch, which is
+        featurized afresh on every call.  Cached batches are shared and
+        never edited in place: mutate the *graphs* and the cache key's
+        fingerprint yields a new batch.
     """
 
     positions: np.ndarray
@@ -91,13 +85,10 @@ class GraphBatch:
     graph_index: np.ndarray
     n_graphs: int
     energies: np.ndarray
-    capacity: int = 0
     ghost_atoms: int = 0
     ghost_edges: int = 0
     ghost_graphs: int = 0
-    edge_sh: Optional[np.ndarray] = None
-    edge_radial: Optional[np.ndarray] = None
-    padded: Optional[tuple] = field(default=None, repr=False, compare=False)
+    features: Optional[dict] = field(default=None, repr=False, compare=False)
 
     @property
     def n_atoms(self) -> int:
@@ -108,19 +99,21 @@ class GraphBatch:
     def n_edges(self) -> int:
         return int(self.edge_index.shape[1])
 
-    @property
-    def padding(self) -> int:
-        """Zero-padded tokens when allocated at ``capacity``."""
-        if self.capacity <= 0:
-            return 0
-        return max(self.capacity - (self.n_atoms - self.ghost_atoms), 0)
-
-    @property
-    def padding_fraction(self) -> float:
-        """Padding as a fraction of capacity (0 when capacity unset)."""
-        if self.capacity <= 0:
-            return 0.0
-        return self.padding / self.capacity
+    def real(self) -> "GraphBatch":
+        """The exact batch: every array's real prefix, as views of this
+        batch's arrays (no copies), with no ghost entries."""
+        a = self.n_atoms - self.ghost_atoms
+        e = self.n_edges - self.ghost_edges
+        g = self.n_graphs - self.ghost_graphs
+        return GraphBatch(
+            positions=self.positions[:a],
+            species=self.species[:a],
+            edge_index=self.edge_index[:, :e],
+            edge_shift=self.edge_shift[:e],
+            graph_index=self.graph_index[:a],
+            n_graphs=g,
+            energies=self.energies[:g],
+        )
 
     def displacement_vectors(self) -> np.ndarray:
         """Edge displacement vectors r_ji = pos[j] + shift - pos[i]."""
@@ -128,14 +121,54 @@ class GraphBatch:
         return self.positions[send] + self.edge_shift - self.positions[recv]
 
 
+def _with_ghosts(parts, extent: int, fill, axis: int = 0) -> np.ndarray:
+    """``parts`` concatenated along ``axis`` as the prefix of an array
+    ``extent`` long there, whose remaining entries are ``fill``."""
+    shape = list(parts[0].shape)
+    shape[axis] = extent
+    out = np.empty(shape, dtype=np.result_type(*{p.dtype for p in parts}))
+    n = sum(p.shape[axis] for p in parts)
+    lead = (slice(None),) * axis
+    np.concatenate(parts, axis=axis, out=out[lead + (slice(0, n),)])
+    out[lead + (slice(n, None),)] = fill
+    return out
+
+
 def collate(
     graphs: Sequence[MolecularGraph],
     capacity: int = 0,
 ) -> GraphBatch:
-    """Assemble graphs into one :class:`GraphBatch` (Figure 3's operation).
+    """Assemble graphs into one bucket-shaped :class:`GraphBatch`
+    (Figure 3's operation).
 
-    Every graph must already carry a neighbor list.  ``capacity`` records
-    the bin size used to pack the batch so padding can be accounted.
+    Every graph must already carry a neighbor list.  The member graphs'
+    arrays are the prefix of arrays allocated at their shape bucket, and
+    the rest are ghosts by one convention:
+
+    - atoms are padded to ``bucket_size(n_atoms)`` with ghost atoms
+      (copies of atom 0's species at the origin) that all belong to the
+      first of ``bucket_size(n_graphs + 1) - n_graphs`` ghost graphs —
+      at least one;
+    - edges are padded to ``bucket_size(n_edges)`` with ghost self-edges
+      on the last atom (a real one when the atoms sit exactly at their
+      bucket) with zero shift, so every ghost edge has length exactly
+      ``0.0``;
+    - ghost graphs carry energy ``0.0``, so label checks still see only
+      real ``NaN`` s.
+
+    Real entries keep their order, so sums over them are unchanged bit
+    for bit.  Nothing here makes a ghost vanish by itself: consumers
+    zero the harmonics of zero-length edges
+    (:meth:`repro.mace.MACE.featurize` gives ghost edges zero feature
+    rows, the force path masks ``r == 0``), give ghost graphs zero loss
+    weight (:class:`repro.training.Trainer`), which makes their
+    contributions exactly ``0.0``, and drop ghost graphs' energies and
+    ghost atoms' forces (:meth:`repro.mace.MACE.predict_energy`,
+    :meth:`repro.mace.MACE.energy_and_forces`).
+
+    ``capacity`` is the bin size ``C`` the batch was packed into (0 =
+    none): a batch whose *real* atoms exceed it raises, whatever its
+    bucket.
     """
     if not graphs:
         raise ValueError("cannot collate an empty list of graphs")
@@ -146,90 +179,50 @@ def collate(
                 "call build_neighbor_list first"
             )
     n_atoms = np.array([g.n_atoms for g in graphs], dtype=np.int64)
+    real_atoms = int(n_atoms.sum())
+    if capacity and real_atoms > capacity:
+        raise ValueError(
+            f"batch holds {real_atoms} tokens, over capacity {capacity}"
+        )
+    real_edges = sum(g.n_edges for g in graphs)
+    n_graphs = len(graphs)
+    atoms = bucket_size(real_atoms)
+    edges = bucket_size(real_edges)
+    graph_slots = bucket_size(n_graphs + 1)
     offsets = np.cumsum(n_atoms) - n_atoms  # per-graph vertex offsets
-    energies = np.array(
-        [np.nan if g.energy is None else g.energy for g in graphs]
-    )
-    batch = GraphBatch(
-        positions=np.concatenate([g.positions for g in graphs], axis=0),
-        species=np.concatenate([g.species for g in graphs], axis=0),
-        edge_index=np.concatenate(
-            [g.edge_index + off for g, off in zip(graphs, offsets)], axis=1
+    return GraphBatch(
+        positions=_with_ghosts([g.positions for g in graphs], atoms, 0.0),
+        species=_with_ghosts(
+            [g.species for g in graphs], atoms, graphs[0].species[0]
         ),
-        edge_shift=np.concatenate(
+        edge_index=_with_ghosts(
+            [g.edge_index + off for g, off in zip(graphs, offsets)],
+            edges,
+            atoms - 1,
+            axis=1,
+        ),
+        edge_shift=_with_ghosts(
             [
                 g.edge_shift
                 if g.edge_shift is not None
                 else np.zeros((g.n_edges, 3))
                 for g in graphs
             ],
-            axis=0,
+            edges,
+            0.0,
         ),
-        graph_index=np.repeat(np.arange(len(graphs), dtype=np.int64), n_atoms),
-        n_graphs=len(graphs),
-        energies=energies,
-        capacity=capacity,
-    )
-    if capacity and batch.n_atoms > capacity:
-        raise ValueError(
-            f"batch holds {batch.n_atoms} tokens, over capacity {capacity}"
-        )
-    return batch
-
-
-def pad_to_bucket(batch: GraphBatch) -> GraphBatch:
-    """``batch`` padded to its shape bucket with zero-contribution ghosts.
-
-    Atoms are padded to ``bucket_size(n_atoms)`` with ghost atoms (copies
-    of atom 0's species at the origin) that all belong to the first of
-    ``bucket_size(n_graphs + 1) - n_graphs`` ghost graphs — at least one,
-    so ``ghost_graphs > 0`` marks a padded batch; edges are padded to
-    ``bucket_size(n_edges)`` with ghost self-edges on the last atom (a
-    real one when the atoms sit exactly at their bucket) with zero
-    shift, so every ghost edge has length exactly ``0.0``.  Real entries
-    keep their order, so sums over them are unchanged bit for bit;
-    ``capacity`` carries over.  Nothing here makes a ghost vanish by
-    itself: consumers zero the harmonics of zero-length
-    edges (:meth:`repro.mace.MACE.featurize` gives ghost edges zero
-    feature rows, the force path masks ``r == 0``), give ghost graphs
-    zero loss weight (:class:`repro.training.Trainer`), which makes
-    their contributions exactly ``0.0``, and drop ghost graphs' energies
-    and ghost atoms' forces (:meth:`repro.mace.MACE.predict_energy`,
-    :meth:`repro.mace.MACE.energy_and_forces`).  Ghost graphs carry
-    energy ``0.0`` so label checks still see only real ``NaN`` s.
-    """
-    n_atoms, n_edges, n_graphs = batch.n_atoms, batch.n_edges, batch.n_graphs
-    ghost_atoms = bucket_size(n_atoms) - n_atoms
-    ghost_edges = bucket_size(n_edges) - n_edges
-    ghost_graphs = bucket_size(n_graphs + 1) - n_graphs
-    last_atom = n_atoms + ghost_atoms - 1
-    return GraphBatch(
-        positions=np.concatenate(
-            [batch.positions, np.zeros((ghost_atoms, 3), dtype=batch.positions.dtype)]
+        graph_index=_with_ghosts(
+            [np.repeat(np.arange(n_graphs, dtype=np.int64), n_atoms)],
+            atoms,
+            n_graphs,
         ),
-        species=np.concatenate(
-            [batch.species, np.full(ghost_atoms, batch.species[0])]
+        n_graphs=graph_slots,
+        energies=_with_ghosts(
+            [np.array([np.nan if g.energy is None else g.energy for g in graphs])],
+            graph_slots,
+            0.0,
         ),
-        edge_index=np.concatenate(
-            [
-                batch.edge_index,
-                np.full((2, ghost_edges), last_atom, dtype=batch.edge_index.dtype),
-            ],
-            axis=1,
-        ),
-        edge_shift=np.concatenate(
-            [
-                batch.edge_shift,
-                np.zeros((ghost_edges, 3), dtype=batch.edge_shift.dtype),
-            ]
-        ),
-        graph_index=np.concatenate(
-            [batch.graph_index, np.full(ghost_atoms, n_graphs, dtype=np.int64)]
-        ),
-        n_graphs=n_graphs + ghost_graphs,
-        energies=np.concatenate([batch.energies, np.zeros(ghost_graphs)]),
-        capacity=batch.capacity,
-        ghost_atoms=ghost_atoms,
-        ghost_edges=ghost_edges,
-        ghost_graphs=ghost_graphs,
+        ghost_atoms=atoms - real_atoms,
+        ghost_edges=edges - real_edges,
+        ghost_graphs=graph_slots - n_graphs,
     )

@@ -1,8 +1,8 @@
 """Cached graph pipeline: Verlet-skin neighbor lists and batch reuse.
 
 The load balancer (Algorithm 1) only pays off when mini-batch
-*construction* — neighbor lists, block-diagonal collation, padding at
-capacity ``C`` — is not itself the bottleneck.  This module adds the two
+*construction* — neighbor lists, block-diagonal collation at the batch's
+shape bucket — is not itself the bottleneck.  This module adds the two
 caches that take batch construction off the hot path:
 
 * :class:`NeighborListCache` — a Verlet-skin neighbor list.  The list is
@@ -36,9 +36,10 @@ caches that take batch construction off the hot path:
   evicted on the spot.  :meth:`CollateCache.clear` remains available to
   free all memory at once.
 
-Padding accounting is preserved: cached batches carry the ``capacity``
-they were packed into, so the bin-packing padding metrics (objective 4)
-are unaffected by reuse.
+An entry is one bucket-shaped batch (:func:`~repro.graphs.collate`)
+plus the memo of its edge features (``GraphBatch.features``, filled by
+:meth:`repro.mace.MACE.featurize`), so a hit hands every consumer the
+arrays its compiled plan binds without re-collating or re-featurizing.
 """
 
 from __future__ import annotations
@@ -373,6 +374,7 @@ class CollateCache:
             self._store.pop(old_key, None)
         self._current[prefix] = key
         batch = collate([graphs[i] for i in key[1]], capacity=capacity)
+        batch.features = {}  # cache-owned: its edge features are memoized
         self._store[key] = batch
         if self.maxsize is not None and len(self._store) > self.maxsize:
             evicted_key, _ = self._store.popitem(last=False)
@@ -429,10 +431,9 @@ def materialize_epoch(
 ) -> List[GraphBatch]:
     """Materialize one rank's epoch plan into :class:`GraphBatch` objects.
 
-    Per-bin capacities from the plan (see :func:`epoch_plan_bins`) are
-    recorded on each batch so padding metrics survive materialization.
-    With a ``cache``, repeated bin compositions across epochs reuse
-    collated batches.
+    Each batch is checked against its bin's capacity from the plan (see
+    :func:`epoch_plan_bins`).  With a ``cache``, repeated bin
+    compositions across epochs reuse collated batches.
     """
     batches = []
     for bin_indices, capacity in epoch_plan_bins(sampler, epoch, rank):

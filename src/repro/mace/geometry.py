@@ -41,7 +41,7 @@ def edge_vectors(positions: Tensor, edge_index, edge_shift) -> Tensor:
     listing them among its inputs rebinds the edge set per replay — the
     force plans do, so one plan serves every edge set of a shape bucket
     (see :meth:`repro.mace.MACE.energy_and_forces`).  A ghost self-edge
-    of :func:`repro.graphs.pad_to_bucket` (``send == recv``, zero shift)
+    of :func:`repro.graphs.collate` (``send == recv``, zero shift)
     has the exact zero vector ``p - p + 0``.
     """
     send, recv = edge_index
@@ -104,7 +104,7 @@ class _WithinCutoff(Function):
 
     Every real edge of a batch lies within the cutoff by construction
     (neighbor lists are exact), so the only edges this zeroes are the
-    zero-length ghost self-edges of :func:`repro.graphs.pad_to_bucket`.
+    zero-length ghost self-edges of :func:`repro.graphs.collate`.
     :meth:`repro.mace.MACE.forward` and the force plans multiply the
     edge harmonics by it, and the channelwise TP is linear in the
     harmonics, so a ghost edge contributes exactly ``0.0`` to energies

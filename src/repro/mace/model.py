@@ -34,7 +34,7 @@ from ..autograd.engine import no_grad
 from ..autograd.ops import concatenate
 from ..equivariant.spherical_harmonics import sh_dim
 from ..runtime import PlanCache
-from ..graphs.batch import GraphBatch, pad_to_bucket
+from ..graphs.batch import GraphBatch
 from ..kernels import (
     channelwise_tp_baseline,
     channelwise_tp_optimized,
@@ -219,7 +219,7 @@ class MACE(Module):
 
         The harmonics of every zero-length edge are zeroed.  The
         channelwise TP is linear in them, so the ghost self-edges of
-        :func:`~repro.graphs.pad_to_bucket` contribute exactly ``0.0`` to
+        :func:`~repro.graphs.collate` contribute exactly ``0.0`` to
         energies and forces.
         """
         vec = edge_vectors(positions, (send, recv), edge_shift)
@@ -269,72 +269,60 @@ class MACE(Module):
             site_energy = site_energy + self.energy_scale * contrib.reshape((n_atoms,))
         return segment_sum(site_energy, graph_index, n_graphs)
 
-    def featurize(self, batch: GraphBatch) -> GraphBatch:
-        """Attach the parameter-free edge features to ``batch`` in place.
+    def featurize(self, batch: GraphBatch) -> Tuple[np.ndarray, np.ndarray]:
+        """The parameter-free edge features of ``batch``: the harmonics
+        ``(n_edges, (lmax_sh+1)^2)`` and the Bessel x envelope radial
+        basis ``(n_edges, n_radial_basis)``.
 
         Evaluates the geometry pipeline of :meth:`forward` — edge
-        vectors, lengths, spherical harmonics and the Bessel x envelope
-        radial basis — once, without a tape, and stores the harmonics and
-        the basis as ``batch.edge_sh`` / ``batch.edge_radial``.  Ghost
-        edges (:func:`repro.graphs.pad_to_bucket`) get zero rows: the
-        channelwise TP is linear in the harmonics, so their messages are
-        exactly ``0.0`` with no mask op in the plan.  The features are a
-        snapshot of the batch's geometry at this call: whoever edits
-        ``positions`` or the edge arrays afterwards must call it again.
-        Pure NumPy on thread-local engine state, so the streaming
-        prefetch thread runs it beside the training loop.
+        vectors, lengths, spherical harmonics and the radial basis — once,
+        without a tape, on the real edges, written into bucket-shaped
+        rows whose ghost rows stay zero: the channelwise TP is linear in
+        the harmonics, so ghost edges' messages are exactly ``0.0`` with
+        no mask op in the plan.  On a batch a
+        :class:`~repro.graphs.CollateCache` owns, the result is memoized
+        in ``batch.features`` under the config fields it depends on, so
+        every model of that geometry shares one evaluation per cache entry
+        (on the prefetch thread when streaming); cached batches are never
+        edited.  Any other batch is
+        featurized afresh on every call and nothing is stored on it, so
+        one edited between two calls answers for its new content.  Pure
+        NumPy on thread-local engine state.
         """
         cfg = self.cfg
+        key = (cfg.lmax_sh, cfg.n_radial_basis, cfg.cutoff)
+        memo = batch.features
+        if memo is not None and key in memo:
+            return memo[key]
         n_real = batch.n_edges - batch.ghost_edges
+        edge_sh = np.zeros((batch.n_edges, sh_dim(cfg.lmax_sh)))
+        edge_radial = np.zeros((batch.n_edges, cfg.n_radial_basis))
         with no_grad():
             vec = edge_vectors(
                 Tensor(batch.positions),
                 batch.edge_index[:, :n_real],
                 batch.edge_shift[:n_real],
             )
-            r = edge_lengths(vec)
-            features = (
-                edge_spherical_harmonics(vec, cfg.lmax_sh),
-                bessel_basis(r, cfg.n_radial_basis, cfg.cutoff),
-            )
-        batch.edge_sh, batch.edge_radial = (
-            np.concatenate([f.data, np.zeros((batch.ghost_edges, f.shape[1]))])
-            for f in features
-        )
-        return batch
+            edge_sh[:n_real] = edge_spherical_harmonics(vec, cfg.lmax_sh).data
+            edge_radial[:n_real] = bessel_basis(
+                edge_lengths(vec), cfg.n_radial_basis, cfg.cutoff
+            ).data
+        if memo is not None:
+            memo[key] = (edge_sh, edge_radial)
+        return edge_sh, edge_radial
 
     def message_inputs(self, batch: GraphBatch) -> Tuple[np.ndarray, ...]:
         """The content arrays :meth:`message_passing` is a function of,
-        read off a featurized ``batch`` in plan-input order: species
-        rows, edge senders / receivers, graph membership, edge
-        harmonics, edge radial basis."""
+        in plan-input order: species rows, edge senders / receivers,
+        graph membership, then :meth:`featurize`'s edge harmonics and
+        edge radial basis."""
         send, recv = batch.edge_index
         return (
             self.species_indices(batch.species),
             send,
             recv,
             batch.graph_index,
-            batch.edge_sh,
-            batch.edge_radial,
-        )
-
-    def bucketed(self, batch: GraphBatch) -> GraphBatch:
-        """A bucket-padded, featurized copy of an exact ``batch``: the
-        one form compiled loss steps and energy predictions run on."""
-        return self.featurize(pad_to_bucket(batch))
-
-    def padded_twin(self, batch: GraphBatch) -> GraphBatch:
-        """:meth:`bucketed`, memoized in the ``padded`` slot of a
-        :class:`~repro.graphs.CollateCache`-owned ``batch``: built once
-        per cache entry (on the prefetch thread when streaming) and
-        evicted with it; a shared cache keeps one per model in turn.
-        Cached batches are never edited in place; a caller's own batch
-        goes through :meth:`bucketed` afresh."""
-        model, padded = batch.padded or (None, None)
-        if model is not self:
-            padded = self.bucketed(batch)
-            batch.padded = (self, padded)
-        return padded
+        ) + self.featurize(batch)
 
     # -- compiled execution (repro.runtime) --------------------------------------
 
@@ -367,16 +355,12 @@ class MACE(Module):
         the key adds only the padded graph count, which the recorded
         graph burns in, so every MD step whose exact edge set stays in
         a seen bucket, and every other system of that bucket, replays.
-        ``batch`` is a bucket-padded one (``ghost_graphs > 0``, what
-        :func:`~repro.graphs.pad_to_bucket` returns), taken as it is, or
-        an exact one, padded here afresh on every call.  The compiled
+        ``batch`` is read in full on every call, as it is.  The compiled
         backward targets only the positions, pruning the
         parameter-gradient branches the eager pass always pays for.
         Ghost graphs' energies and ghost atoms' forces are dropped.
         """
         cache = self._checked_cache(compiled)
-        if cache is not None and not batch.ghost_graphs:
-            batch = pad_to_bucket(batch)
         send, recv = batch.edge_index
         arrays = (
             batch.positions,
@@ -419,18 +403,11 @@ class MACE(Module):
         senders / receivers, graph membership, edge harmonics and the
         radial basis are replay inputs and nothing of the batch is
         folded into the plan, so any batch of a seen bucket replays,
-        whatever its composition.  ``batch`` is a featurized batch (what
-        :meth:`padded_twin` returns), taken as it is, or an exact one,
-        padded and featurized here afresh on every call — nothing is
-        remembered about a caller's batch, so one edited between two
-        calls answers for its new content.  Ghost graphs are dropped.
+        whatever its composition.  The edge features come from
+        :meth:`featurize`: memoized on a cached batch, evaluated afresh
+        on a caller's.  Ghost graphs are dropped.
         """
         cache = self._checked_cache(compiled)
-        if batch.edge_sh is None:
-            if cache is None:
-                with no_grad():
-                    return self.forward(batch).numpy()
-            batch = self.bucketed(batch)
         arrays = self.message_inputs(batch)
 
         def eager():

@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from ..data.labels import ReferencePotential
-from ..graphs.batch import collate, pad_to_bucket
+from ..graphs.batch import collate
 from ..graphs.molecular_graph import MolecularGraph
 from ..graphs.pipeline import DEFAULT_SKIN, NeighborListCache
 from ..runtime import resolve_plan_cache
@@ -33,13 +33,13 @@ class MACECalculator:
 
     The model's autograd graph supplies exact forces ``-dE/dr``; energy
     and forces come from a *single* forward+backward pass
-    (:meth:`repro.mace.MACE.energy_and_forces`) on a bucket-padded batch
-    (:func:`repro.graphs.pad_to_bucket`), so the force plan is keyed on
-    the batch's shape bucket and every step of a trajectory whose edge
-    count stays in one bucket replays it.
+    (:meth:`repro.mace.MACE.energy_and_forces`) on the graph's
+    bucket-shaped batch (:func:`repro.graphs.collate`), so the force
+    plan is keyed on the batch's shape bucket and every step of a
+    trajectory whose edge count stays in one bucket replays it.
 
-    Every call collates and pads the graph's own exact within-cutoff
-    edges.  With a ``cutoff`` the calculator first refreshes them
+    Every call collates the graph's own exact within-cutoff edges.
+    With a ``cutoff`` the calculator first refreshes them
     through its Verlet-skin cache, which re-filters the candidates at
     ``cutoff + skin`` every step and rebuilds them only after enough
     drift; the skin sets that rebuild cadence and nothing else, since
@@ -90,7 +90,7 @@ class MACECalculator:
             self.neighbor_cache.update(graph)
         elif not graph.has_edges:
             raise ValueError("graph needs a neighbor list")
-        batch = pad_to_bucket(collate([graph]))
+        batch = collate([graph])
         self.edge_capacity = batch.n_edges
         energies, forces = self.model.energy_and_forces(
             batch, compiled=self.plan_cache

@@ -148,19 +148,20 @@ class SetupRank:
 class ForwardTask:
     """One micro-batch energy evaluation.
 
-    ``batch`` carries the exact collated arrays by field name (slab
-    handles, or inline ndarrays when the slab is full) — inputs only,
-    nothing compiled crosses the wire.  The worker rebuilds the
-    :class:`~repro.graphs.GraphBatch` and runs
+    ``batch`` carries the bucket-shaped collated arrays by field name
+    (slab handles, or inline ndarrays when the slab is full) and
+    ``ghosts`` the batch's ``(ghost_atoms, ghost_edges, ghost_graphs)``
+    — inputs only, nothing compiled crosses the wire.  The worker
+    rebuilds the :class:`~repro.graphs.GraphBatch` as it was and runs
     :meth:`repro.mace.MACE.predict_energy` against the plan cache of its
-    model ``version``: the batch is padded to its shape bucket and bound
-    to that bucket's plan as replay inputs, so a worker captures once
-    per bucket and a respawned one needs the ``InstallModel`` log alone.
+    model ``version``, which binds the arrays to their bucket's plan as
+    replay inputs, so a worker captures once per bucket and a respawned
+    one needs the ``InstallModel`` log alone.
 
-    ``result`` optionally names a driver-allocated slab segment of shape
-    ``(n_graphs,)``; the energies are written there and the returned
-    metadata carries only timestamps.  Without it the energies come back
-    inline.
+    ``result`` optionally names a driver-allocated slab segment with one
+    entry per real graph; the energies are written there and the
+    returned metadata carries only timestamps.  Without it the energies
+    come back inline.
     """
 
     FIELDS: ClassVar[Tuple[str, ...]] = (
@@ -176,6 +177,7 @@ class ForwardTask:
     version: int
     batch: Dict[str, Any]
     n_graphs: int
+    ghosts: Tuple[int, int, int]
     result: Optional[ArrayHandle] = None
 
     def run(self, ctx: WorkerContext) -> Dict[str, Any]:
@@ -183,9 +185,13 @@ class ForwardTask:
 
         start = time.monotonic()
         model = ctx.models[self.version]
+        ghost_atoms, ghost_edges, ghost_graphs = self.ghosts
         batch = GraphBatch(
             **{name: np.asarray(ctx._array(ref)) for name, ref in self.batch.items()},
             n_graphs=self.n_graphs,
+            ghost_atoms=ghost_atoms,
+            ghost_edges=ghost_edges,
+            ghost_graphs=ghost_graphs,
         )
         energies = model.predict_energy(batch, compiled=ctx.plan_caches[self.version])
         out: Dict[str, Any] = {

@@ -100,8 +100,8 @@ class InferenceEngine:
     plan_cache:
         :class:`~repro.runtime.PlanCache` for compiled model execution
         (default ``"auto"``: a private cache).  With ``execute=True``,
-        every micro-batch runs on its bucket-padded, featurized twin
-        (memoized on its collate-cache entry) and replays the one plan
+        every micro-batch is its bucket-shaped collate-cache entry, with
+        its edge features memoized on it, and replays the one plan
         of its ``(atoms, edges, graphs)`` shape bucket, whatever its
         composition — a warmed round is collate hit → replay;
         :meth:`swap_model` (and therefore every registry deploy) clears
@@ -115,8 +115,8 @@ class InferenceEngine:
         virtual clock.  ``"wall-clock"`` keeps the *identical* virtual
         schedule — same admission, batching, placement and records — but
         additionally executes every micro-batch on a real worker pool
-        (:mod:`repro.parallel`): the driver ships the exact collated
-        arrays, the pinned worker (``replica % n_workers``) runs the
+        (:mod:`repro.parallel`): the driver ships the bucket-shaped
+        collated arrays, the pinned worker (``replica % n_workers``) runs the
         same ``predict_energy`` against its own per-version plan cache
         (one capture per shape bucket), and the report gains measured
         per-batch seconds, the real makespan and the pool's robustness
@@ -341,7 +341,7 @@ class InferenceEngine:
             self._installed_versions.add(self.model_version)
 
     def _submit_forward(self, ex, gb, task_id, worker: int) -> Tuple[object, list]:
-        """Ship one exact micro-batch to a worker.
+        """Ship one bucket-shaped micro-batch to a worker.
 
         Arrays travel as slab handles (inline through the queue when the
         slab is full).  Returns ``(result segment or None, input
@@ -359,7 +359,7 @@ class InferenceEngine:
 
         self._install_model(ex)
         try:
-            result = ex.slab.alloc((gb.n_graphs,), np.float64)
+            result = ex.slab.alloc((gb.n_graphs - gb.ghost_graphs,), np.float64)
         except SlabFull:
             result = None  # energies ride back inline through the queue
         payload = {name: place(getattr(gb, name)) for name in ForwardTask.FIELDS}
@@ -369,6 +369,7 @@ class InferenceEngine:
                 version=self.model_version,
                 batch=payload,
                 n_graphs=gb.n_graphs,
+                ghosts=(gb.ghost_atoms, gb.ghost_edges, gb.ghost_graphs),
                 result=result,
             ),
             worker=worker,
@@ -482,7 +483,7 @@ class InferenceEngine:
                     else:
                         t0 = perf_counter()
                         energies = self.model.predict_energy(
-                            self.model.padded_twin(gb), compiled=self.plan_cache
+                            gb, compiled=self.plan_cache
                         )
                         state["host_forward"] += perf_counter() - t0
                     self.cache_hit_ema += self._hit_ema_alpha * (

@@ -131,15 +131,16 @@ class Trainer:
         The key's geometry/label fingerprint makes in-place *graph*
         mutation a miss, never a stale read, and the loss is invariant to
         member order within a batch, so caching does not change training.
-        Each cached batch also carries its padded, featurized form
-        (``GraphBatch.padded``); cached batches are shared and must not
-        be edited in place — edit the graphs.
+        Each cached batch is bucket-shaped and memoizes its edge
+        features (``GraphBatch.features``), so a hit is ready to replay;
+        cached batches are shared and must not be edited in place — edit
+        the graphs.
     plan_cache:
         :class:`repro.runtime.PlanCache` threading for compiled
         loss-step execution.  The default ``"auto"`` gives the trainer a
         private cache holding one plan per *shape bucket*: every batch
-        is padded to its ``(atoms, edges, graphs)`` bucket
-        (:func:`repro.graphs.pad_to_bucket`) and everything that is
+        is born at its ``(atoms, edges, graphs)`` bucket
+        (:func:`repro.graphs.collate`) and everything that is
         batch *content* — species, edge and graph indices, the edge
         features, per-graph counts / targets / loss weights — is bound
         as a replay input.  The first step on a bucket runs eagerly
@@ -223,12 +224,13 @@ class Trainer:
     # -- batching -----------------------------------------------------------------
 
     def _collate(self, batch_indices: Sequence[int], capacity: int = 0) -> GraphBatch:
-        """Collate a mini-batch into its trainable (padded, featurized)
-        form, through the cache when one is attached.
+        """Collate a mini-batch, through the cache when one is attached,
+        with a cached batch's edge features memoized here — on the
+        prefetch thread when streaming.
 
         ``capacity`` is the bin size the plan packed the batch into; it is
-        part of the cache key (matching ``rank_graph_batches``) and stamps
-        the batch so padding metrics stay available.
+        part of the cache key (matching ``rank_graph_batches``) and bounds
+        the batch's real atoms.
         """
         if self.collate_cache is not None:
             batch = self.collate_cache.get(self.graphs, batch_indices, capacity)
@@ -243,7 +245,9 @@ class Trainer:
                 "batch contains graphs without energy labels "
                 "(dataset mutated after Trainer construction?)"
             )
-        return self.model.padded_twin(batch)
+        if batch.features is not None:  # a cached batch: fill its memo now
+            self.model.featurize(batch)
+        return batch
 
     # -- loss ---------------------------------------------------------------------
 
@@ -300,16 +304,13 @@ class Trainer:
         swapped to a new shape/dtype) invalidates the entry and falls
         back to eager.
 
-        ``batch`` is a featurized batch (what :meth:`_collate` returns)
-        or an exact one, which is padded and featurized here, afresh on
-        every call — nothing is remembered about a caller's batch, so
-        one edited between two steps trains on its new content.  A
-        featurized batch is taken as it is: its edge features are a
-        snapshot (:meth:`repro.mace.MACE.featurize`), its species and
-        labels are read live.
+        ``batch`` is taken as it is.  Its species and labels are read
+        live; its edge features come from
+        :meth:`repro.mace.MACE.featurize`, memoized on a cached batch and
+        evaluated afresh on a caller's — nothing is remembered about a
+        caller's batch, so one edited between two steps trains on its new
+        content.
         """
-        if batch.edge_sh is None:
-            batch = self.model.bucketed(batch)
         arrays = self._loss_inputs(batch)
 
         def eager():
@@ -405,11 +406,11 @@ class Trainer:
 
         With a ``dataset`` attached (default ``stream=None`` → auto),
         batch construction runs on a background prefetch thread through
-        :class:`~repro.data.StreamingLoader` — shard reads, collation,
-        bucket padding and the edge-geometry pipeline overlap the
+        :class:`~repro.data.StreamingLoader` — shard reads, collation
+        and the edge-geometry pipeline overlap the
         previous batch's compute, double-buffered at ``prefetch_depth``.
-        Only the prefetch thread touches the collate cache, the shard
-        maps and the batches' ``padded`` memo during the epoch, so the
+        Only the prefetch thread touches the collate cache and the shard
+        maps, and fills the batches' ``features`` memo, so the
         streamed loss sequence is exactly the serial one
         (``train_batch`` runs the same ops on the same bytes).  Overlap
         counters accumulate into ``stream_stats``.  Does **not** advance
@@ -451,8 +452,8 @@ class Trainer:
         else:
             batch = collate(list(graphs))
         # The compiled path replays (or captures) forward-only; explicit
-        # validation sets ride through too, padded and featurized per
-        # call, and share the plan of their shape bucket.
+        # validation sets ride through too, featurized per call, and
+        # share the plan of their shape bucket.
         return self._loss_step(batch, with_grads=False)
 
     def freeze_representation(self) -> int:
@@ -491,8 +492,7 @@ class Trainer:
         """
         result = TrainResult()
         # Per-bin capacities flow into the collate keys so a cache shared
-        # with rank_graph_batches sees one entry per composition, and
-        # batches keep their padding accounting.
+        # with rank_graph_batches sees one entry per composition.
         for epoch in range(n_epochs):
             bins = epoch_plan_bins(sampler, epoch, rank)
             losses = self.train_epoch_bins(bins)

@@ -24,7 +24,6 @@ from repro.graphs import (
     bucket_size,
     build_neighbor_list,
     collate,
-    pad_to_bucket,
 )
 from repro.kernels import counting, record_kernel
 from repro.mace import MACE, MACEConfig
@@ -69,7 +68,7 @@ def random_bin(rng, sizes) -> list:
 def eager_unpadded(graphs, indices, weighting="per_atom", cfg=CFG):
     """Loss and parameter gradients of the exact batch on the eager tape."""
     ref = Trainer(MACE(cfg, seed=0), graphs, plan_cache=None, loss_weighting=weighting)
-    loss = ref._batch_loss(ref.model.featurize(collate([graphs[i] for i in indices])))
+    loss = ref._batch_loss(collate([graphs[i] for i in indices]).real())
     loss.backward()
     return loss.item(), [p.grad for p in ref.model.parameters()]
 
@@ -146,7 +145,7 @@ class TestGhostsContributeExactlyZero:
         rng = np.random.default_rng(11)
         self.graphs = random_bin(rng, [7, 12, 10])
         self.trainer = Trainer(MACE(CFG, seed=0), self.graphs, plan_cache=None)
-        self.twin = self.trainer._collate(range(3))
+        self.twin = collate(self.graphs)  # the caller's: featurized per call
         self.rng = rng
 
     def _loss_and_grads(self, batch):
@@ -159,7 +158,8 @@ class TestGhostsContributeExactlyZero:
         twin = self.twin
         assert twin.ghost_atoms and twin.ghost_edges and twin.ghost_graphs
         e, g = twin.n_edges - twin.ghost_edges, twin.n_graphs - twin.ghost_graphs
-        assert not twin.edge_sh[e:].any() and not twin.edge_radial[e:].any()
+        edge_sh, edge_radial = self.trainer.model.featurize(twin)
+        assert not edge_sh[e:].any() and not edge_radial[e:].any()
         *_, counts, target, weights = self.trainer._loss_inputs(twin)
         assert not weights[g:].any() and not target[g:].any()
         assert (counts[g + 1 :] == 1.0).all()  # empty ghost graphs: no 0/0
@@ -177,8 +177,8 @@ class TestGhostsContributeExactlyZero:
         twin.species[a:] = rng.choice(CFG.species, twin.ghost_atoms)
         twin.positions[a:] = rng.normal(size=(twin.ghost_atoms, 3))
         twin.energies[g:] = rng.normal(size=twin.ghost_graphs)
-        self.trainer.model.featurize(twin)  # features follow the edited geometry
-        assert not twin.edge_sh[e:].any() and not twin.edge_radial[e:].any()
+        edge_sh, edge_radial = self.trainer.model.featurize(twin)  # edited geometry
+        assert not edge_sh[e:].any() and not edge_radial[e:].any()
         loss2, grads2 = self._loss_and_grads(twin)
         assert loss2 == loss
         for p, q in zip(grads, grads2):
@@ -193,8 +193,8 @@ class TestOnePlanPerBucket:
         by_bucket = {}
         for start in range(0, len(pool) - 2):
             idx = (start, start + 1, start + 2)
-            exact = collate([pool[i] for i in idx])
-            twin = pad_to_bucket(exact)
+            twin = collate([pool[i] for i in idx])
+            exact = twin.real()
             shape = (twin.n_atoms, twin.n_edges, twin.n_graphs)
             by_bucket.setdefault(shape, {})[(exact.n_atoms, exact.n_edges)] = idx
         first, second = next(
@@ -275,8 +275,8 @@ class TestEditedContentIsNeverReplayedStale:
         batch.energies += 1.0
         edited = self.trainer._loss_step(batch)  # same bucket: a replay
         assert self.trainer.plan_cache.stats()["hits"] == 1
-        assert batch.padded is None  # nothing was remembered on it
-        ref = self._reference()._loss_step(batch)
+        assert batch.features is None  # nothing was remembered on it
+        ref = self._reference()._loss_step(batch.real())
         assert edited != first and abs(edited - ref) < TOL
 
     def test_graph_edited_in_place_yields_a_new_cached_batch(self):
@@ -293,13 +293,26 @@ class TestEditedContentIsNeverReplayedStale:
         ref = self._reference().evaluate()
         assert edited != first and abs(edited - ref) < TOL
 
-    def test_cached_batch_is_padded_once_per_model(self):
+    def test_cached_batch_is_featurized_once_per_geometry(self):
+        """A cached batch memoizes its edge features under the config
+        fields they depend on, so models differing only in weights share
+        them; a caller's batch keeps nothing."""
         trainer = self.trainer
-        padded = trainer._collate(range(3))
-        assert trainer._collate(range(3)) is padded
-        assert trainer.evaluate() == trainer._loss_step(padded, with_grads=False)
+        batch = trainer._collate(range(3))
+        assert trainer._collate(range(3)) is batch
+        ((key, features),) = batch.features.items()
+        assert key == (CFG.lmax_sh, CFG.n_radial_basis, CFG.cutoff)
+        assert trainer.evaluate() == trainer._loss_step(batch, with_grads=False)
         other = Trainer(MACE(CFG, seed=1), self.graphs, collate_cache=trainer.collate_cache)
-        assert other._collate(range(3)) is not padded  # another model's features
+        assert other._collate(range(3)) is batch
+        assert other.model.featurize(batch) is features  # computed once, shared
+        wider = MACE(replace(CFG, n_radial_basis=CFG.n_radial_basis + 2), seed=0)
+        assert wider.featurize(batch)[1].shape[1] == CFG.n_radial_basis + 2
+        assert len(batch.features) == 2  # another geometry, its own entry
+        caller = collate(self.graphs)
+        trainer._loss_step(caller)
+        trainer.model.featurize(caller)
+        assert caller.features is None
 
     def test_labels_of_a_featurized_batch_are_read_live(self):
         padded = self.trainer._collate(range(3))
@@ -312,7 +325,7 @@ class TestEditedContentIsNeverReplayedStale:
 
 def unbatched(model, graphs) -> np.ndarray:
     """Each graph's eager energy, predicted on its own."""
-    return np.array([model.predict_energy(collate([g]))[0] for g in graphs])
+    return np.array([model.predict_energy(collate([g]).real())[0] for g in graphs])
 
 
 def served(model, graphs, cache) -> np.ndarray:
@@ -357,15 +370,15 @@ class TestServedEnergiesMatchUnbatchedEager:
     def test_batch_exactly_at_its_atom_bucket(self):
         rng = np.random.default_rng(8)
         graphs = random_bin(rng, [16, 20, 12])  # 48 atoms: a bucket boundary
-        twin = pad_to_bucket(collate(graphs))
+        twin = collate(graphs)
         assert twin.ghost_atoms == 0 and twin.ghost_graphs > 0
         self._assert_served(graphs)
 
     def test_graph_count_crossing_a_bucket_edge(self):
         rng = np.random.default_rng(9)
         graphs = random_bin(rng, [5, 6, 4, 7, 5, 6, 4, 5])
-        assert pad_to_bucket(collate(graphs[:7])).n_graphs == 8
-        assert pad_to_bucket(collate(graphs)).n_graphs == 16
+        assert collate(graphs[:7]).n_graphs == 8
+        assert collate(graphs).n_graphs == 16
         self._assert_served(graphs[:7])
         self._assert_served(graphs)
 
@@ -390,7 +403,7 @@ class TestServedEnergiesOnePlanPerBucket:
             return build_neighbor_list(g, cutoff=CUTOFF)
 
         dimers = [dimer(0.9 + 0.1 * k) for k in range(8)]
-        seven, eight = pad_to_bucket(collate(dimers[:7])), pad_to_bucket(collate(dimers))
+        seven, eight = collate(dimers[:7]), collate(dimers)
         assert (seven.n_atoms, seven.n_edges) == (eight.n_atoms, eight.n_edges) == (16, 16)
         assert (seven.n_graphs, eight.n_graphs) == (8, 16)
         for graphs in (dimers[:7], dimers):
@@ -408,7 +421,7 @@ class TestServedEnergiesOnePlanPerBucket:
         by_bucket = {}
         for start in range(len(pool) - 2):
             members = pool[start : start + 3]
-            twin = pad_to_bucket(collate(members))
+            twin = collate(members)
             shape = (twin.n_atoms, twin.n_edges, twin.n_graphs)
             by_bucket.setdefault(shape, []).append(members)
         first, second = next(bins[:2] for bins in by_bucket.values() if len(bins) >= 2)
@@ -425,7 +438,7 @@ class TestServedEnergiesIgnoreGhosts:
     def test_scrambling_ghost_content_changes_no_energy_bitwise(self):
         rng = np.random.default_rng(11)
         model, cache = MACE(CFG, seed=0), PlanCache()
-        twin = model.bucketed(collate(random_bin(rng, [7, 12, 10])))
+        twin = collate(random_bin(rng, [7, 12, 10]))
         assert twin.ghost_atoms and twin.ghost_edges and twin.ghost_graphs
         model.predict_energy(twin, compiled=cache)  # capture
         energies = model.predict_energy(twin, compiled=cache)
@@ -434,8 +447,8 @@ class TestServedEnergiesIgnoreGhosts:
         twin.edge_index[:, e:] = rng.integers(0, twin.n_atoms, (2, twin.ghost_edges))
         twin.species[a:] = rng.choice(CFG.species, twin.ghost_atoms)
         twin.positions[a:] = rng.normal(size=(twin.ghost_atoms, 3))
-        model.featurize(twin)  # features follow the edited geometry
-        assert not twin.edge_sh[e:].any() and not twin.edge_radial[e:].any()
+        edge_sh, edge_radial = model.featurize(twin)  # the edited geometry
+        assert not edge_sh[e:].any() and not edge_radial[e:].any()
         assert np.array_equal(model.predict_energy(twin, compiled=cache), energies)
         assert cache.stats()["captures"] == 1  # all three were the one plan
 
@@ -450,9 +463,11 @@ class TestServedEnergiesAreNeverStale:
         batch.species[:] = np.roll(batch.species, 1)
         edited = model.predict_energy(batch, compiled=cache)  # same bucket: a replay
         assert cache.stats()["hits"] == 1
-        assert batch.padded is None and batch.edge_sh is None  # nothing remembered
+        assert batch.features is None  # nothing remembered
         assert np.abs(edited - first).min() > 1e-6
-        np.testing.assert_allclose(edited, model.predict_energy(batch), rtol=0.0, atol=TOL)
+        np.testing.assert_allclose(
+            edited, model.predict_energy(batch.real()), rtol=0.0, atol=TOL
+        )
 
 
 class TestServedEnergiesOnABurstyTrace:
@@ -598,7 +613,7 @@ class TestForcesMatchEagerUnpadded:
 
     def _assert_matches(self, graphs):
         energies, forces = forces_replayed(self.model, graphs, self.cache)
-        ref_e, ref_f = self.model.energy_and_forces(collate(graphs))
+        ref_e, ref_f = self.model.energy_and_forces(collate(graphs).real())
         n_atoms = sum(g.n_atoms for g in graphs)
         assert energies.shape == (len(graphs),) and forces.shape == (n_atoms, 3)
         np.testing.assert_allclose(energies, ref_e, rtol=0.0, atol=TOL)
@@ -620,7 +635,7 @@ class TestForcesMatchEagerUnpadded:
         """No ghost atom: the ghost self-edges sit on a real atom."""
         rng = np.random.default_rng(8)
         graphs = random_bin(rng, [16, 20, 12])  # 48 atoms: a bucket boundary
-        twin = pad_to_bucket(collate(graphs))
+        twin = collate(graphs)
         assert twin.ghost_atoms == 0 and twin.ghost_edges > 0
         self._assert_matches(graphs)
 
@@ -630,7 +645,7 @@ class TestForcesMatchEagerUnpadded:
         graphs = next(
             pool[i : i + 3]
             for i in range(len(pool) - 2)
-            if pad_to_bucket(collate(pool[i : i + 3])).ghost_edges == 0
+            if collate(pool[i : i + 3]).ghost_edges == 0
         )
         self._assert_matches(graphs)
 
@@ -655,7 +670,7 @@ class TestForcesOnePlanPerBucket:
         by_bucket = {}
         for start in range(len(pool) - 2):
             members = pool[start : start + 3]
-            twin = pad_to_bucket(collate(members))
+            twin = collate(members)
             by_bucket.setdefault((twin.n_atoms, twin.n_edges, twin.n_graphs), []).append(members)
         first, second = next(bins[:2] for bins in by_bucket.values() if len(bins) >= 2)
         model, cache = MACE(CFG, seed=0), PlanCache()
@@ -663,7 +678,7 @@ class TestForcesOnePlanPerBucket:
         energies, forces = model.energy_and_forces(collate(second), compiled=cache)
         stats = cache.stats()
         assert stats["captures"] == 1 and stats["hits"] == 1
-        ref_e, ref_f = model.energy_and_forces(collate(second))
+        ref_e, ref_f = model.energy_and_forces(collate(second).real())
         np.testing.assert_allclose(energies, ref_e, rtol=0.0, atol=TOL)
         np.testing.assert_allclose(forces, ref_f, rtol=0.0, atol=TOL)
 
@@ -672,7 +687,7 @@ class TestForcesIgnoreGhosts:
     def test_scrambling_ghost_atoms_changes_no_real_result_bitwise(self):
         rng = np.random.default_rng(11)
         model, cache = MACE(CFG, seed=0), PlanCache()
-        twin = pad_to_bucket(collate(random_bin(rng, [7, 12, 10])))
+        twin = collate(random_bin(rng, [7, 12, 10]))
         assert twin.ghost_atoms and twin.ghost_edges and twin.ghost_graphs
         model.energy_and_forces(twin, compiled=cache)  # capture
         energies, forces = model.energy_and_forces(twin, compiled=cache)

@@ -8,6 +8,7 @@ from repro.graphs import (
     GraphBatch,
     MolecularGraph,
     brute_force_neighbor_list,
+    bucket_size,
     build_neighbor_list,
     cell_list_neighbor_list,
     collate,
@@ -204,7 +205,7 @@ class TestCollate:
 
     def test_block_diagonal_offsets(self):
         g1, g2 = self._two_graphs()
-        batch = collate([g1, g2])
+        batch = collate([g1, g2]).real()
         assert batch.n_atoms == 5
         assert batch.n_graphs == 2
         # Edges of graph 2 are offset by graph 1's atom count.
@@ -221,13 +222,85 @@ class TestCollate:
     def test_energies_collected(self):
         g1, g2 = self._two_graphs()
         batch = collate([g1, g2])
-        np.testing.assert_allclose(batch.energies, [-1.0, -2.0])
+        np.testing.assert_allclose(batch.real().energies, [-1.0, -2.0])
+        assert not batch.energies[2:].any()  # ghost graphs carry 0.0
 
-    def test_padding_accounting(self):
+    def test_capacity_bounds_real_atoms_not_rows(self):
         g1, g2 = self._two_graphs()
-        batch = collate([g1, g2], capacity=8)
-        assert batch.padding == 3
-        assert batch.padding_fraction == pytest.approx(3 / 8)
+        batch = collate([g1, g2], capacity=5)  # 5 real atoms, 8 rows
+        assert batch.n_atoms == 8 and batch.ghost_atoms == 3
+        with pytest.raises(ValueError, match="holds 5 tokens, over capacity 4"):
+            collate([g1, g2], capacity=4)
+
+    @pytest.mark.parametrize(
+        "seed, sizes",
+        [
+            (0, [(1, False)]),  # one atom, no edges
+            (1, [(16, True), (20, False), (12, True)]),  # 48 atoms: at the bucket
+            (2, [(3, False)] * 7),  # 7 graphs + 1 ghost fill 8 graph slots
+            (3, [(3, False)] * 8),  # one more graph crosses into 16 slots
+            (4, [(5, True), (9, False), (7, True), (11, False)]),  # mixed cells
+        ],
+        ids=["one-atom", "atoms-at-bucket", "7-graphs", "8-graphs", "mixed-cells"],
+    )
+    def test_real_is_the_plain_concatenation(self, seed, sizes):
+        rng = np.random.default_rng(seed)
+        graphs = []
+        for n, periodic in sizes:
+            box = 2.2 * max(n, 2) ** (1.0 / 3.0)
+            g = MolecularGraph(
+                rng.uniform(0.0, box, (n, 3)),
+                rng.choice([1, 6, 8], n),
+                cell=np.eye(3) * box if periodic else None,
+                pbc=periodic,
+                energy=float(rng.normal()),
+            )
+            graphs.append(build_neighbor_list(g, cutoff=3.0))
+        batch = collate(graphs)
+        real = batch.real()
+        counts = np.array([g.n_atoms for g in graphs])
+        offsets = np.cumsum(counts) - counts
+        expected = {
+            "positions": np.concatenate([g.positions for g in graphs]),
+            "species": np.concatenate([g.species for g in graphs]),
+            "edge_index": np.concatenate(
+                [g.edge_index + off for g, off in zip(graphs, offsets)], axis=1
+            ),
+            "edge_shift": np.concatenate(
+                [
+                    g.edge_shift if g.edge_shift is not None else np.zeros((g.n_edges, 3))
+                    for g in graphs
+                ]
+            ),
+            "graph_index": np.repeat(np.arange(len(graphs)), counts),
+            "energies": np.array([g.energy for g in graphs]),
+        }
+        for name, want in expected.items():
+            got = getattr(real, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name  # bitwise
+            assert got.base is getattr(batch, name), name  # a view, not a copy
+        a, e, g = real.n_atoms, real.n_edges, real.n_graphs
+        assert g == len(graphs) and real.ghost_atoms == real.ghost_edges == 0
+        assert (batch.n_atoms, batch.n_edges, batch.n_graphs) == (
+            bucket_size(a),
+            bucket_size(e),
+            bucket_size(g + 1),
+        )
+        assert batch.ghost_atoms == batch.n_atoms - a
+        assert batch.ghost_edges == batch.n_edges - e
+        assert batch.ghost_graphs == batch.n_graphs - g
+        # Ghost atoms: at the origin, atom 0's species, in the first ghost graph.
+        assert not batch.positions[a:].any()
+        assert (batch.species[a:] == batch.species[0]).all()
+        assert (batch.graph_index[a:] == g).all()
+        # Ghost edges: zero-shift self-edges on the last atom; ghost graphs: 0.0.
+        assert (batch.edge_index[:, e:] == batch.n_atoms - 1).all()
+        assert not batch.edge_shift[e:].any()
+        assert not batch.energies[g:].any()
+        if sizes[0][0] == 16:
+            # No ghost atom, so the ghost edges sit on a real atom.
+            assert batch.ghost_atoms == 0 and batch.ghost_edges > 0
 
     def test_capacity_overflow_raises(self):
         g1, g2 = self._two_graphs()

@@ -191,10 +191,10 @@ class TestMACEModel:
         assert f.shape == (6, 3)
         # Central difference on one coordinate.
         eps = 1e-5
-        pos = water_batch.positions.copy()
+        pos = water_batch.real().positions.copy()
 
         def energy(p):
-            g = MolecularGraph(p, water_batch.species.copy())
+            g = MolecularGraph(p, water_batch.real().species.copy())
             build_neighbor_list(g, cutoff=4.5)
             return model.predict_energy(collate([g]))[0]
 

@@ -1,4 +1,4 @@
-"""Tests for padded MD: each step's exact edge set through ``pad_to_bucket``,
+"""Tests for padded MD: each step's exact edge set in a bucket-shaped ``collate``,
 plan hits across edge refilters and Verlet rebuilds."""
 
 import numpy as np

@@ -57,8 +57,12 @@ def model():
 
 
 def _batch_payload(batch):
-    """Inline ForwardTask payload from a collated batch."""
-    return {name: getattr(batch, name) for name in ForwardTask.FIELDS}
+    """Inline ForwardTask batch arguments from a collated batch."""
+    return dict(
+        batch={name: getattr(batch, name) for name in ForwardTask.FIELDS},
+        n_graphs=batch.n_graphs,
+        ghosts=(batch.ghost_atoms, batch.ghost_edges, batch.ghost_graphs),
+    )
 
 
 class TestSlab:
@@ -131,8 +135,7 @@ class TestExecutors:
                     ForwardTask(
                         task_id=t,
                         version=0,
-                        batch=_batch_payload(batch),
-                        n_graphs=batch.n_graphs,
+                        **_batch_payload(batch),
                     ),
                     worker=t,  # wraps modulo n_workers
                 )
@@ -148,7 +151,7 @@ class TestExecutors:
         with make_executor("serial", 1) as ex:
             ex.install(InstallModel(version=0, model=model))
             task = ForwardTask(
-                task_id="t", version=0, batch=_batch_payload(batch), n_graphs=1
+                task_id="t", version=0, **_batch_payload(batch)
             )
             ex.submit(task)
             with pytest.raises(ValueError, match="duplicate"):
@@ -159,7 +162,7 @@ class TestExecutors:
         with make_executor("serial", 1) as ex:
             ex.submit(  # no model version 99 was ever installed
                 ForwardTask(
-                    task_id="boom", version=99, batch=_batch_payload(batch), n_graphs=1
+                    task_id="boom", version=99, **_batch_payload(batch)
                 )
             )
             results = ex.drain()
@@ -178,8 +181,7 @@ class TestExecutors:
                     ForwardTask(
                         task_id=t,
                         version=0,
-                        batch=_batch_payload(batch),
-                        n_graphs=batch.n_graphs,
+                        **_batch_payload(batch),
                     )
                 )
                 res = ex.drain()[t]
@@ -217,8 +219,7 @@ class TestWorkerRobustness:
                     ForwardTask(
                         task_id=t,
                         version=0,
-                        batch=_batch_payload(batch),
-                        n_graphs=batch.n_graphs,
+                        **_batch_payload(batch),
                     ),
                     worker=t,
                 )
@@ -231,8 +232,7 @@ class TestWorkerRobustness:
                     ForwardTask(
                         task_id=t,
                         version=0,
-                        batch=_batch_payload(batch),
-                        n_graphs=batch.n_graphs,
+                        **_batch_payload(batch),
                     ),
                     worker=0,
                 )

@@ -307,11 +307,49 @@ class TestCollateCache:
         cache = CollateCache()
         batch = cache.get(graphs, [4, 1], capacity=64)
         direct = collate([graphs[1], graphs[4]], capacity=64)
-        np.testing.assert_allclose(batch.positions, direct.positions)
-        np.testing.assert_array_equal(batch.edge_index, direct.edge_index)
-        np.testing.assert_allclose(batch.energies, direct.energies)
-        assert batch.capacity == 64
-        assert batch.padding == direct.padding
+        for name in ("positions", "species", "edge_index", "edge_shift",
+                     "graph_index", "energies"):
+            np.testing.assert_array_equal(getattr(batch, name), getattr(direct, name))
+        assert (batch.ghost_atoms, batch.ghost_edges, batch.ghost_graphs) == (
+            direct.ghost_atoms, direct.ghost_edges, direct.ghost_graphs
+        )
+        # Only the cache's own batch memoizes edge features.
+        assert batch.features == {} and direct.features is None
+
+    def test_over_capacity_check_counts_real_atoms(self):
+        """Capacity 100 is no bucket boundary: 97 real atoms occupy 104
+        rows and must still fit, and 101 real atoms must not."""
+        from repro.mace import MACE, MACEConfig
+        from repro.serving import InferenceEngine, generate_trace
+
+        rng = np.random.default_rng(23)
+
+        def graph(n):
+            g = MolecularGraph(
+                rng.uniform(0.0, 10.0, (n, 3)), np.full(n, 8), energy=-1.0
+            )
+            return build_neighbor_list(g, cutoff=3.0)
+
+        fits, over = [graph(97)], [graph(101)]
+        batch = collate(fits, capacity=100)
+        assert batch.n_atoms == 104 and batch.ghost_atoms == 7
+        assert CollateCache().get(fits, [0], capacity=100).n_atoms == 104
+        cfg = MACEConfig(num_channels=2, lmax_sh=1, l_atomic_basis=1,
+                         correlation=1, cutoff=3.0, species=(8,))
+        engine = InferenceEngine(MACE(cfg, seed=0), fits, n_replicas=1,
+                                 max_batch_tokens=100)
+        report = engine.serve(generate_trace(fits, 2, rate=10.0, seed=0))
+        assert all(np.isfinite(r.energy) for r in report.records)
+        for call in (
+            lambda: collate(over, capacity=100),
+            lambda: CollateCache().get(over, [0], capacity=100),
+        ):
+            with pytest.raises(ValueError, match="holds 101 tokens, over capacity 100"):
+                call()
+        engine = InferenceEngine(MACE(cfg, seed=0), over, n_replicas=1,
+                                 max_batch_tokens=100)
+        with pytest.raises(ValueError):
+            engine.serve(generate_trace(over, 1, rate=10.0, seed=0))
 
     def test_capacity_is_part_of_key(self):
         rng = np.random.default_rng(10)
@@ -466,7 +504,7 @@ class TestCollateCache:
 
 
 class TestSamplerMaterialization:
-    def test_capacity_stamped_and_cached_across_epochs(self):
+    def test_bins_fit_capacity_and_cached_across_epochs(self):
         rng = np.random.default_rng(13)
         graphs = _labeled_graphs(rng, count=12)
         sizes = [g.n_atoms for g in graphs]
@@ -475,8 +513,8 @@ class TestSamplerMaterialization:
         )
         cache = CollateCache()
         first = sampler.rank_graph_batches(0, 0, graphs, cache=cache)
-        assert first and all(b.capacity == 24 for b in first)
-        assert all(b.n_atoms <= 24 for b in first)
+        assert first and all(b.real().n_atoms <= 24 for b in first)
+        assert all(b.features == {} for b in first)  # cache-owned, nothing featurized yet
         # Deterministic plan (no shuffle): epoch 1 is pure cache hits.
         second = sampler.rank_graph_batches(1, 0, graphs, cache=cache)
         assert all(a is b for a, b in zip(first, second))
@@ -527,7 +565,7 @@ class TestSamplerMaterialization:
             shuffle=False,
         )
         batches = sampler.rank_graph_batches(0, 0, graphs)
-        assert sum(b.n_graphs for b in batches) == len(graphs)
+        assert sum(b.real().n_graphs for b in batches) == len(graphs)
 
     def test_fit_capacity_agrees_with_materialization(self):
         """Trainer.fit and rank_graph_batches must key a shared cache
@@ -569,23 +607,25 @@ class TestSamplerMaterialization:
             trainer.train_step([0, len(graphs) - 1])
 
     def test_fixed_count_baseline_keeps_padding_accounting(self):
-        """The fixed-count baseline stamps its per-epoch max-fill capacity
-        on every bin; materialization must not lose it (the padding
-        comparison against the balanced sampler depends on it)."""
-        from repro.distribution import FixedCountDistributedSampler
+        """The fixed-count baseline's per-epoch max-fill capacity lives on
+        its plan's bins; the padding comparison against the balanced
+        sampler reads it there (``evaluate_bins``), and materialization
+        checks every bin's real atoms against it."""
+        from repro.distribution import FixedCountDistributedSampler, evaluate_bins
 
         rng = np.random.default_rng(22)
         graphs = _labeled_graphs(rng, count=9)
+        sizes = [g.n_atoms for g in graphs]
         sampler = FixedCountDistributedSampler(
-            [g.n_atoms for g in graphs], graphs_per_batch=3, num_replicas=1,
-            shuffle=False,
+            sizes, graphs_per_batch=3, num_replicas=1, shuffle=False,
         )
+        bins = sampler.plan_rank_bins(0, 0)
         batches = sampler.rank_graph_batches(0, 0, graphs)
-        max_fill = max(b.n_atoms for b in batches)
-        assert all(b.capacity == max_fill for b in batches)
-        assert any(b.padding > 0 for b in batches) or all(
-            b.n_atoms == max_fill for b in batches
-        )
+        fills = [b.real().n_atoms for b in batches]
+        assert fills == [sum(sizes[i] for i in idx) for idx, _ in bins]
+        assert all(cap == max(fills) for _, cap in bins)
+        padding = evaluate_bins(sampler.plan_epoch(0)).padding_fraction
+        assert padding == pytest.approx(1.0 - sum(fills) / (len(fills) * max(fills)))
 
 
 class TestHostCollateModel:

@@ -13,7 +13,7 @@ import pytest
 
 from repro.autograd import Tensor, gather_rows, segment_sum
 from repro.data import attach_labels, build_training_set
-from repro.graphs.batch import collate, pad_to_bucket
+from repro.graphs.batch import collate
 from repro.mace import MACE, MACEConfig
 from repro.runtime import (
     CompiledPlan,
@@ -205,11 +205,15 @@ class TestModelCompiledPaths:
         model.predict_energy(collate(labeled[2:5]), compiled=cache)
         assert cache.hits == 2
 
-    def test_input_dtype_change_is_a_new_key_and_a_recapture(self, model, labeled):
+    def test_input_dtype_change_is_a_new_key_and_a_recapture(
+        self, model, labeled, monkeypatch
+    ):
         """Energy plans bind all batch content as inputs and key on the
         inputs' shapes and dtypes: the same content in another dtype
         never reaches the old plan's replay guard, it captures afresh."""
         batch = collate(labeled[:2])
+        ref = model.predict_energy(batch.real())
+        featurize = model.featurize
         for field, dtype, tol in (
             ("edge_index", np.int32, 1e-10),
             ("graph_index", np.int32, 1e-10),
@@ -217,26 +221,38 @@ class TestModelCompiledPaths:
             ("edge_radial", np.float32, 1e-5),
         ):
             cache = PlanCache()
-            model.predict_energy(model.bucketed(batch), compiled=cache)
-            drifted = model.bucketed(batch)
-            setattr(drifted, field, getattr(drifted, field).astype(dtype))
+            model.predict_energy(batch, compiled=cache)
+            drifted = collate(labeled[:2])
+            if hasattr(drifted, field):
+                setattr(drifted, field, getattr(drifted, field).astype(dtype))
+            else:  # an edge feature: cast it where featurize hands it out
+                k = ("edge_sh", "edge_radial").index(field)
+                monkeypatch.setattr(
+                    model,
+                    "featurize",
+                    lambda b: tuple(
+                        f.astype(dtype) if i == k else f
+                        for i, f in enumerate(featurize(b))
+                    ),
+                )
             energies = model.predict_energy(drifted, compiled=cache)
             stats = cache.stats()
             assert (stats["captures"], stats["hits"], stats["stale"]) == (2, 0, 0), field
-            assert np.abs(energies - model.predict_energy(batch)).max() < tol, field
             model.predict_energy(drifted, compiled=cache)
             assert cache.hits == 1, field  # and the new key replays
+            monkeypatch.undo()
+            assert np.abs(energies - ref).max() < tol, field
 
     def test_force_plan_signature_covers_position_dtype(self, model, labeled):
         """Force plans bind positions and edge shifts as inputs, so their
         key covers those inputs' dtypes: float32 geometry is a new key and
         a fresh capture, never a guard rejection of the float64 plan."""
         batch = collate(labeled[:2])
-        e_ref, f_ref = model.energy_and_forces(batch)
+        e_ref, f_ref = model.energy_and_forces(batch.real())
         for field in ("positions", "edge_shift"):
             cache = PlanCache()
-            model.energy_and_forces(pad_to_bucket(batch), compiled=cache)
-            f32 = pad_to_bucket(batch)
+            model.energy_and_forces(batch, compiled=cache)
+            f32 = collate(labeled[:2])
             setattr(f32, field, getattr(f32, field).astype(np.float32))
             energies, forces = model.energy_and_forces(f32, compiled=cache)
             stats = cache.stats()
@@ -497,14 +513,14 @@ class TestPlanPickle:
 
         inputs = model.message_inputs
         cache = PlanCache()
-        captured = model.bucketed(collate(labeled[:2]))
+        captured = collate(labeled[:2])
         model.predict_energy(captured, compiled=cache)
         (plan,) = cache._store.values()
         clone = pickle.loads(pickle.dumps(plan))
         # Other content of the same shapes: the members swapped and jiggled.
-        exact = collate(labeled[1::-1])
+        other = collate(labeled[1::-1])
+        exact = other.real()
         exact.positions += np.random.default_rng(5).normal(0.0, 0.01, exact.positions.shape)
-        other = model.bucketed(exact)
         assert [a.shape for a in inputs(other)] == [a.shape for a in inputs(captured)]
         (e0,), _ = plan.replay(*inputs(other))
         (e1,), _ = clone.replay(*inputs(other))  # first replay rebuilds buffers

@@ -188,9 +188,8 @@ class TestTrainer:
         from repro.autograd import Tensor
 
         tb.optimizer.zero_grad()
-        featurize = model_b.featurize
-        l1 = tb._batch_loss(featurize(collate([labeled_graphs[0], labeled_graphs[1]])))
-        l2 = tb._batch_loss(featurize(collate([labeled_graphs[2], labeled_graphs[3]])))
+        l1 = tb._batch_loss(collate([labeled_graphs[0], labeled_graphs[1]]))
+        l2 = tb._batch_loss(collate([labeled_graphs[2], labeled_graphs[3]]))
         ((l1 + l2) * 0.5).backward()
         tb.optimizer.step()
         for (na, pa), (nb, pb) in zip(
