@@ -190,11 +190,11 @@ def collate(
     edges = bucket_size(real_edges)
     graph_slots = bucket_size(n_graphs + 1)
     offsets = np.cumsum(n_atoms) - n_atoms  # per-graph vertex offsets
+    species = _with_ghosts([g.species for g in graphs], atoms, 0)
+    species[real_atoms:] = species[0]  # ghost atoms copy atom 0's species
     return GraphBatch(
         positions=_with_ghosts([g.positions for g in graphs], atoms, 0.0),
-        species=_with_ghosts(
-            [g.species for g in graphs], atoms, graphs[0].species[0]
-        ),
+        species=species,
         edge_index=_with_ghosts(
             [g.edge_index + off for g, off in zip(graphs, offsets)],
             edges,
