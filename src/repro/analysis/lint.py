@@ -422,11 +422,15 @@ class SupportsOutRetainRule(Rule):
 class ParallelModuleStateRule(Rule):
     name = "parallel-module-state"
     explanation = (
-        "repro.parallel must stay fork-safe: module-level mutable state "
-        "(containers, locks, queues, shared memory) is snapshotted into "
-        "forked workers at arbitrary moments and silently diverges from "
-        "the driver's copy; hang all state off executor/worker instances"
+        "repro.parallel and repro.runtime must stay fork-safe: module-level "
+        "mutable state (containers, locks, queues, thread-locals, shared "
+        "memory, slabs and pools) is snapshotted into forked workers at "
+        "arbitrary moments and silently diverges from the driver's copy, "
+        "and a module-global slab outlives every cache that used it; hang "
+        "all state off executor/worker/cache instances"
     )
+
+    _PACKAGES = ("parallel", "runtime")
 
     # Constructors whose module-level result is mutable shared state.
     _MUTABLE_CALLS = {
@@ -452,6 +456,12 @@ class ParallelModuleStateRule(Rule):
         "ShmSlab",
         "LocalSlab",
         "local",
+        "Arena",
+        "empty",
+        "zeros",
+        "ones",
+        "full",
+        "colored_empty",
     }
 
     @staticmethod
@@ -483,7 +493,8 @@ class ParallelModuleStateRule(Rule):
         return False
 
     def visit(self, tree, ctx):
-        if "parallel" not in ctx.path.parts:
+        package = next((p for p in self._PACKAGES if p in ctx.path.parts), None)
+        if package is None:
             return
         for node in self._top_level(tree):
             targets: Tuple[ast.AST, ...] = ()
@@ -499,9 +510,10 @@ class ParallelModuleStateRule(Rule):
                 continue  # export list: written once at import, never mutated
             label = ", ".join(names) or "<target>"
             yield node.lineno, (
-                f"module-level mutable state '{label}' in repro.parallel — "
-                "forked workers get a divergent copy; move it onto the "
-                "executor or WorkerContext instance"
+                f"module-level mutable state '{label}' in repro.{package} — "
+                "forked workers get a divergent copy and it outlives its "
+                "users; move it onto the executor, WorkerContext or cache "
+                "instance"
             )
 
 

@@ -12,7 +12,8 @@ Design notes
 * Broadcasting follows NumPy; backward un-broadcasts by summing over the
   broadcast axes.
 * The tape is built eagerly; ``backward()`` runs a topological sort and
-  accumulates ``grad`` on leaves (and interior nodes that request it).
+  accumulates ``grad`` on the leaves that require it.  Interior
+  gradients live only in the sweep and are dropped after their one use.
 * ``no_grad()`` suspends taping for label generation / evaluation.
 """
 
@@ -271,7 +272,13 @@ class Tensor:
     # -- backward ----------------------------------------------------------------
 
     def backward(self, grad: Optional[np.ndarray] = None) -> None:
-        """Reverse-mode sweep accumulating ``.grad`` on requiring tensors."""
+        """Reverse-mode sweep accumulating ``.grad`` on requiring leaves.
+
+        Interior (non-leaf) tensors never receive ``.grad``: their
+        gradients are held by the sweep only until the node's backward
+        has read them, so peak memory follows the live gradient frontier
+        instead of the whole tape.
+        """
         if grad is None:
             if self.size != 1:
                 raise ValueError("backward() without gradient needs a scalar output")
@@ -313,11 +320,11 @@ class Tensor:
                 if ig is None or not (parent.requires_grad or parent._ctx is not None):
                     continue
                 ig = np.asarray(ig, dtype=np.float64)
-                if parent.requires_grad:
+                if parent._ctx is None:
                     if parent.grad is None:
                         parent.grad = np.zeros(parent.shape, dtype=np.float64)
                     parent.grad += ig
-                if parent._ctx is not None:
+                else:
                     key = parent._serial
                     if key in grads:
                         grads[key] = grads[key] + ig

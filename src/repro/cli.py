@@ -434,7 +434,6 @@ def _post_optimization_report(plan, report) -> str:
             prod(meta.slot_shapes[instr.out_slot])
             * meta.slot_dtypes[instr.out_slot].itemsize
         )
-    arena_buffers = sum(1 for i in forward if i.out_buffer is not None)
     lines = [
         "-" * 72,
         "post-optimization",
@@ -443,7 +442,8 @@ def _post_optimization_report(plan, report) -> str:
         f"  donated pairs consumed  : {plan.n_donated} of "
         f"{len(report.donations)} legal ({len(undonated)} left undonated)",
         f"  arena slab              : {plan._arena_nbytes} bytes "
-        f"backing {arena_buffers} output buffers",
+        f"backing {len(plan._arena_layout)} output buffers, then "
+        f"{plan._slab_nbytes - plan._arena_nbytes} bytes of fused-chain scratch",
         f"  residual transients     : {plan.n_alloc_instrs} fresh-allocating "
         f"instructions, {fresh_bytes} bytes per replay (outputs excluded)",
     ]

@@ -18,6 +18,9 @@ change of any of them is a new key and a fresh capture.
 :class:`PlanCache` is the bounded LRU holding the plans, with hit /
 miss / capture / stale counters, and :meth:`PlanCache.run` is the one
 lookup → replay → fallback → capture sequence every entry point uses.
+Its plans draw their arena buffers and fused-chain scratch from one
+:class:`~repro.runtime.plan.Arena` owned by the cache — one grow-only
+slab per thread, sized to the largest plan instead of the sum of all.
 Hot-swapping a served model clears the engine's cache wholesale (see
 ``InferenceEngine.swap_model``).
 """
@@ -27,7 +30,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional
 
-from .plan import CompiledPlan, PlanStale, record_tape
+from .plan import Arena, CompiledPlan, PlanStale, record_tape
 
 __all__ = ["PlanCache", "resolve_plan_cache"]
 
@@ -88,6 +91,7 @@ class PlanCache:
         self.stale = 0
         self.verified = 0
         self._store: "OrderedDict[object, CompiledPlan]" = OrderedDict()
+        self._arena = Arena()
 
     def __len__(self) -> int:
         return len(self._store)
@@ -105,10 +109,12 @@ class PlanCache:
     def put(self, key, plan: CompiledPlan) -> CompiledPlan:
         """Store a freshly captured plan (evicting LRU past ``maxsize``).
 
-        With ``verify="auto"`` the plan is statically verified first;
+        The plan moves its scratch into the cache's shared slab first.
+        With ``verify="auto"`` it is then statically verified;
         :class:`~repro.analysis.PlanInvalid` propagates to the caller
         and nothing is stored — a miscompile can never be replayed.
         """
+        plan._adopt(self._arena)
         if self.verify:
             # Imported lazily: repro.analysis pulls in the kernel and
             # model modules for its per-op rules, which themselves
@@ -164,8 +170,9 @@ class PlanCache:
         self._store.clear()
 
     def stats(self) -> Dict[str, float]:
-        """Counters plus the resulting replay hit rate."""
+        """Counters, the replay hit rate and the calling thread's slab bytes."""
         total = self.hits + self.misses
+        slab = self._arena.current()
         return {
             "hits": self.hits,
             "misses": self.misses,
@@ -174,4 +181,5 @@ class PlanCache:
             "verified": self.verified,
             "size": len(self._store),
             "hit_rate": self.hits / total if total else 0.0,
+            "arena_bytes": 0 if slab is None else slab.nbytes,
         }

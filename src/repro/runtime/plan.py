@@ -34,8 +34,8 @@ execution:
 * **Elementwise chain fusion** — maximal single-consumer chains of
   elementwise/reduction ops collapse into one
   :class:`_FusedElementwise` instruction whose interior temporaries live
-  in private, compile-time-allocated scratch and never appear as plan
-  slots (``n_fused_away`` counts the eliminated instructions).
+  in fused-chain scratch regions of the arena slab and never appear as
+  plan slots (``n_fused_away`` counts the eliminated instructions).
 * **Arena memory planning** — the liveness/donation analysis of
   :mod:`repro.analysis.liveness` drives the ``out=`` protocol of
   :class:`~repro.autograd.engine.Function`: each ``supports_out``
@@ -56,20 +56,34 @@ valid reverse-topological) order than the eager DFS, so gradients agree
 with eager to floating-point reassociation error (far below the 1e-10
 equivalence gate of ``tests/test_runtime.py``).  Parameters are
 *inputs* of every replay — their ``.data`` is re-read on each call, so
-in-place optimizer updates are always visible and never stale.  Gradient
-arrays written to ``param.grad`` (and returned input gradients) may
-alias the plan's reusable buffers: they are valid until the next replay
-of the same plan, which is the lifetime every in-repo consumer
-(optimizer step, DDP gradient copy, force integration) needs.  Replay
+in-place optimizer updates are always visible and never stale.  Replay
 *overwrites* ``.grad`` on its leaves rather than accumulating into
 pre-existing values; zero grads first (as ``Trainer`` does) when mixing
 eager and compiled steps.
+
+Buffers
+-------
+A plan's arena buffers and fused-chain scratch are *scratch*: nothing in
+them is live once a replay returns.  They are views into one
+:class:`Arena` slab per thread, shared by every plan of a
+:class:`~repro.runtime.cache.PlanCache` and sized to the largest of
+them (a plan outside any cache has an arena of its own).  Outputs and
+gradients never live there: plan outputs are freshly allocated per
+replay, and ``param.grad``, returned input gradients and the backward
+accumulation buffers are fresh arrays or plan-private buffers.  Those
+private buffers may be reused by the next replay of the *same* plan, so
+a gradient is valid until then — the lifetime every in-repo consumer
+(optimizer step, DDP gradient copy, force integration) needs.  Replay
+drops every other gradient as soon as the one backward instruction that
+reads it has run.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import threading
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -78,7 +92,7 @@ from ..autograd import engine as _engine
 from ..autograd.engine import Function, Tensor, _is_basic_index
 from ..utils.alloc import colored_empty
 
-__all__ = ["PlanStale", "PlanMeta", "TapeRecorder", "record_tape", "CompiledPlan"]
+__all__ = ["PlanStale", "PlanMeta", "TapeRecorder", "record_tape", "CompiledPlan", "Arena"]
 
 
 class PlanStale(RuntimeError):
@@ -129,6 +143,46 @@ def record_tape():
         yield recorder
     finally:
         _engine._set_recorder(None)
+
+
+class Arena:
+    """Grow-only scratch slabs, one per thread, shared by a cache's plans.
+
+    Nothing in a plan's arena buffers or fused-chain scratch is live
+    between replays, and a thread replays one plan at a time, so every
+    plan replaying on one thread can draw its scratch from the same
+    bytes: the slab is sized to the largest plan, not the sum of them.
+    Each thread gets a slab of its own, so two threads replaying
+    different plans of one cache never share bytes (one plan still
+    replays on one thread at a time).  The slab lives as long as the
+    arena, which the cache and its plans own.
+    """
+
+    def __init__(self) -> None:
+        self._local = threading.local()
+
+    def current(self) -> Optional[np.ndarray]:
+        """The calling thread's slab, ``None`` before its first bind."""
+        return getattr(self._local, "slab", None)
+
+    def slab(self, plan: "CompiledPlan", nbytes: int) -> np.ndarray:
+        """The calling thread's slab grown to ``nbytes``, bound by ``plan``.
+
+        Growing first drops the views this thread's plans hold into the
+        old slab, so it is freed before the new one is allocated; each
+        such plan rebinds on its next replay.
+        """
+        local = self._local
+        slab = self.current()
+        if slab is None or slab.nbytes < nbytes:
+            for bound in getattr(local, "plans", ()):
+                if bound._slab is slab:
+                    bound._unbind()
+            local.plans = weakref.WeakSet()
+            local.slab = slab = None  # the old slab's last references
+            slab = local.slab = np.empty(nbytes, dtype=np.uint8)
+        local.plans.add(plan)
+        return slab
 
 
 class PlanMeta:
@@ -204,9 +258,9 @@ class _ForwardInstr:
         self.out_buffer: Optional[np.ndarray] = None
         self.donor_slot: Optional[int] = None
 
-    # out_buffer views into the owning plan's arena slab are scratch,
-    # not state: the plan re-derives them from its layout recipe on the
-    # first replay after unpickling (see CompiledPlan._rebuild_buffers).
+    # out_buffer views into the arena slab are scratch, not state: the
+    # plan re-derives them from its layout recipe on the first replay
+    # after unpickling (see CompiledPlan._bind).
     def __getstate__(self):
         return {
             slot: getattr(self, slot)
@@ -233,8 +287,8 @@ class _BackwardInstr:
         # order, matching the eager engine's zip over fn.inputs).
         self.targets = targets
 
-    # Accumulation buffers are rebuilt by the owning plan on the first
-    # replay after unpickling; serialize only whether a target needs one.
+    # Accumulation buffers are rebuilt by the owning plan when it is
+    # unpickled; serialize only whether a target needs one.
     def __getstate__(self):
         return {
             "call": self.call,
@@ -273,10 +327,12 @@ class _FusedElementwise(Function):
     The fusion pass in :class:`CompiledPlan` collapses maximal chains of
     elementwise/reduction ops in which every interior value has exactly
     one consumer — the next chain member — into one instance of this
-    Function.  Members execute sequentially through *private* scratch
-    buffers preallocated at compile time, so interior temporaries are
-    never allocated (or even visible as slots) during replay; only the
-    final member writes the plan-provided ``out`` buffer.  Each member
+    Function.  Members execute sequentially through scratch buffers the
+    plan binds into its arena slab (a region per chain, disjoint from
+    the arena buffers and from other chains, so member saves stay valid
+    until the chain's backward), so interior temporaries are never
+    allocated (or even visible as slots) during replay; only the final
+    member writes the plan-provided ``out`` buffer.  Each member
     runs its original ``forward`` on the same operand values in the same
     order, so fused results stay bitwise equal to eager execution.
 
@@ -304,33 +360,26 @@ class _FusedElementwise(Function):
         self._ext_slots = tuple(ext)
         self._ext_index = {slot: p for p, slot in enumerate(ext)}
         self._interior = frozenset(interior)
-        # Private per-member scratch, reused across replays; the final
-        # member writes the arena-provided ``out`` instead.  The spec
-        # survives pickling so scratch can be rebuilt lazily.
+        # Per-member scratch, bound by the owning plan into its slab
+        # (CompiledPlan._bind); the final member writes the plan-provided
+        # ``out`` instead.  The spec survives pickling, the views do not.
         self._scratch_spec: Tuple[tuple, ...] = tuple(
             (slot_arrays[m.out_slot].shape, slot_arrays[m.out_slot].dtype)
             for m in self._members[:-1]
         )
         self._scratch: Optional[List[Optional[np.ndarray]]] = None
-        self._rebuild_scratch()
         last = type(self._members[-1].fn)
         self.out_alias_safe = last.out_alias_safe
         # Members that save their inputs re-read external operand arrays
         # at backward time; only the *final* member's saved output is a
-        # plan-visible buffer (interior saves point at private scratch).
+        # plan-visible buffer (interior saves point at chain scratch).
         self.saved_arrays = "inputs+out" if last.__name__ in _SAVES_OUT else "inputs"
         self._grad_mask: Optional[tuple] = None
         self._member_run: Tuple[bool, ...] = (True,) * len(self._members)
 
-    def _rebuild_scratch(self) -> None:
-        self._scratch = [
-            colored_empty(shape, dtype) for shape, dtype in self._scratch_spec
-        ]
-        self._scratch.append(None)
-
     def __getstate__(self):
         state = self.__dict__.copy()
-        state["_scratch"] = None  # rebuilt lazily, never serialized
+        state["_scratch"] = None  # rebound by the plan, never serialized
         return state
 
     # The plan's backward builder assigns ``grad_mask`` per instruction;
@@ -415,6 +464,10 @@ class _FusedElementwise(Function):
                 m_args[position] = args[p] if p is not None else local[slot]
             local[member.out_slot] = infer_output_spec(member.fn, m_args, member.kwargs)
         return local[self._members[-1].out_slot]
+
+
+def _nbytes(shape, dtype) -> int:
+    return int(np.prod(shape, dtype=np.int64)) * np.dtype(dtype).itemsize
 
 
 def _fuse_elementwise_chains(forward, protected, slot_arrays):
@@ -635,7 +688,7 @@ class CompiledPlan:
 
         # -- elementwise chain fusion: collapse single-consumer chains
         # into _FusedElementwise instructions whose interior temporaries
-        # live in private scratch (never plan slots).  Runs before the
+        # live in chain scratch (never plan slots).  Runs before the
         # backward build so interior slots never appear in the backward
         # program either.
         protected = set(output_slots)
@@ -719,7 +772,7 @@ class CompiledPlan:
                 targets = []
                 for grad_index, s in enumerate(instr.tensor_slots):
                     if needs[s]:
-                        targets.append([grad_index, s, None])
+                        targets.append((grad_index, s))
                         reachable.add(s)
                         contributions[s] += 1
                 if targets:
@@ -732,22 +785,18 @@ class CompiledPlan:
                         needs[s] for s in instr.tensor_slots
                     )
                     backward.append(_BackwardInstr(instr.fn, instr.out_slot, targets))
-            # Preallocate accumulation buffers for multi-contributor slots.
-            buffers: Dict[int, np.ndarray] = {}
+            # Multi-contributor slots accumulate into a plan-private
+            # buffer (allocated by _alloc_grad_buffers from these flags).
             for instr in backward:
-                for target in instr.targets:
-                    s = target[1]
-                    if contributions[s] > 1:
-                        if s not in buffers:
-                            buffers[s] = colored_empty(tensors[s].data.shape, np.float64)
-                        target[2] = buffers[s]
-                instr.targets = [tuple(t) for t in instr.targets]
+                instr.targets = [
+                    (grad_index, s, contributions[s] > 1)
+                    for grad_index, s in instr.targets
+                ]
             self._backward = backward
             self._seed_grad = np.ones(tensors[seed_slot].data.shape, dtype=np.float64)
-            if contributions[seed_slot] > 1:  # seed also receives graph grads
-                self._seed_buffer = np.empty_like(self._seed_grad)
-            else:
-                self._seed_buffer = None
+            # The seed also accumulates when it receives graph grads.
+            self._seed_buffer = contributions[seed_slot] > 1
+            self._alloc_grad_buffers()
             self._param_grad_slots = [
                 (s, tensors[s]) for s in param_slots if grad_params and s in reachable
             ]
@@ -764,10 +813,8 @@ class CompiledPlan:
         self._optimized = bool(optimize)
         self.n_donated = 0
         self._arena_nbytes = 0
-        self._arena_slab: Optional[np.ndarray] = None
         # (forward_index, offset, shape, dtype) per arena-backed
-        # instruction — the recipe _rebuild_buffers uses to recreate the
-        # slab views after unpickling.
+        # instruction — the recipe _bind uses to create the slab views.
         self._arena_layout: tuple = ()
         donated_trail: List[tuple] = []
         excluded = set(output_slots)
@@ -814,8 +861,7 @@ class CompiledPlan:
                     continue
                 shape = self.meta.slot_shapes[out]
                 dtype = self.meta.slot_dtypes[out]
-                nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-                size64 = (nbytes + 63) & ~63  # cache-line granularity
+                size64 = (_nbytes(shape, dtype) + 63) & ~63  # cache-line granularity
                 req = [i, max(class_last[out], i), size64, instr, shape, dtype, 0]
                 requests.append(req)
                 holder[storage[out]] = req
@@ -841,27 +887,35 @@ class CompiledPlan:
                         offset = hi
                 req[6] = offset
                 placed.append((offset, offset + size64, start, end))
-            slab_size = max((r[6] + r[2] for r in requests), default=0)
-            self._arena_nbytes = slab_size
-            if slab_size:
-                slab = np.empty(slab_size, dtype=np.uint8)
-                self._arena_slab = slab
-                for _, _, _, instr, shape, dtype, offset in requests:
-                    nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-                    instr.out_buffer = (
-                        slab[offset : offset + nbytes].view(dtype).reshape(shape)
-                    )
-                self._arena_layout = tuple(
-                    (req[0], req[6], req[4], req[5]) for req in requests
-                )
+            self._arena_nbytes = max((r[6] + r[2] for r in requests), default=0)
+            self._arena_layout = tuple(
+                (req[0], req[6], req[4], req[5]) for req in requests
+            )
             self.n_donated = len(donated_trail)
         self.meta.donated = tuple(donated_trail)
+        # Fused-chain scratch follows the arena region, one disjoint
+        # region per chain member: member saves may point into it until
+        # the chain's backward, so it shares bytes with nothing else.
+        scratch_layout: List[tuple] = []
+        end = self._arena_nbytes
+        for i, instr in enumerate(forward):
+            if isinstance(instr.fn, _FusedElementwise):
+                regions = []
+                for shape, dtype in instr.fn._scratch_spec:
+                    regions.append((end, shape, dtype))
+                    end += (_nbytes(shape, dtype) + 63) & ~63
+                scratch_layout.append((i, tuple(regions)))
+        self._scratch_layout = tuple(scratch_layout)
+        self._slab_nbytes = end
+        self._arena = Arena()
+        self._slab: Optional[np.ndarray] = None
         # Residual per-replay allocations: non-view instructions with no
         # arena target.  Plan outputs are fresh by design and excluded;
         # ops' internal temporaries are out of scope of this counter.
         n_alloc = 0
-        for instr in forward:
-            if instr.donor_slot is not None or instr.out_buffer is not None:
+        in_arena = {index for index, *_ in self._arena_layout}
+        for i, instr in enumerate(forward):
+            if instr.donor_slot is not None or i in in_arena:
                 continue
             name = type(instr.fn).__name__
             if name in ("Reshape", "Transpose") or (
@@ -872,8 +926,6 @@ class CompiledPlan:
                 continue
             n_alloc += 1
         self.n_alloc_instrs = n_alloc
-
-        self._buffers_ready = True
 
         # Release the capture tape: replay never reads fn.inputs, and the
         # retained Functions would otherwise pin every capture Tensor.
@@ -886,6 +938,10 @@ class CompiledPlan:
             for member in getattr(instr.fn, "_members", ()):
                 member.fn.inputs = ()
         self._release_activations()
+        # Bound last, so the slab is never allocated beside the released
+        # activations (that would raise the capture's peak).
+        if self._slab_nbytes:
+            self._bind()
 
     def _release_activations(self) -> None:
         for instr in self._forward:
@@ -902,67 +958,98 @@ class CompiledPlan:
                 for position, _ in member.bindings:
                     m_args[position] = None
 
+    # -- buffers -----------------------------------------------------------------
+
+    def _bind(self) -> None:
+        """Point the arena views and fused-chain scratch into this thread's slab.
+
+        The one buffer-binding path: run at compile, when a cache adopts
+        the plan, on the first replay after unpickling, and on any replay
+        whose thread's slab is not the one the views point into (it grew,
+        or the plan moved to another thread).  Offsets never move.
+        """
+        slab = self._arena.slab(self, self._slab_nbytes)
+
+        def region(offset, shape, dtype):
+            return slab[offset : offset + _nbytes(shape, dtype)].view(dtype).reshape(shape)
+
+        for index, offset, shape, dtype in self._arena_layout:
+            self._forward[index].out_buffer = region(offset, shape, dtype)
+        for index, regions in self._scratch_layout:
+            self._forward[index].fn._scratch = [region(*r) for r in regions] + [None]
+        self._slab = slab
+
+    def _unbind(self) -> None:
+        """Drop every view into the slab; the next replay rebinds."""
+        for index, *_ in self._arena_layout:
+            self._forward[index].out_buffer = None
+        for index, _ in self._scratch_layout:
+            self._forward[index].fn._scratch = None
+        self._slab = None
+
+    def _adopt(self, arena: Arena) -> None:
+        """Move the plan's scratch into ``arena`` (a cache's shared slabs).
+
+        The old views are dropped before the new slab is requested, so
+        the private slab from compile time is freed first.
+        """
+        self._unbind()
+        self._arena = arena
+        if self._slab_nbytes:
+            self._bind()
+
+    def _alloc_grad_buffers(self) -> None:
+        """Allocate the plan-private accumulation buffers from their flags.
+
+        These never live in the arena: an accumulation buffer is handed
+        out as ``param.grad`` or as an input gradient, which must survive
+        replays of other plans.
+        """
+        self._seed_buffer = (
+            np.empty_like(self._seed_grad) if self._seed_buffer else None
+        )
+        buffers: Dict[int, np.ndarray] = {}
+        for binstr in self._backward or ():
+            targets = []
+            for grad_index, slot, shared in binstr.targets:
+                buffer = None
+                if shared:
+                    buffer = buffers.get(slot)
+                    if buffer is None:
+                        buffer = buffers[slot] = colored_empty(
+                            self.meta.slot_shapes[slot], np.float64
+                        )
+                targets.append((grad_index, slot, buffer))
+            binstr.targets = targets
+
     # -- pickling ----------------------------------------------------------------
     #
     # A plan is a static instruction list over plain NumPy arrays, so it
     # ships across processes: the parallel workers receive one pickled
     # plan per shape bucket and replay it locally.  Scratch is identity,
-    # not state — the arena slab, per-instruction out-buffer views,
-    # fused-chain scratch and backward accumulation buffers hold nothing
-    # that survives a replay — so pickling serializes only the layout
-    # recipes and the first replay after ``pickle.loads`` rebuilds the
-    # memory (``_rebuild_buffers``).  The ``owner`` pin is process-local
-    # (the model stays with the capturing process's cache keys) and is
-    # dropped; ``_param_specs`` tensors are serialized by value,
-    # so an unpickled plan is frozen at ship-time parameters — exactly
-    # the versioned-snapshot semantics serving workers need.
+    # not state — the arena views, fused-chain scratch and backward
+    # accumulation buffers hold nothing that survives a replay — so
+    # pickling serializes only the layout recipes.  An unpickled plan
+    # has an arena of its own (a cache's per-thread slabs stay behind),
+    # allocates its accumulation buffers on load and binds its slab on
+    # the first replay.  The ``owner`` pin is process-local (the model
+    # stays with the capturing process's cache keys) and is dropped;
+    # ``_param_specs`` tensors are serialized by value, so an unpickled
+    # plan is frozen at ship-time parameters — exactly the
+    # versioned-snapshot semantics serving workers need.
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["owner"] = None
-        state["_arena_slab"] = None
+        state["_arena"] = None
+        state["_slab"] = None
         state["_seed_buffer"] = self._seed_buffer is not None
-        state["_buffers_ready"] = False
         return state
 
     def __setstate__(self, state) -> None:
         self.__dict__.update(state)
-
-    def _rebuild_buffers(self) -> None:
-        """Recreate the non-serialized replay buffers after unpickling."""
-        if self._arena_nbytes:
-            slab = np.empty(self._arena_nbytes, dtype=np.uint8)
-            self._arena_slab = slab
-            for index, offset, shape, dtype in self._arena_layout:
-                nbytes = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
-                self._forward[index].out_buffer = (
-                    slab[offset : offset + nbytes].view(dtype).reshape(shape)
-                )
-        for instr in self._forward:
-            rebuild = getattr(instr.fn, "_rebuild_scratch", None)
-            if rebuild is not None and instr.fn._scratch is None:
-                rebuild()
-        if isinstance(self._seed_buffer, bool):
-            self._seed_buffer = (
-                np.empty_like(self._seed_grad) if self._seed_buffer else None
-            )
-        if self._backward is not None:
-            buffers: Dict[int, np.ndarray] = {}
-            for binstr in self._backward:
-                targets = []
-                for grad_index, slot, needs in binstr.targets:
-                    if needs is True:
-                        buffer = buffers.setdefault(
-                            slot,
-                            colored_empty(self.meta.slot_shapes[slot], np.float64),
-                        )
-                    elif needs is False:
-                        buffer = None
-                    else:
-                        buffer = needs
-                    targets.append((grad_index, slot, buffer))
-                binstr.targets = targets
-        self._buffers_ready = True
+        self._arena = Arena()
+        self._alloc_grad_buffers()
 
     # -- introspection ----------------------------------------------------------
 
@@ -991,8 +1078,9 @@ class CompiledPlan:
         (``None`` for inputs that do not require grad or when
         ``compute_grads=False``).
         """
-        if not self._buffers_ready:
-            self._rebuild_buffers()
+        slab = self._slab
+        if self._slab_nbytes and (slab is None or slab is not self._arena.current()):
+            self._bind()
         specs = self._input_specs
         if len(inputs) != len(specs):
             raise PlanStale(
@@ -1041,7 +1129,9 @@ class CompiledPlan:
                 g = grads[binstr.out_slot]
                 if g is None:
                     continue
+                grads[binstr.out_slot] = None  # read once, by this instruction
                 in_grads = binstr.call(g)
+                del g
                 for grad_index, slot, buffer in binstr.targets:
                     ig = in_grads[grad_index]
                     if ig is None:

@@ -399,6 +399,22 @@ class TestParallelModuleStateRule:
         )
         assert findings == []
 
+    def test_flags_module_level_slabs_and_pools_in_runtime(self, tmp_path):
+        findings = _lint(
+            tmp_path,
+            "runtime/bad.py",
+            "import threading\n"
+            "import numpy as np\n"
+            "from repro.runtime.plan import Arena\n"
+            "SLAB = np.empty(1 << 20, dtype=np.uint8)\n"
+            "SCRATCH = threading.local()\n"
+            "ARENA = Arena()\n"
+            "_FUSABLE = frozenset({'Add'})\n",
+        )
+        assert [f.rule for f in findings] == ["parallel-module-state"] * 3
+        assert [f.lineno for f in findings] == [4, 5, 6]
+        assert all("repro.runtime" in f.message for f in findings)
+
     def test_pragma_allows(self, tmp_path):
         findings = _lint(
             tmp_path,
