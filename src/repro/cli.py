@@ -178,7 +178,6 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
         n_replicas=args.replicas,
         max_batch_tokens=args.capacity,
         max_wait=args.max_wait_ms * 1e-3,
-        work_conserving=not args.no_work_conserving,
         workload_model=PAPER_MODEL,
         gpu=gpu,
         execute=args.execute,
@@ -278,7 +277,7 @@ def _cmd_plan_report(args: argparse.Namespace) -> int:
 
 def _cmd_validate_cost_model(args: argparse.Namespace) -> int:
     from .mace import MACE, MACEConfig
-    from .parallel import available_cores
+    from .parallel import available_cores, make_executor
     from .serving import InferenceEngine, build_request_pool, generate_trace
 
     cfg = MACEConfig(
@@ -299,9 +298,8 @@ def _cmd_validate_cost_model(args: argparse.Namespace) -> int:
         )
 
     sim = engine().serve(trace)
-    with engine(
-        mode="wall-clock", backend=args.backend, n_workers=args.workers
-    ) as eng:
+    with make_executor(args.backend, args.workers) as ex:
+        eng = engine(executor=ex)
         rep = eng.serve(trace)
         if args.warm:
             rep = eng.serve(trace)
@@ -553,11 +551,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--execute",
         action="store_true",
         help="run the real NumPy forward per micro-batch (slower)",
-    )
-    p_serve.add_argument(
-        "--no-work-conserving",
-        action="store_true",
-        help="always wait out the admission deadline (pre-work-conserving behavior)",
     )
     p_serve.add_argument(
         "--slow-replicas",

@@ -2,9 +2,9 @@
 
 Everything above this package *simulates* parallel hardware from a cost
 model; this package supplies the real thing on the host CPU — a
-worker-pool execution engine consumed by the serving engine's
-wall-clock mode (:class:`repro.serving.InferenceEngine` with
-``mode="wall-clock"``) and the trainer's real data-parallel mode
+worker-pool execution engine consumed by the serving engine
+(:class:`repro.serving.InferenceEngine` given an ``executor=``) and the
+trainer's real data-parallel mode
 (:class:`~repro.parallel.ParallelDDP`, threaded through
 ``repro.training.distributed``).  Comparing the two is the wall-clock
 validation of the cost model (``repro.cli validate-cost-model``).

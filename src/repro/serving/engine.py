@@ -69,20 +69,16 @@ class InferenceEngine:
         Admission deadline in seconds: a request is scheduled no later
         than ``arrival + max_wait`` — the latency/throughput knob of
         every batching server.
-    work_conserving:
-        With the default ``True``, a partial pending window is flushed
-        as soon as a replica is idle to take it, instead of always
-        waiting out the ``max_wait`` deadline: at light load every
-        request dispatches on arrival (p50 latency drops to the service
-        time), while under load replicas stay busy and the window still
-        accumulates into full micro-batches.  ``False`` restores the
-        pure deadline/overflow admission (useful to measure the
-        batching/latency trade-off in isolation).
-    flush_window_tokens:
-        Token size of the admission window; a flush also triggers when
-        pending work would exceed it.  Defaults to one ``max_batch_tokens``
-        budget per replica, so each flush can feed the whole pool (and
-        the cost-aware packer gets a window worth balancing).
+
+        Admission is work-conserving and windowed, with no further
+        knobs.  A partial pending window is flushed as soon as a replica
+        is idle to take it, instead of waiting out the deadline: at
+        light load every request dispatches on arrival, while under load
+        the replicas stay busy and the window accumulates into full
+        micro-batches.  A flush also triggers when pending work would
+        exceed ``n_replicas * max_batch_tokens`` tokens, so each flush
+        can feed the whole pool and the cost-aware packer gets a window
+        worth balancing.
     gpu, workload_model, variant:
         Replica timing model.  ``workload_model`` defaults to
         :meth:`MACEWorkloadModel.from_config` of the served model so the
@@ -110,24 +106,21 @@ class InferenceEngine:
     execute:
         Run the real NumPy forward per micro-batch and fill per-request
         energies (True), or simulate timing only (False).
-    mode:
-        ``"simulate"`` (default) times batches purely on the cost model's
-        virtual clock.  ``"wall-clock"`` keeps the *identical* virtual
-        schedule — same admission, batching, placement and records — but
-        additionally executes every micro-batch on a real worker pool
-        (:mod:`repro.parallel`): the driver ships the bucket-shaped
-        collated arrays, the pinned worker (``replica % n_workers``) runs the
-        same ``predict_energy`` against its own per-version plan cache
-        (one capture per shape bucket), and the report gains measured
-        per-batch seconds, the real makespan and the pool's robustness
-        counters beside the predictions — the raw material of
-        cost-model validation.  Requires ``execute=True`` and a plan
-        cache.
-    executor, backend, n_workers:
-        Wall-clock pool configuration.  Pass an existing
-        :class:`~repro.parallel.BaseExecutor` to share one, or let the
-        engine build (and own) a ``make_executor(backend, n_workers)``
-        lazily on first use; :meth:`close` shuts an owned pool down.
+    executor:
+        ``None`` (default) times batches purely on the cost model's
+        virtual clock.  A :class:`~repro.parallel.BaseExecutor` keeps the
+        *identical* virtual schedule — same admission, batching,
+        placement and records — and additionally executes every
+        micro-batch on that worker pool: the driver ships the
+        bucket-shaped collated arrays, the pinned worker (``replica %
+        n_workers``) runs the same ``predict_energy`` against its own
+        per-version plan cache (one capture per shape bucket), and the
+        report gains measured per-batch seconds, the real makespan and
+        the pool's robustness counters beside the predictions — the raw
+        material of cost-model validation.  Requires ``execute=True``
+        and a plan cache.  The caller owns the pool (``with
+        make_executor(backend, n_workers) as ex:``); each :meth:`serve`
+        drains it.
     slo_seconds:
         Optional latency SLO recorded on reports (attainment fraction).
     """
@@ -141,8 +134,6 @@ class InferenceEngine:
         max_batch_tokens: int = 512,
         max_batch_edges: Optional[int] = None,
         max_wait: float = 5e-3,
-        work_conserving: bool = True,
-        flush_window_tokens: Optional[int] = None,
         gpu=A100,
         workload_model: Optional[MACEWorkloadModel] = None,
         variant: Optional[str] = None,
@@ -150,15 +141,10 @@ class InferenceEngine:
         plan_cache="auto",
         execute: bool = True,
         slo_seconds: Optional[float] = None,
-        mode: str = "simulate",
         executor=None,
-        backend: str = "process",
-        n_workers: int = 2,
     ) -> None:
         if n_replicas <= 0:
             raise ValueError("n_replicas must be positive")
-        if mode not in ("simulate", "wall-clock"):
-            raise ValueError(f"unknown mode {mode!r}")
         if max_batch_tokens <= 0:
             raise ValueError("max_batch_tokens must be positive")
         if max_wait < 0:
@@ -185,16 +171,6 @@ class InferenceEngine:
             None if max_batch_edges is None else int(max_batch_edges)
         )
         self.max_wait = float(max_wait)
-        self.work_conserving = bool(work_conserving)
-        self.flush_window_tokens = (
-            n_replicas * self.max_batch_tokens
-            if flush_window_tokens is None
-            else int(flush_window_tokens)
-        )
-        if self.flush_window_tokens < self.max_batch_tokens:
-            raise ValueError(
-                "flush_window_tokens must be at least max_batch_tokens"
-            )
         wm = (
             workload_model
             if workload_model is not None
@@ -205,34 +181,20 @@ class InferenceEngine:
             ServiceModel(workload_model=wm, gpu=spec, variant=variant)
             for spec in gpus
         ]
-        # Homogeneous-pool shorthand kept for compatibility and for
-        # replica-agnostic estimates.
-        self.service_model = self.service_models[0]
         self.collate_cache = (
             collate_cache if collate_cache is not None else CollateCache()
         )
         self.plan_cache = resolve_plan_cache(plan_cache)
         self.execute = execute
         self.slo_seconds = slo_seconds
-        self.mode = mode
-        if mode == "wall-clock" and (not execute or self.plan_cache is None):
+        if executor is not None and (not execute or self.plan_cache is None):
             raise ValueError(
-                "mode='wall-clock' needs execute=True and a plan cache "
-                "(workers run compiled plans)"
+                "wall-clock execution on an executor needs execute=True and "
+                "a plan cache (workers run compiled plans)"
             )
-        self.backend = backend
-        self.n_workers = int(n_workers)
-        self._executor = executor
-        self._own_executor = False
+        self.executor = executor
         # Model versions already broadcast to the pool.
         self._installed_versions: set = set()
-        # Async submit()/drain() state.
-        self._async_pending: List[Tuple[int, int]] = []  # (req_id, graph_id)
-        self._async_tokens = 0
-        self._async_seq = 0
-        self._async_batches = 0
-        self._async_tasks: Dict[object, Tuple[List[int], object]] = {}
-        self._async_results: Dict[int, float] = {}
         # Observed collate-cache hit rate (EMA over executed batches);
         # starts pessimistic (0 = every batch collates from scratch) and
         # sharpens estimate_service as traffic reveals hot molecules.
@@ -303,35 +265,10 @@ class InferenceEngine:
         a cold engine (and every ``execute=False`` simulation) costs the
         pessimistic all-miss path exactly as before.
         """
-        sm = self.service_model if replica is None else self.service_models[replica]
+        sm = self.service_models[0 if replica is None else replica]
         return sm.batch_seconds(tokens, edges, hit_rate=self.cache_hit_ema)
 
     # -- wall-clock execution -----------------------------------------------------
-
-    def _ensure_executor(self):
-        """The worker pool, built lazily (and then owned) if none was given."""
-        if self._executor is None:
-            from ..parallel import make_executor
-
-            self._executor = make_executor(self.backend, self.n_workers)
-            self._own_executor = True
-        return self._executor
-
-    def close(self) -> None:
-        """Shut down an engine-owned executor (shared ones are left alone)."""
-        if self._own_executor and self._executor is not None:
-            self._executor.shutdown()
-        if self._own_executor:
-            self._executor = None
-            self._own_executor = False
-        self._installed_versions.clear()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
     def _install_model(self, ex) -> None:
         if self.model_version not in self._installed_versions:
@@ -345,7 +282,7 @@ class InferenceEngine:
 
         Arrays travel as slab handles (inline through the queue when the
         slab is full).  Returns ``(result segment or None, input
-        segments)`` for :meth:`_collect_forward`; the inputs stay
+        segments)`` for :meth:`_collect_forwards`; the inputs stay
         allocated until then, so a task resubmitted after a worker death
         still finds them.
         """
@@ -377,18 +314,73 @@ class InferenceEngine:
         return result, [h for h in payload.values() if isinstance(h, ArrayHandle)]
 
     @staticmethod
-    def _collect_forward(ex, task_id, res, segments) -> np.ndarray:
-        """Energies of one finished micro-batch; frees its slab segments."""
-        result, inputs = segments
-        for seg in inputs:
-            ex.slab.free(seg)
-        if "error" in res:
-            raise RuntimeError(
-                f"micro-batch {task_id!r} failed on worker:\n{res['error']}"
+    def _collect_forwards(ex, inflight: Dict[int, tuple]) -> Tuple[Dict, Dict]:
+        """Drain the pool; ``(energies, results)`` keyed by batch id.
+
+        Every micro-batch's input and result segments are freed before
+        the first worker error is raised, so a failed batch leaks no slab
+        memory.
+        """
+        results = ex.drain()
+        failed = [bid for bid in inflight if "error" in results[bid]]
+        energies: Dict[int, np.ndarray] = {}
+        for bid, (result, inputs) in inflight.items():
+            for seg in inputs:
+                ex.slab.free(seg)
+            # take() frees the result segment, written or not.
+            energies[bid] = (
+                ex.slab.take(result)
+                if result is not None
+                else results[bid].get("energies")
             )
-        return ex.slab.take(result) if result is not None else res["energies"]
+        if failed:
+            error = results[failed[0]]["error"]
+            raise RuntimeError(f"micro-batch {failed[0]!r} failed on worker:\n{error}")
+        return energies, results
 
     # -- serving ------------------------------------------------------------------
+
+    def _admit(self, reqs: Sequence[TraceRequest]):
+        """Work-conserving windowed admission; yields ``(time, pending)`` flushes.
+
+        The consumer dispatches each flush before the next is computed:
+        replica ``free_at`` after that dispatch decides when the next
+        partial window may stop waiting for its deadline.
+        """
+        window = len(self.replicas) * self.max_batch_tokens
+        pending: List[TraceRequest] = []
+        pending_tokens = 0
+        last_admit = 0.0
+        i = 0
+        while i < len(reqs) or pending:
+            deadline = pending[0].arrival + self.max_wait if pending else math.inf
+            next_arrival = reqs[i].arrival if i < len(reqs) else math.inf
+            if pending:
+                # The moment a replica is idle (which can be no earlier
+                # than the last admission), a partial window stops
+                # waiting for its deadline.  Ties with the next arrival
+                # go to admission, so co-arriving requests still batch
+                # together.
+                idle_at = min(rep.free_at for rep in self.replicas)
+                flush_at = max(idle_at, last_admit)
+                if flush_at < next_arrival and flush_at <= deadline:
+                    yield flush_at, pending
+                    pending, pending_tokens = [], 0
+                    continue
+            if i < len(reqs) and next_arrival <= deadline:
+                r = reqs[i]
+                if pending and pending_tokens + r.tokens > window:
+                    # Window overflow observed at this arrival: flush the
+                    # backlog now, then admit the newcomer.
+                    yield r.arrival, pending
+                    pending, pending_tokens = [], 0
+                pending.append(r)
+                pending_tokens += r.tokens
+                last_admit = r.arrival
+                i += 1
+            else:
+                yield deadline, pending
+                pending, pending_tokens = [], 0
 
     def serve(
         self,
@@ -423,11 +415,10 @@ class InferenceEngine:
             rep.reset()
         self.scheduler.reset()
         swap_events = sorted(swaps or [], key=lambda ev: ev[0])
+        swap_idx = 0
         hits0, misses0 = self.collate_cache.hits, self.collate_cache.misses
-
-        wall = self.mode == "wall-clock"
-        ex = self._ensure_executor() if wall else None
-        if wall:
+        ex = self.executor
+        if ex is not None:
             deaths0 = ex.stats.worker_deaths
             resub0 = ex.stats.resubmitted
             wall_t0 = monotonic()
@@ -435,19 +426,17 @@ class InferenceEngine:
         records: List[RequestRecord] = []
         batch_tokens: List[int] = []
         predicted: List[float] = []
-        # batch_id -> (first record index, n requests, slab segments)
-        wall_meta: Dict[int, Tuple[int, int, tuple]] = {}
-        state = {"swap_idx": 0, "batch_id": 0, "host_forward": 0.0}
-
-        def flush(pending: List[TraceRequest], now: float) -> None:
-            while (
-                state["swap_idx"] < len(swap_events)
-                and swap_events[state["swap_idx"]][0] <= now
-            ):
-                self.swap_model(swap_events[state["swap_idx"]][1])
-                state["swap_idx"] += 1
-            if not pending:
-                return
+        # batch_id -> first record index, and -> energies (local forward)
+        # or in-flight slab segments (executor forward).
+        first_record: Dict[int, int] = {}
+        executed: Dict[int, object] = {}
+        host_forward = 0.0
+        queue_peak = 0
+        for now, pending in self._admit(reqs):
+            while swap_idx < len(swap_events) and swap_events[swap_idx][0] <= now:
+                self.swap_model(swap_events[swap_idx][1])
+                swap_idx += 1
+            queue_peak = max(queue_peak, len(pending))
             plans = self.scheduler.plan(pending, now, self.replicas, self)
             planned = sum(len(batch) for batch, _ in plans)
             if planned != len(pending):
@@ -456,9 +445,9 @@ class InferenceEngine:
                     f"{len(pending)} pending requests"
                 )
             for batch, j in plans:
+                bid = len(batch_tokens)
                 tokens = sum(r.tokens for r in batch)
                 edges = sum(r.edges for r in batch)
-                energies: Optional[np.ndarray] = None
                 cache_hit = False
                 if self.execute:
                     comp = [r.graph_id for r in batch]
@@ -467,41 +456,31 @@ class InferenceEngine:
                         self.pool, comp, capacity=self.max_batch_tokens
                     )
                     cache_hit = self.collate_cache.hits > h_before
-                    if wall:
-                        # Same virtual-clock bookkeeping as simulate mode
-                        # (the collate above keeps cache_hit — and so the
-                        # whole schedule — identical); the forward itself
-                        # runs on the pinned worker and its energies are
-                        # filled into the records at drain time.
-                        wall_meta[state["batch_id"]] = (
-                            len(records),
-                            len(batch),
-                            self._submit_forward(
-                                ex, gb, state["batch_id"], j % ex.n_workers
-                            ),
-                        )
-                    else:
+                    first_record[bid] = len(records)
+                    if ex is None:
                         t0 = perf_counter()
-                        energies = self.model.predict_energy(
+                        executed[bid] = self.model.predict_energy(
                             gb, compiled=self.plan_cache
                         )
-                        state["host_forward"] += perf_counter() - t0
+                        host_forward += perf_counter() - t0
+                    else:
+                        executed[bid] = self._submit_forward(
+                            ex, gb, bid, j % ex.n_workers
+                        )
                     self.cache_hit_ema += self._hit_ema_alpha * (
                         float(cache_hit) - self.cache_hit_ema
                     )
                 service = self.service_models[j].batch_seconds(
                     tokens, edges, hit_rate=1.0 if cache_hit else 0.0
                 )
-                if wall:
-                    predicted.append(service)
+                predicted.append(service)
                 start, finish = self.replicas[j].dispatch(
                     now, service, len(batch), tokens
                 )
-                # The cache collates members in sorted-graph_id order;
-                # energies[pos] belongs to the pos-th smallest graph_id.
-                order = sorted(range(len(batch)), key=lambda k: batch[k].graph_id)
-                for pos, k in enumerate(order):
-                    r = batch[k]
+                # The cache collates members in sorted-graph_id order, so
+                # records are appended in that order: energies[pos] of a
+                # batch belongs to its pos-th record.
+                for r in sorted(batch, key=lambda r: r.graph_id):
                     records.append(
                         RequestRecord(
                             req_id=r.req_id,
@@ -510,81 +489,30 @@ class InferenceEngine:
                             dispatch=start,
                             finish=finish,
                             replica=j,
-                            batch_id=state["batch_id"],
-                            energy=(
-                                None if energies is None else float(energies[pos])
-                            ),
+                            batch_id=bid,
                         )
                     )
                 batch_tokens.append(tokens)
-                state["batch_id"] += 1
-
-        pending: List[TraceRequest] = []
-        pending_tokens = 0
-        queue_peak = 0
-        last_admit = 0.0
-        i = 0
-        while i < len(reqs) or pending:
-            deadline = (
-                pending[0].arrival + self.max_wait if pending else math.inf
-            )
-            next_arrival = reqs[i].arrival if i < len(reqs) else math.inf
-            if self.work_conserving and pending:
-                # Work-conserving admission: the moment a replica is idle
-                # (which can be no earlier than the last admission), a
-                # partial window stops waiting for its deadline.  Ties
-                # with the next arrival go to admission, so co-arriving
-                # requests still batch together.
-                idle_at = min(rep.free_at for rep in self.replicas)
-                flush_at = max(idle_at, last_admit)
-                if flush_at < next_arrival and flush_at <= deadline:
-                    flush(pending, flush_at)
-                    pending, pending_tokens = [], 0
-                    continue
-            if i < len(reqs) and next_arrival <= deadline:
-                r = reqs[i]
-                if pending and pending_tokens + r.tokens > self.flush_window_tokens:
-                    # Window overflow observed at this arrival: flush the
-                    # backlog now, then admit the newcomer.
-                    flush(pending, r.arrival)
-                    pending, pending_tokens = [], 0
-                pending.append(r)
-                pending_tokens += r.tokens
-                queue_peak = max(queue_peak, len(pending))
-                last_admit = r.arrival
-                i += 1
-            else:
-                flush(pending, deadline)
-                pending, pending_tokens = [], 0
 
         wall_fields = {}
-        if wall:
-            results = ex.drain()
-            # A drain is executor-wide: hand any interleaved async batches
-            # their results instead of dropping them.
-            self._collect_async(results, ex)
-            measured = [0.0] * state["batch_id"]
-            finishes: List[float] = []
-            for bid, (first, n, segments) in wall_meta.items():
-                res = results[bid]
-                energies = self._collect_forward(ex, bid, res, segments)
-                # Same ordering contract as the simulate path: the worker
-                # ran the collated batch, so energies[pos] belongs to
-                # the pos-th record appended for this micro-batch.
-                for pos in range(n):
-                    records[first + pos].energy = float(energies[pos])
-                measured[bid] = res["finish"] - res["start"]
-                finishes.append(res["finish"])
+        if ex is not None:
+            executed, results = self._collect_forwards(ex, executed)
+            done = [results[bid] for bid in range(len(batch_tokens))]
             wall_fields = dict(
                 mode="wall-clock",
                 backend=ex.backend,
                 n_workers=ex.n_workers,
                 batch_predicted_seconds=predicted,
-                batch_measured_seconds=measured,
-                measured_makespan=max(finishes) - wall_t0 if finishes else 0.0,
+                batch_measured_seconds=[res["finish"] - res["start"] for res in done],
+                measured_makespan=(
+                    max(res["finish"] for res in done) - wall_t0 if done else 0.0
+                ),
                 worker_deaths=ex.stats.worker_deaths - deaths0,
                 resubmitted=ex.stats.resubmitted - resub0,
             )
+        for bid, energies in executed.items():
+            for pos, energy in enumerate(energies):
+                records[first_record[bid] + pos].energy = float(energy)
 
         records.sort(key=lambda rec: rec.req_id)
         makespan = max((rec.finish for rec in records), default=0.0)
@@ -596,84 +524,12 @@ class InferenceEngine:
             batch_tokens=batch_tokens,
             batch_capacity=self.max_batch_tokens,
             queue_depth_peak=queue_peak,
-            host_forward_seconds=state["host_forward"],
+            host_forward_seconds=host_forward,
             collate_hits=self.collate_cache.hits - hits0,
             collate_misses=self.collate_cache.misses - misses0,
             slo_seconds=self.slo_seconds,
             **wall_fields,
         )
-
-    # -- asynchronous wall-clock requests -----------------------------------------
-
-    def submit(self, graph_id: int) -> int:
-        """Asynchronously request one molecule's energy; returns a request id.
-
-        The trace-free front door to the worker pool: requests accumulate
-        into a pending micro-batch that is shipped to a worker whenever
-        the next request would overflow the ``max_batch_tokens`` budget
-        (and unconditionally at :meth:`drain`).  The driver never blocks —
-        batching and submission happen inline; the energies come back
-        from :meth:`drain`.
-        """
-        if not 0 <= graph_id < len(self.pool):
-            raise ValueError(f"unknown graph id {graph_id}")
-        tokens = self.pool[graph_id].n_atoms
-        if tokens > self.max_batch_tokens:
-            raise ValueError(
-                f"graph {graph_id} has {tokens} tokens, over the "
-                f"{self.max_batch_tokens}-token micro-batch budget"
-            )
-        if self._async_pending and self._async_tokens + tokens > self.max_batch_tokens:
-            self._flush_async()
-        req_id = self._async_seq
-        self._async_seq += 1
-        self._async_pending.append((req_id, graph_id))
-        self._async_tokens += tokens
-        return req_id
-
-    def drain(self) -> Dict[int, float]:
-        """Finish all outstanding :meth:`submit` work; ``{req_id: energy}``.
-
-        Blocks until every in-flight micro-batch has a result (worker
-        deaths are handled by the executor: state is reinstalled and the
-        lost tasks resubmitted, so drain still completes).
-        """
-        self._flush_async()
-        if self._async_tasks:
-            ex = self._ensure_executor()
-            self._collect_async(ex.drain(), ex)
-        out, self._async_results = self._async_results, {}
-        return out
-
-    def _collect_async(self, results: Dict, ex) -> None:
-        """Fold drained executor results into the async result map."""
-        for task_id, (req_order, segments) in list(self._async_tasks.items()):
-            res = results.get(task_id)
-            if res is None:
-                continue
-            del self._async_tasks[task_id]
-            energies = self._collect_forward(ex, task_id, res, segments)
-            for pos, req_id in enumerate(req_order):
-                self._async_results[req_id] = float(energies[pos])
-
-    def _flush_async(self) -> None:
-        """Pack the pending async window into one micro-batch and ship it."""
-        if not self._async_pending:
-            return
-        ex = self._ensure_executor()
-        comp = [graph_id for _, graph_id in self._async_pending]
-        gb = self.collate_cache.get(self.pool, comp, capacity=self.max_batch_tokens)
-        # The cache collates members in sorted-graph_id order (stable), so
-        # energies[pos] belongs to the pos-th request in that order.
-        order = sorted(range(len(comp)), key=lambda k: comp[k])
-        req_order = [self._async_pending[k][0] for k in order]
-        task_id = f"async-{self._async_batches}"
-        self._async_tasks[task_id] = (
-            req_order,
-            self._submit_forward(ex, gb, task_id, self._async_batches % ex.n_workers),
-        )
-        self._async_batches += 1
-        self._async_pending, self._async_tokens = [], 0
 
 
 def compare_policies(

@@ -76,12 +76,13 @@ class RequestRecord:
 class ServingReport:
     """Outcome of serving one trace under one scheduling policy.
 
-    ``mode="simulate"`` reports live entirely on the virtual clock.  In
-    ``mode="wall-clock"`` the same virtual-clock schedule (identical
-    admission, batching and placement) additionally executes on a real
-    worker pool, filling the measured fields: per-batch wall seconds
-    beside the cost model's predictions, the real makespan, and the
-    pool's robustness counters.
+    An engine without an executor reports entirely on the virtual clock
+    (``mode="simulate"``).  Given an executor, the same virtual-clock
+    schedule (identical admission, batching and placement) additionally
+    executes on that worker pool, and the report (``mode="wall-clock"``)
+    fills the measured fields: per-batch wall seconds beside the cost
+    model's predictions, the real makespan, and the pool's robustness
+    counters.
     """
 
     policy: str
@@ -95,7 +96,7 @@ class ServingReport:
     collate_hits: int = 0
     collate_misses: int = 0
     slo_seconds: Optional[float] = None
-    # -- wall-clock execution (mode="wall-clock") --------------------------------
+    # -- wall-clock execution (engine given an executor) ------------------------
     mode: str = "simulate"
     backend: Optional[str] = None
     n_workers: int = 0

@@ -223,6 +223,16 @@ class TestCLI:
         assert "cost-aware" in out and "round-robin" in out
         assert "p99" in out and "imbalance" in out
 
+    def test_validate_cost_model_command(self, capsys):
+        from repro.cli import main
+
+        code = main(
+            ["validate-cost-model", "--backend", "serial", "--workers", "1",
+             "--requests", "12", "--pool", "4", "--channels", "4"]
+        )
+        assert code == 0
+        assert "calibration" in capsys.readouterr().out
+
     def test_serve_bench_help_mentions_cost_model(self, capsys):
         from repro.cli import main
 

@@ -12,8 +12,9 @@ The contracts under test (this PR's tentpole):
   incident counted;
 - ParallelDDP with eager rank steps is *bitwise* equal to the serial
   ``Trainer.ddp_step`` (compiled rank steps agree to 1e-12);
-- ``mode="wall-clock"`` serving keeps the simulate-mode schedule and
-  numerics while filling measured timing fields.
+- serving on an ``executor=`` keeps the virtual-clock schedule and
+  numerics while filling measured timing fields, and a failed
+  micro-batch leaks no slab memory.
 """
 
 import os
@@ -378,24 +379,20 @@ class TestEngineWallClock:
     def trace(self, pool):
         return generate_trace(pool, 25, rate=400.0, seed=4)
 
+    def _engine(self, pool, **kw):
+        return InferenceEngine(
+            MACE(CFG, seed=0), pool, n_replicas=2, max_batch_tokens=96, **kw
+        )
+
     def _simulate(self, pool, trace):
-        eng = InferenceEngine(MACE(CFG, seed=0), pool, n_replicas=2, max_batch_tokens=96)
-        return eng.serve(trace)
+        return self._engine(pool).serve(trace)
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_wall_clock_keeps_schedule_and_numerics(self, backend, pool, trace):
         sim = self._simulate(pool, trace)
-        with InferenceEngine(
-            MACE(CFG, seed=0),
-            pool,
-            n_replicas=2,
-            max_batch_tokens=96,
-            mode="wall-clock",
-            backend=backend,
-            n_workers=2,
-        ) as eng:
-            rep = eng.serve(trace)
-            assert eng._ensure_executor().slab.live_bytes == 0  # segments released
+        with make_executor(backend, 2) as ex:
+            rep = self._engine(pool, executor=ex).serve(trace)
+            assert ex.slab.live_bytes == 0  # segments released
         # Identical virtual schedule...
         assert [(r.req_id, r.batch_id, r.replica) for r in rep.records] == [
             (r.req_id, r.batch_id, r.replica) for r in sim.records
@@ -424,15 +421,7 @@ class TestEngineWallClock:
         else rides the queue inline — slower, never wrong, nothing leaks."""
         sim = self._simulate(pool, trace)
         with make_executor("thread", 2, slab_bytes=64) as ex:
-            eng = InferenceEngine(
-                MACE(CFG, seed=0),
-                pool,
-                n_replicas=2,
-                max_batch_tokens=96,
-                mode="wall-clock",
-                executor=ex,
-            )
-            rep = eng.serve(trace)
+            rep = self._engine(pool, executor=ex).serve(trace)
             assert ex.slab.live_bytes == 0
         np.testing.assert_allclose(
             [r.energy for r in rep.records],
@@ -440,63 +429,40 @@ class TestEngineWallClock:
             atol=1e-12,
         )
 
-    def test_async_submit_drain(self, pool):
-        with InferenceEngine(
-            MACE(CFG, seed=0),
-            pool,
-            max_batch_tokens=96,
-            mode="wall-clock",
-            backend="thread",
-            n_workers=2,
-        ) as eng:
-            wanted = [0, 3, 5, 1, 1, 2]  # includes a duplicate graph
-            ids = [eng.submit(g) for g in wanted]
-            out = eng.drain()
-            assert sorted(out) == sorted(ids)
-            for req_id, g in zip(ids, wanted):
-                ref = float(eng.predict([pool[g]])[0])
-                assert out[req_id] == pytest.approx(ref, abs=1e-10)
-            assert eng.drain() == {}  # nothing outstanding
+    @pytest.mark.parametrize("backend", ("serial", "thread"))
+    def test_failed_batch_frees_every_segment(self, backend, pool, trace, monkeypatch):
+        """One worker error fails the serve with a typed error, after
+        every micro-batch's input and result segments are released."""
+        run, calls = ForwardTask.run, []
 
-    def test_submit_validates_graph(self, pool):
-        with InferenceEngine(
-            MACE(CFG, seed=0),
-            pool,
-            mode="wall-clock",
-            backend="serial",
-        ) as eng:
-            with pytest.raises(ValueError, match="unknown graph"):
-                eng.submit(len(pool))
+        def failing_run(task, ctx):
+            calls.append(task.task_id)
+            if len(calls) == 2:
+                raise ValueError("injected forward failure")
+            return run(task, ctx)
+
+        monkeypatch.setattr(ForwardTask, "run", failing_run)
+        with make_executor(backend, 2) as ex:
+            with pytest.raises(RuntimeError, match="injected forward failure"):
+                self._engine(pool, executor=ex).serve(trace)
+            assert ex.slab.live_bytes == 0
 
     def test_wall_clock_needs_execute_and_plans(self, pool):
-        with pytest.raises(ValueError, match="wall-clock"):
-            InferenceEngine(
-                MACE(CFG, seed=0), pool, mode="wall-clock", execute=False
-            )
-        with pytest.raises(ValueError, match="wall-clock"):
-            InferenceEngine(
-                MACE(CFG, seed=0), pool, mode="wall-clock", plan_cache=None
-            )
-        with pytest.raises(ValueError, match="unknown mode"):
-            InferenceEngine(MACE(CFG, seed=0), pool, mode="realtime")
+        with make_executor("serial", 1) as ex:
+            with pytest.raises(ValueError, match="wall-clock"):
+                InferenceEngine(MACE(CFG, seed=0), pool, executor=ex, execute=False)
+            with pytest.raises(ValueError, match="wall-clock"):
+                InferenceEngine(MACE(CFG, seed=0), pool, executor=ex, plan_cache=None)
 
     def test_worker_death_mid_trace_surfaces_in_report(self, pool, trace):
         """SIGKILL a pool worker with a trace's batches in flight: the
         serve completes, energies still match, and the report carries the
         incident counters."""
         sim = self._simulate(pool, trace)
-        with InferenceEngine(
-            MACE(CFG, seed=0),
-            pool,
-            n_replicas=2,
-            max_batch_tokens=96,
-            mode="wall-clock",
-            backend="process",
-            n_workers=2,
-        ) as eng:
+        with make_executor("process", 2) as ex:
+            eng = self._engine(pool, executor=ex)
             warm = eng.serve(trace)  # installs the model, warms worker plans
             assert warm.worker_deaths == 0
-            ex = eng._ensure_executor()
             # The respawn below has the model log alone to rebuild from.
             assert all(
                 isinstance(m, InstallModel) for log in ex._logs for m in log.messages

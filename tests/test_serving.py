@@ -1,5 +1,7 @@
 """Tests for the serving subsystem: traces, schedulers, engine, registry."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -171,7 +173,6 @@ class TestEngine:
             n_replicas=2,
             max_batch_tokens=4096,
             max_wait=1e-3,
-            flush_window_tokens=10**6,
             execute=False,
         )
         report = engine.serve(trace)
@@ -198,6 +199,15 @@ class TestEngine:
             execute=False,
         )
         with pytest.raises(ValueError, match="edge micro-batch budget"):
+            engine.serve(trace)
+
+    def test_request_for_unknown_graph_rejected(self, model, pool):
+        trace = generate_trace(pool, 30, rate=100.0, seed=0)
+        n_known = min(r.graph_id for r in trace.requests if r.graph_id > 0)
+        engine = InferenceEngine(
+            model, pool[:n_known], max_batch_tokens=4096, execute=False
+        )
+        with pytest.raises(ValueError, match="unknown graph"):
             engine.serve(trace)
 
     def test_collate_cache_reused_for_hot_molecules(self, model, pool):
@@ -363,26 +373,21 @@ class TestWorkConservingAdmission:
 
     def test_light_load_p50_beats_deadline_wait(self, model, pool):
         """The work-conserving regression gate: at light load, p50
-        latency drops from ~max_wait to ~service time because partial
+        latency is the service time, not ~max_wait, because partial
         windows flush the moment a replica is idle."""
-        kw = dict(
+        max_wait = 2e-2
+        engine = InferenceEngine(
+            model,
+            pool,
             n_replicas=2,
             max_batch_tokens=4096,
-            max_wait=2e-2,
-            flush_window_tokens=10**6,
+            max_wait=max_wait,
             execute=False,
         )
-        trace = self._light_trace(pool)
-        wc = InferenceEngine(model, pool, **kw).serve(trace)
-        waiting = InferenceEngine(
-            model, pool, work_conserving=False, **kw
-        ).serve(trace)
-        p50_wc = wc.latency.p50
-        p50_wait = waiting.latency.p50
-        assert p50_wait >= 2e-2  # the old behavior waits out the deadline
-        assert p50_wc < 0.5 * p50_wait
+        report = engine.serve(self._light_trace(pool))
+        assert report.latency.p50 < 0.5 * max_wait
         # Dispatch is immediate: no request waits in the admission queue.
-        for rec in wc.records:
+        for rec in report.records:
             assert rec.dispatch - rec.arrival <= 1e-9
 
     def test_deadline_still_bounds_delay_under_load(self, model, pool):
@@ -409,6 +414,43 @@ class TestWorkConservingAdmission:
         )
         report = engine.serve(trace)
         assert report.n_batches < report.n_requests / 2
+
+    @pytest.mark.parametrize(
+        "policy, n_batches, queue_peak, digest",
+        [
+            ("round-robin", 29, 8, "e1ad5db58aaa38bf39a6e69b6129da19"),
+            ("cost-aware", 28, 8, "807367965b5e22fcb186305c35cf88dd"),
+        ],
+    )
+    def test_virtual_schedule_is_pinned(
+        self, model, pool, policy, n_batches, queue_peak, digest
+    ):
+        """The virtual-clock schedule of a fixed bursty trace, bit for bit.
+
+        Admission, batching and placement changes that are meant to keep
+        the schedule must keep these literals; a change that moves the
+        schedule on purpose (e.g. measured service tables) updates them.
+        """
+        trace = generate_trace(pool, 60, rate=3000.0, process="bursty", seed=21)
+        report = InferenceEngine(
+            model,
+            pool,
+            n_replicas=2,
+            scheduler=policy,
+            max_batch_tokens=128,
+            max_wait=2e-3,
+            execute=False,
+        ).serve(trace)
+        h = hashlib.blake2b(digest_size=16)
+        for r in report.records:
+            h.update(
+                repr(
+                    (r.req_id, r.batch_id, r.replica, r.dispatch.hex(), r.finish.hex())
+                ).encode()
+            )
+        assert report.n_batches == n_batches
+        assert report.queue_depth_peak == queue_peak
+        assert h.hexdigest() == digest
 
 
 class TestHeterogeneousPools:
@@ -469,7 +511,7 @@ class TestHitRateSharpenedEstimates:
     def test_estimate_starts_pessimistic(self, model, pool):
         engine = InferenceEngine(model, pool, n_replicas=2, execute=False)
         assert engine.cache_hit_ema == 0.0
-        miss_cost = engine.service_model.batch_seconds(300, 3000, hit_rate=0.0)
+        miss_cost = engine.service_models[0].batch_seconds(300, 3000, hit_rate=0.0)
         assert engine.estimate_service(300, 3000) == pytest.approx(miss_cost)
 
     def test_hot_traffic_raises_ema_and_lowers_estimate(self, model, pool):
