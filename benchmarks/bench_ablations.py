@@ -86,10 +86,7 @@ def test_size_metric_choice(benchmark, spec):
             shuffle=False,
             size_metric=None if metric == "atoms" else lambda s: spec.n_edges + 1,
         )
-        bins = sampler.plan_epoch(0)
-        edge_loads = np.array(
-            [spec.n_edges[b.items].sum() for b in bins], dtype=float
-        )
+        edge_loads = sampler.plan_epoch(0).sums(spec.n_edges).astype(float)
         return float(edge_loads.std() / edge_loads.mean())
 
     atom_cv = pack("atoms")

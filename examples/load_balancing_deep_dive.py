@@ -43,8 +43,8 @@ rows = []
 for name, bins in packings.items():
     m = evaluate_bins(bins, sizes)
     # What the packing costs: simulate one epoch on 8 GPUs.
-    tokens = np.array([b.used for b in bins], dtype=float)
-    edges = np.array([spec.n_edges[b.items].sum() for b in bins], dtype=float)
+    tokens = bins.used.astype(float)
+    edges = bins.sums(spec.n_edges).astype(float)
     epoch_min = simulate_epoch(tokens, edges, NUM_GPUS).epoch_time / 60.0
     rows.append(
         (
@@ -67,7 +67,7 @@ print(
 # Per-GPU token loads for the first step of each strategy (Figure 12's view).
 print("\nper-GPU tokens, first 8 bins (one DDP step):")
 for name, bins in packings.items():
-    loads = [b.used for b in bins[:NUM_GPUS]]
+    loads = bins.used[:NUM_GPUS].tolist()
     print(f"  {name:28s} {loads}")
 
 print(

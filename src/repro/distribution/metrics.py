@@ -8,11 +8,11 @@ waste, and straggler-driven imbalance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .binpack import Bin
+from .binpack import BinPlan
 
 __all__ = [
     "DistributionMetrics",
@@ -51,21 +51,21 @@ class DistributionMetrics:
     straggler_ratio: float
 
 
-def evaluate_bins(bins: Sequence[Bin], sizes: Sequence[int] | None = None) -> DistributionMetrics:
+def evaluate_bins(bins: BinPlan, sizes: Sequence[int] | None = None) -> DistributionMetrics:
     """Compute :class:`DistributionMetrics` for a packing.
 
     ``sizes`` is needed only for the exact quadratic objective (5); when
     omitted the quadratic gap is computed on bin fills instead.
     """
-    if not bins:
+    if not len(bins):
         raise ValueError("no bins to evaluate")
-    fills = np.array([b.used for b in bins], dtype=np.float64)
-    caps = np.array([max(b.capacity, b.used) for b in bins], dtype=np.float64)
+    fills = bins.used.astype(np.float64)
+    caps = np.maximum(bins.capacity, bins.used).astype(np.float64)
     total_cap = caps.sum()
     pad_frac = float((caps - fills).sum() / total_cap) if total_cap > 0 else 0.0
     if sizes is not None:
-        sz = np.asarray(sizes, dtype=np.float64)
-        sq = np.array([sum(sz[i] ** 2 for i in b.items) for b in bins])
+        sz = np.asarray(sizes, dtype=np.int64)
+        sq = bins.sums(sz * sz).astype(np.float64)
     else:
         sq = fills**2
     mean = float(fills.mean())
@@ -79,32 +79,29 @@ def evaluate_bins(bins: Sequence[Bin], sizes: Sequence[int] | None = None) -> Di
     )
 
 
-def per_gpu_loads(bins: Sequence[Bin], num_gpus: int) -> np.ndarray:
+def per_gpu_loads(bins: BinPlan, num_gpus: int) -> np.ndarray:
     """Total tokens landing on each GPU under round-robin bin assignment.
 
     This is the quantity Figure 12 visualizes: with the load balancer every
     GPU receives (nearly) the same token count; with fixed-count batching
     the loads vary widely.
     """
-    loads = np.zeros(num_gpus, dtype=np.int64)
-    for j, b in enumerate(bins):
-        loads[j % num_gpus] += b.used
-    return loads
+    return _per_step(bins.used, num_gpus).sum(axis=0)
 
 
-def step_imbalance(bins: Sequence[Bin], num_gpus: int) -> np.ndarray:
+def step_imbalance(bins: BinPlan, num_gpus: int) -> np.ndarray:
     """Per-step straggler factor under synchronous DDP.
 
     Bins are consumed ``num_gpus`` at a time (one per rank per step); each
     step's cost is driven by its largest bin.  Returns ``max/mean`` per
     step — the quantity that directly multiplies epoch time.
     """
-    fills = np.array([b.used for b in bins], dtype=np.float64)
-    n_steps = int(np.ceil(fills.size / num_gpus))
-    pad = n_steps * num_gpus - fills.size
-    if pad:
-        fills = np.concatenate([fills, np.zeros(pad)])
-    per_step = fills.reshape(n_steps, num_gpus)
+    per_step = _per_step(bins.used.astype(np.float64), num_gpus)
     means = per_step.mean(axis=1)
     means[means == 0.0] = 1.0
     return per_step.max(axis=1) / means
+
+
+def _per_step(fills: np.ndarray, num_gpus: int) -> np.ndarray:
+    """Fills as ``(steps, num_gpus)`` rows, the last step zero-padded."""
+    return np.pad(fills, (0, (-fills.size) % num_gpus)).reshape(-1, num_gpus)

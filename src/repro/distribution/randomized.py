@@ -16,11 +16,11 @@ trade-off curve is measured in ``benchmarks/bench_ablations.py``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .binpack import Bin, create_balanced_batches
+from .binpack import BinPlan, create_balanced_batches
 from .sampler import _EpochPlanMixin
 
 __all__ = ["sharded_balanced_batches", "RandomizedBalancedSampler"]
@@ -32,7 +32,7 @@ def sharded_balanced_batches(
     num_gpus: int,
     shard_size: int,
     rng: Optional[np.random.Generator] = None,
-) -> List[Bin]:
+) -> BinPlan:
     """Shuffle, cut into shards, run Algorithm 1 per shard, interleave.
 
     Parameters
@@ -54,14 +54,19 @@ def sharded_balanced_batches(
     order = np.arange(sizes_arr.size)
     if rng is not None:
         order = rng.permutation(order)
-    bins: List[Bin] = []
-    for start in range(0, sizes_arr.size, shard_size):
-        shard = order[start : start + shard_size]
-        shard_bins = create_balanced_batches(sizes_arr[shard], capacity, num_gpus)
-        for b in shard_bins:
-            b.items = [int(shard[i]) for i in b.items]
-        bins.extend(shard_bins)
-    return bins
+    starts = range(0, sizes_arr.size, shard_size)
+    plans = [
+        create_balanced_batches(
+            sizes_arr[order[start : start + shard_size]], capacity, num_gpus
+        )
+        for start in starts
+    ]
+    # One gather maps every shard's positions back to dataset indices.
+    items = order[np.concatenate([p.items + start for p, start in zip(plans, starts)])]
+    offsets = np.concatenate(
+        [[0]] + [p.offsets[1:] + start for p, start in zip(plans, starts)]
+    )
+    return BinPlan(items, offsets, np.concatenate([p.used for p in plans]), capacity)
 
 
 class RandomizedBalancedSampler(_EpochPlanMixin):
@@ -88,7 +93,7 @@ class RandomizedBalancedSampler(_EpochPlanMixin):
         self.shard_size = int(shard_size)
         self.seed = seed
 
-    def plan_epoch(self, epoch: int) -> List[Bin]:
+    def plan_epoch(self, epoch: int) -> BinPlan:
         """Shard + pack this epoch (same plan on every rank)."""
         rng = np.random.default_rng(self.seed + epoch)
         return sharded_balanced_batches(
@@ -102,9 +107,9 @@ class RandomizedBalancedSampler(_EpochPlanMixin):
         changed = []
         for epoch in range(n_epochs):
             partner: dict = {}
-            for b in self.plan_epoch(epoch):
-                key = tuple(sorted(b.items))
-                for i in b.items:
+            for items in self.plan_epoch(epoch):
+                key = tuple(sorted(items.tolist()))
+                for i in key:
                     partner[i] = key
             if prev is not None:
                 diff = sum(1 for i, k in partner.items() if prev.get(i) != k)

@@ -20,12 +20,13 @@ across epochs are collated once.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..graphs.pipeline import CollateCache, materialize_epoch
-from .binpack import Bin, create_balanced_batches
+from .binpack import BinPlan, create_balanced_batches
 from .baselines import fixed_count_batches
 
 __all__ = ["BalancedDistributedSampler", "FixedCountDistributedSampler"]
@@ -34,11 +35,13 @@ __all__ = ["BalancedDistributedSampler", "FixedCountDistributedSampler"]
 class _EpochPlanMixin:
     """Epoch-plan consumption shared by both samplers.
 
-    Subclasses provide ``plan_epoch(epoch) -> List[Bin]`` and
+    Subclasses provide ``plan_epoch(epoch) -> BinPlan`` and
     ``num_replicas``; everything below — the cyclic rank dealing rule
     (bin ``i`` goes to rank ``i % G``), capacity extraction and batch
     materialization — lives here so there is exactly one source of
-    truth for how plans map onto ranks.
+    truth for how plans map onto ranks.  The last epoch's plan is kept
+    in a one-entry memo, so dealing every rank's bins and its shard
+    schedule packs the epoch once.
 
     When ``shard_ids`` is set (per-sample shard assignment from a
     :class:`repro.data.store.SizeIndex`), each rank's bins are
@@ -50,53 +53,69 @@ class _EpochPlanMixin:
     """
 
     shard_ids = None  # optional per-sample shard assignment (size-index only)
+    _memo = None  # (epoch, each rank's bins as a plan, in walking order)
 
-    def _dominant_shard(self, items: List[int]) -> int:
-        ids = self.shard_ids[np.asarray(items, dtype=np.int64)]
-        vals, counts = np.unique(ids, return_counts=True)
-        return int(vals[np.argmax(counts)])
+    def _rank_plan(self, epoch: int, rank: int) -> BinPlan:
+        """Rank ``rank``'s bins in walking order; each epoch is packed once."""
+        if not 0 <= rank < self.num_replicas:
+            raise ValueError(f"rank {rank} out of range")
+        memo = self._memo
+        if memo is None or memo[0] != epoch:
+            plan = self.plan_epoch(epoch)
+            i = np.arange(len(plan))
+            rank_of = i % self.num_replicas
+            if self.shard_ids is None:
+                dom = np.zeros_like(i)
+            else:
+                dom = self._dominant_shards(plan)
+            order = np.lexsort((i, dom, rank_of))
+            ends = np.cumsum(np.bincount(rank_of, minlength=self.num_replicas))[:-1]
+            memo = self._memo = (epoch, [plan.take(b) for b in np.split(order, ends)])
+        return memo[1][rank]
+
+    def _dominant_shards(self, plan: BinPlan) -> np.ndarray:
+        """Each bin's most frequent shard, ties to the smallest id; -1 if empty."""
+        span = int(self.shard_ids.max()) + 1
+        pairs, counts = np.unique(
+            np.repeat(np.arange(len(plan)) * span, plan.lengths)
+            + self.shard_ids[plan.items],
+            return_counts=True,
+        )
+        bins, shards = np.divmod(pairs, span)
+        # lexsort is stable, so among equal counts the smallest shard comes first.
+        best = np.lexsort((-counts, bins))
+        best = best[np.diff(bins[best], prepend=-1) != 0]
+        dom = np.full(len(plan), -1, dtype=np.int64)
+        dom[bins[best]] = shards[best]
+        return dom
 
     def all_rank_bins(self, epoch: int) -> List[List[Tuple[List[int], int]]]:
-        """Per-rank ``(indices, capacity)`` bin lists from one planning
-        pass — the only place the dealing rule appears."""
-        out: List[List[Tuple[List[int], int]]] = [
-            [] for _ in range(self.num_replicas)
-        ]
-        for i, b in enumerate(self.plan_epoch(epoch)):
-            out[i % self.num_replicas].append((b.items, int(b.capacity)))
-        if self.shard_ids is not None:
-            for rank_bins in out:
-                rank_bins.sort(
-                    key=lambda bin_: self._dominant_shard(bin_[0]) if bin_[0] else -1
-                )
-        return out
+        """Per-rank ``(indices, capacity)`` bin lists from one planning pass."""
+        return [self.plan_rank_bins(epoch, r) for r in range(self.num_replicas)]
 
     def plan_rank_shards(self, epoch: int, rank: int) -> List[int]:
         """Shard ids rank ``rank`` touches this epoch, in first-use order.
 
         The per-rank prefetch schedule: computed from ``shard_ids`` alone
         (no payload reads), it tells a streaming consumer which shard
-        files this rank's epoch walks and in what order.
+        files this rank's epoch walks and in what order — bin by bin,
+        each bin's shards ascending.
         """
         if self.shard_ids is None:
             raise ValueError("sampler has no shard_ids (size index not attached)")
-        seen: List[int] = []
-        have = set()
-        for items, _ in self.plan_rank_bins(epoch, rank):
-            for sid in np.unique(self.shard_ids[np.asarray(items, dtype=np.int64)]):
-                sid = int(sid)
-                if sid not in have:
-                    have.add(sid)
-                    seen.append(sid)
-        return seen
+        bins = self._rank_plan(epoch, rank)
+        sid = self.shard_ids[bins.items]
+        pos = np.repeat(np.arange(len(bins)), bins.lengths)
+        walk = sid[np.lexsort((sid, pos))]
+        _, first = np.unique(walk, return_index=True)
+        return walk[np.sort(first)].tolist()
 
     def plan_rank_bins(
         self, epoch: int, rank: int
     ) -> List[Tuple[List[int], int]]:
         """``(indices, capacity)`` pairs of the bins rank ``rank`` owns."""
-        if not 0 <= rank < self.num_replicas:
-            raise ValueError(f"rank {rank} out of range")
-        return self.all_rank_bins(epoch)[rank]
+        bins = self._rank_plan(epoch, rank)
+        return [(items.tolist(), bins.capacity) for items in bins]
 
     def rank_batches(self, epoch: int, rank: int) -> List[List[int]]:
         """The batches (index lists) rank ``rank`` processes this epoch."""
@@ -175,23 +194,21 @@ class BalancedDistributedSampler(_EpochPlanMixin):
         self.seed = seed
         if shard_ids is not None:
             shard_ids = np.asarray(shard_ids, dtype=np.int64)
-            if shard_ids.shape != self.sizes.shape:
-                raise ValueError("shard_ids must have one entry per sample")
+            if shard_ids.shape != self.sizes.shape or np.any(shard_ids < 0):
+                raise ValueError("shard_ids must be one non-negative id per sample")
         self.shard_ids = shard_ids
 
-    def plan_epoch(self, epoch: int) -> List[Bin]:
+    def plan_epoch(self, epoch: int) -> BinPlan:
         """Pack the whole epoch into bins (identical on every rank)."""
         order = np.arange(self.sizes.size)
         if self.shuffle:
             rng = np.random.default_rng(self.seed + epoch)
             order = rng.permutation(order)
-        bins = create_balanced_batches(
+        plan = create_balanced_batches(
             self.metric[order], self.capacity, self.num_replicas
         )
         # Map positions back to dataset indices.
-        for b in bins:
-            b.items = [int(order[i]) for i in b.items]
-        return bins
+        return replace(plan, items=order[plan.items])
 
 
 class FixedCountDistributedSampler(_EpochPlanMixin):
@@ -211,7 +228,7 @@ class FixedCountDistributedSampler(_EpochPlanMixin):
         self.shuffle = shuffle
         self.seed = seed
 
-    def plan_epoch(self, epoch: int) -> List[Bin]:
+    def plan_epoch(self, epoch: int) -> BinPlan:
         """Chunk the (shuffled) dataset into fixed-count batches."""
         rng = np.random.default_rng(self.seed + epoch) if self.shuffle else None
         return fixed_count_batches(self.sizes, self.graphs_per_batch, rng=rng)

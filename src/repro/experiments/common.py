@@ -67,11 +67,9 @@ def balanced_workloads(
 ) -> BinWorkloads:
     """Algorithm 1 batching over the full spec."""
     bins = create_balanced_batches(spec.n_atoms, capacity, num_gpus)
-    tokens = np.array([b.used for b in bins], dtype=np.float64)
-    edges = np.array(
-        [spec.n_edges[b.items].sum() for b in bins], dtype=np.float64
+    return BinWorkloads(
+        bins.used.astype(np.float64), bins.sums(spec.n_edges).astype(np.float64)
     )
-    return BinWorkloads(tokens, edges)
 
 
 def simulate(

@@ -58,10 +58,10 @@ def run(n_samples: int = 4000, seed: int = 0) -> DistributionSnapshot:
     fixed = fixed_count_batches(sizes, FIXED_GRAPHS_PER_BATCH, rng=rng)[:NUM_GPUS]
     balanced = create_balanced_batches(sizes, CAPACITY, NUM_GPUS)[:NUM_GPUS]
     return DistributionSnapshot(
-        fixed_tokens=np.array([b.used for b in fixed]),
-        fixed_graphs=np.array([len(b.items) for b in fixed]),
-        balanced_tokens=np.array([b.used for b in balanced]),
-        balanced_graphs=np.array([len(b.items) for b in balanced]),
+        fixed_tokens=fixed.used,
+        fixed_graphs=fixed.lengths,
+        balanced_tokens=balanced.used,
+        balanced_graphs=balanced.lengths,
     )
 
 

@@ -168,10 +168,10 @@ class CostAwareScheduler(Scheduler):
             num_gpus=1,
         )
         batches: List[List[TraceRequest]] = []
-        for b in bins:
-            if not b.items:
+        for items in bins:
+            if not items.size:
                 continue
-            members = [pending[i] for i in b.items]
+            members = [pending[i] for i in items.tolist()]
             if (
                 engine.max_batch_edges is not None
                 and sum(r.edges for r in members) > engine.max_batch_edges

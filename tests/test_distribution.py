@@ -5,6 +5,7 @@ import pytest
 
 from repro.distribution import (
     BalancedDistributedSampler,
+    BinPlan,
     FixedCountDistributedSampler,
     best_fit_decreasing,
     create_balanced_batches,
@@ -20,19 +21,18 @@ from repro.distribution import (
 class TestFixedCountBatches:
     def test_counts(self):
         bins = fixed_count_batches([10, 20, 30, 40, 50], 2)
-        assert [len(b.items) for b in bins] == [2, 2, 1]
+        assert bins.lengths.tolist() == [2, 2, 1]
 
     def test_all_assigned_once(self, rng):
         sizes = rng.integers(1, 100, 53)
         bins = fixed_count_batches(sizes, 7, rng=rng)
-        assigned = sorted(i for b in bins for i in b.items)
+        assigned = sorted(bins.items.tolist())
         assert assigned == list(range(53))
 
     def test_capacity_is_max_fill(self, rng):
         sizes = rng.integers(1, 100, 20)
         bins = fixed_count_batches(sizes, 5)
-        max_fill = max(b.used for b in bins)
-        assert all(b.capacity == max_fill for b in bins)
+        assert bins.capacity == bins.used.max()
 
     def test_bad_count(self):
         with pytest.raises(ValueError):
@@ -42,13 +42,11 @@ class TestFixedCountBatches:
 class TestClassicHeuristics:
     def test_ffd_respects_capacity(self, rng):
         sizes = rng.integers(1, 100, 200)
-        for b in first_fit_decreasing(sizes, 128):
-            assert b.used <= 128
+        assert first_fit_decreasing(sizes, 128).used.max() <= 128
 
     def test_bfd_respects_capacity(self, rng):
         sizes = rng.integers(1, 100, 200)
-        for b in best_fit_decreasing(sizes, 128):
-            assert b.used <= 128
+        assert best_fit_decreasing(sizes, 128).used.max() <= 128
 
     def test_bfd_no_worse_bin_count_than_ffd(self, rng):
         sizes = rng.integers(1, 120, 300)
@@ -75,7 +73,7 @@ class TestClassicHeuristics:
         sizes = rng.integers(1, 100, 57)
         bins = lpt_schedule(sizes, 8)
         assert len(bins) == 8
-        assigned = sorted(i for b in bins for i in b.items)
+        assigned = sorted(bins.items.tolist())
         assert assigned == list(range(57))
 
     def test_lpt_balance(self, rng):
@@ -94,9 +92,7 @@ class TestMetrics:
             evaluate_bins([])
 
     def test_perfectly_balanced(self):
-        from repro.distribution import Bin
-
-        bins = [Bin(10, [0], 10), Bin(10, [1], 10)]
+        bins = BinPlan([0, 1], [0, 1, 2], [10, 10], 10)
         m = evaluate_bins(bins, [10, 10])
         assert m.load_cv == 0.0
         assert m.straggler_ratio == 1.0
@@ -104,38 +100,28 @@ class TestMetrics:
         assert m.max_pairwise_gap == 0
 
     def test_padding_fraction(self):
-        from repro.distribution import Bin
-
-        bins = [Bin(10, [0], 5), Bin(10, [1], 10)]
+        bins = BinPlan([0, 1], [0, 1, 2], [5, 10], 10)
         m = evaluate_bins(bins)
         assert m.padding_fraction == pytest.approx(0.25)
 
     def test_quadratic_gap_matches_equation5(self):
         """Objective (5) uses squared per-graph sizes."""
-        from repro.distribution import Bin
-
         sizes = [3, 4]
-        bins = [Bin(10, [0], 3), Bin(10, [1], 4)]
+        bins = BinPlan([0, 1], [0, 1, 2], [3, 4], 10)
         m = evaluate_bins(bins, sizes)
         assert m.quadratic_gap == pytest.approx(16 - 9)
 
     def test_per_gpu_loads_round_robin(self):
-        from repro.distribution import Bin
-
-        bins = [Bin(0, [i], 10 * (i + 1)) for i in range(4)]
+        bins = BinPlan(range(4), range(5), [10, 20, 30, 40], 0)
         loads = per_gpu_loads(bins, 2)
         np.testing.assert_array_equal(loads, [10 + 30, 20 + 40])
 
     def test_step_imbalance_uniform(self):
-        from repro.distribution import Bin
-
-        bins = [Bin(0, [i], 7) for i in range(8)]
+        bins = BinPlan(range(8), range(9), [7] * 8, 0)
         np.testing.assert_allclose(step_imbalance(bins, 4), 1.0)
 
     def test_step_imbalance_straggler(self):
-        from repro.distribution import Bin
-
-        bins = [Bin(0, [0], 100), Bin(0, [1], 10)]
+        bins = BinPlan([0, 1], [0, 1, 2], [100, 10], 0)
         ratio = step_imbalance(bins, 2)
         assert ratio[0] == pytest.approx(100 / 55)
 
@@ -195,7 +181,7 @@ class TestSamplers:
             size_metric=lambda s: s * s // 100 + 1,
         )
         plan = sampler.plan_epoch(0)
-        seen = sorted(i for b in plan for i in b.items)
+        seen = sorted(plan.items.tolist())
         assert seen == list(range(400))
 
     def test_fixed_sampler_covers_dataset(self):

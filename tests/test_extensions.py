@@ -26,12 +26,12 @@ class TestShardedBalancedBatches:
 
     def test_covers_every_sample(self, sizes, rng):
         bins = sharded_balanced_batches(sizes, 3072, 4, shard_size=2000, rng=rng)
-        assigned = sorted(i for b in bins for i in b.items)
+        assigned = sorted(bins.items.tolist())
         assert assigned == list(range(sizes.size))
 
     def test_capacity_respected(self, sizes, rng):
         bins = sharded_balanced_batches(sizes, 3072, 4, shard_size=2000, rng=rng)
-        assert all(b.used <= 3072 for b in bins)
+        assert bins.used.max() <= 3072
 
     def test_multiple_of_gpus(self, sizes, rng):
         bins = sharded_balanced_batches(sizes, 3072, 8, shard_size=2000, rng=rng)
@@ -117,9 +117,7 @@ class TestHeterogeneityInjection:
         """Even with jitter, balanced bins beat fixed-count batching."""
         rng = np.random.default_rng(0)
         sizes = np.concatenate([rng.integers(1, 60, 3000), np.full(100, 768)])
-        bt = np.array(
-            [b.used for b in create_balanced_batches(sizes, 3072, 8)], float
-        )
+        bt = create_balanced_batches(sizes, 3072, 8).used.astype(float)
         perm = rng.permutation(sizes.size)
         nb = sizes.size // 7
         ft = sizes[perm][: nb * 7].reshape(nb, 7).sum(1).astype(float)
