@@ -60,12 +60,7 @@ class BinPlan:
 
     @classmethod
     def from_assignment(
-        cls,
-        items: np.ndarray,
-        bin_of: Sequence[int],
-        n_bins: int,
-        sizes: np.ndarray,
-        capacity: int,
+        cls, items: np.ndarray, bin_of, n_bins: int, sizes: np.ndarray, capacity: int
     ) -> "BinPlan":
         """Bins ``0 .. n_bins - 1`` from items in placement order and each one's bin."""
         bin_of = np.asarray(bin_of, dtype=np.int64)
@@ -141,8 +136,8 @@ def create_balanced_batches(
     sizes_arr = _checked_sizes(sizes, capacity)
     # Line 1: stable sort, descending, remembering original indices (keys
     # that fit 16 bits sort by radix).
-    key = sizes_arr.max() - sizes_arr
-    order = np.argsort(key.astype(np.int16) if key.max() < 2**15 else key, kind="stable")
+    key = capacity - sizes_arr
+    order = np.argsort(key.astype(np.int16) if capacity < 2**15 else key, kind="stable")
     bin_of, bins, used = _pack_sorted(sizes_arr[order], capacity, num_gpus)
     slot = np.empty(used.size, dtype=np.int64)  # each bin id's output position
     slot[bins] = np.arange(bins.size)
@@ -154,7 +149,7 @@ def _checked_sizes(sizes: Sequence[int], capacity: int) -> np.ndarray:
     sizes_arr = np.asarray(sizes, dtype=np.int64)
     if sizes_arr.ndim != 1 or sizes_arr.size == 0:
         raise ValueError("sizes must be a non-empty 1D sequence")
-    if np.any(sizes_arr <= 0):
+    if sizes_arr.min() <= 0:
         raise ValueError("graph sizes must be positive")
     if capacity < int(sizes_arr.max()):
         raise ValueError(
