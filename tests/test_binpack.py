@@ -36,11 +36,23 @@ def assert_valid_packing(bins, sizes, capacity, num_gpus):
     assert len(bins) % num_gpus == 0
 
 
-# -- the per-graph loop Algorithm 1 was first written as, kept as the oracle ----
+# -- Algorithm 1 graph by graph: the reference the array deal equals bin for bin
 
 
 @dataclass
 class Bin:
+    """One mini-batch bin.
+
+    Attributes
+    ----------
+    capacity:
+        Token capacity ``C`` the bin was allocated with.
+    items:
+        Indices of the graphs packed into the bin (into the input size list).
+    used:
+        Sum of the packed graph sizes.
+    """
+
     capacity: int
     items: List[int] = field(default_factory=list)
     used: int = 0
@@ -48,6 +60,11 @@ class Bin:
     @property
     def remaining(self) -> int:
         return self.capacity - self.used
+
+    @property
+    def padding(self) -> int:
+        """Zero-padded tokens if the bin is materialized at capacity."""
+        return self.remaining
 
     def add(self, index: int, size: int) -> None:
         if size > self.remaining:
@@ -58,21 +75,33 @@ class Bin:
 
 def oracle_balanced_batches(sizes, capacity, num_gpus) -> List[Bin]:
     sizes_arr = np.asarray(sizes, dtype=np.int64)
+    # Line 1: stable sort, descending, remembering original indices.
     order = np.argsort(-sizes_arr, kind="stable")
-    return _pack_sorted(sizes_arr[order], order, capacity, num_gpus)
+    sorted_sizes = sizes_arr[order]
+    return _pack_sorted(sorted_sizes, order, capacity, num_gpus)
 
 
-def _pack_sorted(sorted_sizes, original_idx, capacity, num_gpus) -> List[Bin]:
+def _pack_sorted(
+    sorted_sizes: np.ndarray,
+    original_idx: np.ndarray,
+    capacity: int,
+    num_gpus: int,
+) -> List[Bin]:
     n = sorted_sizes.size
+    # Lines 2-4: number of bins = ceil(total / C) rounded up to a multiple of G.
     total = int(sorted_sizes.sum())
     m = max(math.ceil(total / capacity), 1)
     m = math.ceil(m / num_gpus) * num_gpus
 
     active: List[Bin] = [Bin(capacity) for _ in range(m)]
     full: List[Bin] = []
-    p = 0
+    p = 0  # pointer into the sorted item list
 
+    # Lines 7-22: deal items across bins, one per bin per round.
     while p < n and active:
+        # Line 8: stable sort by remaining capacity, descending (fullest
+        # *capacity* first — prioritizes bins with the most room so large
+        # remaining items land where they fit).
         active.sort(key=lambda b: -b.remaining)
         newly_full: List[Bin] = []
         still_active: List[Bin] = []
@@ -85,9 +114,13 @@ def _pack_sorted(sorted_sizes, original_idx, capacity, num_gpus) -> List[Bin]:
                 p += 1
                 still_active.append(b)
             else:
+                # Line 17: cannot take the current (largest remaining) item.
                 newly_full.append(b)
         full.extend(newly_full)
         active = still_active
+        # Lines 20-22: adaptive re-activation — if some active bin now has
+        # *less* remaining room than a "full" bin, the full marks were
+        # premature (smaller items may still fit); return them to the pool.
         if active and full:
             min_active_rem = min(b.remaining for b in active)
             max_full_rem = max(b.remaining for b in full)
@@ -96,10 +129,12 @@ def _pack_sorted(sorted_sizes, original_idx, capacity, num_gpus) -> List[Bin]:
                 full.clear()
 
     bins = active + full
+    # Lines 23-25: recurse on the leftovers (already sorted).
     if p < n:
         bins.extend(
             _pack_sorted(sorted_sizes[p:], original_idx[p:], capacity, num_gpus)
         )
+    # Drop empty bins but keep the bin count a multiple of num_gpus.
     nonempty = [b for b in bins if b.items]
     deficit = (-len(nonempty)) % num_gpus
     empties = [b for b in bins if not b.items][:deficit]
@@ -123,6 +158,9 @@ class TestMatchesPerGraphLoop:
             ([4, 2, 1], 8, 6),  # G > n
             ([9], 12, 1),  # a single item
             ([3, 3, 3], 5, 1),  # leftovers recurse
+            ([15, 53, 29, 28, 21, 26], 62, 1),  # re-activation changes the plan
+            ([47, 26, 12, 17, 18, 6, 1, 17, 33, 21], 66, 1),  # equal room stays full
+            ([18, 17, 32, 5, 34, 56, 24, 55], 68, 1),  # re-activation by one token
         ],
     )
     def test_edge_cases(self, sizes, capacity, num_gpus):
@@ -147,10 +185,10 @@ class TestMatchesPerGraphLoop:
         assert_matches_oracle(spec.n_atoms, 3072, num_gpus)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(
     sizes=st.lists(st.integers(1, 60), min_size=1, max_size=150),
-    slack=st.integers(0, 120),
+    slack=st.integers(0, 60),
     gpus=st.integers(1, 12),
 )
 def test_property_bin_for_bin_equal_to_oracle(sizes, slack, gpus):
