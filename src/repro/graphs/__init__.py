@@ -7,7 +7,7 @@ from .neighborlist import (
     build_neighbor_list,
     cell_list_neighbor_list,
 )
-from .batch import GraphBatch, bucket_size, collate
+from .batch import GraphBatch, bucket_size, collate, edge_pairs
 from .pipeline import (
     DEFAULT_SKIN,
     CollateCache,
@@ -22,6 +22,7 @@ __all__ = [
     "GraphBatch",
     "collate",
     "bucket_size",
+    "edge_pairs",
     "build_neighbor_list",
     "brute_force_neighbor_list",
     "cell_list_neighbor_list",

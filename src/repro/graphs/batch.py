@@ -20,14 +20,15 @@ a bin's real atoms fit it.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .molecular_graph import MolecularGraph
 
-__all__ = ["GraphBatch", "bucket_size", "collate"]
+__all__ = ["GraphBatch", "bucket_size", "collate", "edge_pairs"]
 
 
 def bucket_size(n: int) -> int:
@@ -54,7 +55,10 @@ class GraphBatch:
     positions, species:
         Per-atom arrays: the member graphs' atoms, then the ghost atoms.
     edge_index:
-        ``(2, n_edges)`` with per-graph vertex offsets applied.
+        ``(2, n_edges)`` with per-graph vertex offsets applied.  The
+        edge layout (both directions of every pair, ghosts paired by
+        position, the pair index of :func:`edge_pairs`) is documented
+        once, in :meth:`repro.mace.MACE.featurize`.
     edge_shift:
         ``(n_edges, 3)`` periodic shift vectors.
     graph_index:
@@ -157,8 +161,10 @@ def collate(
       real ``NaN`` s.
 
     Real entries keep their order, so sums over them are unchanged bit
-    for bit.  Nothing here makes a ghost vanish by itself: consumers
-    zero the harmonics of zero-length edges
+    for bit.  Real and ghost edge counts are both even, which is what
+    lets :func:`edge_pairs` pair every edge; the layout is documented in
+    :meth:`repro.mace.MACE.featurize`.  Nothing here makes a ghost
+    vanish by itself: consumers zero the harmonics of zero-length edges
     (:meth:`repro.mace.MACE.featurize` gives ghost edges zero feature
     rows, the force path masks ``r == 0``), give ghost graphs zero loss
     weight (:class:`repro.training.Trainer`), which makes their
@@ -226,3 +232,61 @@ def collate(
         ghost_edges=edges - real_edges,
         ghost_graphs=graph_slots - n_graphs,
     )
+
+
+def edge_pairs(
+    edge_index, edge_shift, ghost_edges: int = 0
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The undirected pair of every directed edge: ``(pair, canon)``.
+
+    ``pair`` has shape ``(n_edges,)`` and names edge ``e``'s pair;
+    ``canon`` has shape ``(n_edges // 2,)`` and holds the lower edge
+    index of each pair, in edge order, so ``pair[canon]`` is
+    ``arange(n_edges // 2)``.  A real edge ``(send, recv, shift)`` pairs
+    with its exact reverse ``(recv, send, -shift)``: one ``lexsort``
+    orders the edges by their own key, another by the key their reverse
+    carries, and equal keys line up.  The trailing ``ghost_edges`` pair
+    by position (ghost ``2i`` with ghost ``2i + 1``), never by content,
+    so ghost endpoints stay invisible.  Pairing is an index, not a
+    reordering: the edge order is untouched.
+
+    Raises ``ValueError`` naming a real edge with no reverse, or when
+    the ghost count is odd.
+    """
+    send, recv = (np.asarray(row) for row in edge_index)
+    n_edges = send.size
+    n_real = n_edges - int(ghost_edges)
+    if ghost_edges % 2:
+        raise ValueError(f"{ghost_edges} ghost edges cannot pair: the count is odd")
+    send, recv = send[:n_real], recv[:n_real]
+    shift = np.asarray(edge_shift, dtype=np.float64)[:n_real] + 0.0  # no -0.0
+    back = 0.0 - shift  # the reverse edge's shift, also never -0.0
+    own = np.lexsort((shift[:, 2], shift[:, 1], shift[:, 0], recv, send))
+    rev = np.lexsort((back[:, 2], back[:, 1], back[:, 0], send, recv))
+    mate = np.empty(n_edges, dtype=np.int64)
+    mate[rev] = own
+    real, edges = mate[:n_real], np.arange(n_edges)
+    if not (
+        np.array_equal(send[real], recv)
+        and np.array_equal(recv[real], send)
+        and np.array_equal(shift[real], back)
+        and np.array_equal(real[real], edges[:n_real])
+        and not (real == edges[:n_real]).any()
+    ):
+        raise ValueError(_unpaired(send, recv, shift))
+    mate[n_real:] = edges[n_real:] ^ 1  # an involution: n_real is even
+    canon = np.flatnonzero(mate > edges)
+    pair = np.empty(n_edges, dtype=np.int64)
+    pair[canon] = pair[mate[canon]] = np.arange(canon.size)
+    return pair, canon
+
+
+def _unpaired(send, recv, shift) -> str:
+    """The message naming a real edge :func:`edge_pairs` cannot pair."""
+    keys = list(zip(send.tolist(), recv.tolist(), map(tuple, shift.tolist())))
+    count = Counter(keys)
+    for e, (i, j, s) in enumerate(keys):
+        back = (j, i, tuple(0.0 - x for x in s))
+        if back == (i, j, s) or count[back] != count[(i, j, s)]:
+            return f"edge {e} ({i} -> {j}, shift {list(s)}) has no reverse edge"
+    return "the real edges do not pair up"

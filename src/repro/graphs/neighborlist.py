@@ -97,8 +97,10 @@ def brute_force_neighbor_list(
         for s_idx in range(shift_vecs.shape[0]):
             shift = shift_vecs[s_idx]
             is_zero = bool(np.all(images[s_idx] == 0))
-            # delta[j, i] = pos_w[j] + shift - pos_w[i]
-            delta = pos_w[:, None, :] + shift - pos_w[None, :, :]
+            # delta[j, i] = pos_w[j] - pos_w[i] + shift, in the order that
+            # makes the reverse edge's delta its exact negation, so both
+            # directions of a pair pass or fail the cutoff together.
+            delta = pos_w[:, None, :] - pos_w[None, :, :] + shift
             dist2 = np.einsum("jik,jik->ji", delta, delta)
             mask = dist2 <= cutoff * cutoff
             if is_zero:
@@ -297,7 +299,7 @@ def _grid_periodic(
     # Image shift applied to the sender bucket, per (offset, atom) query.
     wrap_flat = wrap.reshape(-1, 3)
     shift = (wrap_flat @ cell)[owner]
-    delta = pos_w[send] + shift - pos_w[recv]
+    delta = pos_w[send] - pos_w[recv] + shift  # exactly antisymmetric
     dist2 = np.einsum("ij,ij->i", delta, delta)
     wrapped_query = np.any(wrap_flat != 0, axis=1)  # per (offset, atom)
     same = (send == recv) & ~wrapped_query[owner]

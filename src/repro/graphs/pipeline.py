@@ -248,7 +248,9 @@ class NeighborListCache:
             self._ref_cell = None if graph.cell is None else graph.cell.copy()
             self._ref_pbc = graph.pbc
         send, recv = self._cand_index
-        delta = graph.positions[send] + self._cand_shift - graph.positions[recv]
+        # pj - pi + shift: a reverse edge's delta is the exact negation,
+        # so both directions of a pair stay or go together.
+        delta = graph.positions[send] - graph.positions[recv] + self._cand_shift
         within = np.einsum("ij,ij->i", delta, delta) <= self.cutoff * self.cutoff
         graph.edge_index = self._cand_index[:, within]
         graph.edge_shift = self._cand_shift[within]

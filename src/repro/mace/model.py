@@ -3,7 +3,8 @@
 Architecture (paper Figure 2):
 
 1. **Embedding** — species -> scalar channel features ``(N, K, 1)``;
-   edge displacements -> spherical harmonics + Bessel radial features.
+   edge displacements -> spherical harmonics per directed edge + Bessel
+   radial features per undirected pair (the layout: :meth:`MACE.featurize`).
 2. **Interaction** (x ``n_layers``) — channelwise tensor product of edge
    harmonics with sender features, weighted by a radial MLP (Algorithm 2),
    pooled over neighborhoods into the atomic basis ``A_{i,klm}``.  Each
@@ -34,7 +35,7 @@ from ..autograd.engine import no_grad
 from ..autograd.ops import concatenate
 from ..equivariant.spherical_harmonics import sh_dim
 from ..runtime import PlanCache
-from ..graphs.batch import GraphBatch
+from ..graphs.batch import GraphBatch, edge_pairs
 from ..kernels import (
     channelwise_tp_baseline,
     channelwise_tp_optimized,
@@ -107,18 +108,21 @@ class InteractionLayer(Module):
         edge_index,  # (2, E) array or (send, recv) pair; rows may be Tensors
         species_idx,
         basis: Tensor,
+        pair,
     ) -> Tensor:
         """One interaction + product block: ``(N, K, (l_in+1)^2)`` node
         features in, ``(N, K, (l_out+1)^2)`` out.
 
-        The radial weights come from the edge lengths' Bessel ``basis``.
-        ``species_idx`` and the ``edge_index`` rows are integer arrays,
-        or integer Tensors when a plan rebinds them per replay.
+        The radial weights come from the Bessel ``basis`` of the pair
+        lengths, one row per undirected pair, expanded to edges by
+        ``pair`` (see :meth:`MACE.featurize`).  ``species_idx``,
+        ``pair`` and the ``edge_index`` rows are integer arrays, or
+        integer Tensors when a plan rebinds them per replay.
         """
         cfg = self.cfg
         send, recv = edge_index
         n_atoms = h.shape[0]
-        R = self.radial(basis)  # (E, K, n_paths)
+        R = self.radial(basis, pair)  # (E, K, n_paths)
         h_j = gather_rows(h, send)  # sender features on edges
         if cfg.kernel_variant == "optimized":
             A_edge = channelwise_tp_optimized(Y, h_j, R, self.tp_table)
@@ -199,6 +203,7 @@ class MACE(Module):
             send,
             recv,
             batch.edge_shift,
+            *edge_pairs(batch.edge_index, batch.edge_shift, batch.ghost_edges),
             batch.graph_index,
             batch.n_graphs,
         )
@@ -210,6 +215,8 @@ class MACE(Module):
         send,
         recv,
         edge_shift,
+        pair,
+        canon,
         graph_index,
         n_graphs: int,
     ) -> Tensor:
@@ -217,18 +224,22 @@ class MACE(Module):
         and radial basis → :meth:`message_passing`, the one path of
         :meth:`forward` and the force plans.
 
-        The harmonics of every zero-length edge are zeroed.  The
-        channelwise TP is linear in them, so the ghost self-edges of
-        :func:`~repro.graphs.collate` contribute exactly ``0.0`` to
-        energies and forces.
+        Lengths stay per edge, since the cutoff mask and the harmonics
+        read them; the radial basis takes the ``canon`` edge of each
+        pair (:func:`~repro.graphs.edge_pairs`).  The harmonics of every
+        zero-length edge are zeroed.  The channelwise TP is linear in
+        them, so the ghost self-edges of :func:`~repro.graphs.collate`
+        contribute exactly ``0.0`` to energies and forces.
         """
         vec = edge_vectors(positions, (send, recv), edge_shift)
         r = edge_lengths(vec)
         mask = within_cutoff(r).reshape((r.shape[0], 1))
         Y = edge_spherical_harmonics(vec, self.cfg.lmax_sh) * mask
-        basis = bessel_basis(r, self.cfg.n_radial_basis, self.cfg.cutoff)
+        basis = bessel_basis(
+            gather_rows(r, canon), self.cfg.n_radial_basis, self.cfg.cutoff
+        )
         return self.message_passing(
-            species_idx, (send, recv), graph_index, n_graphs, Y, basis
+            species_idx, (send, recv), graph_index, n_graphs, Y, basis, pair
         )
 
     def message_passing(
@@ -239,19 +250,20 @@ class MACE(Module):
         n_graphs: int,
         Y: Tensor,
         basis: Tensor,
+        pair,
     ) -> Tensor:
         """Per-graph energies from edge features: everything in
         :meth:`forward` downstream of the geometry.
 
-        ``Y`` is the ``(E, (lmax_sh+1)^2)`` edge harmonics and ``basis``
-        the ``(E, n_radial_basis)`` Bessel x envelope features of the edge
-        lengths, evaluated once for every layer.  The index operands —
-        ``species_idx``, the ``(send, recv)`` rows of ``edge_index`` and
-        ``graph_index`` — are integer arrays (structural constants of
-        the recorded graph) or integer Tensors, which a compiled plan
-        listing them among its inputs rebinds per replay: loss, energy
-        and force plans bind *all* batch content this way, so one plan
-        serves every batch of its shape bucket.
+        ``Y``, ``basis`` and ``pair`` are :meth:`featurize`'s edge
+        harmonics, pair-row radial basis and edge-to-pair index,
+        evaluated once for every layer.  The index operands —
+        ``species_idx``, the ``(send, recv)`` rows of ``edge_index``,
+        ``graph_index`` and ``pair`` — are integer arrays (structural
+        constants of the recorded graph) or integer Tensors, which a
+        compiled plan listing them among its inputs rebinds per replay:
+        loss, energy and force plans bind *all* batch content this way,
+        so one plan serves every batch of its shape bucket.
         """
         cfg = self.cfg
         n_atoms = species_idx.shape[0]
@@ -260,7 +272,9 @@ class MACE(Module):
 
         site_energy = gather_rows(self.species_energy, species_idx)  # (N,)
         for t in range(cfg.n_layers):
-            h = getattr(self, f"layer{t}")(h, Y, edge_index, species_idx, basis)
+            h = getattr(self, f"layer{t}")(
+                h, Y, edge_index, species_idx, basis, pair
+            )
             invariant = h[:, :, 0]  # (N, K) degree-0 part
             if t < cfg.n_layers - 1:
                 contrib = getattr(self, f"readout{t}")(invariant)
@@ -269,34 +283,55 @@ class MACE(Module):
             site_energy = site_energy + self.energy_scale * contrib.reshape((n_atoms,))
         return segment_sum(site_energy, graph_index, n_graphs)
 
-    def featurize(self, batch: GraphBatch) -> Tuple[np.ndarray, np.ndarray]:
-        """The parameter-free edge features of ``batch``: the harmonics
-        ``(n_edges, (lmax_sh+1)^2)`` and the Bessel x envelope radial
-        basis ``(n_edges, n_radial_basis)``.
+    def featurize(self, batch: GraphBatch) -> Tuple[np.ndarray, ...]:
+        """The parameter-free edge features of ``batch``:
+        ``(Y, basis, pair)``.
 
-        Evaluates the geometry pipeline of :meth:`forward` — edge
-        vectors, lengths, spherical harmonics and the radial basis — once,
-        without a tape, on the real edges, written into bucket-shaped
-        rows whose ghost rows stay zero: the channelwise TP is linear in
-        the harmonics, so ghost edges' messages are exactly ``0.0`` with
-        no mask op in the plan.  On a batch a
+        **The edge layout.**  A batch stores every undirected atom pair
+        as two directed edges, ``(send, recv, shift)`` and its exact
+        reverse ``(recv, send, -shift)``, in the neighbor list's order
+        (:func:`~repro.graphs.collate` keeps it and appends the ghost
+        self-edges; real and ghost counts are both even).
+        :func:`~repro.graphs.edge_pairs` indexes that layout without
+        reordering it: ``pair[e]`` names edge ``e``'s pair, ghosts pair
+        by position (``2i`` with ``2i + 1``), and pair ``p``'s canonical
+        edge ``canon[p]`` is its lower edge index, so the real pairs are
+        a prefix of the pair rows and the ghost pairs the rest.  Edge
+        vectors ``pos[send] - pos[recv] + shift`` are exact negations of
+        each other, so both directions' lengths, radial basis rows and
+        radial weights ``R`` are bitwise equal, and the radial work runs
+        once per pair: :class:`~repro.mace.radial.RadialNetwork`
+        evaluates its MLP on the pair rows and one row gather through
+        ``pair`` hands ``R`` to both directions (its backward sums
+        them).  Every other edge array, and every scatter over edges,
+        keeps the edge order.
+
+        Returns the harmonics ``Y`` ``(n_edges, (lmax_sh+1)^2)``, one
+        row per directed edge; the Bessel x envelope radial ``basis``
+        ``(n_edges // 2, n_radial_basis)``, one row per pair; and
+        ``pair`` ``(n_edges,)``.  Both feature arrays are evaluated once,
+        without a tape, on the real edges (the canonical ones for the
+        basis), and their ghost rows stay zero: the channelwise TP is
+        linear in the harmonics, so ghost edges' messages are exactly
+        ``0.0`` with no mask op in the plan.  On a batch a
         :class:`~repro.graphs.CollateCache` owns, the result is memoized
         in ``batch.features`` under the config fields it depends on, so
         every model of that geometry shares one evaluation per cache entry
         (on the prefetch thread when streaming); cached batches are never
-        edited.  Any other batch is
-        featurized afresh on every call and nothing is stored on it, so
-        one edited between two calls answers for its new content.  Pure
-        NumPy on thread-local engine state.
+        edited.  Any other batch is featurized, and paired, afresh on
+        every call and nothing is stored on it, so one edited between two
+        calls answers for its new content.  Pure NumPy on thread-local
+        engine state.
         """
         cfg = self.cfg
         key = (cfg.lmax_sh, cfg.n_radial_basis, cfg.cutoff)
         memo = batch.features
         if memo is not None and key in memo:
             return memo[key]
+        pair, canon = edge_pairs(batch.edge_index, batch.edge_shift, batch.ghost_edges)
         n_real = batch.n_edges - batch.ghost_edges
         edge_sh = np.zeros((batch.n_edges, sh_dim(cfg.lmax_sh)))
-        edge_radial = np.zeros((batch.n_edges, cfg.n_radial_basis))
+        edge_radial = np.zeros((canon.size, cfg.n_radial_basis))
         with no_grad():
             vec = edge_vectors(
                 Tensor(batch.positions),
@@ -304,18 +339,20 @@ class MACE(Module):
                 batch.edge_shift[:n_real],
             )
             edge_sh[:n_real] = edge_spherical_harmonics(vec, cfg.lmax_sh).data
-            edge_radial[:n_real] = bessel_basis(
-                edge_lengths(vec), cfg.n_radial_basis, cfg.cutoff
+            # The real pairs' canonical edges are the first n_real // 2.
+            r = edge_lengths(vec).data[canon[: n_real // 2]]
+            edge_radial[: n_real // 2] = bessel_basis(
+                Tensor(r), cfg.n_radial_basis, cfg.cutoff
             ).data
         if memo is not None:
-            memo[key] = (edge_sh, edge_radial)
-        return edge_sh, edge_radial
+            memo[key] = (edge_sh, edge_radial, pair)
+        return edge_sh, edge_radial, pair
 
     def message_inputs(self, batch: GraphBatch) -> Tuple[np.ndarray, ...]:
         """The content arrays :meth:`message_passing` is a function of,
         in plan-input order: species rows, edge senders / receivers,
-        graph membership, then :meth:`featurize`'s edge harmonics and
-        edge radial basis."""
+        graph membership, then :meth:`featurize`'s edge harmonics,
+        pair-row radial basis and edge-to-pair index."""
         send, recv = batch.edge_index
         return (
             self.species_indices(batch.species),
@@ -351,7 +388,9 @@ class MACE(Module):
         With ``compiled`` (a :class:`~repro.runtime.PlanCache`), the pass
         is captured once per *shape bucket* and replayed thereafter, as
         in :meth:`predict_energy`: positions, species rows, edge senders
-        / receivers / shifts and graph membership are replay inputs, and
+        / receivers / shifts, the edge-to-pair index and canonical edges
+        of :func:`~repro.graphs.edge_pairs` (re-paired on every call)
+        and graph membership are replay inputs, and
         the key adds only the padded graph count, which the recorded
         graph burns in, so every MD step whose exact edge set stays in
         a seen bucket, and every other system of that bucket, replays.
@@ -368,6 +407,7 @@ class MACE(Module):
             send,
             recv,
             batch.edge_shift,
+            *edge_pairs(batch.edge_index, batch.edge_shift, batch.ghost_edges),
             batch.graph_index,
         )
 
@@ -400,8 +440,9 @@ class MACE(Module):
 
         With ``compiled``, :meth:`message_passing` is captured once per
         *shape bucket* and replayed thereafter: species rows, edge
-        senders / receivers, graph membership, edge harmonics and the
-        radial basis are replay inputs and nothing of the batch is
+        senders / receivers, graph membership, edge harmonics, the
+        pair-row radial basis and the edge-to-pair index are replay
+        inputs and nothing of the batch is
         folded into the plan, so any batch of a seen bucket replays,
         whatever its composition.  The edge features come from
         :meth:`featurize`: memoized on a cached batch, evaluated afresh
@@ -412,10 +453,10 @@ class MACE(Module):
 
         def eager():
             inputs = tuple(Tensor(a) for a in arrays)
-            species, send, recv, graph_index, Y, basis = inputs
+            species, send, recv, graph_index, Y, basis, pair = inputs
             with no_grad():
                 out = self.message_passing(
-                    species, (send, recv), graph_index, batch.n_graphs, Y, basis
+                    species, (send, recv), graph_index, batch.n_graphs, Y, basis, pair
                 )
             return ([out.numpy()], []), dict(outputs=(out,), inputs=inputs, owner=self)
 

@@ -282,9 +282,9 @@ class Trainer:
         """
         if inputs is None:
             inputs = tuple(Tensor(a) for a in self._loss_inputs(batch))
-        species, send, recv, graph_index, Y, basis, counts, target, weights = inputs
+        species, send, recv, graph_index, Y, basis, pair, counts, target, weights = inputs
         energies = self.model.message_passing(
-            species, (send, recv), graph_index, batch.n_graphs, Y, basis
+            species, (send, recv), graph_index, batch.n_graphs, Y, basis, pair
         )
         pred_norm = (energies / counts - self.scaler.mean_per_atom) / self.scaler.std_per_atom
         diff = pred_norm - target

@@ -158,8 +158,12 @@ class TestGhostsContributeExactlyZero:
         twin = self.twin
         assert twin.ghost_atoms and twin.ghost_edges and twin.ghost_graphs
         e, g = twin.n_edges - twin.ghost_edges, twin.n_graphs - twin.ghost_graphs
-        edge_sh, edge_radial = self.trainer.model.featurize(twin)
-        assert not edge_sh[e:].any() and not edge_radial[e:].any()
+        edge_sh, edge_radial, pair = self.trainer.model.featurize(twin)
+        # Ghost edges pair with ghosts only, and their pairs are the
+        # trailing basis rows: the real pairs come first.
+        assert edge_radial.shape[0] == twin.n_edges // 2
+        assert (pair[e:] >= e // 2).all() and (pair[:e] < e // 2).all()
+        assert not edge_sh[e:].any() and not edge_radial[e // 2 :].any()
         *_, counts, target, weights = self.trainer._loss_inputs(twin)
         assert not weights[g:].any() and not target[g:].any()
         assert (counts[g + 1 :] == 1.0).all()  # empty ghost graphs: no 0/0
@@ -177,8 +181,8 @@ class TestGhostsContributeExactlyZero:
         twin.species[a:] = rng.choice(CFG.species, twin.ghost_atoms)
         twin.positions[a:] = rng.normal(size=(twin.ghost_atoms, 3))
         twin.energies[g:] = rng.normal(size=twin.ghost_graphs)
-        edge_sh, edge_radial = self.trainer.model.featurize(twin)  # edited geometry
-        assert not edge_sh[e:].any() and not edge_radial[e:].any()
+        edge_sh, edge_radial, _ = self.trainer.model.featurize(twin)  # edited geometry
+        assert not edge_sh[e:].any() and not edge_radial[e // 2 :].any()
         loss2, grads2 = self._loss_and_grads(twin)
         assert loss2 == loss
         for p, q in zip(grads, grads2):
@@ -447,8 +451,8 @@ class TestServedEnergiesIgnoreGhosts:
         twin.edge_index[:, e:] = rng.integers(0, twin.n_atoms, (2, twin.ghost_edges))
         twin.species[a:] = rng.choice(CFG.species, twin.ghost_atoms)
         twin.positions[a:] = rng.normal(size=(twin.ghost_atoms, 3))
-        edge_sh, edge_radial = model.featurize(twin)  # the edited geometry
-        assert not edge_sh[e:].any() and not edge_radial[e:].any()
+        edge_sh, edge_radial, _ = model.featurize(twin)  # the edited geometry
+        assert not edge_sh[e:].any() and not edge_radial[e // 2 :].any()
         assert np.array_equal(model.predict_energy(twin, compiled=cache), energies)
         assert cache.stats()["captures"] == 1  # all three were the one plan
 

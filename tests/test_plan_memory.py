@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.data import generate_structure
-from repro.graphs import collate
+from repro.graphs import collate, edge_pairs
 from repro.mace import MACE, MACEConfig
 from repro.md import MACECalculator
 from repro.runtime import PlanCache, record_tape
@@ -172,6 +172,7 @@ class TestOneSlabPerCache:
             model.species_indices(b.species),
             *b.edge_index,
             b.edge_shift,
+            *edge_pairs(b.edge_index, b.edge_shift, b.ghost_edges),
             b.graph_index,
         )
         for _ in range(2):
