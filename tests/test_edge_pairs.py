@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.autograd import Tensor, no_grad
-from repro.data import attach_labels, build_training_set
+from repro.data import attach_labels, build_training_set, generate_structure
 from repro.graphs import (
     MolecularGraph,
     NeighborListCache,
@@ -30,6 +30,7 @@ from repro.graphs import (
     edge_pairs,
 )
 from repro.mace import MACE, MACEConfig, bessel_basis, edge_lengths, edge_vectors
+from repro.md import MACECalculator, VelocityVerlet
 from repro.runtime import PlanCache
 from repro.serving import build_request_pool
 from repro.training import Trainer
@@ -234,11 +235,19 @@ class TestPinnedExactness:
     """Pairing is an index, not a reordering, and each pair's radial
     weights are the bits either direction computed on its own, so served
     energies and first losses equal, bit for bit, these digests taken
-    while the radial MLP ran once per directed edge."""
+    while the radial MLP ran once per directed edge.  Weight gradients,
+    zeolite forces and an MD trajectory are pinned at their values when
+    every replay still rebuilt its scatter structures, which binding
+    them once per batch must not move."""
 
     SERVE_CFG = MACEConfig(num_channels=8, lmax_sh=2, l_atomic_basis=2, correlation=2)
+    MD_CFG = MACEConfig(num_channels=16, lmax_sh=2, l_atomic_basis=2, correlation=3)
     ENERGY_DIGEST = "da5bddc91f87329c34ca9132ec50ca4e"
     LOSS_DIGEST = "a0a5dc615070886775552af60f8eac04"
+    EAGER_GRAD_DIGEST = "f764c282c34a79a7158aaeafe6915327"
+    REPLAYED_GRAD_DIGEST = "af1b36313ba1baa6c204035d8529bd24"
+    FORCE_DIGEST = "1fda8fbca49642e62e0a3fb99d9679f9"
+    TRAJECTORY_DIGEST = "6b140e03cc7eb2b3d80a156e4a42a770"
 
     def test_served_energies_eager_and_compiled(self):
         pool = build_request_pool(24, seed=3, max_atoms=72)
@@ -264,3 +273,42 @@ class TestPinnedExactness:
         replayed = twin._loss_step(twin._collate(range(8)), with_grads=False)
         assert twin.plan_cache.hits == 1
         assert _digest([replayed]) == self.LOSS_DIGEST
+
+    def test_weight_gradients_after_one_step_eager_and_replayed(self):
+        labeled = attach_labels(build_training_set(8, seed=11, max_atoms=40))
+        eager = Trainer(MACE(self.SERVE_CFG, seed=0), labeled, plan_cache=None)
+        eager.train_step(range(8))
+        grads = [p.grad for p in eager.model.parameters()]
+        assert _digest(grads) == self.EAGER_GRAD_DIGEST
+        twin = Trainer(MACE(self.SERVE_CFG, seed=0), labeled)
+        batch = twin._collate(range(8))
+        twin._loss_step(batch)  # capture
+        twin.optimizer.zero_grad()
+        twin._loss_step(batch)
+        assert twin.plan_cache.hits == 1
+        grads = [p.grad for p in twin.model.parameters()]
+        assert _digest(grads) == self.REPLAYED_GRAD_DIGEST
+
+    def test_zeolite_forces_of_the_compiled_force_plan(self):
+        graph = generate_structure("Zeolite", np.random.default_rng(8), 204)
+        build_neighbor_list(graph, cutoff=4.5)
+        model, cache = MACE(self.MD_CFG, seed=0), PlanCache()
+        model.energy_and_forces(collate([graph]), compiled=cache)  # capture
+        energies, forces = model.energy_and_forces(collate([graph]), compiled=cache)
+        assert cache.stats()["hits"] == 1
+        assert _digest([energies, forces]) == self.FORCE_DIGEST
+
+    def test_md_zeolite_trajectory_with_a_verlet_cache(self):
+        graph = generate_structure("Zeolite", np.random.default_rng(8), 204)
+        calculator = MACECalculator(MACE(self.MD_CFG, seed=0), cutoff=4.5)
+        md = VelocityVerlet(
+            calculator, graph, timestep_fs=0.5, cutoff=4.5, skin="auto", seed=1
+        )
+        md.initialize_velocities(300.0)
+        frames = []
+        for _ in range(20):
+            state = md.step()
+            frames += [state.positions, state.forces, [state.potential_energy]]
+        cache = calculator.neighbor_cache
+        assert (cache.queries, cache.rebuilds) == (21, 1)  # one candidate window
+        assert _digest(frames) == self.TRAJECTORY_DIGEST
