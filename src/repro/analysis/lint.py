@@ -178,6 +178,44 @@ class HotLoopScatterRule(Rule):
                     )
 
 
+class PerCallRowIndexRule(Rule):
+    name = "per-call-row-index"
+    explanation = (
+        "a row index's CSR structure is a property of the graph: it is sorted "
+        "once where the index is bound (repro.autograd.ops.row_index, once per "
+        "batch in repro.graphs.EdgeTopology) and reaches a Function as replay "
+        "inputs, so Function.forward/backward never call scatter_matrix or "
+        "row_index, and call scatter_rows with a bound RowIndex, never with a "
+        "raw index and its row count"
+    )
+
+    def visit(self, tree, ctx):
+        for cls in ast.walk(tree):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for func in cls.body:
+                if not (
+                    isinstance(func, ast.FunctionDef)
+                    and func.name in ("forward", "backward")
+                ):
+                    continue
+                for node in ast.walk(func):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    callee = node.func
+                    name = getattr(callee, "id", getattr(callee, "attr", None))
+                    raw = name == "scatter_rows" and (
+                        len(node.args) > 2
+                        or any(k.arg == "n_rows" for k in node.keywords)
+                    )
+                    if name in ("scatter_matrix", "row_index") or raw:
+                        yield node.lineno, (
+                            f"{name} by a raw index in {cls.name}.{func.name}() "
+                            "sorts the index on every call — take its bound "
+                            "RowIndex (order, indptr) as inputs"
+                        )
+
+
 class ForwardMutatesInputRule(Rule):
     name = "forward-mutates-input"
     explanation = (
@@ -576,6 +614,7 @@ class EpochPlanPayloadRule(Rule):
 
 RULES: List[Rule] = [
     HotLoopScatterRule(),
+    PerCallRowIndexRule(),
     ForwardMutatesInputRule(),
     GradcheckCoverageRule(),
     AtomicWriteRule(),

@@ -307,22 +307,42 @@ def _index_spec(index, what: str) -> ArraySpec:
     return index
 
 
+def _row_index_spec(index, order, indptr, what: str) -> ArraySpec:
+    """Spec of a bound row index's arrays (see ``repro.autograd.ops.RowIndex``):
+    integral, one order entry per index entry, a 1-D ``indptr``."""
+    index = _index_spec(index, what)
+    order = _index_spec(order, f"{what} order")
+    indptr = _index_spec(indptr, f"{what} indptr")
+    _require(
+        order.shape == index.shape and indptr.ndim == 1 and indptr.shape[0] >= 1,
+        f"{what} order {order.shape} / indptr {indptr.shape} "
+        f"do not fit index {index.shape}",
+    )
+    return index
+
+
 def _gather_rows(args, kwargs) -> ArraySpec:
-    x, index = args
-    index = _index_spec(index, "gather index")
+    x, index, *structure = args  # structure: the bound (order, indptr), if any
     _require(x.ndim >= 1, "gather_rows needs at least 1-D input")
+    if structure:
+        index = _row_index_spec(index, *structure, "gather index")
+        _require(
+            structure[1].shape[0] == x.shape[0] + 1,
+            f"gather structure has {structure[1].shape[0] - 1} rows, x has {x.shape[0]}",
+        )
+    index = _index_spec(index, "gather index")
     return ArraySpec(index.shape + x.shape[1:], x.dtype)
 
 
 def _segment_sum(args, kwargs) -> ArraySpec:
-    x, segment_ids, num_segments = args
-    segment_ids = _index_spec(segment_ids, "segment ids")
+    x, segment_ids, order, indptr = args
+    segment_ids = _row_index_spec(segment_ids, order, indptr, "segment ids")
     _require(x.ndim >= 1, "segment_sum needs at least 1-D input")
     _require(
         segment_ids.shape == x.shape[:1],
         f"segment ids {segment_ids.shape} must match rows {x.shape[:1]}",
     )
-    return ArraySpec((int(num_segments),) + x.shape[1:], _F64)
+    return ArraySpec((indptr.shape[0] - 1,) + x.shape[1:], _F64)
 
 
 # -- equivariant kernels and model ops ---------------------------------------------
@@ -388,9 +408,13 @@ def _channelwise_tp(args, kwargs) -> ArraySpec:
 
 
 def _sym_contraction(args, kwargs) -> ArraySpec:
-    a, species, weights = args[0], args[1], args[2:]
+    a, weights = args[0], args[4:]
     spec = kwargs["spec"]
-    species = _index_spec(species, "species")
+    species = _row_index_spec(*args[1:4], "species")
+    _require(
+        all(w.shape[0] == args[3].shape[0] - 1 for w in weights),
+        "species structure rows must match the weights' species rows",
+    )
     _require(
         a.ndim == 3 and a.shape[2] == _sh_dim(spec.lmax),
         f"A must be (N, K, {_sh_dim(spec.lmax)}), got {a.shape}",

@@ -7,7 +7,7 @@ from .neighborlist import (
     build_neighbor_list,
     cell_list_neighbor_list,
 )
-from .batch import GraphBatch, bucket_size, collate, edge_pairs
+from .batch import EdgeTopology, GraphBatch, bucket_size, collate, edge_pairs, edge_topology
 from .pipeline import (
     DEFAULT_SKIN,
     CollateCache,
@@ -23,6 +23,8 @@ __all__ = [
     "collate",
     "bucket_size",
     "edge_pairs",
+    "EdgeTopology",
+    "edge_topology",
     "build_neighbor_list",
     "brute_force_neighbor_list",
     "cell_list_neighbor_list",

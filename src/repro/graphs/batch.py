@@ -21,14 +21,23 @@ a bin's real atoms fit it.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..autograd.ops import RowIndex, row_index
 from .molecular_graph import MolecularGraph
 
-__all__ = ["GraphBatch", "bucket_size", "collate", "edge_pairs"]
+__all__ = [
+    "EdgeTopology",
+    "GraphBatch",
+    "bucket_size",
+    "collate",
+    "edge_pairs",
+    "edge_topology",
+    "masked_edges",
+]
 
 
 def bucket_size(n: int) -> int:
@@ -74,12 +83,13 @@ class GraphBatch:
         and ``n_graphs`` are array extents and include them;
         :meth:`real` drops them.
     features:
-        Edge-feature memo of a :class:`~repro.graphs.CollateCache`-owned
-        batch, filled by :meth:`repro.mace.MACE.featurize` and evicted
-        with the entry; ``None`` on every other batch, which is
-        featurized afresh on every call.  Cached batches are shared and
-        never edited in place: mutate the *graphs* and the cache key's
-        fingerprint yields a new batch.
+        Memo of a :class:`~repro.graphs.CollateCache`-owned batch — its
+        edge features (:meth:`repro.mace.MACE.featurize`) and its
+        :class:`EdgeTopology` (:meth:`repro.mace.MACE.topology`) —
+        evicted with the entry; ``None`` on a caller's batch, which is
+        featurized and bound afresh on every call.  Cached batches are
+        shared and never edited in place: mutate the *graphs* and the
+        cache key's fingerprint yields a new batch.
     """
 
     positions: np.ndarray
@@ -253,32 +263,158 @@ def edge_pairs(
     Raises ``ValueError`` naming a real edge with no reverse, or when
     the ghost count is odd.
     """
-    send, recv = (np.asarray(row) for row in edge_index)
-    n_edges = send.size
-    n_real = n_edges - int(ghost_edges)
+    send, recv, shift = _real_edges(edge_index, edge_shift, ghost_edges)
+    n_edges = np.asarray(edge_index[0]).size
+    pair, canon, _ = _pairs(send, recv, shift, _mates(send, recv, shift), n_edges)
+    return pair, canon
+
+
+def _real_edges(edge_index, edge_shift, ghost_edges: int):
+    """The real edges' ``(send, recv, shift)``, shifts without ``-0.0``."""
     if ghost_edges % 2:
         raise ValueError(f"{ghost_edges} ghost edges cannot pair: the count is odd")
-    send, recv = send[:n_real], recv[:n_real]
+    send, recv = (np.asarray(row) for row in edge_index)
+    n_real = send.size - int(ghost_edges)
     shift = np.asarray(edge_shift, dtype=np.float64)[:n_real] + 0.0  # no -0.0
+    return send[:n_real], recv[:n_real], shift
+
+
+def _mates(send, recv, shift) -> np.ndarray:
+    """Each real edge's exact reverse, matched by two ``lexsort`` s;
+    :func:`_pairs` checks the match."""
     back = 0.0 - shift  # the reverse edge's shift, also never -0.0
     own = np.lexsort((shift[:, 2], shift[:, 1], shift[:, 0], recv, send))
     rev = np.lexsort((back[:, 2], back[:, 1], back[:, 0], send, recv))
-    mate = np.empty(n_edges, dtype=np.int64)
+    mate = np.empty(send.size, dtype=np.int64)
     mate[rev] = own
-    real, edges = mate[:n_real], np.arange(n_edges)
+    return mate
+
+
+def _pairs(send, recv, shift, mate, n_edges: int):
+    """``(pair, canon, mate)`` over all ``n_edges`` from the real edges'
+    ``mate``, after the O(E) test that it maps every real edge, in range,
+    to its exact reverse and is an involution without fixed points;
+    ghosts pair by position.  A mate that fails raises ``ValueError``."""
+    n_real, edges = send.size, np.arange(n_edges)
     if not (
-        np.array_equal(send[real], recv)
-        and np.array_equal(recv[real], send)
-        and np.array_equal(shift[real], back)
-        and np.array_equal(real[real], edges[:n_real])
-        and not (real == edges[:n_real]).any()
+        mate.shape == (n_real,)
+        and (n_real == 0 or 0 <= mate.min() <= mate.max() < n_real)
+        and np.array_equal(send[mate], recv)
+        and np.array_equal(recv[mate], send)
+        and np.array_equal(shift[mate], 0.0 - shift)
+        and np.array_equal(mate[mate], edges[:n_real])
+        and not (mate == edges[:n_real]).any()
     ):
         raise ValueError(_unpaired(send, recv, shift))
-    mate[n_real:] = edges[n_real:] ^ 1  # an involution: n_real is even
+    mate = np.concatenate((mate, edges[n_real:] ^ 1))  # an involution: n_real is even
     canon = np.flatnonzero(mate > edges)
     pair = np.empty(n_edges, dtype=np.int64)
     pair[canon] = pair[mate[canon]] = np.arange(canon.size)
-    return pair, canon
+    return pair, canon, mate
+
+
+@dataclass(frozen=True, eq=False)
+class EdgeTopology:
+    """Every row index of one batch, bound once with its CSR structure.
+
+    A batch's structure — who sends, who receives, which edges pair,
+    which graph and which species row each atom has — is fixed for the
+    batch, so each index is a :class:`~repro.autograd.ops.RowIndex`
+    whose stable order and row pointers are made once, here, and the
+    model's gathers and scatters (:meth:`repro.mace.MACE.message_passing`)
+    only wrap them.
+
+    ``species`` ``(n_atoms,)`` are the model's species rows of each atom
+    (over ``n_species``); ``send`` / ``recv`` ``(n_edges,)`` the edge
+    endpoints (over ``n_atoms``); ``pair`` ``(n_edges,)`` and ``canon``
+    ``(n_edges // 2,)`` the pairing of :func:`edge_pairs` (over the
+    pairs and the edges); ``graph_index`` ``(n_atoms,)`` the graph of
+    each atom (over ``n_graphs``).  :meth:`arrays` is the plan-input
+    order of all of them and :meth:`bind` reads a topology back from
+    a plan's inputs, so every shape is fixed by the batch's
+    ``(atoms, edges, graphs)`` bucket.
+    """
+
+    species: RowIndex
+    send: RowIndex
+    recv: RowIndex
+    pair: RowIndex
+    canon: RowIndex
+    graph_index: RowIndex
+
+    def arrays(self) -> tuple:
+        """Each field's ``(index, order, indptr)``, in field order."""
+        return tuple(a for f in fields(self) for a in getattr(self, f.name).arrays())
+
+    @classmethod
+    def bind(cls, inputs: Sequence) -> Tuple["EdgeTopology", tuple]:
+        """The topology whose arrays lead ``inputs`` in :meth:`arrays`
+        order (a plan's input Tensors), and the inputs after them."""
+        n = 3 * len(fields(cls))
+        rows = (RowIndex(*inputs[i : i + 3]) for i in range(0, n, 3))
+        return cls(*rows), tuple(inputs[n:])
+
+
+def edge_topology(
+    batch: GraphBatch, species_rows: np.ndarray, n_species: int
+) -> EdgeTopology:
+    """The :class:`EdgeTopology` of ``batch`` with atoms on the model's
+    ``species_rows``: :func:`edge_pairs` plus one sort per index.  Its
+    one caller, :meth:`repro.mace.MACE.topology`, memoizes it."""
+    pair, canon = edge_pairs(batch.edge_index, batch.edge_shift, batch.ghost_edges)
+    send, recv = batch.edge_index
+    return EdgeTopology(
+        row_index(species_rows, n_species),
+        row_index(send, batch.n_atoms),
+        row_index(recv, batch.n_atoms),
+        row_index(pair, canon.size),
+        row_index(canon, batch.n_edges),
+        row_index(batch.graph_index, batch.n_graphs),
+    )
+
+
+def masked_edges(
+    batch: GraphBatch, within: np.ndarray, mate: np.ndarray, send: RowIndex, recv: RowIndex
+) -> Tuple[RowIndex, RowIndex, RowIndex, RowIndex]:
+    """``batch``'s ``send``, ``recv``, ``pair`` and ``canon`` rows, in
+    O(E) and without a sort, when its real edges are the candidate edges
+    ``within`` keeps, in candidate order (a one-graph
+    :func:`collate` of a Verlet-skin cache's exact edges).
+
+    ``mate`` is each candidate's reverse and ``send`` / ``recv`` the
+    candidates' bound rows.  Both directions of a pair pass or fail the
+    cutoff together, so the kept mates are the exact set's pairing, and
+    a stable filter of a sorted order stays sorted; ghost edges, at the
+    last atom and after every real edge, sort last.  Each derived array
+    is checked before use — the mate by :func:`edge_pairs`' O(E)
+    reverse-edge and involution test, each order by
+    :func:`~repro.autograd.ops.row_index` — so a stale input raises
+    ``ValueError`` instead of computing.
+    """
+    keep = np.flatnonzero(within)
+    n_real = batch.n_edges - batch.ghost_edges
+    shapes = {mate.shape, send.index.shape, recv.index.shape, within.shape}
+    if keep.size != n_real or len(shapes) != 1:
+        raise ValueError(
+            f"{keep.size} of {within.size} candidates kept for {n_real} real edges, "
+            f"with {mate.size} mates and {send.index.size} / {recv.index.size} rows"
+        )
+    at = np.full(within.size, n_real)  # candidate -> edge; a dropped one is out of range
+    at[keep] = np.arange(n_real)
+    real = _real_edges(batch.edge_index, batch.edge_shift, batch.ghost_edges)
+    pair, canon, mate = _pairs(*real, at[mate[keep]], batch.n_edges)
+    ghosts = np.arange(n_real, batch.n_edges)
+
+    def rows(index, candidates: RowIndex) -> RowIndex:
+        kept = candidates.order[within[candidates.order]]
+        return row_index(index, batch.n_atoms, np.concatenate((at[kept], ghosts)))
+
+    return (
+        rows(batch.edge_index[0], send),
+        rows(batch.edge_index[1], recv),
+        row_index(pair, canon.size, np.column_stack((canon, mate[canon])).ravel()),
+        row_index(canon, batch.n_edges, np.arange(canon.size)),
+    )
 
 
 def _unpaired(send, recv, shift) -> str:

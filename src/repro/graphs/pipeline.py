@@ -14,7 +14,11 @@ caches that take batch construction off the hot path:
   or when the system itself changes (atom count, species, cell, pbc).
   The filtered edge set is always *identical* to a fresh build at
   ``cutoff`` — the skin trades a cheap O(E) distance filter per query for
-  an O(n) grid rebuild every few MD steps.
+  an O(n) grid rebuild every few MD steps.  The candidates' pairing and
+  sender / receiver orders are likewise made once per rebuild, on the
+  first :meth:`NeighborListCache.topology` request, and each step's
+  :class:`~repro.graphs.EdgeTopology` is derived from them by the same
+  cutoff mask (:func:`~repro.graphs.batch.masked_edges`).
 
 * :class:`CollateCache` — an LRU cache of materialized
   :class:`~repro.graphs.batch.GraphBatch` objects keyed on dataset
@@ -37,9 +41,11 @@ caches that take batch construction off the hot path:
   free all memory at once.
 
 An entry is one bucket-shaped batch (:func:`~repro.graphs.collate`)
-plus the memo of its edge features (``GraphBatch.features``, filled by
+plus the memo of its edge features and its
+:class:`~repro.graphs.EdgeTopology` (``GraphBatch.features``, filled by
 :meth:`repro.mace.MACE.featurize`), so a hit hands every consumer the
-arrays its compiled plan binds without re-collating or re-featurizing.
+arrays its compiled plan binds without re-collating, re-featurizing or
+sorting an index.
 """
 
 from __future__ import annotations
@@ -50,7 +56,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .batch import GraphBatch, collate
+from ..autograd.ops import RowIndex, row_index
+from .batch import EdgeTopology, GraphBatch, _mates, _real_edges, collate, masked_edges
 from .molecular_graph import MolecularGraph
 from .neighborlist import DEFAULT_CUTOFF, build_neighbor_list
 
@@ -175,6 +182,9 @@ class NeighborListCache:
         self._cand_shift: Optional[np.ndarray] = None
         self._prev_positions: Optional[np.ndarray] = None
         self._step_drift_ema: Optional[float] = None
+        self._within: Optional[np.ndarray] = None  # the last query's cutoff mask
+        self._pairing = None  # the candidates' (mate, send rows, recv rows)
+        self._atom_rows: Dict[str, RowIndex] = {}
 
     # -- invalidation ---------------------------------------------------------------
 
@@ -247,6 +257,7 @@ class NeighborListCache:
             self._ref_species = graph.species.copy()
             self._ref_cell = None if graph.cell is None else graph.cell.copy()
             self._ref_pbc = graph.pbc
+            self._pairing = None
         send, recv = self._cand_index
         # pj - pi + shift: a reverse edge's delta is the exact negation,
         # so both directions of a pair stay or go together.
@@ -254,7 +265,46 @@ class NeighborListCache:
         within = np.einsum("ij,ij->i", delta, delta) <= self.cutoff * self.cutoff
         graph.edge_index = self._cand_index[:, within]
         graph.edge_shift = self._cand_shift[within]
+        self._within = within
         return rebuilt
+
+    def topology(
+        self, batch: GraphBatch, species_rows: np.ndarray, n_species: int
+    ) -> EdgeTopology:
+        """The :class:`~repro.graphs.EdgeTopology` of ``batch``, the
+        one-graph :func:`~repro.graphs.collate` of the graph this cache
+        last updated, with atoms on the model's ``species_rows``.
+
+        The first request after a rebuild pairs the candidates and sorts
+        their senders and receivers; every request derives the exact
+        set's edge rows from those by the last cutoff mask, in O(E) with
+        no sort, checked before use (:func:`~repro.graphs.batch.masked_edges`).
+        The species and graph rows are bound again only when their
+        content changes.
+        """
+        if self._pairing is None:
+            send, recv = self._cand_index
+            n_atoms = self._ref_positions.shape[0]
+            mate = _mates(*_real_edges(self._cand_index, self._cand_shift, 0))
+            self._pairing = (mate, row_index(send, n_atoms), row_index(recv, n_atoms))
+        return EdgeTopology(
+            self._bound_atoms("species", species_rows, n_species),
+            *masked_edges(batch, self._within, *self._pairing),
+            self._bound_atoms("graph_index", batch.graph_index, batch.n_graphs),
+        )
+
+    def _bound_atoms(self, name: str, index: np.ndarray, n_rows: int) -> RowIndex:
+        """``index`` bound to its rows, reusing the last binding of ``name``
+        while its content, dtype and row count are unchanged."""
+        rows = self._atom_rows.get(name)
+        if not (
+            rows is not None
+            and rows.n_rows == n_rows
+            and rows.index.dtype == index.dtype
+            and np.array_equal(rows.index, index)
+        ):
+            rows = self._atom_rows[name] = row_index(index, n_rows)
+        return rows
 
     @property
     def reuse_fraction(self) -> float:

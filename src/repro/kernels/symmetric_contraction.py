@@ -24,7 +24,9 @@ of its backward is the repository's one segment-sum primitive, a sparse
 product with a :func:`~repro.autograd.ops.scatter_matrix`: each level of
 the prefix chain holds two such matrices, built once per spec in
 :func:`_build_forest`, and per-atom weight gradients reduce onto species
-rows through one matrix built per backward and shared by all blocks.
+rows through the matrix of the species' bound
+:class:`~repro.autograd.ops.RowIndex`, wrapped once per backward and
+shared by all blocks.
 Backward re-gathers operands from forward's saved level products with
 contiguous row copies (the transposed layout makes every gather a
 memcpy, every scatter a row-block reduction).
@@ -43,7 +45,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from ..autograd.engine import Function, Tensor
-from ..autograd.ops import scatter_matrix, scatter_rows
+from ..autograd.ops import RowIndex, _bound, scatter_matrix, scatter_rows
 from ..equivariant.coupling import CouplingTable, coupling_table
 from ..equivariant.spherical_harmonics import sh_dim
 from .counters import record_kernel
@@ -305,9 +307,9 @@ def _check_inputs(A: np.ndarray, species: np.ndarray, weights, spec: SymContract
 class _SymContractionBaseline(Function):
     """Dense per-pattern chain (emulates the original e3nn implementation)."""
 
-    def forward(self, A, species, *weights, spec: SymContractionSpec):
+    def forward(self, A, species, order, indptr, *weights, spec: SymContractionSpec):
         _check_inputs(A, species, weights, spec)
-        self.saved = (A, species, weights, spec)
+        self.saved = (A, RowIndex(species, order, indptr), weights, spec)
         N, K = A.shape[0], A.shape[1]
         out = np.zeros((N, K, spec.out_dim), dtype=np.float64)
         table = coupling_table(spec.lmax, spec.nu_max, spec.L_max)
@@ -350,14 +352,13 @@ class _SymContractionBaseline(Function):
         return out
 
     def backward(self, grad):
-        A, species, weights, spec = self.saved
-        N, K = A.shape[0], A.shape[1]
+        A, rows, weights, spec = self.saved
         gA = np.zeros_like(A)
         gws = [np.zeros_like(w) for w in weights]
         table = coupling_table(spec.lmax, spec.nu_max, spec.L_max)
         for w_i, (w, block) in enumerate(zip(weights, spec.blocks)):
             paths = table.paths[(block.nu, block.L)]
-            wsel = w[species]
+            wsel = w[rows.index]
             base = block.L * block.L
             gL = grad[:, :, base : base + 2 * block.L + 1]  # (N, K, 2L+1)
             for p_id, path in enumerate(paths):
@@ -368,7 +369,7 @@ class _SymContractionBaseline(Function):
                 spec_fwd = ",".join(f"nk{c}" for c in letters) + f",{letters}M->nkM"
                 t = np.einsum(spec_fwd, *ops, dense, optimize=True)
                 gws[w_i][:, :, p_id] = scatter_rows(
-                    np.einsum("nkM,nkM->nk", gL, t), species, w.shape[0]
+                    np.einsum("nkM,nkM->nk", gL, t), rows
                 )
                 # d(out)/d(A): product rule over factor positions.
                 wg = wsel[:, :, p_id, None] * gL  # (N, K, 2L+1)
@@ -380,7 +381,7 @@ class _SymContractionBaseline(Function):
                     gA_f = np.einsum(spec_b, wg, *others, dense, optimize=True)
                     l = path.ls[f]
                     gA[:, :, l * l : (l + 1) * (l + 1)] += gA_f
-        return (gA, None, *gws)
+        return (gA, None, None, None, *gws)
 
 
 _DENSE_CACHE: Dict[tuple, np.ndarray] = {}
@@ -414,7 +415,9 @@ class _SymContractionOptimized(Function):
 
     supports_out = True  # (N, K, out_dim) accumulator: out may not alias A
 
-    def forward(self, A, species, *weights, spec: SymContractionSpec, out=None):
+    def forward(
+        self, A, species, order, indptr, *weights, spec: SymContractionSpec, out=None
+    ):
         _check_inputs(A, species, weights, spec)
         N, K = A.shape[0], A.shape[1]
         NK = N * K
@@ -470,16 +473,18 @@ class _SymContractionOptimized(Function):
                     + N * K * (2 * block.L + 1)
                 ),
             )
-        self.saved = (A, species, weights, spec, A2T, forest_products, saved_G)
+        rows = RowIndex(species, order, indptr)
+        self.saved = (A, rows, weights, spec, A2T, forest_products, saved_G)
         return out
 
     def backward(self, grad):
-        A, species, weights, spec, A2T, forest_products, saved_G = self.saved
+        A, rows, weights, spec, A2T, forest_products, saved_G = self.saved
         N, K = A.shape[0], A.shape[1]
         NK = N * K
-        # Mask layout follows the tensor inputs: A, species, then weights.
-        mask = self.grad_mask or (True,) * (2 + len(weights))
-        need_a, need_w = mask[0], mask[2:]
+        # Mask layout follows the tensor inputs: A, the species' index,
+        # order and indptr, then weights.
+        mask = self.grad_mask or (True,) * (4 + len(weights))
+        need_a, need_w = mask[0], mask[4:]
         gA2T = np.zeros_like(A2T)
         gws = [
             np.zeros_like(wt) if need_w[i] else None
@@ -488,7 +493,7 @@ class _SymContractionOptimized(Function):
         # One atoms -> species-rows scatter matrix shared by every block's
         # per-atom weight gradient.
         if any(need_w):
-            sp_scatter = scatter_matrix(species, weights[0].shape[0])
+            sp_scatter = rows.matrix()
         g_forest = {forest.nu: None for forest in spec.forests}
         for w_i, (w, block) in enumerate(zip(weights, spec.blocks)):
             P, M = block.n_paths, 2 * block.L + 1
@@ -537,13 +542,14 @@ class _SymContractionOptimized(Function):
                     # nu == 1: products were direct gathers of the (unique,
                     # sorted) tuple rows.
                     gA2T[forest.tuple_cols] += g_cur
-        return (gA2T.T.reshape(A.shape) if need_a else None, None, *gws)
+        return (gA2T.T.reshape(A.shape) if need_a else None, None, None, None, *gws)
 
 
-def _species_tensor(species) -> Tensor:
-    if isinstance(species, Tensor):
-        return species
-    return Tensor(np.asarray(species, dtype=np.int64))
+def _species_rows(species, weights) -> tuple:
+    """The species' bound index, order and indptr as Tensors (an array
+    is bound here), so the backward's gradients line up with them."""
+    rows = _bound(species, weights[0].shape[0])
+    return tuple(a if isinstance(a, Tensor) else Tensor(a) for a in rows.arrays())
 
 
 def symmetric_contraction_baseline(
@@ -560,9 +566,11 @@ def symmetric_contraction_baseline(
         ``(N, K, (lmax+1)^2)`` atomic-basis features.
     species:
         ``(N,)`` species *indices* (rows of the weight tensors): an
-        integer array, or an integer :class:`Tensor` that a compiled
-        plan may list among its inputs to rebind the species per replay
-        (see :func:`repro.autograd.gather_rows`).
+        integer array, or a :class:`~repro.autograd.ops.RowIndex` over
+        the species rows — the batch's
+        :class:`~repro.graphs.EdgeTopology` binds one, whose fields a
+        compiled plan rebinds per replay (see
+        :func:`repro.autograd.gather_rows`).
     weights:
         One ``(n_species, K, n_paths)`` tensor per ``(nu, L)`` block, in
         :func:`weight_layout` order.
@@ -574,7 +582,7 @@ def symmetric_contraction_baseline(
     ``(N, K, (L_max+1)^2)`` higher body-order messages.
     """
     return _SymContractionBaseline.apply(
-        A, _species_tensor(species), *weights, spec=spec
+        A, *_species_rows(species, weights), *weights, spec=spec
     )
 
 
@@ -589,5 +597,5 @@ def symmetric_contraction_optimized(
     Numerically identical to :func:`symmetric_contraction_baseline`.
     """
     return _SymContractionOptimized.apply(
-        A, _species_tensor(species), *weights, spec=spec
+        A, *_species_rows(species, weights), *weights, spec=spec
     )

@@ -36,11 +36,12 @@ def edge_vectors(positions: Tensor, edge_index, edge_shift) -> Tensor:
     """Displacement vectors ``r_ji = pos[j] + shift - pos[i]`` per edge.
 
     ``edge_index`` is a ``(2, n_edges)`` integer array or a
-    ``(send, recv)`` pair; the components (and ``edge_shift``) may be
-    integer/float :class:`Tensor` objects, in which case a compiled plan
-    listing them among its inputs rebinds the edge set per replay — the
-    force plans do, so one plan serves every edge set of a shape bucket
-    (see :meth:`repro.mace.MACE.energy_and_forces`).  A ghost self-edge
+    ``(send, recv)`` pair, whose components may be bound
+    :class:`~repro.autograd.ops.RowIndex` es and ``edge_shift`` a float
+    :class:`Tensor`, in which case a compiled plan listing their arrays
+    among its inputs rebinds the edge set per replay — the force plans
+    do, so one plan serves every edge set of a shape bucket (see
+    :meth:`repro.mace.MACE.energy_and_forces`).  A ghost self-edge
     of :func:`repro.graphs.collate` (``send == recv``, zero shift)
     has the exact zero vector ``p - p + 0``.
     """

@@ -26,6 +26,7 @@ what makes the ablation clean.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -35,7 +36,7 @@ from ..autograd.engine import no_grad
 from ..autograd.ops import concatenate
 from ..equivariant.spherical_harmonics import sh_dim
 from ..runtime import PlanCache
-from ..graphs.batch import GraphBatch, edge_pairs
+from ..graphs.batch import EdgeTopology, GraphBatch, edge_topology
 from ..kernels import (
     channelwise_tp_baseline,
     channelwise_tp_optimized,
@@ -102,40 +103,32 @@ class InteractionLayer(Module):
         ]
 
     def forward(
-        self,
-        h: Tensor,
-        Y: Tensor,
-        edge_index,  # (2, E) array or (send, recv) pair; rows may be Tensors
-        species_idx,
-        basis: Tensor,
-        pair,
+        self, h: Tensor, Y: Tensor, topology: EdgeTopology, basis: Tensor
     ) -> Tensor:
         """One interaction + product block: ``(N, K, (l_in+1)^2)`` node
         features in, ``(N, K, (l_out+1)^2)`` out.
 
         The radial weights come from the Bessel ``basis`` of the pair
         lengths, one row per undirected pair, expanded to edges by
-        ``pair`` (see :meth:`MACE.featurize`).  ``species_idx``,
-        ``pair`` and the ``edge_index`` rows are integer arrays, or
-        integer Tensors when a plan rebinds them per replay.
+        ``topology.pair`` (see :meth:`MACE.featurize`); the batch's
+        ``topology`` binds every index the block gathers and scatters by.
         """
         cfg = self.cfg
-        send, recv = edge_index
-        n_atoms = h.shape[0]
-        R = self.radial(basis, pair)  # (E, K, n_paths)
-        h_j = gather_rows(h, send)  # sender features on edges
+        R = self.radial(basis, topology.pair)  # (E, K, n_paths)
+        h_j = gather_rows(h, topology.send)  # sender features on edges
         if cfg.kernel_variant == "optimized":
             A_edge = channelwise_tp_optimized(Y, h_j, R, self.tp_table)
         else:
             A_edge = channelwise_tp_baseline(Y, h_j, R, self.tp_table)
         # Pool messages onto receivers; normalize by typical neighbor count.
-        A = segment_sum(A_edge, recv, n_atoms) / math.sqrt(cfg.avg_num_neighbors)
+        A = segment_sum(A_edge, topology.recv) / math.sqrt(cfg.avg_num_neighbors)
         A = self.linear_A(A)
         weights = self._product_weights()
+        species = topology.species
         if cfg.kernel_variant == "optimized":
-            msg = symmetric_contraction_optimized(A, species_idx, weights, self.sc_spec)
+            msg = symmetric_contraction_optimized(A, species, weights, self.sc_spec)
         else:
-            msg = symmetric_contraction_baseline(A, species_idx, weights, self.sc_spec)
+            msg = symmetric_contraction_baseline(A, species, weights, self.sc_spec)
         out = self.linear_msg(msg)
         d = sh_dim(self.linear_skip.lmax)
         skip = self.linear_skip(h if h.shape[2] == d else h[:, :, :d])
@@ -196,30 +189,11 @@ class MACE(Module):
         """Per-graph total energies, shape ``(n_graphs,)``, with the
         batch's arrays as constants of the graph (see
         :meth:`energy_and_forces` for forces and compiled replay)."""
-        send, recv = batch.edge_index
         return self._energies(
-            Tensor(batch.positions),
-            self.species_indices(batch.species),
-            send,
-            recv,
-            batch.edge_shift,
-            *edge_pairs(batch.edge_index, batch.edge_shift, batch.ghost_edges),
-            batch.graph_index,
-            batch.n_graphs,
+            Tensor(batch.positions), batch.edge_shift, self.topology(batch)
         )
 
-    def _energies(
-        self,
-        positions,
-        species_idx,
-        send,
-        recv,
-        edge_shift,
-        pair,
-        canon,
-        graph_index,
-        n_graphs: int,
-    ) -> Tensor:
+    def _energies(self, positions, edge_shift, topology: EdgeTopology) -> Tensor:
         """Per-graph energies from atom positions: edge geometry → mask
         and radial basis → :meth:`message_passing`, the one path of
         :meth:`forward` and the force plans.
@@ -231,61 +205,74 @@ class MACE(Module):
         them, so the ghost self-edges of :func:`~repro.graphs.collate`
         contribute exactly ``0.0`` to energies and forces.
         """
-        vec = edge_vectors(positions, (send, recv), edge_shift)
+        vec = edge_vectors(positions, (topology.send, topology.recv), edge_shift)
         r = edge_lengths(vec)
         mask = within_cutoff(r).reshape((r.shape[0], 1))
         Y = edge_spherical_harmonics(vec, self.cfg.lmax_sh) * mask
         basis = bessel_basis(
-            gather_rows(r, canon), self.cfg.n_radial_basis, self.cfg.cutoff
+            gather_rows(r, topology.canon), self.cfg.n_radial_basis, self.cfg.cutoff
         )
-        return self.message_passing(
-            species_idx, (send, recv), graph_index, n_graphs, Y, basis, pair
-        )
+        return self.message_passing(topology, Y, basis)
 
-    def message_passing(
-        self,
-        species_idx,
-        edge_index,
-        graph_index,
-        n_graphs: int,
-        Y: Tensor,
-        basis: Tensor,
-        pair,
-    ) -> Tensor:
+    def message_passing(self, topology: EdgeTopology, Y: Tensor, basis: Tensor) -> Tensor:
         """Per-graph energies from edge features: everything in
         :meth:`forward` downstream of the geometry.
 
-        ``Y``, ``basis`` and ``pair`` are :meth:`featurize`'s edge
-        harmonics, pair-row radial basis and edge-to-pair index,
-        evaluated once for every layer.  The index operands —
-        ``species_idx``, the ``(send, recv)`` rows of ``edge_index``,
-        ``graph_index`` and ``pair`` — are integer arrays (structural
-        constants of the recorded graph) or integer Tensors, which a
-        compiled plan listing them among its inputs rebinds per replay:
-        loss, energy and force plans bind *all* batch content this way,
-        so one plan serves every batch of its shape bucket.
+        ``Y`` and ``basis`` are :meth:`featurize`'s edge harmonics and
+        pair-row radial basis, evaluated once for every layer;
+        ``topology`` is the batch's :meth:`topology`, every index the
+        layers gather and scatter by.  Its arrays are the batch's (the
+        structural constants of the recorded graph) or integer Tensors,
+        which a compiled plan listing them among its inputs rebinds per
+        replay: loss, energy and force plans bind *all* batch content
+        this way, so one plan serves every batch of its shape bucket.
         """
         cfg = self.cfg
-        n_atoms = species_idx.shape[0]
+        species = topology.species
+        n_atoms = species.index.shape[0]
         # The species embedding: the scalar features the first layer reads.
-        h = self.embedding(species_idx).reshape((n_atoms, cfg.num_channels, 1))
+        h = self.embedding(species).reshape((n_atoms, cfg.num_channels, 1))
 
-        site_energy = gather_rows(self.species_energy, species_idx)  # (N,)
+        site_energy = gather_rows(self.species_energy, species)  # (N,)
         for t in range(cfg.n_layers):
-            h = getattr(self, f"layer{t}")(
-                h, Y, edge_index, species_idx, basis, pair
-            )
+            h = getattr(self, f"layer{t}")(h, Y, topology, basis)
             invariant = h[:, :, 0]  # (N, K) degree-0 part
             if t < cfg.n_layers - 1:
                 contrib = getattr(self, f"readout{t}")(invariant)
             else:
                 contrib = self.readout_final(invariant)
             site_energy = site_energy + self.energy_scale * contrib.reshape((n_atoms,))
-        return segment_sum(site_energy, graph_index, n_graphs)
+        return segment_sum(site_energy, topology.graph_index)
+
+    def topology(self, batch: GraphBatch, neighbors=None) -> EdgeTopology:
+        """The batch's :class:`~repro.graphs.EdgeTopology` on this
+        model's species rows: every index bound once with its CSR
+        structure.
+
+        Memoized in ``batch.features`` under the species it depends on,
+        by the rules of :meth:`featurize`: once per cache entry on a
+        :class:`~repro.graphs.CollateCache` batch, afresh on every call
+        on a caller's.  ``neighbors`` is the
+        :class:`~repro.graphs.NeighborListCache` whose last update gave
+        the batch's one graph its edges; the edge rows are then derived
+        from its candidates' rows by the cutoff mask instead of being
+        paired and sorted again (the MD calculator's per-step path).
+        """
+        key = ("topology", self.cfg.species)
+        memo = batch.features
+        if memo is not None and key in memo:
+            return memo[key]
+        species = self.species_indices(batch.species)
+        if neighbors is None:
+            topology = edge_topology(batch, species, self.cfg.n_species)
+        else:
+            topology = neighbors.topology(batch, species, self.cfg.n_species)
+        if memo is not None:
+            memo[key] = topology
+        return topology
 
     def featurize(self, batch: GraphBatch) -> Tuple[np.ndarray, ...]:
-        """The parameter-free edge features of ``batch``:
-        ``(Y, basis, pair)``.
+        """The parameter-free edge features of ``batch``: ``(Y, basis)``.
 
         **The edge layout.**  A batch stores every undirected atom pair
         as two directed edges, ``(send, recv, shift)`` and its exact
@@ -306,10 +293,18 @@ class MACE(Module):
         them).  Every other edge array, and every scatter over edges,
         keeps the edge order.
 
+        **The topology is bound once per batch.**  The pairing and every
+        index the model gathers and scatters by — species rows,
+        senders, receivers, ``pair``, ``canon``, graph membership — are
+        one :class:`~repro.graphs.EdgeTopology` (:meth:`topology`), each
+        index with its CSR order and row pointers sorted when it is
+        built, so no replay sorts an index.  It is memoized under
+        exactly the rules of the features below.
+
         Returns the harmonics ``Y`` ``(n_edges, (lmax_sh+1)^2)``, one
-        row per directed edge; the Bessel x envelope radial ``basis``
-        ``(n_edges // 2, n_radial_basis)``, one row per pair; and
-        ``pair`` ``(n_edges,)``.  Both feature arrays are evaluated once,
+        row per directed edge, and the Bessel x envelope radial ``basis``
+        ``(n_edges // 2, n_radial_basis)``, one row per pair.  Both
+        feature arrays are evaluated once,
         without a tape, on the real edges (the canonical ones for the
         basis), and their ghost rows stay zero: the channelwise TP is
         linear in the harmonics, so ghost edges' messages are exactly
@@ -318,7 +313,7 @@ class MACE(Module):
         in ``batch.features`` under the config fields it depends on, so
         every model of that geometry shares one evaluation per cache entry
         (on the prefetch thread when streaming); cached batches are never
-        edited.  Any other batch is featurized, and paired, afresh on
+        edited.  Any other batch is featurized, and bound, afresh on
         every call and nothing is stored on it, so one edited between two
         calls answers for its new content.  Pure NumPy on thread-local
         engine state.
@@ -328,7 +323,7 @@ class MACE(Module):
         memo = batch.features
         if memo is not None and key in memo:
             return memo[key]
-        pair, canon = edge_pairs(batch.edge_index, batch.edge_shift, batch.ghost_edges)
+        canon = self.topology(batch).canon.index
         n_real = batch.n_edges - batch.ghost_edges
         edge_sh = np.zeros((batch.n_edges, sh_dim(cfg.lmax_sh)))
         edge_radial = np.zeros((canon.size, cfg.n_radial_basis))
@@ -345,21 +340,17 @@ class MACE(Module):
                 Tensor(r), cfg.n_radial_basis, cfg.cutoff
             ).data
         if memo is not None:
-            memo[key] = (edge_sh, edge_radial, pair)
-        return edge_sh, edge_radial, pair
+            memo[key] = (edge_sh, edge_radial)
+        return edge_sh, edge_radial
 
     def message_inputs(self, batch: GraphBatch) -> Tuple[np.ndarray, ...]:
         """The content arrays :meth:`message_passing` is a function of,
-        in plan-input order: species rows, edge senders / receivers,
-        graph membership, then :meth:`featurize`'s edge harmonics,
-        pair-row radial basis and edge-to-pair index."""
-        send, recv = batch.edge_index
-        return (
-            self.species_indices(batch.species),
-            send,
-            recv,
-            batch.graph_index,
-        ) + self.featurize(batch)
+        in plan-input order: the :meth:`topology`'s arrays
+        (:meth:`~repro.graphs.EdgeTopology.arrays`), then
+        :meth:`featurize`'s edge harmonics and pair-row radial basis."""
+        if batch.features is None:  # a caller's: one topology for both reads
+            batch = replace(batch, features={})
+        return self.topology(batch).arrays() + self.featurize(batch)
 
     # -- compiled execution (repro.runtime) --------------------------------------
 
@@ -387,10 +378,8 @@ class MACE(Module):
 
         With ``compiled`` (a :class:`~repro.runtime.PlanCache`), the pass
         is captured once per *shape bucket* and replayed thereafter, as
-        in :meth:`predict_energy`: positions, species rows, edge senders
-        / receivers / shifts, the edge-to-pair index and canonical edges
-        of :func:`~repro.graphs.edge_pairs` (re-paired on every call)
-        and graph membership are replay inputs, and
+        in :meth:`predict_energy`: positions, edge shifts and the arrays
+        of the batch's :meth:`topology` are replay inputs, and
         the key adds only the padded graph count, which the recorded
         graph burns in, so every MD step whose exact edge set stays in
         a seen bucket, and every other system of that bucket, replays.
@@ -400,21 +389,13 @@ class MACE(Module):
         Ghost graphs' energies and ghost atoms' forces are dropped.
         """
         cache = self._checked_cache(compiled)
-        send, recv = batch.edge_index
-        arrays = (
-            batch.positions,
-            self.species_indices(batch.species),
-            send,
-            recv,
-            batch.edge_shift,
-            *edge_pairs(batch.edge_index, batch.edge_shift, batch.ghost_edges),
-            batch.graph_index,
-        )
+        arrays = (batch.positions, batch.edge_shift) + self.topology(batch).arrays()
 
         def eager():
             positions = Tensor(arrays[0].copy(), requires_grad=True)
             inputs = (positions,) + tuple(Tensor(a) for a in arrays[1:])
-            energies = self._energies(*inputs, batch.n_graphs)
+            topology, _ = EdgeTopology.bind(inputs[2:])
+            energies = self._energies(positions, inputs[1], topology)
             total = energies.sum()
             total.backward()
             return ([energies.numpy()], [positions.grad]), dict(
@@ -439,10 +420,9 @@ class MACE(Module):
         """Per-graph energies as a plain array (no tape).
 
         With ``compiled``, :meth:`message_passing` is captured once per
-        *shape bucket* and replayed thereafter: species rows, edge
-        senders / receivers, graph membership, edge harmonics, the
-        pair-row radial basis and the edge-to-pair index are replay
-        inputs and nothing of the batch is
+        *shape bucket* and replayed thereafter: the arrays of the batch's
+        :meth:`topology`, edge harmonics and the pair-row radial basis
+        are replay inputs and nothing of the batch is
         folded into the plan, so any batch of a seen bucket replays,
         whatever its composition.  The edge features come from
         :meth:`featurize`: memoized on a cached batch, evaluated afresh
@@ -453,11 +433,9 @@ class MACE(Module):
 
         def eager():
             inputs = tuple(Tensor(a) for a in arrays)
-            species, send, recv, graph_index, Y, basis, pair = inputs
+            topology, (Y, basis) = EdgeTopology.bind(inputs)
             with no_grad():
-                out = self.message_passing(
-                    species, (send, recv), graph_index, batch.n_graphs, Y, basis, pair
-                )
+                out = self.message_passing(topology, Y, basis)
             return ([out.numpy()], []), dict(outputs=(out,), inputs=inputs, owner=self)
 
         if cache is None:

@@ -91,6 +91,11 @@ class MACECalculator:
         elif not graph.has_edges:
             raise ValueError("graph needs a neighbor list")
         batch = collate([graph])
+        if self.neighbor_cache is not None:
+            # Calculator-owned: its topology is derived from the cache's
+            # candidates, memoized on it and read by the force pass.
+            batch.features = {}
+            self.model.topology(batch, self.neighbor_cache)
         self.edge_capacity = batch.n_edges
         energies, forces = self.model.energy_and_forces(
             batch, compiled=self.plan_cache

@@ -174,12 +174,13 @@ class Embedding(Module):
         self.weight = Parameter(rng.standard_normal((num_embeddings, dim)) / math.sqrt(dim))
 
     def forward(self, ids) -> Tensor:
-        """Rows of the table for ``ids`` — an integer array, or an
-        integer :class:`Tensor` a compiled plan may rebind per replay
-        (see :func:`repro.autograd.gather_rows`)."""
-        from ..autograd import gather_rows
+        """Rows of the table for ``ids`` — an integer array, or a bound
+        :class:`~repro.autograd.ops.RowIndex` whose fields a compiled
+        plan may rebind per replay (see :func:`repro.autograd.gather_rows`)."""
+        from ..autograd.ops import RowIndex, gather_rows
 
-        values = np.asarray(ids.data if isinstance(ids, Tensor) else ids)
+        values = ids.index if isinstance(ids, RowIndex) else ids
+        values = np.asarray(values.data if isinstance(values, Tensor) else values)
         if values.min(initial=0) < 0 or (values.size and values.max() >= self.num_embeddings):
             raise IndexError("embedding id out of range")
         return gather_rows(self.weight, ids)

@@ -22,7 +22,7 @@ from ..autograd import Tensor
 from ..autograd.engine import no_grad
 from ..data.labels import ReferencePotential, attach_labels
 from ..data.stream import StreamingLoader, StreamStats
-from ..graphs.batch import GraphBatch, collate
+from ..graphs.batch import EdgeTopology, GraphBatch, collate
 from ..graphs.molecular_graph import MolecularGraph
 from ..graphs.pipeline import CollateCache, epoch_plan_bins
 from ..mace import MACE
@@ -225,8 +225,8 @@ class Trainer:
 
     def _collate(self, batch_indices: Sequence[int], capacity: int = 0) -> GraphBatch:
         """Collate a mini-batch, through the cache when one is attached,
-        with a cached batch's edge features memoized here — on the
-        prefetch thread when streaming.
+        with a cached batch's edge features and topology memoized here —
+        on the prefetch thread when streaming.
 
         ``capacity`` is the bin size the plan packed the batch into; it is
         part of the cache key (matching ``rank_graph_batches``) and bounds
@@ -282,10 +282,8 @@ class Trainer:
         """
         if inputs is None:
             inputs = tuple(Tensor(a) for a in self._loss_inputs(batch))
-        species, send, recv, graph_index, Y, basis, pair, counts, target, weights = inputs
-        energies = self.model.message_passing(
-            species, (send, recv), graph_index, batch.n_graphs, Y, basis, pair
-        )
+        topology, (Y, basis, counts, target, weights) = EdgeTopology.bind(inputs)
+        energies = self.model.message_passing(topology, Y, basis)
         pred_norm = (energies / counts - self.scaler.mean_per_atom) / self.scaler.std_per_atom
         diff = pred_norm - target
         return (weights * diff * diff).sum()

@@ -270,6 +270,37 @@ class TestLintRules:
         )
         assert [f.rule for f in findings] == ["hot-loop-scatter"]
 
+    def test_per_call_row_index_flags_sorts_in_forward_and_backward(self, tmp_path):
+        findings = _lint(
+            tmp_path,
+            "mace/bad.py",
+            "from repro.autograd.ops import scatter_matrix, scatter_rows\n"
+            "class Pool:\n"
+            "    def forward(self, x, seg, n):\n"
+            "        return scatter_matrix(seg, n) @ x\n"
+            "    def backward(self, g):\n"
+            "        return (scatter_rows(g, self.seg, self.n),)\n",
+        )
+        assert [(f.rule, f.lineno) for f in findings] == [
+            ("per-call-row-index", 4),
+            ("per-call-row-index", 6),
+        ]
+
+    def test_per_call_row_index_allows_bound_rows_and_setup(self, tmp_path):
+        findings = _lint(
+            tmp_path,
+            "mace/ok.py",
+            "from repro.autograd.ops import RowIndex, row_index, scatter_rows\n"
+            "TABLE = row_index([0, 1, 1], 2)  # built once, at setup\n"
+            "class Pool:\n"
+            "    def forward(self, x, index, order, indptr):\n"
+            "        self.rows = RowIndex(index, order, indptr)\n"
+            "        return scatter_rows(x, self.rows)\n"
+            "    def backward(self, g):\n"
+            "        return (g[self.rows.index], None, None, None)\n",
+        )
+        assert findings == []
+
     def test_forward_mutates_input(self, tmp_path):
         findings = _lint(
             tmp_path,

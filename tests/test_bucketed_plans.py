@@ -158,7 +158,8 @@ class TestGhostsContributeExactlyZero:
         twin = self.twin
         assert twin.ghost_atoms and twin.ghost_edges and twin.ghost_graphs
         e, g = twin.n_edges - twin.ghost_edges, twin.n_graphs - twin.ghost_graphs
-        edge_sh, edge_radial, pair = self.trainer.model.featurize(twin)
+        edge_sh, edge_radial = self.trainer.model.featurize(twin)
+        pair = self.trainer.model.topology(twin).pair.index
         # Ghost edges pair with ghosts only, and their pairs are the
         # trailing basis rows: the real pairs come first.
         assert edge_radial.shape[0] == twin.n_edges // 2
@@ -181,7 +182,7 @@ class TestGhostsContributeExactlyZero:
         twin.species[a:] = rng.choice(CFG.species, twin.ghost_atoms)
         twin.positions[a:] = rng.normal(size=(twin.ghost_atoms, 3))
         twin.energies[g:] = rng.normal(size=twin.ghost_graphs)
-        edge_sh, edge_radial, _ = self.trainer.model.featurize(twin)  # edited geometry
+        edge_sh, edge_radial = self.trainer.model.featurize(twin)  # edited geometry
         assert not edge_sh[e:].any() and not edge_radial[e // 2 :].any()
         loss2, grads2 = self._loss_and_grads(twin)
         assert loss2 == loss
@@ -298,21 +299,24 @@ class TestEditedContentIsNeverReplayedStale:
         assert edited != first and abs(edited - ref) < TOL
 
     def test_cached_batch_is_featurized_once_per_geometry(self):
-        """A cached batch memoizes its edge features under the config
-        fields they depend on, so models differing only in weights share
-        them; a caller's batch keeps nothing."""
+        """A cached batch memoizes its edge features and its topology
+        under the config fields they depend on, so models differing only
+        in weights share them; a caller's batch keeps nothing."""
         trainer = self.trainer
         batch = trainer._collate(range(3))
         assert trainer._collate(range(3)) is batch
-        ((key, features),) = batch.features.items()
-        assert key == (CFG.lmax_sh, CFG.n_radial_basis, CFG.cutoff)
+        topology_key = ("topology", CFG.species)
+        key = (CFG.lmax_sh, CFG.n_radial_basis, CFG.cutoff)
+        assert set(batch.features) == {key, topology_key}
+        features, topology = batch.features[key], batch.features[topology_key]
         assert trainer.evaluate() == trainer._loss_step(batch, with_grads=False)
         other = Trainer(MACE(CFG, seed=1), self.graphs, collate_cache=trainer.collate_cache)
         assert other._collate(range(3)) is batch
         assert other.model.featurize(batch) is features  # computed once, shared
+        assert other.model.topology(batch) is topology
         wider = MACE(replace(CFG, n_radial_basis=CFG.n_radial_basis + 2), seed=0)
         assert wider.featurize(batch)[1].shape[1] == CFG.n_radial_basis + 2
-        assert len(batch.features) == 2  # another geometry, its own entry
+        assert len(batch.features) == 3  # another geometry, its own entry
         caller = collate(self.graphs)
         trainer._loss_step(caller)
         trainer.model.featurize(caller)
@@ -451,7 +455,7 @@ class TestServedEnergiesIgnoreGhosts:
         twin.edge_index[:, e:] = rng.integers(0, twin.n_atoms, (2, twin.ghost_edges))
         twin.species[a:] = rng.choice(CFG.species, twin.ghost_atoms)
         twin.positions[a:] = rng.normal(size=(twin.ghost_atoms, 3))
-        edge_sh, edge_radial, _ = model.featurize(twin)  # the edited geometry
+        edge_sh, edge_radial = model.featurize(twin)  # the edited geometry
         assert not edge_sh[e:].any() and not edge_radial[e // 2 :].any()
         assert np.array_equal(model.predict_energy(twin, compiled=cache), energies)
         assert cache.stats()["captures"] == 1  # all three were the one plan

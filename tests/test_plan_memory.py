@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from repro.data import generate_structure
-from repro.graphs import collate, edge_pairs
+from repro.graphs import collate
 from repro.mace import MACE, MACEConfig
 from repro.md import MACECalculator
 from repro.runtime import PlanCache, record_tape
@@ -167,14 +167,7 @@ class TestOneSlabPerCache:
         assert plan.__getstate__()["_arena"] is None  # no thread-local on the wire
         clone = pickle.loads(pickle.dumps(plan))
         assert clone._arena is not cache._arena and clone._slab is None
-        inputs = (
-            b.positions,
-            model.species_indices(b.species),
-            *b.edge_index,
-            b.edge_shift,
-            *edge_pairs(b.edge_index, b.edge_shift, b.ghost_edges),
-            b.graph_index,
-        )
+        inputs = (b.positions, b.edge_shift) + model.topology(b).arrays()
         for _ in range(2):
             (e0,), (g0, *_) = plan.replay(*inputs)
             (e1,), (g1, *_) = clone.replay(*inputs)

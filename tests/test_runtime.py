@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, gather_rows, segment_sum
+from repro.autograd.ops import RowIndex, row_index
 from repro.data import attach_labels, build_training_set
 from repro.graphs.batch import collate
 from repro.mace import MACE, MACEConfig
@@ -108,11 +109,13 @@ class TestCompiledPlanCore:
             r = np.random.default_rng(seed)
             x = r.standard_normal((n_atoms, 5)) * 10.0 ** r.integers(-6, 6, (n_atoms, 5))
             send, recv = r.integers(0, n_atoms - 1, (2, n_edges))
-            return x, send, recv
+            bound = row_index(send, n_atoms).arrays() + row_index(recv, n_atoms).arrays()
+            return (x,) + bound
 
-        def eager(x, send, recv):
-            inputs = (Tensor(x.copy(), requires_grad=True), Tensor(send), Tensor(recv))
-            agg = segment_sum(gather_rows(inputs[0], inputs[1]) * w, inputs[2], n_atoms)
+        def eager(x, *bound):
+            inputs = (Tensor(x.copy(), requires_grad=True),) + tuple(map(Tensor, bound))
+            send, recv = RowIndex(*inputs[1:4]), RowIndex(*inputs[4:])
+            agg = segment_sum(gather_rows(inputs[0], send) * w, recv)
             loss = (agg * agg).sum()
             return inputs, agg, loss
 
