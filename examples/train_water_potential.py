@@ -60,7 +60,8 @@ rmse_before = per_atom_rmse(model, val)
 print(f"\nuntrained per-atom energy RMSE: {rmse_before:.3f} eV/atom")
 print("\nepoch  train-loss  val RMSE (eV/atom)")
 for epoch in range(N_EPOCHS):
-    loss = trainer.train_epoch(sampler.rank_batches(epoch, 0))
+    loss = float(np.mean(trainer.train_epoch_bins(sampler.plan_rank_bins(epoch, 0))))
+    trainer.scheduler.step()
     print(f"{epoch:5d}  {loss:10.4f}  {per_atom_rmse(model, val):18.3f}")
 
 # -- evaluation ---------------------------------------------------------------------

@@ -476,7 +476,7 @@ class ShardedDataset:
 
     Implements the sequence protocol over :class:`MolecularGraph`, so it
     drops in wherever a graph list is accepted (``Trainer``,
-    ``CollateCache.get``, ``materialize_epoch``).  Structures are
+    ``CollateCache.get``).  Structures are
     zero-copy views into at most ``resident_shards`` memory-mapped shard
     files (LRU; evicting a shard drops the map reference — the pages are
     released once no outstanding view uses them, so escaped views stay

@@ -82,8 +82,8 @@ class StreamingLoader:
     ----------
     plan:
         The epoch plan: a sequence of argument tuples, one per batch —
-        for training, ``(indices, capacity)`` pairs from
-        :func:`repro.graphs.pipeline.epoch_plan_bins`.
+        for training, the ``(indices, capacity)`` pairs of a sampler's
+        ``plan_rank_bins``.
     fetch:
         Called with one plan entry unpacked, on the prefetch thread.
         Must be safe to run concurrently with the consumer's compute;

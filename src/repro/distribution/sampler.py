@@ -10,12 +10,10 @@ bins up front (§3.2.1).  This module reproduces that integration point:
 * :class:`FixedCountDistributedSampler` — the baseline: shuffle, chunk a
   fixed number of graphs per batch, deal round-robin.
 
-Both yield, per rank, a list of batches (lists of dataset indices), and
-both can *materialize* a rank's epoch directly into collated
-:class:`~repro.graphs.batch.GraphBatch` objects via
-:meth:`rank_graph_batches`, optionally through a
-:class:`~repro.graphs.pipeline.CollateCache` so compositions repeated
-across epochs are collated once.
+Both give each rank its epoch plan as ``(indices, capacity)`` bins
+(:meth:`~_EpochPlanMixin.plan_rank_bins`, or every rank's at once with
+:meth:`~_EpochPlanMixin.all_rank_bins`); the capacity travels with each
+bin because :class:`~repro.graphs.pipeline.CollateCache` keys on it.
 """
 
 from __future__ import annotations
@@ -25,7 +23,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graphs.pipeline import CollateCache, materialize_epoch
 from .binpack import BinPlan, create_balanced_batches
 from .baselines import fixed_count_batches
 
@@ -37,9 +34,9 @@ class _EpochPlanMixin:
 
     Subclasses provide ``plan_epoch(epoch) -> BinPlan`` and
     ``num_replicas``; everything below — the cyclic rank dealing rule
-    (bin ``i`` goes to rank ``i % G``), capacity extraction and batch
-    materialization — lives here so there is exactly one source of
-    truth for how plans map onto ranks.  The last epoch's plan is kept
+    (bin ``i`` goes to rank ``i % G``) and capacity extraction — lives
+    here so there is exactly one source of truth for how plans map onto
+    ranks.  The last epoch's plan is kept
     in a one-entry memo, so dealing every rank's bins and its shard
     schedule packs the epoch once.
 
@@ -116,34 +113,6 @@ class _EpochPlanMixin:
         """``(indices, capacity)`` pairs of the bins rank ``rank`` owns."""
         bins = self._rank_plan(epoch, rank)
         return [(items.tolist(), bins.capacity) for items in bins]
-
-    def rank_batches(self, epoch: int, rank: int) -> List[List[int]]:
-        """The batches (index lists) rank ``rank`` processes this epoch."""
-        return [items for items, _ in self.plan_rank_bins(epoch, rank)]
-
-    def all_rank_batches(self, epoch: int) -> List[List[List[int]]]:
-        """Per-rank batch lists (single planning pass, used by simulators)."""
-        return [
-            [items for items, _ in rank_bins]
-            for rank_bins in self.all_rank_bins(epoch)
-        ]
-
-    def rank_graph_batches(
-        self,
-        epoch: int,
-        rank: int,
-        graphs: Sequence,
-        cache: Optional[CollateCache] = None,
-    ) -> List:
-        """Collated :class:`GraphBatch` list for ``rank``'s epoch plan.
-
-        Each batch is bucket-shaped (:func:`repro.graphs.collate`) and
-        its real atoms are checked against its bin's capacity; the
-        paper's padding metric (objective 4) comes from the plan, via
-        :func:`~repro.distribution.evaluate_bins`.  With a ``cache``,
-        bins whose composition was seen before reuse the cached batch.
-        """
-        return materialize_epoch(self, graphs, epoch, rank, cache=cache)
 
 
 class BalancedDistributedSampler(_EpochPlanMixin):

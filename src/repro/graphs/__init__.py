@@ -8,12 +8,7 @@ from .neighborlist import (
     cell_list_neighbor_list,
 )
 from .batch import EdgeTopology, GraphBatch, bucket_size, collate, edge_pairs, edge_topology
-from .pipeline import (
-    DEFAULT_SKIN,
-    CollateCache,
-    NeighborListCache,
-    materialize_epoch,
-)
+from .pipeline import DEFAULT_SKIN, CollateCache, NeighborListCache
 
 __all__ = [
     "MolecularGraph",
@@ -31,6 +26,5 @@ __all__ = [
     "DEFAULT_CUTOFF",
     "NeighborListCache",
     "CollateCache",
-    "materialize_epoch",
     "DEFAULT_SKIN",
 ]

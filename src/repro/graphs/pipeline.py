@@ -26,13 +26,15 @@ caches that take batch construction off the hot path:
   (the sorted tuple of dataset indices), capacity, and a *fingerprint*
   (digest of each member's positions/cell/species/edge count and
   energy/forces labels), so one cache can serve several datasets
-  (train/validation) without index collisions.  Epoch-wise bin-packing plans repeat
-  compositions across epochs (always, when the sampler does not shuffle;
-  frequently otherwise), so training loops reuse collated batches instead
-  of re-concatenating the same arrays.  Member graphs are collated in
-  sorted-index order, so two bins with the same composition share one
-  batch regardless of the order the sampler listed them in — all
-  consumers (loss, metrics) are invariant to member order within a batch.
+  (train/validation) without index collisions.  An epoch plan that does
+  not shuffle repeats its compositions every epoch, so training loops
+  reuse collated batches instead of re-concatenating the same arrays; a
+  reshuffled plan almost never repeats a bin, so a trainer keeps only
+  its current epoch's bins (:meth:`CollateCache.retain`).  Member graphs
+  are collated in sorted-index order, so two bins with the same
+  composition share one batch regardless of the order the sampler listed
+  them in — all consumers (loss, metrics) are invariant to member order
+  within a batch.
   Because the fingerprint is part of the key, active-learning loops that
   mutate graphs *in place* (new positions, replaced cells, relabeled
   energies/forces) can never silently read a stale batch: a mutated
@@ -52,7 +54,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,13 +63,7 @@ from .batch import EdgeTopology, GraphBatch, _mates, _real_edges, collate, maske
 from .molecular_graph import MolecularGraph
 from .neighborlist import DEFAULT_CUTOFF, build_neighbor_list
 
-__all__ = [
-    "NeighborListCache",
-    "CollateCache",
-    "materialize_epoch",
-    "epoch_plan_bins",
-    "DEFAULT_SKIN",
-]
+__all__ = ["NeighborListCache", "CollateCache", "DEFAULT_SKIN"]
 
 DEFAULT_SKIN = 0.6  # Angstrom; a typical MD Verlet-skin radius
 
@@ -434,6 +430,21 @@ class CollateCache:
                 del self._current[evicted_key[:3]]
         return batch
 
+    def retain(
+        self, graphs: Sequence[MolecularGraph], bins: Iterable[Tuple[Sequence[int], int]]
+    ) -> None:
+        """Drop the cached batches of ``graphs`` whose ``(indices,
+        capacity)`` bin is not among ``bins``; other datasets' entries
+        stay."""
+        token = next((t for t, known in self._datasets.items() if known is graphs), None)
+        keep = {
+            (tuple(sorted(int(i) for i in indices)), int(capacity))
+            for indices, capacity in bins
+        }
+        for key in [k for k in self._store if k[0] == token and k[1:3] not in keep]:
+            del self._store[key]
+            self._current.pop(key[:3], None)
+
     def stats(self) -> Dict[str, float]:
         """Hit/miss counters plus the resulting hit rate."""
         total = self.hits + self.misses
@@ -455,46 +466,3 @@ class CollateCache:
         self._store.clear()
         self._datasets.clear()
         self._current.clear()
-
-
-def epoch_plan_bins(sampler, epoch: int, rank: int) -> List[Tuple[List[int], int]]:
-    """One rank's epoch plan as ``(indices, capacity)`` pairs.
-
-    The single place the sampler's plan API is adapted: samplers exposing
-    ``plan_rank_bins`` (all repo samplers, via their shared mixin) supply
-    per-bin capacities directly from one planning pass — the balanced
-    samplers' fixed ``C``, the fixed-count baseline's epoch max fill;
-    foreign samplers fall back to ``rank_batches`` plus a ``capacity``
-    attribute (0 when absent).
-    """
-    plan_rank_bins = getattr(sampler, "plan_rank_bins", None)
-    if plan_rank_bins is not None:
-        return plan_rank_bins(epoch, rank)
-    capacity = int(getattr(sampler, "capacity", 0))
-    return [(idx, capacity) for idx in sampler.rank_batches(epoch, rank)]
-
-
-def materialize_epoch(
-    sampler,
-    graphs: Sequence[MolecularGraph],
-    epoch: int,
-    rank: int,
-    cache: Optional[CollateCache] = None,
-) -> List[GraphBatch]:
-    """Materialize one rank's epoch plan into :class:`GraphBatch` objects.
-
-    Each batch is checked against its bin's capacity from the plan (see
-    :func:`epoch_plan_bins`).  With a ``cache``, repeated bin
-    compositions across epochs reuse collated batches.
-    """
-    batches = []
-    for bin_indices, capacity in epoch_plan_bins(sampler, epoch, rank):
-        if not bin_indices:
-            continue
-        if cache is not None:
-            batches.append(cache.get(graphs, bin_indices, capacity))
-        else:
-            batches.append(
-                collate([graphs[i] for i in bin_indices], capacity=capacity)
-            )
-    return batches

@@ -1,18 +1,21 @@
-"""Real data-parallel training steps over a worker pool.
+"""Synchronous data-parallel training steps over a worker pool.
 
-:class:`ParallelDDP` executes the exact computation of
-:meth:`repro.training.Trainer.ddp_step` — per-rank forward/backward, a
-gradient all-reduce, one optimizer step — but the per-rank work runs on
-executor workers instead of sequentially in the driver.
+:class:`ParallelDDP` is the repository's one DDP step: per-rank
+forward/backward on executor workers, a gradient all-reduce, one
+optimizer step on the driver's trainer.  On a
+:class:`~repro.parallel.SerialExecutor` the ranks take turns in the
+driver's process; that backend is the reference the pools are held to.
 
 Determinism contract: the driver reduces the per-rank flattened
-gradients in **fixed rank order** with a running ``+=`` left fold, which
-is bit-identical to the serial ``ddp_step``'s pairwise accumulation.
-With eager rank losses (``compiled=False``) the per-rank gradients are
-themselves bitwise equal to the serial trainer's (same NumPy ops, same
-inputs), so the whole parallel step is bitwise-deterministic and matches
-serial exactly; with compiled rank steps the results agree to summation
-reassociation (~1e-15, asserted at 1e-12 in the tests).
+gradients in **fixed rank order** with a running ``+=`` left fold, so the
+step does not depend on which worker finished first.  With eager rank
+losses (a driver trainer without a plan cache) the per-rank gradients
+are bitwise equal on every backend (same NumPy ops, same inputs), and so
+is the whole step; with compiled rank steps the backends agree to
+summation reassociation (~1e-15, asserted at 1e-12 in the tests).  A
+one-rank step divides the gradient by 1 and then applies the trainer's
+own optimizer and EMA update, so with eager ranks it reproduces
+:meth:`~repro.training.Trainer.train_step` bitwise.
 
 Wire format: parameters are flattened once per step into a shared slab
 segment every rank reads; each rank owns a private gradient segment it
@@ -20,14 +23,14 @@ writes.  Ranks are pinned to workers (``rank % n_workers``) so each
 worker's trainer state — collate cache, compiled loss plans, scatter
 memos — is reused across steps exactly like a persistent DDP rank.
 
-Pipelined broadcast: with ``pipeline_broadcast=True`` (default) the
-parameter broadcast of step *k+1* overlaps the tail of step *k* — after
+Pipelined broadcast: whenever the parameter segments fit on the slab,
+the parameter broadcast of step *k+1* overlaps the tail of step *k* — after
 the optimizer step, a background thread flattens the updated parameters
 into the *standby* half of a double-buffered pair of slab segments while
 the driver returns to the caller (epoch bookkeeping, loss logging,
 simulation).  The next ``step()`` joins the thread and flips buffers
 instead of flattening inline.  Parity is untouched: the staged bytes are
-exactly the flatten the un-pipelined path would produce at step entry,
+exactly the flatten an inline broadcast would produce at step entry,
 because between steps only ``optimizer.step`` mutates parameter data
 (EMA updates touch shadow copies only) — guarded by the optimizer's step
 counter; a mismatch (e.g. an extra serial step between parallel steps)
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,27 +66,17 @@ class ParallelDDP:
         :class:`~repro.parallel.worker.SetupRank` per rank are installed
         at construction.
     world_size:
-        Number of DDP ranks.
-    compiled:
-        Whether worker rank trainers use compiled loss plans.  ``False``
-        gives bitwise equality with the serial eager trainer; ``True``
-        (default) is faster and agrees to ~1e-15.
-    pipeline_broadcast:
-        Stage the next step's parameter broadcast on a background thread
-        during the current step's tail (see module docstring).  Requires
-        slab segments; silently off on the inline fallback.  The staged
-        bytes equal the inline flatten, so parity guarantees are
-        unchanged.
+        Number of DDP ranks.  Each rank is a trainer over a private model
+        and graph-list clone on its pinned worker, on every backend.
+
+    Rank trainers compile their loss plans exactly when the driver's
+    ``trainer.plan_cache`` is set: an eager driver gets eager ranks.
+    Every parameter is flattened and updated, so a trainer after
+    ``freeze_representation`` raises ``ValueError``.  :meth:`close`
+    frees the slab segments allocated here.
     """
 
-    def __init__(
-        self,
-        trainer,
-        executor: BaseExecutor,
-        world_size: int,
-        compiled: bool = True,
-        pipeline_broadcast: bool = True,
-    ) -> None:
+    def __init__(self, trainer, executor: BaseExecutor, world_size: int) -> None:
         if world_size <= 0:
             raise ValueError("world_size must be positive")
         self.trainer = trainer
@@ -109,7 +102,7 @@ class ParallelDDP:
                     scaler_mean=trainer.scaler.mean_per_atom,
                     scaler_std=trainer.scaler.std_per_atom,
                     loss_weighting=trainer.loss_weighting,
-                    compiled=compiled,
+                    compiled=trainer.plan_cache is not None,
                 ),
                 worker=rank % executor.n_workers,
             )
@@ -134,9 +127,6 @@ class ParallelDDP:
                 slab.free(seg)
             self._param_segs = None
             self._grad_segs = [None] * self.world_size
-        self.pipeline_broadcast = bool(pipeline_broadcast) and (
-            self._param_segs is not None
-        )
         self._param_views = (
             [slab.view(seg) for seg in self._param_segs]
             if self._param_segs is not None
@@ -152,18 +142,16 @@ class ParallelDDP:
 
     # -- one step ----------------------------------------------------------------
 
-    def step(
-        self, rank_batches: Sequence[Sequence[int]], capacity: int = 0
-    ) -> float:
+    def step(self, rank_bins: Sequence[Tuple[Sequence[int], int]]) -> float:
         """One synchronous DDP step; returns the mean loss across ranks.
 
-        ``rank_batches`` is indexed by rank; empty entries sit out (the
-        world for averaging is the number of participating ranks, exactly
-        as in the serial ``ddp_step``).
+        ``rank_bins`` is indexed by rank: each rank's ``(indices,
+        capacity)`` bin of the epoch plan.  A rank with empty indices sits
+        out, and the gradient average is over the ranks that took part.
         """
-        if len(rank_batches) > self.world_size:
+        if len(rank_bins) > self.world_size:
             raise ValueError(
-                f"{len(rank_batches)} rank batches for world size {self.world_size}"
+                f"{len(rank_bins)} rank bins for world size {self.world_size}"
             )
         t0 = time.monotonic()
         if self._param_segs is not None:
@@ -184,13 +172,13 @@ class ParallelDDP:
             params_ref = flat
             self.inline_broadcasts += 1
         active = [
-            (rank, tuple(batch))
-            for rank, batch in enumerate(rank_batches)
-            if len(batch)
+            (rank, tuple(indices), int(capacity))
+            for rank, (indices, capacity) in enumerate(rank_bins)
+            if len(indices)
         ]
         if not active:
             raise ValueError("ddp step received no non-empty batches")
-        for rank, batch in active:
+        for rank, batch, capacity in active:
             task = GradStep(
                 task_id=(self._step_id, rank),
                 rank=rank,
@@ -205,7 +193,7 @@ class ParallelDDP:
 
         losses: List[float] = []
         total: Optional[np.ndarray] = None
-        for rank, _ in active:  # fixed rank order: bitwise == serial fold
+        for rank, _, _ in active:  # fixed rank order, whatever finished first
             res = results[(self._step_id - 1, rank)]
             if "error" in res:
                 raise RuntimeError(f"rank {rank} failed:\n{res['error']}")
@@ -227,7 +215,7 @@ class ParallelDDP:
             offset += n
         self.trainer.optimizer.step()
         self.trainer.ema.update()
-        if self.pipeline_broadcast:
+        if self._param_segs is not None:
             self._start_stage()
         self.step_seconds.append(time.monotonic() - t0)
         return float(np.mean(losses))
@@ -275,4 +263,3 @@ class ParallelDDP:
             self._param_segs = None
             self._param_views = None
             self._grad_segs = [None] * self.world_size
-        self.pipeline_broadcast = False

@@ -106,11 +106,11 @@ class SetupRank:
 
     The shipped ``graphs`` are the full training list (batch indices are
     global), and the driver's fitted scaler is copied in verbatim so the
-    worker's loss matches the driver's serial trainer bit for bit.
-    ``compiled=False`` forces eager loss steps — the configuration under
-    which per-rank gradients are *bitwise* equal to the serial
-    ``Trainer.ddp_step`` (compiled steps agree to ~1e-15 reassociation;
-    see ``tests/test_parallel.py``).
+    worker's loss matches the driver's trainer bit for bit.
+    ``compiled`` mirrors whether the driver's trainer has a plan cache;
+    eager ranks give per-rank gradients *bitwise* equal on every backend
+    (compiled steps agree to ~1e-15 reassociation; see
+    ``tests/test_parallel.py``).
     """
 
     rank: int

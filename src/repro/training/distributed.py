@@ -3,7 +3,7 @@
 This module couples the repository's two halves exactly the way the paper
 couples Figure 9 with Figure 7: the *numerics* of synchronous multi-GPU
 training run for real (per-rank batches, gradient averaging, one optimizer
-step — see :meth:`repro.training.Trainer.ddp_step`), while the *wall-clock*
+step — see :class:`repro.parallel.ParallelDDP`), while the *wall-clock*
 each epoch would have cost on the target machine comes from the cluster
 simulator, driven by the very same batch plan.
 
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import monotonic
-from typing import List, Optional, Sequence
+from typing import List, Tuple
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from ..cluster import A100, DRAGONFLY, PAPER_MODEL, simulate_epoch
 from ..cluster.gpu import GPUSpec
 from ..cluster.interconnect import InterconnectSpec
 from ..cluster.workload import MACEWorkloadModel
+from ..parallel import BaseExecutor, ParallelDDP
 from .trainer import Trainer
 
 __all__ = ["DistributedRunReport", "DistributedTrainingRun"]
@@ -35,10 +36,10 @@ class DistributedRunReport:
     """Loss trajectory annotated with simulated cluster time.
 
     ``epoch_wall_seconds`` is the *measured* host wall-clock of each
-    epoch's step loop — on the serial path the cost of sequentialised
-    rank turns, on the executor path (``execution="parallel"``) the cost
-    of real concurrent ranks.  Comparing the two is the DDP half of the
-    cost-model validation harness.
+    epoch's step loop, on the executor named by ``execution`` (its
+    ``backend``): sequentialised rank turns on ``"serial"``, real
+    concurrent ranks on ``"thread"`` / ``"process"``.  Comparing them is
+    the DDP half of the cost-model validation harness.
     """
 
     world_size: int
@@ -75,28 +76,31 @@ class DistributedTrainingRun:
     trainer:
         A :class:`repro.training.Trainer` over labeled graphs.
     sampler:
-        Any sampler exposing ``all_rank_batches(epoch)`` (both batch
-        samplers in :mod:`repro.distribution` qualify).
+        Any sampler of :mod:`repro.distribution`; each epoch's plan is
+        its ``all_rank_bins(epoch)``, ``(indices, capacity)`` bins per
+        rank.
     world_size:
         Simulated GPU count.  The *numerics* are exact for any world size
         (gradients are averaged over ranks each step); the wall-clock is
         what that plan would cost on the modeled cluster.
+    executor:
+        The :class:`~repro.parallel.BaseExecutor` every DDP step runs on,
+        through :class:`~repro.parallel.ParallelDDP`: per-rank
+        forward/backward on workers, a gradient all-reduce through the
+        executor's slab, one optimizer step on ``trainer``.  The caller
+        owns the pool; :meth:`run` frees its slab segments when it
+        returns or raises.  Ranks compile their loss plans when
+        ``trainer.plan_cache`` is set and run eagerly otherwise.  The
+        serial backend (``make_executor("serial", 1)``) is the reference:
+        with eager ranks every backend matches it bitwise, with compiled
+        ranks to 1e-12, and the simulated epoch minutes do not depend on
+        the backend — only the *measured* ``epoch_wall_seconds`` does.
+        Each rank holds its own trainer (a model clone, a graph-list
+        clone and their caches) even on the serial backend; no caller in
+        the repository runs more than 4 ranks.
     variant:
         Kernel variant used for the timing model (the numerics of this
         repository's two variants are identical, so only time differs).
-    executor:
-        Optional :class:`~repro.parallel.BaseExecutor`.  When given, each
-        DDP step runs for real on the worker pool through
-        :class:`~repro.parallel.ParallelDDP` — per-rank forward/backward
-        on workers, gradient all-reduce through shared memory — instead
-        of sequentialised rank turns in this process.  The numerics
-        contract is the same either way (``ddp_compiled=False`` is
-        bitwise-identical to the serial ``Trainer.ddp_step``; compiled
-        rank steps agree to ~1e-15), and the simulated epoch minutes are
-        untouched; what changes is the *measured* ``epoch_wall_seconds``.
-    ddp_compiled:
-        Whether executor-side rank trainers use compiled loss plans
-        (ignored without ``executor``).
     """
 
     def __init__(
@@ -104,12 +108,11 @@ class DistributedTrainingRun:
         trainer: Trainer,
         sampler,
         world_size: int,
+        executor: BaseExecutor,
         variant: str = "optimized",
         workload_model: MACEWorkloadModel = PAPER_MODEL,
         gpu: GPUSpec = A100,
         interconnect: InterconnectSpec = DRAGONFLY,
-        executor=None,
-        ddp_compiled: bool = True,
     ) -> None:
         if world_size <= 0:
             raise ValueError("world_size must be positive")
@@ -121,28 +124,11 @@ class DistributedTrainingRun:
         self.gpu = gpu
         self.interconnect = interconnect
         self.executor = executor
-        if executor is not None:
-            from ..parallel import ParallelDDP
-
-            self._pddp = ParallelDDP(
-                trainer, executor, self.world_size, compiled=ddp_compiled
-            )
-        else:
-            self._pddp = None
 
     # -- internals --------------------------------------------------------------
 
-    def _epoch_plan(self, epoch: int) -> List[List[List[int]]]:
-        all_rank_bins = getattr(self.sampler, "all_rank_bins", None)
-        if all_rank_bins is not None:
-            bins = all_rank_bins(epoch)
-            plan = [[items for items, _ in rank] for rank in bins]
-            self._epoch_bin_capacity = next(
-                (cap for rank in bins for _, cap in rank), 0
-            )
-        else:
-            plan = self.sampler.all_rank_batches(epoch)
-            self._epoch_bin_capacity = int(getattr(self.sampler, "capacity", 0))
+    def _epoch_plan(self, epoch: int) -> List[List[Tuple[List[int], int]]]:
+        plan = self.sampler.all_rank_bins(epoch)
         if len(plan) != self.world_size:
             raise ValueError(
                 f"sampler is configured for {len(plan)} replicas, "
@@ -150,7 +136,7 @@ class DistributedTrainingRun:
             )
         return plan
 
-    def _simulate_plan(self, plan: List[List[List[int]]]) -> float:
+    def _simulate_plan(self, plan: List[List[Tuple[List[int], int]]]) -> float:
         """Simulated epoch seconds for this exact batch plan.
 
         With an out-of-core trainer the per-sample sizes come from the
@@ -168,7 +154,7 @@ class DistributedTrainingRun:
         n_steps = max(len(r) for r in plan)
         for step in range(n_steps):
             for rank in range(self.world_size):
-                batch = plan[rank][step] if step < len(plan[rank]) else []
+                batch = plan[rank][step][0] if step < len(plan[rank]) else []
                 if atoms_of is not None:
                     batch = np.asarray(batch, dtype=np.int64)
                     tokens.append(int(atoms_of[batch].sum()))
@@ -192,42 +178,32 @@ class DistributedTrainingRun:
     def run(self, n_epochs: int, verbose: bool = False) -> DistributedRunReport:
         """Train ``n_epochs`` of synchronous DDP; return the timed report."""
         report = DistributedRunReport(
-            self.world_size,
-            self.variant,
-            execution="serial" if self._pddp is None else "parallel",
+            self.world_size, self.variant, execution=self.executor.backend
         )
-        for epoch in range(n_epochs):
-            plan = self._epoch_plan(epoch)
-            capacity = self._epoch_bin_capacity
-            n_steps = max(len(r) for r in plan)
-            losses = []
-            wall_t0 = monotonic()
-            for step in range(n_steps):
-                # Full per-rank list, empties included: the executor path
-                # needs rank identity (rank -> pinned worker state), and
-                # both paths let empty ranks sit the step out.
-                rank_batches = [
-                    plan[rank][step] if step < len(plan[rank]) else []
-                    for rank in range(self.world_size)
-                ]
-                if not any(rank_batches):
-                    continue
-                if self._pddp is not None:
-                    losses.append(
-                        self._pddp.step(rank_batches, capacity=capacity)
+        ddp = ParallelDDP(self.trainer, self.executor, self.world_size)
+        try:
+            for epoch in range(n_epochs):
+                plan = self._epoch_plan(epoch)
+                n_steps = max(len(r) for r in plan)
+                losses = []
+                wall_t0 = monotonic()
+                for step in range(n_steps):
+                    # Indexed by rank (rank -> pinned worker state); a rank
+                    # whose plan has run out sits the step out.
+                    rank_bins = [
+                        bins[step] if step < len(bins) else ([], 0) for bins in plan
+                    ]
+                    if any(indices for indices, _ in rank_bins):
+                        losses.append(ddp.step(rank_bins))
+                report.epoch_wall_seconds.append(monotonic() - wall_t0)
+                self.trainer.scheduler.step()
+                report.epoch_losses.append(float(np.mean(losses)))
+                report.epoch_minutes.append(self._simulate_plan(plan) / 60.0)
+                if verbose:
+                    print(
+                        f"epoch {epoch:3d}  loss {report.epoch_losses[-1]:.5f}  "
+                        f"simulated {report.epoch_minutes[-1]:.2f} min"
                     )
-                else:
-                    step_batches = [b for b in rank_batches if b]
-                    losses.append(
-                        self.trainer.ddp_step(step_batches, capacity=capacity)
-                    )
-            report.epoch_wall_seconds.append(monotonic() - wall_t0)
-            self.trainer.scheduler.step()
-            report.epoch_losses.append(float(np.mean(losses)))
-            report.epoch_minutes.append(self._simulate_plan(plan) / 60.0)
-            if verbose:
-                print(
-                    f"epoch {epoch:3d}  loss {report.epoch_losses[-1]:.5f}  "
-                    f"simulated {report.epoch_minutes[-1]:.2f} min"
-                )
+        finally:
+            ddp.close()
         return report

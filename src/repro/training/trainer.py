@@ -24,7 +24,7 @@ from ..data.labels import ReferencePotential, attach_labels
 from ..data.stream import StreamingLoader, StreamStats
 from ..graphs.batch import EdgeTopology, GraphBatch, collate
 from ..graphs.molecular_graph import MolecularGraph
-from ..graphs.pipeline import CollateCache, epoch_plan_bins
+from ..graphs.pipeline import CollateCache
 from ..mace import MACE
 from ..nn import Adam, ExponentialLR, ExponentialMovingAverage
 from ..runtime import resolve_plan_cache
@@ -122,12 +122,15 @@ class Trainer:
     collate_cache:
         :class:`repro.graphs.CollateCache` threading.  The default
         ``"auto"`` gives the trainer its own private cache, so ``fit``,
-        ``ddp_step`` (and therefore the DDP simulator in
-        :mod:`repro.training.distributed`) and ``evaluate`` all reuse
-        collated batches out of the box — epoch plans repeat compositions,
-        so most epochs past the first are pure cache hits.  Pass an
-        existing cache to share it (e.g. with
-        ``sampler.rank_graph_batches``) or ``None`` to disable caching.
+        ``train_epoch_bins``, ``train_step`` and ``evaluate`` reuse
+        collated batches out of the box.  Retention rule of the private
+        cache: each ``train_epoch_bins`` call first drops this dataset's
+        batches whose bin is not in its plan, keeping ``evaluate``'s
+        full-set batch — a plan that does not shuffle hits on every epoch
+        past the first, while a reshuffled plan (which almost never
+        repeats a bin) holds one epoch's batches instead of up to
+        ``maxsize``.  Pass an existing cache to share it (it is never
+        pruned) or ``None`` to disable caching.
         The key's geometry/label fingerprint makes in-place *graph*
         mutation a miss, never a stale read, and the loss is invariant to
         member order within a batch, so caching does not change training.
@@ -198,8 +201,8 @@ class Trainer:
                 raise ValueError("Trainer needs graphs or dataset")
             # Keep the caller's list object when possible: the collate cache
             # keys on dataset identity, so sharing one cache between this
-            # trainer and sampler.rank_graph_batches requires both to see the
-            # same list.  The list is treated as owned by the trainer —
+            # trainer and the caller requires both to see the same list.
+            # The list is treated as owned by the trainer —
             # mutating it after construction bypasses the label validation
             # below (appended unlabeled graphs are caught per-batch in
             # _collate; replaced graphs must be followed by cache.clear()).
@@ -214,7 +217,8 @@ class Trainer:
         self.scheduler = ExponentialLR(self.optimizer, gamma=lr_gamma)
         self.ema = ExponentialMovingAverage(model, decay=ema_decay)
         self.loss_weighting = loss_weighting
-        if collate_cache == "auto":
+        self._owns_collate_cache = collate_cache == "auto"
+        if self._owns_collate_cache:
             collate_cache = CollateCache()
         self.collate_cache = collate_cache
         self.plan_cache = resolve_plan_cache(plan_cache)
@@ -229,8 +233,7 @@ class Trainer:
         on the prefetch thread when streaming.
 
         ``capacity`` is the bin size the plan packed the batch into; it is
-        part of the cache key (matching ``rank_graph_batches``) and bounds
-        the batch's real atoms.
+        part of the cache key and bounds the batch's real atoms.
         """
         if self.collate_cache is not None:
             batch = self.collate_cache.get(self.graphs, batch_indices, capacity)
@@ -353,49 +356,7 @@ class Trainer:
         """One optimizer step on one mini-batch; returns the loss."""
         return self.train_batch(self._collate(batch_indices, capacity))
 
-    def ddp_step(
-        self, rank_batches: Sequence[Sequence[int]], capacity: int = 0
-    ) -> float:
-        """One *simulated* DDP step: each rank's batch computes gradients,
-        gradients are averaged (allreduce), then a single optimizer step.
-
-        Numerically equivalent to synchronous multi-GPU DDP; executed
-        sequentially on one process.  Returns the mean loss across ranks.
-        ``capacity`` flows into the collate keys exactly as in
-        :meth:`train_step`.
-        """
-        grads: Optional[List[np.ndarray]] = None
-        losses = []
-        params = self.optimizer.params
-        for batch_idx in rank_batches:
-            if not batch_idx:
-                continue
-            batch = self._collate(batch_idx, capacity)
-            self.model.zero_grad()
-            losses.append(self._loss_step(batch))
-            g = [
-                p.grad.copy() if p.grad is not None else np.zeros(p.shape)
-                for p in params
-            ]
-            grads = g if grads is None else [a + b for a, b in zip(grads, g)]
-        if grads is None:
-            raise ValueError("ddp_step received no non-empty batches")
-        world = len(losses)
-        for p, g in zip(params, grads):
-            p.grad = g / world
-        self.optimizer.step()
-        self.ema.update()
-        return float(np.mean(losses))
-
     # -- epochs -------------------------------------------------------------------
-
-    def train_epoch(
-        self, batches: Sequence[Sequence[int]], capacity: int = 0
-    ) -> float:
-        """Run all batches once; returns the mean batch loss."""
-        losses = [self.train_step(b, capacity) for b in batches if b]
-        self.scheduler.step()
-        return float(np.mean(losses))
 
     def train_epoch_bins(
         self, bins: Sequence[tuple], stream: Optional[bool] = None
@@ -414,9 +375,14 @@ class Trainer:
         counters accumulate into ``stream_stats``.  Does **not** advance
         the scheduler —
         epoch drivers (``fit``) own that, exactly as with ``train_step``
-        loops.
+        loops.  The trainer's private collate cache first forgets the
+        batches this plan cannot ask for (see ``collate_cache``).
         """
         plan = [(indices, cap) for indices, cap in bins if indices]
+        if self._owns_collate_cache:
+            self.collate_cache.retain(
+                self.graphs, plan + [(range(len(self.graphs)), 0)]
+            )
         if stream is None:
             stream = self.dataset is not None
         if not stream or len(plan) <= 1:
@@ -482,18 +448,12 @@ class Trainer:
         rank: int = 0,
         verbose: bool = False,
     ) -> TrainResult:
-        """Train ``n_epochs`` using a distribution sampler's batch plan.
-
-        ``sampler`` must expose ``plan_rank_bins(epoch, rank)`` (all
-        samplers in :mod:`repro.distribution` do) or ``rank_batches``;
-        see :func:`repro.graphs.pipeline.epoch_plan_bins`.
+        """Train ``n_epochs`` on rank ``rank``'s share of a distribution
+        sampler's epoch plans (``sampler.plan_rank_bins``).
         """
         result = TrainResult()
-        # Per-bin capacities flow into the collate keys so a cache shared
-        # with rank_graph_batches sees one entry per composition.
         for epoch in range(n_epochs):
-            bins = epoch_plan_bins(sampler, epoch, rank)
-            losses = self.train_epoch_bins(bins)
+            losses = self.train_epoch_bins(sampler.plan_rank_bins(epoch, rank))
             self.scheduler.step()
             loss = float(np.mean(losses))
             result.epoch_losses.append(loss)

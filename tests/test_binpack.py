@@ -420,8 +420,7 @@ class TestEpochPlanMemo:
 
 
 def test_trainer_and_collate_consume_multi_graph_bins():
-    from repro.graphs import MolecularGraph, build_neighbor_list
-    from repro.graphs.pipeline import materialize_epoch
+    from repro.graphs import MolecularGraph, build_neighbor_list, collate
     from repro.mace import MACE, MACEConfig
     from repro.training import Trainer
 
@@ -438,7 +437,7 @@ def test_trainer_and_collate_consume_multi_graph_bins():
     sampler = BalancedDistributedSampler(sizes, 24, num_replicas=1, seed=0)
     bins = sampler.plan_rank_bins(0, 0)
     assert max(len(items) for items, _ in bins) > 1
-    batches = materialize_epoch(sampler, graphs, 0, 0)
+    batches = [collate([graphs[i] for i in items], capacity=cap) for items, cap in bins]
     assert [b.real().n_atoms for b in batches] == [
         sum(sizes[i] for i in items) for items, _ in bins
     ]

@@ -7,6 +7,7 @@ from repro.data import attach_labels, build_training_set
 from repro.distribution import BalancedDistributedSampler, FixedCountDistributedSampler
 from repro.equivariant.clebsch_gordan import wigner_3j
 from repro.mace import MACE, MACEConfig
+from repro.parallel import make_executor
 from repro.training import DistributedTrainingRun, Trainer
 
 CFG = MACEConfig(num_channels=4, lmax_sh=2, l_atomic_basis=2, correlation=2)
@@ -25,7 +26,9 @@ def _run(labeled, sampler_cls, world, seed=0, variant="optimized", **kw):
         sampler = sampler_cls(sizes, 2, num_replicas=world, seed=seed)
     model = MACE(CFG, seed=seed)
     trainer = Trainer(model, labeled, lr=0.01)
-    return DistributedTrainingRun(trainer, sampler, world, variant=variant, **kw)
+    return DistributedTrainingRun(
+        trainer, sampler, world, make_executor("serial", 1), variant=variant, **kw
+    )
 
 
 class TestDistributedTrainingRun:
@@ -45,7 +48,7 @@ class TestDistributedTrainingRun:
         sampler = BalancedDistributedSampler(sizes, 96, num_replicas=2)
         model = MACE(CFG, seed=0)
         trainer = Trainer(model, labeled)
-        run = DistributedTrainingRun(trainer, sampler, 4)
+        run = DistributedTrainingRun(trainer, sampler, 4, make_executor("serial", 1))
         with pytest.raises(ValueError):
             run.run(1)
 
@@ -53,7 +56,7 @@ class TestDistributedTrainingRun:
         trainer = Trainer(MACE(CFG, seed=0), labeled)
         sampler = BalancedDistributedSampler([g.n_atoms for g in labeled], 96, 1)
         with pytest.raises(ValueError):
-            DistributedTrainingRun(trainer, sampler, 0)
+            DistributedTrainingRun(trainer, sampler, 0, make_executor("serial", 1))
 
     def test_variant_changes_time_not_loss(self, labeled):
         """The paper's central consistency claim at system level: kernel

@@ -126,6 +126,11 @@ class TestMetrics:
         assert ratio[0] == pytest.approx(100 / 55)
 
 
+def _batches(sampler, epoch, rank):
+    """Rank ``rank``'s epoch plan without its bin capacities."""
+    return [items for items, _ in sampler.plan_rank_bins(epoch, rank)]
+
+
 class TestSamplers:
     SIZES = None
 
@@ -135,14 +140,14 @@ class TestSamplers:
 
     def test_balanced_covers_dataset(self):
         sampler = BalancedDistributedSampler(self.SIZES, 1024, num_replicas=4)
-        all_batches = sampler.all_rank_batches(epoch=0)
-        seen = sorted(i for rank in all_batches for b in rank for i in b)
+        all_bins = sampler.all_rank_bins(epoch=0)
+        seen = sorted(i for rank in all_bins for b, _ in rank for i in b)
         assert seen == list(range(400))
 
     def test_balanced_ranks_disjoint(self):
         sampler = BalancedDistributedSampler(self.SIZES, 1024, num_replicas=4)
         sets = [
-            {i for b in sampler.rank_batches(0, r) for i in b} for r in range(4)
+            {i for b in _batches(sampler, 0, r) for i in b} for r in range(4)
         ]
         for a in range(4):
             for b in range(a + 1, 4):
@@ -150,27 +155,27 @@ class TestSamplers:
 
     def test_balanced_same_batch_count_per_rank(self):
         sampler = BalancedDistributedSampler(self.SIZES, 1024, num_replicas=4)
-        counts = {len(sampler.rank_batches(0, r)) for r in range(4)}
+        counts = {len(_batches(sampler, 0, r)) for r in range(4)}
         assert len(counts) == 1  # bins are a multiple of replicas
 
     def test_epoch_changes_plan_when_shuffled(self):
         sampler = BalancedDistributedSampler(
             self.SIZES, 1024, num_replicas=2, shuffle=True
         )
-        a = sampler.rank_batches(0, 0)
-        b = sampler.rank_batches(1, 0)
+        a = _batches(sampler, 0, 0)
+        b = _batches(sampler, 1, 0)
         assert a != b
 
     def test_no_shuffle_is_stable(self):
         sampler = BalancedDistributedSampler(
             self.SIZES, 1024, num_replicas=2, shuffle=False
         )
-        assert sampler.rank_batches(0, 0) == sampler.rank_batches(5, 0)
+        assert _batches(sampler, 0, 0) == _batches(sampler, 5, 0)
 
     def test_rank_out_of_range(self):
         sampler = BalancedDistributedSampler(self.SIZES, 1024, num_replicas=2)
         with pytest.raises(ValueError):
-            sampler.rank_batches(0, 2)
+            _batches(sampler, 0, 2)
 
     def test_custom_size_metric(self):
         """§3.2.1: the size metric is pluggable (e.g. edge counts)."""
@@ -186,24 +191,24 @@ class TestSamplers:
 
     def test_fixed_sampler_covers_dataset(self):
         sampler = FixedCountDistributedSampler(self.SIZES, 8, num_replicas=4)
-        all_batches = sampler.all_rank_batches(epoch=0)
-        seen = sorted(i for rank in all_batches for b in rank for i in b)
+        all_bins = sampler.all_rank_bins(epoch=0)
+        seen = sorted(i for rank in all_bins for b, _ in rank for i in b)
         assert seen == list(range(400))
 
     def test_fixed_sampler_batch_sizes(self):
         sampler = FixedCountDistributedSampler(self.SIZES, 8, num_replicas=4)
-        for b in sampler.rank_batches(0, 1):
+        for b in _batches(sampler, 0, 1):
             assert len(b) <= 8
 
     def test_fixed_rank_out_of_range(self):
         sampler = FixedCountDistributedSampler(self.SIZES, 8, num_replicas=4)
         with pytest.raises(ValueError):
-            sampler.rank_batches(0, 7)
+            _batches(sampler, 0, 7)
 
     def test_balanced_sampler_balances_tokens(self):
         sampler = BalancedDistributedSampler(self.SIZES, 1024, num_replicas=4)
         loads = [
-            sum(self.SIZES[i] for b in sampler.rank_batches(0, r) for i in b)
+            sum(self.SIZES[i] for b in _batches(sampler, 0, r) for i in b)
             for r in range(4)
         ]
         assert max(loads) / (sum(loads) / 4) < 1.05

@@ -58,7 +58,7 @@ class TestShardedBalancedBatches:
     def test_rank_batches_disjoint(self, sizes):
         sampler = RandomizedBalancedSampler(sizes, 3072, 4, shard_size=1500, seed=0)
         sets = [
-            {i for b in sampler.rank_batches(0, r) for i in b} for r in range(4)
+            {i for b, _ in sampler.plan_rank_bins(0, r) for i in b} for r in range(4)
         ]
         assert sum(len(s) for s in sets) == sizes.size
         for a in range(4):
@@ -68,7 +68,7 @@ class TestShardedBalancedBatches:
     def test_rank_out_of_range(self, sizes):
         sampler = RandomizedBalancedSampler(sizes, 3072, 4)
         with pytest.raises(ValueError):
-            sampler.rank_batches(0, 4)
+            sampler.plan_rank_bins(0, 4)
 
 
 class TestHeterogeneityInjection:

@@ -10,8 +10,9 @@ The contracts under test (this PR's tentpole):
 - a SIGKILLed pool worker is detected, respawned from its install log,
   its in-flight tasks are resubmitted, and the run completes with the
   incident counted;
-- ParallelDDP with eager rank steps is *bitwise* equal to the serial
-  ``Trainer.ddp_step`` (compiled rank steps agree to 1e-12);
+- ParallelDDP with eager rank steps is *bitwise* equal across the
+  serial, thread and process backends (compiled rank steps agree to
+  1e-12), and a run frees its slab segments even when a rank fails;
 - serving on an ``executor=`` keeps the virtual-clock schedule and
   numerics while filling measured timing fields, and a failed
   micro-batch leaks no slab memory.
@@ -30,6 +31,7 @@ from repro.graphs.batch import collate
 from repro.mace import MACE, MACEConfig
 from repro.parallel import (
     ForwardTask,
+    GradStep,
     InstallModel,
     LocalSlab,
     ParallelDDP,
@@ -249,40 +251,45 @@ class TestWorkerRobustness:
             ex.shutdown()
 
 
+def _bins(plan, capacity=0):
+    """One DDP step's per-rank ``(indices, capacity)`` bins."""
+    return [(list(batch), capacity) for batch in plan]
+
+
 class TestParallelDDP:
-    def _fresh(self, labeled, lr=0.01):
+    def _fresh(self, labeled, lr=0.01, plan_cache=None):
         model = MACE(CFG, seed=0)
-        trainer = Trainer(model, labeled, lr=lr)
+        trainer = Trainer(model, labeled, lr=lr, plan_cache=plan_cache)
         return model, trainer
 
-    def _serial_reference(self, labeled, plans, steps):
-        model, trainer = self._fresh(labeled)
-        losses = [trainer.ddp_step([list(b) for b in plan if b]) for plan in plans][
-            :steps
-        ]
+    def _run(self, labeled, plans, backend, n_workers=2, plan_cache=None, **ex_kw):
+        """Model, per-step losses and the closed ParallelDDP after
+        ``plans`` (one index list per rank and step) on ``backend``."""
+        model, trainer = self._fresh(labeled, plan_cache=plan_cache)
+        with make_executor(backend, n_workers, **ex_kw) as ex:
+            ddp = ParallelDDP(trainer, ex, world_size=2)
+            losses = [ddp.step(_bins(plan)) for plan in plans]
+            ddp.close()
+        return model, losses, ddp
+
+    def _serial_reference(self, labeled, plans, plan_cache=None):
+        model, losses, _ = self._run(labeled, plans, "serial", 1, plan_cache)
         return model, losses
 
     def test_eager_ranks_bitwise_equal_serial(self, labeled):
         plans = [[[0, 1], [2, 3]], [[4], [5, 0]], [[1, 3], []]]
-        ref_model, ref_losses = self._serial_reference(labeled, plans, 3)
-        model, trainer = self._fresh(labeled)
-        with make_executor("process", 2) as ex:
-            ddp = ParallelDDP(trainer, ex, world_size=2, compiled=False)
-            losses = [ddp.step(plan) for plan in plans]
-            ddp.close()
-        assert losses == ref_losses  # bitwise, not approx
-        for pa, pb in zip(ref_model.parameters(), model.parameters()):
-            np.testing.assert_array_equal(pa.data, pb.data)
+        ref_model, ref_losses = self._serial_reference(labeled, plans)
+        for backend in ("thread", "process"):
+            model, losses, _ = self._run(labeled, plans, backend)
+            assert losses == ref_losses  # bitwise, not approx
+            for pa, pb in zip(ref_model.parameters(), model.parameters()):
+                np.testing.assert_array_equal(pa.data, pb.data)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_compiled_ranks_match_serial(self, backend, labeled):
         plans = [[[0, 1], [2, 3]], [[4, 5], [0, 2]]]
-        ref_model, ref_losses = self._serial_reference(labeled, plans, 2)
-        model, trainer = self._fresh(labeled)
-        with make_executor(backend, 2) as ex:
-            ddp = ParallelDDP(trainer, ex, world_size=2, compiled=True)
-            losses = [ddp.step(plan) for plan in plans]
-            ddp.close()
+        ref_model, ref_losses = self._serial_reference(labeled, plans, "auto")
+        model, losses, ddp = self._run(labeled, plans, backend, plan_cache="auto")
         for a, b in zip(losses, ref_losses):
             assert a == pytest.approx(b, abs=1e-12)
         for pa, pb in zip(ref_model.parameters(), model.parameters()):
@@ -291,25 +298,17 @@ class TestParallelDDP:
 
     def test_pipelined_broadcast_stages_and_matches(self, labeled):
         """Steps after the first flip a staged buffer instead of
-        flattening inline, with bitwise-identical results."""
+        flattening inline, with results bitwise equal to a serial run
+        whose slab is too small to stage (every broadcast inline)."""
         plans = [[[0, 1], [2, 3]], [[4], [5, 0]], [[1, 3], [2]]]
-        model_off, trainer_off = self._fresh(labeled)
-        with make_executor("thread", 2) as ex:
-            off = ParallelDDP(
-                trainer_off, ex, world_size=2, compiled=False,
-                pipeline_broadcast=False,
-            )
-            losses_off = [off.step(plan) for plan in plans]
-            assert off.staged_broadcasts == 0
-            assert off.inline_broadcasts == len(plans)
-            off.close()
-        model_on, trainer_on = self._fresh(labeled)
-        with make_executor("thread", 2) as ex:
-            on = ParallelDDP(trainer_on, ex, world_size=2, compiled=False)
-            losses_on = [on.step(plan) for plan in plans]
-            assert on.inline_broadcasts == 1  # only step 0 flattens inline
-            assert on.staged_broadcasts == len(plans) - 1
-            on.close()
+        model_off, losses_off, off = self._run(
+            labeled, plans, "serial", 1, slab_bytes=64
+        )
+        assert off.staged_broadcasts == 0
+        assert off.inline_broadcasts == len(plans)
+        model_on, losses_on, on = self._run(labeled, plans, "thread")
+        assert on.inline_broadcasts == 1  # only step 0 flattens inline
+        assert on.staged_broadcasts == len(plans) - 1
         assert losses_on == losses_off  # bitwise
         for pa, pb in zip(model_on.parameters(), model_off.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
@@ -317,17 +316,19 @@ class TestParallelDDP:
     def test_pipelined_broadcast_stale_guard(self, labeled):
         """An out-of-band optimizer step between parallel steps discards
         the staged buffer (optimizer.t mismatch) and re-flattens inline
-        — the broadcast params still match a serial reference bitwise."""
+        — the broadcast params still match a serial reference bitwise.
+        The reference is a ``train_step`` chain: a one-rank DDP step is
+        its gradient divided by 1 and the same optimizer and EMA update."""
         model_ref, trainer_ref = self._fresh(labeled)
-        trainer_ref.ddp_step([[0, 1]])
+        trainer_ref.train_step([0, 1])
         trainer_ref.train_step([2, 3])
-        ref_loss = trainer_ref.ddp_step([[4, 5]])
+        ref_loss = trainer_ref.train_step([4, 5])
         model, trainer = self._fresh(labeled)
         with make_executor("serial", 1) as ex:
-            ddp = ParallelDDP(trainer, ex, world_size=1, compiled=False)
-            ddp.step([[0, 1]])
+            ddp = ParallelDDP(trainer, ex, world_size=1)
+            ddp.step(_bins([[0, 1]]))
             trainer.train_step([2, 3])  # invalidates the staged params
-            loss = ddp.step([[4, 5]])
+            loss = ddp.step(_bins([[4, 5]]))
             assert ddp.staged_broadcasts == 0
             assert ddp.inline_broadcasts == 2
             ddp.close()
@@ -338,29 +339,30 @@ class TestParallelDDP:
     def test_empty_ranks_sit_out(self, labeled):
         model, trainer = self._fresh(labeled)
         with make_executor("serial", 2) as ex:
-            ddp = ParallelDDP(trainer, ex, world_size=3, compiled=False)
-            loss = ddp.step([[0, 1], [], [2]])  # rank 1 sits out
+            ddp = ParallelDDP(trainer, ex, world_size=3)
+            loss = ddp.step(_bins([[0, 1], [], [2]]))  # rank 1 sits out
             assert np.isfinite(loss)
             with pytest.raises(ValueError, match="no non-empty"):
-                ddp.step([[], [], []])
+                ddp.step(_bins([[], [], []]))
             ddp.close()
 
-    def test_distributed_run_executor_path(self, labeled):
-        """DistributedTrainingRun(executor=...) matches the serial run
-        bitwise (eager ranks) while recording measured wall seconds."""
+    def _distributed_run(self, labeled, executor):
+        trainer = Trainer(MACE(CFG, seed=0), labeled, lr=0.01, plan_cache=None)
         sizes = [g.n_atoms for g in labeled]
+        sampler = BalancedDistributedSampler(sizes, 96, num_replicas=2, seed=0)
+        return DistributedTrainingRun(trainer, sampler, 2, executor)
 
-        def run(executor=None, **kw):
-            trainer = Trainer(MACE(CFG, seed=0), labeled, lr=0.01)
-            sampler = BalancedDistributedSampler(sizes, 96, num_replicas=2, seed=0)
-            return DistributedTrainingRun(
-                trainer, sampler, 2, executor=executor, **kw
-            ).run(2)
-
-        ref = run()
+    def test_distributed_run_executor_path(self, labeled):
+        """DistributedTrainingRun on a process pool matches the serial
+        backend bitwise (eager ranks) while recording measured wall
+        seconds, and frees its slab segments on both."""
+        with make_executor("serial", 1) as ex:
+            ref = self._distributed_run(labeled, ex).run(2)
+            assert ex.slab.live_bytes == 0
         with make_executor("process", 2) as ex:
-            par = run(executor=ex, ddp_compiled=False)
-        assert par.execution == "parallel" and ref.execution == "serial"
+            par = self._distributed_run(labeled, ex).run(2)
+            assert ex.slab.live_bytes == 0
+        assert par.execution == "process" and ref.execution == "serial"
         assert par.epoch_losses == ref.epoch_losses  # bitwise
         assert par.epoch_minutes == ref.epoch_minutes  # simulation untouched
         assert len(par.epoch_wall_seconds) == 2
@@ -368,6 +370,30 @@ class TestParallelDDP:
         assert par.total_wall_seconds == pytest.approx(
             sum(par.epoch_wall_seconds)
         )
+
+    def test_distributed_runs_free_their_segments(self, labeled):
+        """Two runs in a row on one pool leave no slab segment behind."""
+        with make_executor("serial", 1) as ex:
+            for _ in range(2):
+                self._distributed_run(labeled, ex).run(1)
+                assert ex.slab.live_bytes == 0
+
+    def test_failed_rank_frees_every_segment(self, labeled, monkeypatch):
+        """A rank task that fails raises a typed error from run(), after
+        the run's parameter and gradient segments are released."""
+        run, calls = GradStep.run, []
+
+        def failing_run(task, ctx):
+            calls.append(task.task_id)
+            if len(calls) == 2:
+                raise ValueError("injected rank failure")
+            return run(task, ctx)
+
+        monkeypatch.setattr(GradStep, "run", failing_run)
+        with make_executor("serial", 1) as ex:
+            with pytest.raises(RuntimeError, match="injected rank failure"):
+                self._distributed_run(labeled, ex).run(1)
+            assert ex.slab.live_bytes == 0
 
 
 class TestEngineWallClock:

@@ -494,6 +494,21 @@ class TestCollateCache:
         cache.get(graphs, [0])
         assert cache.stats()["misses"] == 4
 
+    def test_retain_drops_unplanned_bins_of_one_dataset(self):
+        rng = np.random.default_rng(16)
+        graphs = _labeled_graphs(rng)
+        other = _labeled_graphs(rng, count=3)
+        cache = CollateCache()
+        kept = cache.get(graphs, [1, 0], 24)
+        cache.get(graphs, [2, 3], 24)
+        cache.get(graphs, [0, 1])  # same composition, another capacity
+        elsewhere = cache.get(other, [0, 2], 24)
+        cache.retain(graphs, [([0, 1], 24), ([4], 24)])
+        assert len(cache) == 2
+        assert cache.get(graphs, [0, 1], 24) is kept
+        assert cache.get(other, [2, 0], 24) is elsewhere
+        assert cache.stats()["hits"] == 2
+
     def test_clear(self):
         rng = np.random.default_rng(12)
         graphs = _labeled_graphs(rng)
@@ -501,6 +516,17 @@ class TestCollateCache:
         cache.get(graphs, [0, 1])
         cache.clear()
         assert len(cache) == 0
+
+
+def _collated_plan(sampler, graphs, epoch, rank, cache=None):
+    """Rank ``rank``'s epoch plan collated bin by bin at each bin's
+    capacity, through ``cache`` when one is given."""
+    return [
+        cache.get(graphs, indices, capacity)
+        if cache is not None
+        else collate([graphs[i] for i in indices], capacity=capacity)
+        for indices, capacity in sampler.plan_rank_bins(epoch, rank)
+    ]
 
 
 class TestSamplerMaterialization:
@@ -512,17 +538,17 @@ class TestSamplerMaterialization:
             sizes, capacity=24, num_replicas=2, shuffle=False
         )
         cache = CollateCache()
-        first = sampler.rank_graph_batches(0, 0, graphs, cache=cache)
+        first = _collated_plan(sampler, graphs, 0, 0, cache=cache)
         assert first and all(b.real().n_atoms <= 24 for b in first)
         assert all(b.features == {} for b in first)  # cache-owned, nothing featurized yet
         # Deterministic plan (no shuffle): epoch 1 is pure cache hits.
-        second = sampler.rank_graph_batches(1, 0, graphs, cache=cache)
+        second = _collated_plan(sampler, graphs, 1, 0, cache=cache)
         assert all(a is b for a, b in zip(first, second))
         assert cache.stats()["hits"] == len(second)
 
     def test_trainer_and_sampler_share_cache_entries(self):
-        """Trainer.fit keys batches at the sampler's capacity, so a cache
-        shared with rank_graph_batches holds one entry per composition."""
+        """Trainer.fit keys batches at the plan's capacity, so a cache
+        shared with the caller holds one entry per composition."""
         from repro.mace import MACE, MACEConfig
         from repro.training import Trainer
 
@@ -542,7 +568,7 @@ class TestSamplerMaterialization:
             shuffle=False,
         )
         cache = CollateCache()
-        pre = sampler.rank_graph_batches(0, 0, graphs, cache=cache)
+        pre = _collated_plan(sampler, graphs, 0, 0, cache=cache)
         cfg = MACEConfig(
             num_channels=2, lmax_sh=1, l_atomic_basis=1, correlation=2
         )
@@ -550,9 +576,8 @@ class TestSamplerMaterialization:
             MACE(cfg, seed=0), graphs, collate_cache=cache
         )
         trainer.fit(sampler, n_epochs=1)
-        # DDP path keys identically too.
-        plan = sampler.rank_batches(0, 0)
-        trainer.ddp_step(plan[:1], capacity=24)
+        # A single step on a plan bin keys identically too.
+        trainer.train_step(*sampler.plan_rank_bins(0, 0)[0])
         stats = cache.stats()
         assert stats["misses"] == len(pre)  # no duplicate (indices, 0) keys
         assert stats["hits"] >= len(pre) + 1
@@ -564,11 +589,11 @@ class TestSamplerMaterialization:
             [g.n_atoms for g in graphs], capacity=24, num_replicas=1,
             shuffle=False,
         )
-        batches = sampler.rank_graph_batches(0, 0, graphs)
+        batches = _collated_plan(sampler, graphs, 0, 0)
         assert sum(b.real().n_graphs for b in batches) == len(graphs)
 
     def test_fit_capacity_agrees_with_materialization(self):
-        """Trainer.fit and rank_graph_batches must key a shared cache
+        """Trainer.fit and a caller collating the plan must key a shared cache
         identically for *any* sampler, including the fixed-count baseline
         whose capacity lives on its plan's bins, not the sampler."""
         from repro.distribution import FixedCountDistributedSampler
@@ -582,7 +607,7 @@ class TestSamplerMaterialization:
             shuffle=False,
         )
         cache = CollateCache()
-        pre = sampler.rank_graph_batches(0, 0, graphs, cache=cache)
+        pre = _collated_plan(sampler, graphs, 0, 0, cache=cache)
         cfg = MACEConfig(
             num_channels=2, lmax_sh=1, l_atomic_basis=1, correlation=2
         )
@@ -620,7 +645,7 @@ class TestSamplerMaterialization:
             sizes, graphs_per_batch=3, num_replicas=1, shuffle=False,
         )
         bins = sampler.plan_rank_bins(0, 0)
-        batches = sampler.rank_graph_batches(0, 0, graphs)
+        batches = _collated_plan(sampler, graphs, 0, 0)
         fills = [b.real().n_atoms for b in batches]
         assert fills == [sum(sizes[i] for i in idx) for idx, _ in bins]
         assert all(cap == max(fills) for _, cap in bins)

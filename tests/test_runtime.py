@@ -323,13 +323,24 @@ class TestTrainerPlanCache:
             np.testing.assert_allclose(pa.data, pb.data, atol=1e-10, err_msg=name)
 
     def test_ddp_step_through_plans_matches_eager(self, labeled):
+        from repro.parallel import ParallelDDP, make_executor
+
         graphs = list(labeled)
         eager = Trainer(MACE(CFG, seed=6), graphs, plan_cache=None)
         comp = Trainer(MACE(CFG, seed=6), graphs)
-        for _ in range(2):  # second round replays
-            eager.ddp_step([[0, 1], [2, 3]])
-            comp.ddp_step([[0, 1], [2, 3]])
-        assert comp.plan_cache.hits > 0
+        with make_executor("serial", 1) as ex_e, make_executor("serial", 1) as ex_c:
+            ddp_e = ParallelDDP(eager, ex_e, world_size=2)
+            ddp_c = ParallelDDP(comp, ex_c, world_size=2)
+            for _ in range(2):  # second round replays
+                ddp_e.step([([0, 1], 0), ([2, 3], 0)])
+                ddp_c.step([([0, 1], 0), ([2, 3], 0)])
+            ddp_e.close()
+            ddp_c.close()
+            ranks = ex_c._contexts[0].ranks.values()
+            assert all(r.trainer.plan_cache.hits > 0 for r in ranks)
+            assert all(
+                r.trainer.plan_cache is None for r in ex_e._contexts[0].ranks.values()
+            )
         for (name, pa), (_, pb) in zip(
             eager.model.named_parameters(), comp.model.named_parameters()
         ):

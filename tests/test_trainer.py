@@ -7,6 +7,7 @@ from repro.data import attach_labels, build_training_set
 from repro.distribution import BalancedDistributedSampler, FixedCountDistributedSampler
 from repro.graphs import MolecularGraph, collate
 from repro.mace import MACE, MACEConfig
+from repro.parallel import ParallelDDP, make_executor
 from repro.training import EnergyScaler, Trainer
 
 CFG = MACEConfig(num_channels=4, lmax_sh=2, l_atomic_basis=2, correlation=2)
@@ -78,7 +79,8 @@ class TestTrainer:
     def test_lr_schedule_advances(self, labeled_graphs):
         model = MACE(CFG, seed=0)
         trainer = Trainer(model, labeled_graphs, lr=0.01, lr_gamma=0.5)
-        trainer.train_epoch([[0, 1]])
+        trainer.train_epoch_bins([([0, 1], 0)])
+        trainer.scheduler.step()
         assert trainer.optimizer.lr == pytest.approx(0.005)
 
     def test_evaluate(self, labeled_graphs):
@@ -88,7 +90,7 @@ class TestTrainer:
         assert np.isfinite(loss) and loss > 0
 
     def test_collate_cache_on_by_default(self, labeled_graphs):
-        """fit/ddp_step thread a private CollateCache unless disabled."""
+        """fit/train_step thread a private CollateCache unless disabled."""
         from repro.graphs import CollateCache
 
         trainer = Trainer(MACE(CFG, seed=0), labeled_graphs)
@@ -183,7 +185,10 @@ class TestTrainer:
         ta = Trainer(model_a, labeled_graphs, lr=0.01, loss_weighting="uniform")
         tb = Trainer(model_b, labeled_graphs, lr=0.01, loss_weighting="uniform")
         # DDP: two ranks with two graphs each.
-        ta.ddp_step([[0, 1], [2, 3]])
+        with make_executor("serial", 1) as ex:
+            ddp = ParallelDDP(ta, ex, world_size=2)
+            ddp.step([([0, 1], 0), ([2, 3], 0)])
+            ddp.close()
         # Equivalent single step: average of the two batch losses.
         from repro.autograd import Tensor
 
@@ -221,8 +226,11 @@ class TestTrainer:
 
     def test_ddp_step_empty_raises(self, labeled_graphs):
         trainer = Trainer(MACE(CFG, seed=0), labeled_graphs)
-        with pytest.raises(ValueError):
-            trainer.ddp_step([[], []])
+        with make_executor("serial", 1) as ex:
+            ddp = ParallelDDP(trainer, ex, world_size=2)
+            with pytest.raises(ValueError):
+                ddp.step([([], 0), ([], 0)])
+            ddp.close()
 
     def test_variants_train_identically(self, labeled_graphs):
         """Figure 9's foundation: identical losses for both kernel variants."""
@@ -232,3 +240,50 @@ class TestTrainer:
             trainer = Trainer(model, labeled_graphs, lr=0.01)
             losses[variant] = [trainer.train_step([0, 1, 2]) for _ in range(3)]
         np.testing.assert_allclose(losses["baseline"], losses["optimized"], atol=1e-12)
+
+
+class TestCollateRetention:
+    """The trainer's private collate cache keeps the current epoch's bins
+    and evaluate's full-set batch; a cache the caller passed in is never
+    pruned."""
+
+    @staticmethod
+    def _sampler(graphs, shuffle, seed=0):
+        return BalancedDistributedSampler(
+            [g.n_atoms for g in graphs], 80, num_replicas=1, shuffle=shuffle, seed=seed
+        )
+
+    def test_reshuffled_epochs_hold_one_epoch(self, labeled_graphs):
+        from repro.graphs import CollateCache
+
+        sampler = self._sampler(labeled_graphs, shuffle=True)
+        own = Trainer(MACE(CFG, seed=0), labeled_graphs)
+        shared = CollateCache()
+        kept = Trainer(MACE(CFG, seed=0), labeled_graphs, collate_cache=shared)
+        own.fit(sampler, n_epochs=3)
+        kept.fit(sampler, n_epochs=3)
+        last = sampler.plan_rank_bins(2, 0)
+        assert len(own.collate_cache) <= len(last) + 1
+        assert len(shared) > len(own.collate_cache)  # the passed cache is whole
+
+    def test_fixed_plan_hits_unchanged(self, labeled_graphs):
+        from repro.graphs import CollateCache
+
+        sampler = self._sampler(labeled_graphs, shuffle=False)
+        own = Trainer(MACE(CFG, seed=0), labeled_graphs)
+        shared = CollateCache()
+        kept = Trainer(MACE(CFG, seed=0), labeled_graphs, collate_cache=shared)
+        own.fit(sampler, n_epochs=3)
+        kept.fit(sampler, n_epochs=3)
+        n_bins = len(sampler.plan_rank_bins(0, 0))
+        assert own.collate_cache.stats() == shared.stats()
+        assert shared.stats()["hits"] == 2 * n_bins
+
+    def test_fit_then_evaluate_twice_hits_evaluate_batch(self, labeled_graphs):
+        trainer = Trainer(MACE(CFG, seed=0), labeled_graphs)
+        cache = trainer.collate_cache
+        for seed in (0, 1):
+            trainer.fit(self._sampler(labeled_graphs, shuffle=True, seed=seed), 1)
+            hits = cache.hits
+            trainer.evaluate()
+            assert cache.hits == hits + seed  # a miss first, a hit after
