@@ -17,29 +17,16 @@ one-rank step divides the gradient by 1 and then applies the trainer's
 own optimizer and EMA update, so with eager ranks it reproduces
 :meth:`~repro.training.Trainer.train_step` bitwise.
 
-Wire format: parameters are flattened once per step into a shared slab
-segment every rank reads; each rank owns a private gradient segment it
-writes.  Ranks are pinned to workers (``rank % n_workers``) so each
-worker's trainer state — collate cache, compiled loss plans, scatter
-memos — is reused across steps exactly like a persistent DDP rank.
-
-Pipelined broadcast: whenever the parameter segments fit on the slab,
-the parameter broadcast of step *k+1* overlaps the tail of step *k* — after
-the optimizer step, a background thread flattens the updated parameters
-into the *standby* half of a double-buffered pair of slab segments while
-the driver returns to the caller (epoch bookkeeping, loss logging,
-simulation).  The next ``step()`` joins the thread and flips buffers
-instead of flattening inline.  Parity is untouched: the staged bytes are
-exactly the flatten an inline broadcast would produce at step entry,
-because between steps only ``optimizer.step`` mutates parameter data
-(EMA updates touch shadow copies only) — guarded by the optimizer's step
-counter; a mismatch (e.g. an extra serial step between parallel steps)
-discards the staged buffer and re-flattens inline.
+Wire format: parameters are flattened once per step, at step entry,
+into one shared slab segment every rank reads; each rank owns a private
+gradient segment it writes, so a run holds ``1 + world_size`` segments.
+Ranks are pinned to workers (``rank % n_workers``) so each worker's
+trainer state — collate cache, compiled loss plans, scatter memos — is
+reused across steps exactly like a persistent DDP rank.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 from typing import List, Optional, Sequence, Tuple
 
@@ -47,7 +34,7 @@ import numpy as np
 
 from .executor import BaseExecutor
 from .shm import SlabFull
-from .worker import GradStep, InstallModel, SetupRank, flatten_params
+from .worker import GradStep, InstallModel, RetainBins, SetupRank, flatten_params
 
 __all__ = ["ParallelDDP"]
 
@@ -72,8 +59,12 @@ class ParallelDDP:
     Rank trainers compile their loss plans exactly when the driver's
     ``trainer.plan_cache`` is set: an eager driver gets eager ranks.
     Every parameter is flattened and updated, so a trainer after
-    ``freeze_representation`` raises ``ValueError``.  :meth:`close`
-    frees the slab segments allocated here.
+    ``freeze_representation`` raises ``ValueError``.  Each step
+    flattens the parameters as they are at step entry, so weights
+    written in place between steps (``load_state_dict``,
+    ``ema.copy_to``, an extra ``train_step``) are what the ranks see.
+    :meth:`close` frees the ``1 + world_size`` slab segments allocated
+    here; when they do not fit, parameters and gradients travel inline.
     """
 
     def __init__(self, trainer, executor: BaseExecutor, world_size: int) -> None:
@@ -106,39 +97,18 @@ class ParallelDDP:
                 ),
                 worker=rank % executor.n_workers,
             )
-        # Double-buffered parameter broadcast segments + one gradient
-        # segment per rank.
+        # One parameter segment + one gradient segment per rank.
         slab = executor.slab
         allocated: List = []
         try:
-            self._param_segs = []
-            for _ in range(2):
-                seg = slab.alloc((self._n_flat,), np.float64)
-                allocated.append(seg)
-                self._param_segs.append(seg)
-            self._grad_segs = []
-            for _ in range(self.world_size):
-                seg = slab.alloc((self._n_flat,), np.float64)
-                allocated.append(seg)
-                self._grad_segs.append(seg)
+            for _ in range(1 + self.world_size):
+                allocated.append(slab.alloc((self._n_flat,), np.float64))
         except SlabFull:
             # Inline fallback: params ride in each task, grads in results.
             for seg in allocated:
                 slab.free(seg)
-            self._param_segs = None
-            self._grad_segs = [None] * self.world_size
-        self._param_views = (
-            [slab.view(seg) for seg in self._param_segs]
-            if self._param_segs is not None
-            else None
-        )
-        self._active = 0  # which param segment the *next* step broadcasts
-        self._stage_thread: Optional[threading.Thread] = None
-        self._staged = False
-        self._stage_error: Optional[BaseException] = None
-        self._staged_t = -1  # optimizer.t the staged params correspond to
-        self.staged_broadcasts = 0  # steps served from a staged buffer
-        self.inline_broadcasts = 0  # steps that flattened at step entry
+            allocated = [None] * (1 + self.world_size)
+        self._param_seg, *self._grad_segs = allocated
 
     # -- one step ----------------------------------------------------------------
 
@@ -154,23 +124,15 @@ class ParallelDDP:
                 f"{len(rank_bins)} rank bins for world size {self.world_size}"
             )
         t0 = time.monotonic()
-        if self._param_segs is not None:
-            self._join_stage()
-            if self._staged and self._staged_t == self.trainer.optimizer.t:
-                # Step k's tail already flattened the updated params into
-                # the standby buffer; flip instead of flattening.
-                self._active = 1 - self._active
-                self.staged_broadcasts += 1
-            else:
-                self._param_views[self._active][...] = flatten_params(self.params)
-                self.inline_broadcasts += 1
-            self._staged = False
-            params_ref = self._param_segs[self._active]
-            flat = None
+        # One segment suffices: drain() below returns only after every
+        # rank's result is in, and nothing reads the segment again until
+        # the next step rewrites it here from the current p.data.
+        flat = flatten_params(self.params)
+        if self._param_seg is not None:
+            self.executor.slab.view(self._param_seg)[...] = flat
+            params_ref = self._param_seg
         else:
-            flat = flatten_params(self.params)
             params_ref = flat
-            self.inline_broadcasts += 1
         active = [
             (rank, tuple(indices), int(capacity))
             for rank, (indices, capacity) in enumerate(rank_bins)
@@ -215,51 +177,23 @@ class ParallelDDP:
             offset += n
         self.trainer.optimizer.step()
         self.trainer.ema.update()
-        if self._param_segs is not None:
-            self._start_stage()
         self.step_seconds.append(time.monotonic() - t0)
         return float(np.mean(losses))
 
-    # -- pipelined broadcast -----------------------------------------------------
-
-    def _start_stage(self) -> None:
-        """Flatten the post-step parameters into the standby buffer, off
-        the driver's critical path.  Safe because nothing mutates
-        ``p.data`` until the next ``optimizer.step`` (the EMA only writes
-        its shadow dict), and the next ``step()`` joins before reading."""
-        standby_view = self._param_views[1 - self._active]
-
-        def _stage() -> None:
-            try:
-                standby_view[...] = flatten_params(self.params)
-            except BaseException as exc:  # re-flatten inline at next step
-                self._stage_error = exc
-
-        self._stage_error = None
-        self._staged_t = self.trainer.optimizer.t
-        self._stage_thread = threading.Thread(
-            target=_stage, name="ddp-broadcast-stage", daemon=True
-        )
-        self._stage_thread.start()
-        self._staged = True
-
-    def _join_stage(self) -> None:
-        if self._stage_thread is not None:
-            self._stage_thread.join()
-            self._stage_thread = None
-        if self._stage_error is not None:
-            self._staged = False
-            self._stage_error = None
+    def retain_bins(self, plan: Sequence[Sequence[Tuple[Sequence[int], int]]]) -> None:
+        """Send each rank its epoch bins (``plan[rank]``) once an epoch, so
+        its private collate cache keeps only what the epoch can ask for."""
+        for rank, bins in enumerate(plan):
+            task = RetainBins(task_id=("retain", rank), rank=rank, bins=bins)
+            self.executor.submit(task, worker=rank % self.executor.n_workers)
+        for (_, rank), res in sorted(self.executor.drain().items()):
+            if "error" in res:
+                raise RuntimeError(f"rank {rank} failed:\n{res['error']}")
 
     def close(self) -> None:
         """Release the slab segments (the executor stays usable)."""
-        self._join_stage()
-        self._staged = False
-        if self._param_segs is not None:
-            for seg in self._param_segs:
+        if self._param_seg is not None:
+            for seg in [self._param_seg, *self._grad_segs]:
                 self.executor.slab.free(seg)
-            for seg in self._grad_segs:
-                self.executor.slab.free(seg)
-            self._param_segs = None
-            self._param_views = None
+            self._param_seg = None
             self._grad_segs = [None] * self.world_size

@@ -11,7 +11,8 @@ Two message kinds cross the task queue:
   mutate the context and are idempotent — the executor logs them per
   worker and replays the log into a respawned replacement after a
   worker death;
-- **tasks** (:class:`ForwardTask`, :class:`GradStep`) compute and return
+- **tasks** (:class:`ForwardTask`, :class:`GradStep`,
+  :class:`RetainBins`) compute and return
   a small metadata dict; array payloads travel through the executor's
   shared-memory slab (:mod:`repro.parallel.shm`) whenever they fit, and
   inline through the queue otherwise.
@@ -229,12 +230,9 @@ class GradStep:
         start = time.monotonic()
         state = ctx.ranks[self.rank]
         trainer = state.trainer
-        flat = np.asarray(ctx._array(self.params))
-        offset = 0
-        for p in state.params:
-            n = p.data.size
-            p.data[...] = flat[offset : offset + n].reshape(p.data.shape)
-            offset += n
+        unflatten_into(
+            np.asarray(ctx._array(self.params)), [p.data for p in state.params]
+        )
         trainer.model.zero_grad()
         batch = trainer._collate(list(self.batch_indices), self.capacity)
         loss = trainer._loss_step(batch)
@@ -257,6 +255,25 @@ class GradStep:
         else:
             out["grad"] = grad_flat
         return out
+
+
+@dataclass
+class RetainBins:
+    """Prune one rank's private collate cache to its epoch bins.
+
+    Ranks collate through :class:`GradStep`, never through
+    ``train_epoch_bins``, so the driver sends each rank its bins once an
+    epoch and the rank trainer applies
+    :meth:`~repro.training.Trainer.retain_bins`.
+    """
+
+    task_id: Any
+    rank: int
+    bins: Any  # the rank's (indices, capacity) bins
+
+    def run(self, ctx: WorkerContext) -> Dict[str, Any]:
+        ctx.ranks[self.rank].trainer.retain_bins(self.bins)
+        return {"task_id": self.task_id, "worker": ctx.worker_id, "rank": self.rank}
 
 
 def flatten_params(params) -> np.ndarray:

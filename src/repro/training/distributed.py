@@ -88,9 +88,13 @@ class DistributedTrainingRun:
         through :class:`~repro.parallel.ParallelDDP`: per-rank
         forward/backward on workers, a gradient all-reduce through the
         executor's slab, one optimizer step on ``trainer``.  The caller
-        owns the pool; :meth:`run` frees its slab segments when it
-        returns or raises.  Ranks compile their loss plans when
-        ``trainer.plan_cache`` is set and run eagerly otherwise.  The
+        owns the pool; :meth:`run` holds one parameter segment and one
+        gradient segment per rank on its slab and frees them when it
+        returns or raises.  Before each epoch's first step every rank
+        gets its bins of the plan and prunes its private collate cache
+        to them (:meth:`~repro.training.Trainer.retain_bins`).  Ranks
+        compile their loss plans when ``trainer.plan_cache`` is set and
+        run eagerly otherwise.  The
         serial backend (``make_executor("serial", 1)``) is the reference:
         with eager ranks every backend matches it bitwise, with compiled
         ranks to 1e-12, and the simulated epoch minutes do not depend on
@@ -184,6 +188,7 @@ class DistributedTrainingRun:
         try:
             for epoch in range(n_epochs):
                 plan = self._epoch_plan(epoch)
+                ddp.retain_bins(plan)
                 n_steps = max(len(r) for r in plan)
                 losses = []
                 wall_t0 = monotonic()

@@ -124,7 +124,8 @@ class Trainer:
         ``"auto"`` gives the trainer its own private cache, so ``fit``,
         ``train_epoch_bins``, ``train_step`` and ``evaluate`` reuse
         collated batches out of the box.  Retention rule of the private
-        cache: each ``train_epoch_bins`` call first drops this dataset's
+        cache (:meth:`retain_bins`; each ``train_epoch_bins`` call and
+        each DDP rank's epoch run it first): drop this dataset's
         batches whose bin is not in its plan, keeping ``evaluate``'s
         full-set batch — a plan that does not shuffle hits on every epoch
         past the first, while a reshuffled plan (which almost never
@@ -358,13 +359,20 @@ class Trainer:
 
     # -- epochs -------------------------------------------------------------------
 
-    def train_epoch_bins(
-        self, bins: Sequence[tuple], stream: Optional[bool] = None
-    ) -> List[float]:
+    def retain_bins(self, bins: Sequence[tuple]) -> None:
+        """Apply the private collate cache's retention rule (see
+        ``collate_cache``) for one epoch's ``(indices, capacity)`` bins;
+        a cache passed in is never pruned."""
+        if self._owns_collate_cache:
+            self.collate_cache.retain(
+                self.graphs, list(bins) + [(range(len(self.graphs)), 0)]
+            )
+
+    def train_epoch_bins(self, bins: Sequence[tuple]) -> List[float]:
         """One pass over an epoch plan's ``(indices, capacity)`` bins.
 
-        With a ``dataset`` attached (default ``stream=None`` → auto),
-        batch construction runs on a background prefetch thread through
+        With a ``dataset`` attached, batch construction runs on a
+        background prefetch thread through
         :class:`~repro.data.StreamingLoader` — shard reads, collation
         and the edge-geometry pipeline overlap the
         previous batch's compute, double-buffered at ``prefetch_depth``.
@@ -376,16 +384,11 @@ class Trainer:
         the scheduler —
         epoch drivers (``fit``) own that, exactly as with ``train_step``
         loops.  The trainer's private collate cache first forgets the
-        batches this plan cannot ask for (see ``collate_cache``).
+        batches this plan cannot ask for (:meth:`retain_bins`).
         """
         plan = [(indices, cap) for indices, cap in bins if indices]
-        if self._owns_collate_cache:
-            self.collate_cache.retain(
-                self.graphs, plan + [(range(len(self.graphs)), 0)]
-            )
-        if stream is None:
-            stream = self.dataset is not None
-        if not stream or len(plan) <= 1:
+        self.retain_bins(plan)
+        if self.dataset is None or len(plan) <= 1:
             return [self.train_step(indices, cap) for indices, cap in plan]
         loader = StreamingLoader(plan, self._collate, depth=self.prefetch_depth)
         try:

@@ -296,29 +296,34 @@ class TestParallelDDP:
             np.testing.assert_allclose(pa.data, pb.data, atol=1e-12)
         assert len(ddp.step_seconds) == 2
 
-    def test_pipelined_broadcast_stages_and_matches(self, labeled):
-        """Steps after the first flip a staged buffer instead of
-        flattening inline, with results bitwise equal to a serial run
-        whose slab is too small to stage (every broadcast inline)."""
+    def test_slab_broadcast_matches_inline(self, labeled):
+        """A slab-backed thread run, which holds one parameter segment
+        and one gradient segment per rank, is bitwise equal to a serial
+        run whose slab is too small for any segment (every broadcast
+        inline)."""
         plans = [[[0, 1], [2, 3]], [[4], [5, 0]], [[1, 3], [2]]]
-        model_off, losses_off, off = self._run(
+        model_off, losses_off, _ = self._run(
             labeled, plans, "serial", 1, slab_bytes=64
         )
-        assert off.staged_broadcasts == 0
-        assert off.inline_broadcasts == len(plans)
-        model_on, losses_on, on = self._run(labeled, plans, "thread")
-        assert on.inline_broadcasts == 1  # only step 0 flattens inline
-        assert on.staged_broadcasts == len(plans) - 1
+        model_on, trainer = self._fresh(labeled)
+        n_params = sum(p.data.size for p in model_on.parameters())
+        segment = -(-n_params * 8 // 64) * 64  # the slab's 64-byte extents
+        with make_executor("thread", 2) as ex:
+            ddp = ParallelDDP(trainer, ex, world_size=2)
+            losses_on = [ddp.step(_bins(plan)) for plan in plans]
+            assert ex.slab.live_bytes == (1 + 2) * segment
+            ddp.close()
+            assert ex.slab.live_bytes == 0
         assert losses_on == losses_off  # bitwise
         for pa, pb in zip(model_on.parameters(), model_off.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
 
-    def test_pipelined_broadcast_stale_guard(self, labeled):
-        """An out-of-band optimizer step between parallel steps discards
-        the staged buffer (optimizer.t mismatch) and re-flattens inline
-        — the broadcast params still match a serial reference bitwise.
-        The reference is a ``train_step`` chain: a one-rank DDP step is
-        its gradient divided by 1 and the same optimizer and EMA update."""
+    def test_out_of_band_step_is_broadcast(self, labeled):
+        """An out-of-band optimizer step between parallel steps is what
+        the next parallel step broadcasts — it matches a serial
+        reference bitwise.  The reference is a ``train_step`` chain: a
+        one-rank DDP step is its gradient divided by 1 and the same
+        optimizer and EMA update."""
         model_ref, trainer_ref = self._fresh(labeled)
         trainer_ref.train_step([0, 1])
         trainer_ref.train_step([2, 3])
@@ -327,14 +332,36 @@ class TestParallelDDP:
         with make_executor("serial", 1) as ex:
             ddp = ParallelDDP(trainer, ex, world_size=1)
             ddp.step(_bins([[0, 1]]))
-            trainer.train_step([2, 3])  # invalidates the staged params
+            trainer.train_step([2, 3])
             loss = ddp.step(_bins([[4, 5]]))
-            assert ddp.staged_broadcasts == 0
-            assert ddp.inline_broadcasts == 2
             ddp.close()
         assert loss == ref_loss
         for pa, pb in zip(model_ref.parameters(), model.parameters()):
             np.testing.assert_array_equal(pa.data, pb.data)
+
+    def test_in_place_load_is_broadcast(self, labeled):
+        """Weights loaded in place between DDP steps (no optimizer step,
+        so ``optimizer.t`` does not move) are what the next step
+        computes on: bitwise the same loss and parameters as taking that
+        second step with ``train_step``."""
+        other = MACE(CFG, seed=7).state_dict()
+        results = []
+        for second in ("ddp", "train_step"):
+            model, trainer = self._fresh(labeled)
+            with make_executor("serial", 1) as ex:
+                ddp = ParallelDDP(trainer, ex, world_size=1)
+                ddp.step(_bins([[0, 1]]))
+                model.load_state_dict(other)
+                if second == "ddp":
+                    loss = ddp.step(_bins([[2, 3]]))
+                else:
+                    loss = trainer.train_step([2, 3])
+                ddp.close()
+            results.append((loss, [p.data.copy() for p in model.parameters()]))
+        (loss_ddp, params_ddp), (loss_ref, params_ref) = results
+        assert loss_ddp == loss_ref
+        for pa, pb in zip(params_ddp, params_ref):
+            np.testing.assert_array_equal(pa, pb)
 
     def test_empty_ranks_sit_out(self, labeled):
         model, trainer = self._fresh(labeled)
@@ -394,6 +421,41 @@ class TestParallelDDP:
             with pytest.raises(RuntimeError, match="injected rank failure"):
                 self._distributed_run(labeled, ex).run(1)
             assert ex.slab.live_bytes == 0
+
+
+class TestRankCollateCaches:
+    """DDP ranks collate through GradStep, so a run sends each rank its
+    epoch bins and the rank trainer prunes its private collate cache by
+    the trainer's own retention rule."""
+
+    @pytest.fixture(scope="class")
+    def graphs(self):
+        return attach_labels(build_training_set(24, seed=5, max_atoms=40))
+
+    def _rank_stats(self, graphs, shuffle):
+        """Each rank's collate-cache stats and its last epoch's bin count
+        after a 2-rank, 6-epoch run on the serial backend."""
+        trainer = Trainer(MACE(CFG, seed=0), graphs, plan_cache=None)
+        sizes = [g.n_atoms for g in graphs]
+        sampler = BalancedDistributedSampler(
+            sizes, 96, num_replicas=2, shuffle=shuffle, seed=0
+        )
+        with make_executor("serial", 1) as ex:
+            DistributedTrainingRun(trainer, sampler, 2, ex).run(6)
+            ranks = ex._contexts[0].ranks
+            return [
+                (ranks[r].trainer.collate_cache.stats(), len(bins))
+                for r, bins in enumerate(sampler.all_rank_bins(5))
+            ]
+
+    def test_reshuffled_ranks_hold_one_epoch(self, graphs):
+        for stats, n_bins in self._rank_stats(graphs, shuffle=True):
+            assert stats["size"] <= n_bins + 1
+
+    def test_fixed_plan_ranks_keep_hitting(self, graphs):
+        for stats, n_bins in self._rank_stats(graphs, shuffle=False):
+            assert stats["size"] == n_bins == 4
+            assert stats["hit_rate"] == pytest.approx(5 / 6)
 
 
 class TestEngineWallClock:

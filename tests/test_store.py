@@ -242,9 +242,7 @@ class TestStreamedTrainer:
         sampler = packed.sampler(96, shuffle=False)
         for epoch in range(2):
             bins = sampler.plan_rank_bins(epoch, 0)
-            assert mem.train_epoch_bins(bins, stream=False) == (
-                streamed.train_epoch_bins(bins)
-            )
+            assert mem.train_epoch_bins(bins) == streamed.train_epoch_bins(bins)
         assert streamed.stream_stats.batches > 0
         assert packed.open_maps <= packed.resident_shards
 
