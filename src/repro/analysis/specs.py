@@ -389,22 +389,30 @@ def _bessel_basis(args, kwargs) -> ArraySpec:
 
 
 def _channelwise_tp(args, kwargs) -> ArraySpec:
-    y, h, r, table = args
+    """Baseline: ``(Y, h, R, table)`` at edge extent.  Optimized: ``h``
+    read by the bound ``send`` (arguments 2-4), ``R`` by ``pair`` (6-8)."""
+    if len(args) == 4:
+        y, h, r, table = args
+        _require(y.shape[0] == h.shape[0] == r.shape[0], "edge dimension mismatch")
+    else:
+        y, h, r, table = args[0], args[1], args[5], args[9]
+        for x, rows in ((h, args[2:5]), (r, args[6:9])):  # h[send], R[pair]
+            edges = _gather_rows([x, *rows], kwargs)
+            _require(edges.shape[0] == y.shape[0], "edge dimension mismatch")
     _require(
         y.ndim == 2 and y.shape[1] == _sh_dim(table.l1max),
         f"Y must be (E, {_sh_dim(table.l1max)}), got {y.shape}",
     )
     _require(
         h.ndim == 3 and h.shape[2] == _sh_dim(table.l2max),
-        f"h must be (E, K, {_sh_dim(table.l2max)}), got {h.shape}",
+        f"h must have {_sh_dim(table.l2max)} components, got {h.shape}",
     )
     _require(
         r.ndim == 3 and r.shape[2] == table.num_paths,
-        f"R must be (E, K, {table.num_paths}), got {r.shape}",
+        f"R must have {table.num_paths} paths, got {r.shape}",
     )
-    _require(y.shape[0] == h.shape[0] == r.shape[0], "edge dimension mismatch")
     _require(h.shape[1] == r.shape[1], "channel dimension mismatch")
-    return ArraySpec((h.shape[0], h.shape[1], _sh_dim(table.l3max)), _F64)
+    return ArraySpec((y.shape[0], h.shape[1], _sh_dim(table.l3max)), _F64)
 
 
 def _sym_contraction(args, kwargs) -> ArraySpec:

@@ -154,6 +154,12 @@ def _bound(index, n_rows: int) -> RowIndex:
     return row_index(np.asarray(index, dtype=np.int64), n_rows)
 
 
+def bound_tensors(index, n_rows: int) -> tuple:
+    """:func:`_bound`'s arrays as Tensors, so a Function taking them keeps
+    its backward's gradients aligned with its tensor inputs."""
+    return tuple(a if isinstance(a, Tensor) else Tensor(a) for a in _bound(index, n_rows).arrays())
+
+
 def scatter_rows(
     values: np.ndarray,
     index,

@@ -18,24 +18,25 @@ Two implementations share one precomputed path table:
 The optimized variant is a *segment reduction* over the non-zero CG
 entries, grouped by their distinct ``(i2, path)`` pairs, with sparse
 reduction matrices built once in :func:`channelwise_tp_table` (cached per
-degree cap).  It runs **three stages per edge tile** of ``_TILE_EDGES``
-edges:
+degree cap).  It reads node features ``h`` by ``send`` and pair weights
+``R`` by ``pair``, takes ``h_p = h[:, :, pair_i2]`` once at node extent
+and runs **three stages per edge tile** of ``_TILE_EDGES`` edges:
 
 1. ``M_t = Y_t @ reduce_y`` — one GEMM folds the CG values and reduces the
    tile's harmonics onto a per-edge operator ``(T, n_pairs, d3)``;
-2. ``hr_t = h_t[:, :, pair_i2] * R_t[:, :, pair_path]`` — two gathers and
-   one in-place multiply form the tile's pair features;
+2. ``hr_t = h_p[send_t] * R[pair_t][:, :, pair_path]`` — two row takes,
+   one column gather and one in-place multiply form the pair features;
 3. ``out_t = hr_t @ M_t`` — one batched matmul writes every output
    component of the tile straight into its rows of the result.
 
 The tile's intermediates live in one scratch set allocated per call and
-reused by every tile, so nothing shaped like ``(E, K, n_pairs)`` is ever
-materialised — the NumPy stand-in for the paper's fused kernel keeping its
+reused by every tile, so no ``(E, K, ·)`` operand is ever materialised —
+the NumPy stand-in for the paper's fused kernel keeping its
 intermediates out of slow memory.  Backward recomputes each tile's
 operator and gathers from the saved operands and runs the same stages
-transposed, scattering pair gradients onto ``h``/``R`` with precomputed
-one-hot GEMMs written straight into the gradient rows: no per-component
-Python loop and no ``np.add.at`` anywhere.
+transposed: precomputed one-hot GEMMs write the pair gradients into edge
+rows, summed onto nodes and pairs by the bound CSR rows of ``send`` and
+``pair``.  No per-component Python loop and no ``np.add.at`` anywhere.
 
 Both are differentiable (custom backward passes, validated by gradcheck)
 and numerically identical.
@@ -50,6 +51,7 @@ from typing import List, Tuple
 import numpy as np
 
 from ..autograd.engine import Function, Tensor
+from ..autograd.ops import RowIndex, bound_tensors, scatter_rows
 from ..equivariant.clebsch_gordan import cg_selection_ok, cg_sparse, clebsch_gordan
 from ..equivariant.spherical_harmonics import sh_block_slice, sh_dim
 from .counters import record_kernel
@@ -206,15 +208,20 @@ def channelwise_tp_table(l1max: int, l2max: int, l3max: int) -> ChannelwiseTPTab
     )
 
 
-def _check_shapes(Y: np.ndarray, h: np.ndarray, R: np.ndarray, table: ChannelwiseTPTable) -> None:
+def _check_shapes(Y, h, R, table: ChannelwiseTPTable, send=None, pair=None) -> None:
+    """``send`` / ``pair``: ``(index, indptr)`` over ``h``'s / ``R``'s rows."""
     if Y.ndim != 2 or Y.shape[1] != sh_dim(table.l1max):
         raise ValueError(f"Y must be (E, {sh_dim(table.l1max)}), got {Y.shape}")
     if h.ndim != 3 or h.shape[2] != sh_dim(table.l2max):
-        raise ValueError(f"h must be (E, K, {sh_dim(table.l2max)}), got {h.shape}")
+        raise ValueError(f"h must be (N, K, {sh_dim(table.l2max)}), got {h.shape}")
     if R.ndim != 3 or R.shape[2] != table.num_paths:
-        raise ValueError(f"R must be (E, K, {table.num_paths}), got {R.shape}")
-    if not (Y.shape[0] == h.shape[0] == R.shape[0]):
-        raise ValueError("edge dimension mismatch between Y, h, R")
+        raise ValueError(f"R must be (E/2, K, {table.num_paths}), got {R.shape}")
+    for name, x, rows in (("h", h, send), ("R", R, pair)):
+        index, indptr = rows or (x, None)
+        if index.shape[0] != Y.shape[0] or (
+            indptr is not None and indptr.shape != (x.shape[0] + 1,)
+        ):
+            raise ValueError(f"edge dimension mismatch between Y and {name}'s rows")
     if h.shape[1] != R.shape[1]:
         raise ValueError("channel dimension mismatch between h and R")
 
@@ -291,32 +298,38 @@ class _ChannelwiseTPOptimized(Function):
     Three stages per edge tile (module docstring): operator ``M_t``, pair
     features ``hr_t``, and ``hr_t @ M_t`` written straight into the tile's
     rows of the result — the planner's ``out=`` buffer when one is given.
-    One set of three tile buffers is allocated per call and shared by
-    every tile.  ``saved`` holds only the operands: backward recomputes
-    each tile's operator and gathers, then runs the stages transposed — a
+    One set of tile buffers is allocated per call and shared by every
+    tile.  ``saved`` holds only the operands: backward recomputes each
+    tile's operator and gathers, then runs the stages transposed — a
     batched matmul each for the pair and operator gradients, one GEMM each
-    writing the tile's rows of ``gY``/``gh``/``gR``.  ``grad_mask`` skips
-    the GEMMs and gathers of unneeded gradients.
+    writing the tile's edge rows of ``gY``/``gh``/``gR``, summed onto rows
+    through ``send``/``pair``.  ``send`` and ``pair`` arrive as their bound
+    ``index, order, indptr`` Tensors, so ``grad_mask`` (which skips the
+    GEMMs and gathers of unneeded gradients) has ``Y``, ``h``, ``R`` at 0, 1, 5.
     """
 
     supports_out = True  # batched GEMM: out may not alias the operands
 
-    def forward(self, Y, h, R, table: ChannelwiseTPTable, out=None):
-        _check_shapes(Y, h, R, table)
-        E, K = h.shape[0], h.shape[1]
+    def forward(self, Y, h, send, s_order, s_ptr, R, pair, p_order, p_ptr, table, out=None):
+        _check_shapes(Y, h, R, table, (send, s_ptr), (pair, p_ptr))
+        E, K = Y.shape[0], h.shape[1]
         P, d3 = table.n_pairs, sh_dim(table.l3max)
         if out is None:
             out = np.empty((E, K, d3))
         T = min(_TILE_EDGES, E)
+        h_p = np.take(h, table.pair_i2, axis=2)  # (N, K, P), once per call
         M, hr, Rp = np.empty((T, P * d3)), np.empty((T, K, P)), np.empty((T, K, P))
+        Rt = np.empty((T,) + R.shape[1:])
         for s in range(0, E, _TILE_EDGES):
             e = min(s + _TILE_EDGES, E)
             n = e - s
             M_t = np.matmul(Y[s:e], table.reduce_y, out=M[:n]).reshape(n, P, d3)
-            hr_t = _gather_pairs(h[s:e], table.pair_i2, hr[:n])
-            np.multiply(hr_t, _gather_pairs(R[s:e], table.pair_path, Rp[:n]), out=hr_t)
+            hr_t = _take(h_p, send[s:e], 0, hr[:n])
+            R_t = _take(_take(R, pair[s:e], 0, Rt[:n]), table.pair_path, 2, Rp[:n])
+            np.multiply(hr_t, R_t, out=hr_t)
             np.matmul(hr_t, M_t, out=out[s:e])
-        self.saved = (Y, h, R, table)
+        send, pair = RowIndex(send, s_order, s_ptr), RowIndex(pair, p_order, p_ptr)
+        self.saved = (Y, h, send, R, pair, table)
         record_kernel(
             "tp_fused",
             1,
@@ -332,23 +345,28 @@ class _ChannelwiseTPOptimized(Function):
         return out
 
     def backward(self, grad):
-        Y, h, R, table = self.saved
-        E, K, d2 = h.shape
-        P, d3, n_paths = table.n_pairs, sh_dim(table.l3max), R.shape[2]
-        need_y, need_h, need_r = self.grad_mask or (True, True, True)
+        Y, h, send, R, pair, table = self.saved
+        E, (K, d2), n_paths = Y.shape[0], h.shape[1:], R.shape[2]
+        P, d3 = table.n_pairs, sh_dim(table.l3max)
+        mask = self.grad_mask
+        need_y, need_h, need_r = (True,) * 3 if mask is None else (mask[0], mask[1], mask[5])
         gY = np.empty(Y.shape) if need_y else None
-        gh = np.empty(h.shape) if need_h else None
-        gR = np.empty(R.shape) if need_r else None
+        gh = np.empty((E, K, d2)) if need_h else None  # edge rows until the scatter
+        gR = np.empty((E, K, n_paths)) if need_r else None
+        if need_y or need_r:
+            h_p = np.take(h, table.pair_i2, axis=2)
         T = min(_TILE_EDGES, E)
         M = np.empty((T, P * d3))  # the tile's operator, then its gradient
         hp, Rp, g_hr, prod = (np.empty((T, K, P)) for _ in range(4))
+        Rt = np.empty((T, K, n_paths))
         for s in range(0, E, _TILE_EDGES):
             e = min(s + _TILE_EDGES, E)
             n, g = e - s, grad[s:e]
             if need_y or need_r:
-                hp_t = _gather_pairs(h[s:e], table.pair_i2, hp[:n])
+                hp_t = _take(h_p, send.index[s:e], 0, hp[:n])
             if need_y or need_h:
-                Rp_t = _gather_pairs(R[s:e], table.pair_path, Rp[:n])
+                R_t = _take(R, pair.index[s:e], 0, Rt[:n])
+                Rp_t = _take(R_t, table.pair_path, 2, Rp[:n])
             if need_h or need_r:
                 # d(hr_t): batched matmul against the tile's operator.
                 M_t = np.matmul(Y[s:e], table.reduce_y, out=M[:n]).reshape(n, P, d3)
@@ -370,17 +388,19 @@ class _ChannelwiseTPOptimized(Function):
                 hr_t = np.multiply(hp_t, Rp_t, out=prod[:n])
                 gM_t = np.matmul(hr_t.transpose(0, 2, 1), g, out=M[:n].reshape(n, P, d3))
                 np.matmul(gM_t.reshape(n, P * d3), table.reduce_y.T, out=gY[s:e])
-        return gY, gh, gR, None
+        gh = None if gh is None else scatter_rows(gh, send)
+        gR = None if gR is None else scatter_rows(gR, pair)
+        return gY, gh, None, None, None, gR, None, None, None, None
 
 
-def _gather_pairs(x: np.ndarray, cols: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``x[:, :, cols]`` written into the tile buffer ``out``.
+def _take(x: np.ndarray, index: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """``x`` taken along ``axis`` into the tile buffer ``out``.
 
     ``mode="clip"`` keeps ``np.take`` on its unbuffered fast path (see
-    ``GatherRows``); the pair columns come from the table and are in range
-    by construction.
+    ``GatherRows``); pair columns come from the table, and row indices
+    are bound over their operand's rows (``_check_shapes``).
     """
-    return np.take(x, cols, axis=2, out=out, mode="clip")
+    return np.take(x, index, axis=axis, out=out, mode="clip")
 
 
 def channelwise_tp_baseline(Y: Tensor, h: Tensor, R: Tensor, table: ChannelwiseTPTable) -> Tensor:
@@ -404,10 +424,22 @@ def channelwise_tp_baseline(Y: Tensor, h: Tensor, R: Tensor, table: ChannelwiseT
     return _ChannelwiseTPBaseline.apply(Y, h, R, table)
 
 
-def channelwise_tp_optimized(Y: Tensor, h: Tensor, R: Tensor, table: ChannelwiseTPTable) -> Tensor:
+def channelwise_tp_optimized(
+    Y: Tensor, h: Tensor, R: Tensor, table: ChannelwiseTPTable, send=None, pair=None
+) -> Tensor:
     """Algorithm 2 with the paper's optimizations (fusion + CG sparsity).
 
-    Numerically identical to :func:`channelwise_tp_baseline`; see that
-    function for the parameter contract.
+    Reads ``h`` ``(N, K, (l2max+1)^2)`` node features by ``send`` and
+    ``R`` ``(E/2, K, num_paths)`` pair weights by ``pair``, each a
+    :class:`~repro.autograd.ops.RowIndex` (whose fields a compiled plan
+    rebinds per replay) or a raw integer array; an omitted index is the
+    identity over the edges.  Numerically identical to
+    :func:`channelwise_tp_baseline` on ``h[send]`` and ``R[pair]``, and
+    bitwise equal, gradients included, to gathering them first.
     """
-    return _ChannelwiseTPOptimized.apply(Y, h, R, table)
+    E = Y.shape[0]
+    rows_h, rows_r = (
+        bound_tensors(*((np.arange(E), E) if index is None else (index, x.shape[0])))
+        for index, x in ((send, h), (pair, R))
+    )
+    return _ChannelwiseTPOptimized.apply(Y, h, *rows_h, R, *rows_r, table)

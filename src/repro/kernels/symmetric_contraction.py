@@ -45,7 +45,7 @@ import numpy as np
 from scipy.sparse import csr_array
 
 from ..autograd.engine import Function, Tensor
-from ..autograd.ops import RowIndex, _bound, scatter_matrix, scatter_rows
+from ..autograd.ops import RowIndex, bound_tensors, scatter_matrix, scatter_rows
 from ..equivariant.coupling import CouplingTable, coupling_table
 from ..equivariant.spherical_harmonics import sh_dim
 from .counters import record_kernel
@@ -545,13 +545,6 @@ class _SymContractionOptimized(Function):
         return (gA2T.T.reshape(A.shape) if need_a else None, None, None, None, *gws)
 
 
-def _species_rows(species, weights) -> tuple:
-    """The species' bound index, order and indptr as Tensors (an array
-    is bound here), so the backward's gradients line up with them."""
-    rows = _bound(species, weights[0].shape[0])
-    return tuple(a if isinstance(a, Tensor) else Tensor(a) for a in rows.arrays())
-
-
 def symmetric_contraction_baseline(
     A: Tensor,
     species,
@@ -582,7 +575,7 @@ def symmetric_contraction_baseline(
     ``(N, K, (L_max+1)^2)`` higher body-order messages.
     """
     return _SymContractionBaseline.apply(
-        A, *_species_rows(species, weights), *weights, spec=spec
+        A, *bound_tensors(species, weights[0].shape[0]), *weights, spec=spec
     )
 
 
@@ -597,5 +590,5 @@ def symmetric_contraction_optimized(
     Numerically identical to :func:`symmetric_contraction_baseline`.
     """
     return _SymContractionOptimized.apply(
-        A, *_species_rows(species, weights), *weights, spec=spec
+        A, *bound_tensors(species, weights[0].shape[0]), *weights, spec=spec
     )

@@ -109,17 +109,20 @@ class InteractionLayer(Module):
         features in, ``(N, K, (l_out+1)^2)`` out.
 
         The radial weights come from the Bessel ``basis`` of the pair
-        lengths, one row per undirected pair, expanded to edges by
-        ``topology.pair`` (see :meth:`MACE.featurize`); the batch's
-        ``topology`` binds every index the block gathers and scatters by.
+        lengths, one row per undirected pair (see :meth:`MACE.featurize`);
+        the optimized TP reads ``h`` and them through ``topology.send`` and
+        ``topology.pair``, the baseline gathers both onto edges first.  The
+        batch's ``topology`` binds every index the block gathers and scatters by.
         """
         cfg = self.cfg
-        R = self.radial(basis, topology.pair)  # (E, K, n_paths)
-        h_j = gather_rows(h, topology.send)  # sender features on edges
+        R = self.radial(basis)  # (E/2, K, n_paths) pair rows
         if cfg.kernel_variant == "optimized":
-            A_edge = channelwise_tp_optimized(Y, h_j, R, self.tp_table)
+            A_edge = channelwise_tp_optimized(
+                Y, h, R, self.tp_table, send=topology.send, pair=topology.pair
+            )
         else:
-            A_edge = channelwise_tp_baseline(Y, h_j, R, self.tp_table)
+            h_j, R_j = gather_rows(h, topology.send), gather_rows(R, topology.pair)
+            A_edge = channelwise_tp_baseline(Y, h_j, R_j, self.tp_table)
         # Pool messages onto receivers; normalize by typical neighbor count.
         A = segment_sum(A_edge, topology.recv) / math.sqrt(cfg.avg_num_neighbors)
         A = self.linear_A(A)
@@ -288,8 +291,8 @@ class MACE(Module):
         each other, so both directions' lengths, radial basis rows and
         radial weights ``R`` are bitwise equal, and the radial work runs
         once per pair: :class:`~repro.mace.radial.RadialNetwork`
-        evaluates its MLP on the pair rows and one row gather through
-        ``pair`` hands ``R`` to both directions (its backward sums
+        evaluates its MLP on the pair rows, and the channelwise TP reads
+        ``R`` for both directions through ``pair`` (its backward sums
         them).  Every other edge array, and every scatter over edges,
         keeps the edge order.
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import numpy as np
 
-from ..autograd import gather_rows
 from ..autograd.engine import Function, Tensor
 from ..nn import MLP, Module
 
@@ -80,14 +79,13 @@ def bessel_basis(r: Tensor, n_basis: int, cutoff: float) -> Tensor:
 
 
 class RadialNetwork(Module):
-    """Pair-row Bessel basis -> MLP -> per-edge path weights
-    ``(E, K, n_paths)``.
+    """Pair-row Bessel basis -> MLP -> per-pair path weights
+    ``(E/2, K, n_paths)``.
 
     Both directions of an undirected pair have bitwise-equal lengths, so
     the MLP runs once per pair, on the ``(E/2, n_basis)`` basis rows of
-    :meth:`repro.mace.MACE.featurize`, and one row gather through
-    ``pair`` (``(E,)``, edge -> pair) hands each direction its pair's
-    row; the gather's backward sums the two directions' gradients.  The
+    :meth:`repro.mace.MACE.featurize`, and the channelwise TP reads each
+    direction's row through ``pair``, summing both gradients onto it.  The
     output is reshaped to one weight per (channel, tensor-product path),
     i.e. the precomputed ``R^(t)`` of Algorithm 2.
     """
@@ -105,8 +103,7 @@ class RadialNetwork(Module):
         self.n_paths = n_paths
         self.mlp = MLP([n_basis, *hidden, channels * n_paths], rng=rng)
 
-    def forward(self, basis: Tensor, pair) -> Tensor:
-        """Per-edge path weights from the ``bessel_basis`` of the pair
-        lengths and the edge-to-pair index ``pair``."""
-        flat = gather_rows(self.mlp(basis), pair)  # (E, K * n_paths)
+    def forward(self, basis: Tensor) -> Tensor:
+        """Per-pair path weights from the ``bessel_basis`` of the pair lengths."""
+        flat = self.mlp(basis)  # (E/2, K * n_paths)
         return flat.reshape((flat.shape[0], self.channels, self.n_paths))

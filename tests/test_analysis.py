@@ -15,7 +15,19 @@ from repro.analysis import (
 from repro.analysis.lint import lint_paths
 from repro.autograd import Tensor
 from repro.autograd.engine import Mul
+from repro.graphs import MolecularGraph, build_neighbor_list, collate
+from repro.mace import MACE, MACEConfig
 from repro.runtime import CompiledPlan, PlanCache, record_tape
+
+
+_TP_CFG = MACEConfig(num_channels=2, lmax_sh=1, l_atomic_basis=1, correlation=1)
+
+
+def _tp_graph():
+    """Nineteen atoms, so the batch's atom rows and pair rows differ."""
+    rng = np.random.default_rng(4)
+    graph = MolecularGraph(rng.uniform(0.0, 4.0, (19, 3)), np.ones(19, dtype=np.int64))
+    return build_neighbor_list(graph, cutoff=2.0)
 
 
 def _training_like_plan(rng):
@@ -107,6 +119,37 @@ class TestVerifierCorruptions:
         assert exc.value.location.startswith("backward[")
         assert "Mul" in exc.value.location
         assert "bad grad shape" in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "index, reader, source",
+        [("pair", 8, 4), ("send", 4, 8)],
+        ids=["pair-rows-not-R", "send-rows-not-h"],
+    )
+    def test_tp_rows_must_be_its_operands_rows(self, index, reader, source):
+        """The optimized TP reads ``h`` by ``send`` (arguments 2-4) and
+        ``R`` by ``pair`` (6-8): rebinding either index's row pointers to
+        the other's leaves it addressing another operand's rows."""
+        model = MACE(_TP_CFG, seed=0)
+        batch = collate([_tp_graph()])
+        cache = PlanCache()
+        model.predict_energy(batch, compiled=cache)
+        (plan,) = cache._store.values()
+        i, tp = next(
+            (i, instr)
+            for i, instr in enumerate(plan._forward)
+            if type(instr.fn).__name__ == "_ChannelwiseTPOptimized"
+        )
+        slots = dict(tp.bindings)
+        tp.bindings = [
+            (p, slots[source] if p == reader else slot) for p, slot in tp.bindings
+        ]
+        tp.tensor_slots = [slot for _, slot in tp.bindings]
+        atoms, pairs = batch.n_atoms, batch.n_edges // 2
+        rows, operand = (atoms, pairs) if index == "pair" else (pairs, atoms)
+        message = f"gather structure has {rows} rows, x has {operand}"
+        with pytest.raises(PlanInvalid, match=message) as exc:
+            verify_plan(plan)
+        assert exc.value.location == f"forward[{i}] _ChannelwiseTPOptimized"
 
     def test_cache_rejects_corrupt_plan_on_put(self, rng):
         plan = _training_like_plan(rng)

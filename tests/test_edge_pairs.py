@@ -97,7 +97,7 @@ def check_layout(batch, model):
         basis = bessel_basis(Tensor(r), CFG.n_radial_basis, CFG.cutoff).data
         radial = model.layer0.radial
         per_edge = radial.mlp(Tensor(basis)).data
-        paired = radial(Tensor(basis[canon]), pair).data.reshape(per_edge.shape)
+        paired = radial(Tensor(basis[canon])).data[pair].reshape(per_edge.shape)
     assert np.array_equal(vec.data[mate], -vec.data)
     assert np.array_equal(r[mate], r)
     assert np.array_equal(basis[mate], basis)
@@ -248,6 +248,7 @@ class TestPinnedExactness:
     REPLAYED_GRAD_DIGEST = "af1b36313ba1baa6c204035d8529bd24"
     FORCE_DIGEST = "1fda8fbca49642e62e0a3fb99d9679f9"
     TRAJECTORY_DIGEST = "6b140e03cc7eb2b3d80a156e4a42a770"
+    REBUILT_TRAJECTORY_DIGEST = "935bceeb62d1c89312dee1fa324f82ba"
 
     def test_served_energies_eager_and_compiled(self):
         pool = build_request_pool(24, seed=3, max_atoms=72)
@@ -312,3 +313,26 @@ class TestPinnedExactness:
         cache = calculator.neighbor_cache
         assert (cache.queries, cache.rebuilds) == (21, 1)  # one candidate window
         assert _digest(frames) == self.TRAJECTORY_DIGEST
+
+    def test_md_zeolite_trajectory_across_neighbor_rebuilds(self):
+        """Twelve steps rebuilding the neighbor list every fourth: three
+        new edge sets, each a new topology replayed by the one force plan
+        of their shape bucket, pinned before the TP read node and pair
+        rows itself."""
+        graph = generate_structure("Zeolite", np.random.default_rng(8), 204)
+        calculator = MACECalculator(MACE(self.MD_CFG, seed=0))
+        md = VelocityVerlet(
+            calculator, graph, timestep_fs=0.5, cutoff=4.5, rebuild_every=4, seed=1
+        )
+        md.initialize_velocities(300.0)
+        frames, edge_sets = [], []
+        for _ in range(12):
+            state = md.step()
+            frames += [state.positions, state.forces, [state.potential_energy]]
+            edges = graph.edge_index.tobytes()
+            if not edge_sets or edge_sets[-1] != edges:
+                edge_sets.append(edges)
+        assert len(edge_sets) == 4  # the first list, then three rebuilds
+        stats = calculator.plan_cache.stats()
+        assert (stats["captures"], stats["hits"]) == (1, 12)
+        assert _digest(frames) == self.REBUILT_TRAJECTORY_DIGEST

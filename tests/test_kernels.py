@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor, check_gradients
+from repro.autograd.ops import RowIndex, row_index, scatter_rows
 from repro.equivariant import random_rotation, wigner_D
 from repro.equivariant.spherical_harmonics import sh_block_slice, sh_dim
 from repro.kernels import (
@@ -144,38 +145,70 @@ class TestChannelwiseTP:
             channelwise_tp_optimized(Y, h, Tensor(np.zeros((6, 3, 1))), TP_TABLE)
 
 
+def _edge_rows(rng, E, N):
+    """Bound ``send`` (random senders over ``N`` atoms) and ``pair``
+    (each of ``ceil(E/2)`` pairs read by two edges, the last by one when
+    ``E`` is odd) for ``E`` edges."""
+    n_pairs = (E + 1) // 2
+    send = row_index(rng.integers(0, N, E), N)
+    pair = row_index(rng.permutation(np.repeat(np.arange(n_pairs), 2))[:E], n_pairs)
+    return send, pair
+
+
+def _run_tp(fn_cls, Y, h, R, table, send, pair, g, mask, out=None):
+    """One forward and masked backward of a TP Function through the row
+    contract: the optimized kernel reads ``h`` / ``R`` rows itself; the
+    baseline runs on ``h[send]`` / ``R[pair]`` and its edge gradients are
+    summed onto rows as ``GatherRows.backward`` does.  Returns the Function,
+    its output and ``(gY, gh, gR)``."""
+    fn = fn_cls()
+    if fn_cls is _ChannelwiseTPOptimized:
+        result = fn.forward(Y, h, *send.arrays(), R, *pair.arrays(), table, out=out)
+        fn.grad_mask = (mask[0], mask[1], False, False, False, mask[2], False, False, False)
+        grads = fn.backward(g)
+        return fn, result, (grads[0], grads[1], grads[5])
+    result = fn.forward(Y, h[send.index], R[pair.index], table)
+    fn.grad_mask = mask
+    gY, gh, gR, _ = fn.backward(g)
+    return fn, result, (
+        gY,
+        None if gh is None else scatter_rows(gh, send),
+        None if gR is None else scatter_rows(gR, pair),
+    )
+
+
 class TestEdgeTiles:
-    """The optimized TP runs one loop over tiles of ``_TILE_EDGES`` edges;
-    every tile boundary, each ``grad_mask`` and the planner's ``out=``
-    buffer must reproduce the baseline."""
+    """The optimized TP runs one loop over tiles of ``_TILE_EDGES`` edges,
+    reading node rows by ``send`` and pair rows by ``pair``; every tile
+    boundary, each ``grad_mask`` and the planner's ``out=`` buffer must
+    reproduce the baseline on the gathered rows."""
 
     @pytest.mark.parametrize("use_out", [False, True], ids=["fresh", "out"])
     @GRAD_MASKS
     @pytest.mark.parametrize("K", [1, 3])
     @pytest.mark.parametrize("E", [0, 1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
     def test_matches_baseline(self, E, K, mask, use_out, rng):
+        N = 7
+        send, pair = _edge_rows(rng, E, N)
         Y = rng.standard_normal((E, sh_dim(2)))
-        h = rng.standard_normal((E, K, sh_dim(1)))
-        R = rng.standard_normal((E, K, TP_TABLE.num_paths))
+        h = rng.standard_normal((N, K, sh_dim(1)))
+        R = rng.standard_normal((pair.n_rows, K, TP_TABLE.num_paths))
         g = rng.standard_normal((E, K, sh_dim(2)))
-        ref = _ChannelwiseTPBaseline()
-        ref_out = ref.forward(Y, h, R, TP_TABLE)
-        ref.grad_mask = mask
-        ref_grads = ref.backward(g)
+        args = (Y, h, R, TP_TABLE, send, pair, g, mask)
+        _, ref_out, ref_grads = _run_tp(_ChannelwiseTPBaseline, *args)
 
-        fn = _ChannelwiseTPOptimized()
         buf = np.full(ref_out.shape, np.nan)
-        out = fn.forward(Y, h, R, TP_TABLE, out=buf if use_out else None)
+        fn, out, grads = _run_tp(_ChannelwiseTPOptimized, *args, out=buf if use_out else None)
         assert (out is buf) == use_out
         # Nothing pair-shaped outlives forward: saved holds the operands.
         saved = [a for a in fn.saved if isinstance(a, np.ndarray)]
-        assert len(saved) == 3
-        assert all(any(a is x for x in (Y, h, R)) for a in saved)
-        fn.grad_mask = mask
-        grads = fn.backward(g)
+        saved += [a for r in fn.saved if isinstance(r, RowIndex) for a in r.arrays()]
+        assert len(saved) == 3 + 6
+        operands = (Y, h, R, *send.arrays(), *pair.arrays())
+        assert all(any(a is x for x in operands) for a in saved)
 
         np.testing.assert_allclose(out, ref_out, atol=1e-10)
-        for need, ga, gb in zip(mask, grads[:3], ref_grads[:3]):
+        for need, ga, gb in zip(mask, grads, ref_grads):
             if need:
                 np.testing.assert_allclose(ga, gb, atol=1e-10)
             else:
@@ -193,21 +226,20 @@ class TestEdgeTiles:
         bitwise what ``table(2, 1, 2)`` gives on the zero-padded ``h``,
         whatever the radial weights of its dead paths hold, and those
         paths' ``gR`` is exactly 0."""
-        K = 3
+        K, N = 3, 5
         scalar = channelwise_tp_table(2, 0, 2)
         live = [TP_TABLE.paths.index(p) for p in scalar.paths]
         dead = [p for p in range(TP_TABLE.num_paths) if p not in live]
+        send, pair = _edge_rows(rng, E, N)
         Y = rng.standard_normal((E, sh_dim(2)))
-        h0 = rng.standard_normal((E, K, 1))
-        h = np.concatenate([h0, np.zeros((E, K, sh_dim(1) - 1))], axis=2)
-        R = rng.standard_normal((E, K, TP_TABLE.num_paths))
+        h0 = rng.standard_normal((N, K, 1))
+        h = np.concatenate([h0, np.zeros((N, K, sh_dim(1) - 1))], axis=2)
+        R = rng.standard_normal((pair.n_rows, K, TP_TABLE.num_paths))
         g = rng.standard_normal((E, K, sh_dim(2)))
-        results = []
-        for table, h_in, R_in in ((TP_TABLE, h, R), (scalar, h0, R[:, :, live])):
-            fn = fn_cls()
-            out = fn.forward(Y, h_in, R_in, table)
-            fn.grad_mask = mask
-            results.append((out, fn.backward(g)[:3]))
+        results = [
+            _run_tp(fn_cls, Y, h_in, R_in, table, send, pair, g, mask)[1:]
+            for table, h_in, R_in in ((TP_TABLE, h, R), (scalar, h0, R[:, :, live]))
+        ]
         (out_full, (gY_full, gh_full, gR_full)), (out, (gY, gh, gR)) = results
         np.testing.assert_array_equal(out, out_full)
         for need, small, full in (
@@ -223,17 +255,21 @@ class TestEdgeTiles:
             assert not np.any(gR_full[:, :, dead])
 
     def test_scratch_stays_tile_sized(self):
-        """One eager forward+backward at MD size holds less than one
+        """One eager forward+backward at the MD shape (204 atoms, E/2
+        pairs), through the row contract, holds less than one
         ``(E, K, n_pairs)`` array beyond its output and three gradients."""
-        E, K = 9792, 16
+        E, K, N = 9792, 16, 204
         rng = np.random.default_rng(0)
+        send, pair = _edge_rows(rng, E, N)
         Y = Tensor(rng.standard_normal((E, sh_dim(2))), requires_grad=True)
-        h = Tensor(rng.standard_normal((E, K, sh_dim(1))), requires_grad=True)
-        R = Tensor(rng.standard_normal((E, K, TP_TABLE.num_paths)), requires_grad=True)
+        h = Tensor(rng.standard_normal((N, K, sh_dim(1))), requires_grad=True)
+        R = Tensor(
+            rng.standard_normal((pair.n_rows, K, TP_TABLE.num_paths)), requires_grad=True
+        )
         g = np.ones((E, K, sh_dim(2)))
         tracemalloc.start()
         try:
-            out = channelwise_tp_optimized(Y, h, R, TP_TABLE)
+            out = channelwise_tp_optimized(Y, h, R, TP_TABLE, send=send, pair=pair)
             out.backward(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:

@@ -77,7 +77,10 @@ class TestForceEvaluationMemoryLedger:
     """One MD force evaluation on the 204-atom zeolite, by allocation size.
 
     Before interior gradients were dropped, the capture peaked at ~278 MB
-    and a warm replay at ~85 MB above the live bytes between calls.
+    and a warm replay at ~85 MB above the live bytes between calls.  The
+    live bytes between calls were 52 MB while each layer kept ``(E, K, ·)``
+    edge copies of its node features and radial weights for the TP's
+    backward; with the TP reading node and pair rows itself they are 39 MB.
     """
 
     def test_capture_and_warm_replay_peaks(self):
@@ -98,6 +101,7 @@ class TestForceEvaluationMemoryLedger:
             tracemalloc.stop()
         assert calc.plan_cache.captures == 1 and calc.plan_cache.hits == 2
         assert capture_peak <= 180 * MB, capture_peak / MB
+        assert live - base <= 45 * MB, (live - base) / MB
         assert replay_peak <= 55 * MB, replay_peak / MB
 
 
