@@ -213,9 +213,9 @@ def _check_shapes(Y, h, R, table: ChannelwiseTPTable, send=None, pair=None) -> N
     if Y.ndim != 2 or Y.shape[1] != sh_dim(table.l1max):
         raise ValueError(f"Y must be (E, {sh_dim(table.l1max)}), got {Y.shape}")
     if h.ndim != 3 or h.shape[2] != sh_dim(table.l2max):
-        raise ValueError(f"h must be (N, K, {sh_dim(table.l2max)}), got {h.shape}")
+        raise ValueError(f"h must be (rows, K, {sh_dim(table.l2max)}), got {h.shape}")
     if R.ndim != 3 or R.shape[2] != table.num_paths:
-        raise ValueError(f"R must be (E/2, K, {table.num_paths}), got {R.shape}")
+        raise ValueError(f"R must be (rows, K, {table.num_paths}), got {R.shape}")
     for name, x, rows in (("h", h, send), ("R", R, pair)):
         index, indptr = rows or (x, None)
         if index.shape[0] != Y.shape[0] or (
