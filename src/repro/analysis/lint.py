@@ -612,6 +612,31 @@ class EpochPlanPayloadRule(Rule):
                 )
 
 
+class UnboundedWaitRule(Rule):
+    name = "unbounded-wait"
+    explanation = (
+        "a driver blocked with no timeout hangs for good once its worker "
+        "dies: in repro.parallel, repro.data and the trainer every .get(), "
+        ".recv(), .join() and .wait() takes a timeout or follows a poll; a "
+        "worker-side idle loop carries an allow comment with its reason"
+    )
+
+    def visit(self, tree, ctx):
+        if not {"parallel", "data"} & set(ctx.path.parts) and ctx.path.name != "trainer.py":
+            return
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            attr = node.func.attr
+            timeout = next((k.value for k in node.keywords if k.arg == "timeout"), None)
+            if timeout is None and node.args:
+                timeout = node.args[-1]  # Queue.get(block, timeout), join(timeout)
+            if isinstance(timeout, ast.Constant) and timeout.value is None:
+                timeout = None
+            if attr in ("recv", "recv_bytes") or (attr in ("get", "join", "wait") and timeout is None):
+                yield node.lineno, f".{attr}() blocks with no timeout; poll first or pass timeout="
+
+
 RULES: List[Rule] = [
     HotLoopScatterRule(),
     PerCallRowIndexRule(),
@@ -622,6 +647,7 @@ RULES: List[Rule] = [
     SupportsOutRetainRule(),
     ParallelModuleStateRule(),
     EpochPlanPayloadRule(),
+    UnboundedWaitRule(),
 ]
 
 

@@ -1,82 +1,58 @@
-"""Double-buffered streaming loader: overlap batch construction with compute.
+"""Streaming loader: batch construction on a forked fetch worker.
 
-Once compiled plans dominate step time, one background thread is enough
-to hide batch construction (shard read + neighbor-list filtering +
-bucket-shaped collation + the parameter-free edge geometry, all
-inside the ``fetch`` callable — typically ``Trainer._collate`` routed
-through ``CollateCache``) behind the previous batch's compute.  :class:`StreamingLoader` runs the epoch plan's
-``fetch`` calls on that thread into a bounded queue (``depth`` slots —
-double-buffering at the default 2) and yields ready batches to the
-training loop.
-
-The overlap is *measured*, not assumed: :class:`StreamStats` records how
-long the consumer blocked waiting on the queue (``stall_seconds``), how
-long the producer spent fetching (``fetch_seconds``), and the queue
-depth found on each get — ``python -m bench.run`` reports them as
-``data.stream.stall_s`` / ``stalls`` / ``mean_depth`` on its training
-workloads.
-
-Crash/resume: the loader tracks ``next_step`` (the first plan step not
-yet yielded).  A fetch or consumer-side failure leaves the loader
-closeable and the epoch resumable from ``next_step`` with a fresh
-loader — the failed step itself is retried, never skipped.
+Batch construction (for training, ``Trainer._prepare``: shard read,
+collation, edge geometry, topology sort) is Python-level NumPy that
+holds the GIL, so no thread can hide it behind the training loop.
+:class:`StreamingLoader` forks one fetch worker per pass.  It inherits a
+copy-on-write snapshot of what ``fetch`` reads and pipes each step's
+result back in order; the driver fetches the first step itself while
+the worker starts, and every step inline on one schedulable core.  A
+dead worker is re-forked from ``next_step``; a fetch error is raised at
+its step, with ``next_step`` pointing at it, so a fresh loader from
+there retries that step, never skips it.  ``README.md`` in this package
+gives the worker's lifetime and core rules; ``python -m bench.run``
+reports :class:`StreamStats` as ``data.stream.*``.
 """
 
 from __future__ import annotations
 
-import threading
+import fcntl
+import multiprocessing as mp
+import os
+import pickle
 import time
-from dataclasses import dataclass, field
-from queue import Empty, Full, Queue
-from typing import Any, Callable, Iterator, List, Sequence, Tuple
+from collections import deque
+from dataclasses import dataclass
+from typing import Any, Callable, Iterator, List, Optional, Sequence, Tuple
+
+from ..parallel.executor import available_cores
 
 __all__ = ["StreamingLoader", "StreamStats"]
 
-_DONE = object()
+_POLL_SECONDS = 0.05  # liveness probe interval while waiting on the worker
+_PIPE_BYTES = 1 << 20  # the default pipe-max-size; a training batch is ~0.6 MB
 
 
 @dataclass
 class StreamStats:
-    """Counters measuring prefetch/compute overlap quality."""
+    """Overlap counters: results already read when the consumer asked
+    (``depth_sum``), and its waits for one (inline, every fetch)."""
 
     batches: int = 0
     stalls: int = 0
     stall_seconds: float = 0.0
-    fetch_seconds: float = 0.0
     depth_sum: int = 0
-    max_depth: int = 0
-
-    @property
-    def mean_depth(self) -> float:
-        """Mean queue depth observed at consume time (≈``depth`` when the
-        producer keeps up, →0 when the consumer is starved)."""
-        return self.depth_sum / self.batches if self.batches else 0.0
-
-    @property
-    def stall_fraction_of_fetch(self) -> float:
-        """Stall time as a fraction of total fetch time — 0 means batch
-        construction was fully hidden behind compute."""
-        if self.fetch_seconds <= 0.0:
-            return 0.0
-        return self.stall_seconds / self.fetch_seconds
 
     def merge(self, other: "StreamStats") -> None:
         self.batches += other.batches
         self.stalls += other.stalls
         self.stall_seconds += other.stall_seconds
-        self.fetch_seconds += other.fetch_seconds
         self.depth_sum += other.depth_sum
-        self.max_depth = max(self.max_depth, other.max_depth)
-
-
-@dataclass
-class _Failure:
-    step: int
-    error: BaseException
 
 
 class StreamingLoader:
-    """Iterate ``(step, fetch(*plan[step]))`` with background prefetch.
+    """Iterate ``(step, resolve(fetch(*plan[step])))`` with ``fetch`` on a
+    forked worker.
 
     Parameters
     ----------
@@ -85,22 +61,20 @@ class StreamingLoader:
         for training, the ``(indices, capacity)`` pairs of a sampler's
         ``plan_rank_bins``.
     fetch:
-        Called with one plan entry unpacked, on the prefetch thread.
-        Must be safe to run concurrently with the consumer's compute;
-        ``Trainer._collate`` qualifies because during a streamed epoch
-        only this thread touches the collate cache, the dataset maps and
-        the cached batches' ``features`` memo, and the geometry it computes runs
-        without a tape on thread-local engine/counter state.
+        Called with one plan entry unpacked.  In the worker it sees the
+        driver's state as of the fork and its side effects stay there,
+        so its result must carry all the driver needs, and pickle.
     depth:
-        Queue capacity — the number of batches fetched ahead.  2 is
-        classic double-buffering: one batch in compute, one ready.
+        Results read ahead of the consumer.  2 is classic double
+        buffering: one batch in compute, one ready.
     start:
         First plan step to fetch (resume point after a mid-epoch crash).
+    resolve:
+        Called on the driver with each fetched result, in plan order,
+        just before it is yielded; the identity by default.
 
-    Single-shot: iterate once, then :meth:`close` (iterating to
-    exhaustion closes automatically).  A fetch error is re-raised in the
-    consumer at the failing step, with ``next_step`` pointing at it so a
-    fresh loader can retry from there.
+    Single-shot: iterate once, then :meth:`close` (iterating to the end
+    closes automatically).
     """
 
     def __init__(
@@ -109,6 +83,7 @@ class StreamingLoader:
         fetch: Callable[..., Any],
         depth: int = 2,
         start: int = 0,
+        resolve: Optional[Callable[[Any], Any]] = None,
     ) -> None:
         if depth <= 0:
             raise ValueError("depth must be positive")
@@ -116,98 +91,131 @@ class StreamingLoader:
             raise ValueError(f"start={start} outside plan of {len(plan)} steps")
         self.plan = list(plan)
         self.fetch = fetch
+        self.resolve = resolve if resolve is not None else (lambda item: item)
         self.depth = int(depth)
         self.start = int(start)
         self.stats = StreamStats()
         self._completed = 0
-        self._queue: Queue = Queue(maxsize=self.depth)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._producer, name="stream-prefetch", daemon=True
-        )
-        self._started = False
+        self._ready: deque = deque()  # (ok, value) results read ahead
+        self._proc = None
+        self._conn = None
+        self._respawned_at: Optional[int] = None
         self._closed = False
-
-    # -- producer --------------------------------------------------------------
-
-    def _producer(self) -> None:
-        for step in range(self.start, len(self.plan)):
-            if self._stop.is_set():
-                return
-            t0 = time.perf_counter()
-            try:
-                item = (step, self.fetch(*self.plan[step]))
-            except BaseException as exc:  # propagated to the consumer
-                self._put(_Failure(step, exc))
-                return
-            self.stats.fetch_seconds += time.perf_counter() - t0
-            if not self._put(item):
-                return
-        self._put(_DONE)
-
-    def _put(self, item) -> bool:
-        """Blocking put that stays responsive to close()."""
-        while not self._stop.is_set():
-            try:
-                self._queue.put(item, timeout=0.05)
-                return True
-            except Full:
-                continue
-        return False
-
-    # -- consumer --------------------------------------------------------------
 
     @property
     def next_step(self) -> int:
         """First plan step not yet yielded — the resume point."""
         return self.start + self._completed
 
+    # -- the worker ----------------------------------------------------------------
+
+    def _fork(self, start: int) -> None:
+        ctx = mp.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+        try:  # room for a whole batch, so the worker goes on to the next one
+            fcntl.fcntl(send.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except OSError:  # above the host's pipe-max-size: the default stays
+            pass
+        # Pipe wakeups are synchronous: the kernel puts the woken side on
+        # its waker's core.  So while the worker lives, it and this thread
+        # keep to cores of their own instead of preempting each other.
+        self._cpus = os.sched_getaffinity(0)
+        own = {max(self._cpus)}
+        self._proc = ctx.Process(
+            target=self._work, args=(recv, send, start, own), daemon=True
+        )
+        self._proc.start()
+        os.sched_setaffinity(0, self._cpus - own)
+        send.close()  # the worker holds the only write end: its death is EOF here
+        self._conn = recv
+
+    def _work(self, recv, send, start: int, cpus: set) -> None:
+        """Worker body: send each step's ``(ok, value)`` in order; stop
+        after the first error."""
+        recv.close()  # a driver that dies then breaks the pipe under send
+        os.sched_setaffinity(0, cpus)
+        for step in range(start, len(self.plan)):
+            try:
+                payload = pickle.dumps((True, self.fetch(*self.plan[step])), protocol=5)
+            except Exception as exc:  # raised in the consumer at this step
+                send.send_bytes(pickle.dumps((False, exc), protocol=5))
+                return
+            send.send_bytes(payload)
+
+    def _read(self) -> Tuple[bool, Any]:
+        # Callers poll first, so a whole message or EOF is pending.
+        return pickle.loads(self._conn.recv_bytes())  # lint: allow-unbounded-wait
+
+    def _receive(self) -> Tuple[bool, Any]:
+        """The next step's result, refetched by a fresh worker if this one died."""
+        while not self._conn.poll(_POLL_SECONDS) and self._proc.is_alive():
+            pass
+        try:
+            return self._read()
+        except (EOFError, OSError):
+            if self._respawned_at == self.next_step:
+                raise RuntimeError(f"fetch worker died twice at step {self.next_step}")
+        self._respawned_at = self.next_step
+        self._reap()
+        self._fork(self.next_step)
+        return self._receive()
+
+    def _reap(self) -> None:
+        """Close the pipe, then terminate and join the worker."""
+        proc, conn = self._proc, self._conn
+        self._proc = self._conn = None
+        if proc is not None:
+            os.sched_setaffinity(0, self._cpus)
+            conn.close()
+            proc.terminate()  # a no-op once it has exited
+            proc.join(timeout=5.0)
+            if proc.exitcode is None:
+                proc.kill()
+                proc.join(timeout=5.0)
+            proc.close()
+
+    # -- the consumer --------------------------------------------------------------
+
     def __iter__(self) -> Iterator[Tuple[int, Any]]:
         if self._closed:
             raise RuntimeError("loader already closed")
-        if not self._started:
-            self._started = True
-            self._thread.start()
-        while True:
-            depth = self._queue.qsize()
-            t0 = time.perf_counter()
-            item = self._queue.get()
-            waited = time.perf_counter() - t0
-            if item is _DONE:
-                self.close()
-                return
-            if isinstance(item, _Failure):
-                self.close()
-                raise item.error
-            self.stats.batches += 1
-            self.stats.depth_sum += depth
-            self.stats.max_depth = max(self.stats.max_depth, depth)
-            if depth == 0 and waited > 1e-5:
-                self.stats.stalls += 1
-                self.stats.stall_seconds += waited
-            self._completed += 1
-            yield item
+        inline = available_cores() == 1
+        try:
+            while self.next_step < len(self.plan):
+                step = self.next_step
+                fresh = not inline and self._proc is None
+                if fresh:  # this step is fetched here while the worker starts up
+                    self._fork(step + 1)
+                depth = len(self._ready)
+                t0 = time.perf_counter()
+                if inline or fresh:
+                    ok, value = True, self.fetch(*self.plan[step])
+                else:
+                    ok, value = self._ready.popleft() if depth else self._receive()
+                waited = time.perf_counter() - t0
+                try:  # read ahead what the worker has sent
+                    while self._conn and len(self._ready) < self.depth and self._conn.poll(0):
+                        self._ready.append(self._read())
+                except (EOFError, OSError):
+                    pass  # a dead worker: _receive replaces it once these are used
+                if not ok:
+                    raise value
+                item = self.resolve(value)
+                self.stats.batches += 1
+                self.stats.depth_sum += depth
+                if depth == 0 and waited > 1e-5:
+                    self.stats.stalls += 1
+                    self.stats.stall_seconds += waited
+                self._completed += 1
+                yield step, item
+        finally:
+            self.close()
 
     def run(self) -> List[Any]:
-        """Drain the whole plan; returns the fetched batches in order."""
-        return [batch for _, batch in self]
+        """Drain the whole plan; returns the resolved results in order."""
+        return [item for _, item in self]
 
     def close(self) -> None:
-        """Stop prefetching and join the thread (idempotent)."""
-        if self._closed:
-            return
+        """Stop fetching and join the worker (idempotent)."""
         self._closed = True
-        self._stop.set()
-        if self._started:
-            while self._thread.is_alive():
-                try:  # unblock a producer stuck in put()
-                    self._queue.get_nowait()
-                except Empty:
-                    pass
-                self._thread.join(timeout=0.05)
-
-    def __enter__(self) -> "StreamingLoader":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
+        self._reap()

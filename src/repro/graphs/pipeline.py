@@ -355,7 +355,13 @@ class CollateCache:
     def __len__(self) -> int:
         return len(self._store)
 
-    def _dataset_token(self, graphs: Sequence[MolecularGraph]) -> int:
+    def __contains__(self, key: Tuple) -> bool:
+        """Whether ``key`` is cached; neither counted nor refreshed."""
+        return key in self._store
+
+    def token(self, graphs: Sequence[MolecularGraph]) -> int:
+        """The dataset's token in this cache's keys, registering it on
+        first sight."""
         for token, known in self._datasets.items():
             if known is graphs:
                 self._datasets.move_to_end(token)
@@ -390,7 +396,7 @@ class CollateCache:
         for i in comp:
             geo.update(_geometry_fingerprint(graphs[i]))
         return (
-            self._dataset_token(graphs),
+            self.token(graphs),
             comp,
             int(capacity),
             geo.digest(),
@@ -402,17 +408,30 @@ class CollateCache:
         indices: Sequence[int],
         capacity: int = 0,
     ) -> GraphBatch:
-        """The batch for bin ``indices`` of ``graphs``, collating on miss.
-
-        Member graphs are collated in sorted-index order so equal
-        compositions share one cached batch.
-        """
+        """The batch for bin ``indices`` of ``graphs``, collating on miss."""
         key = self.key(graphs, indices, capacity)
+        batch = self.lookup(key)
+        return batch if batch is not None else self.insert(key, self.build(graphs, key))
+
+    @staticmethod
+    def build(graphs: Sequence[MolecularGraph], key: Tuple) -> GraphBatch:
+        """The cache-owned batch of ``key``: its member graphs collated in
+        sorted-index order, so equal compositions share one batch, with
+        an empty ``features`` memo."""
+        batch = collate([graphs[i] for i in key[1]], capacity=key[2])
+        batch.features = {}
+        return batch
+
+    def lookup(self, key: Tuple) -> Optional[GraphBatch]:
+        """The cached batch of ``key`` (a hit), or ``None``."""
         batch = self._store.get(key)
         if batch is not None:
             self.hits += 1
             self._store.move_to_end(key)
-            return batch
+        return batch
+
+    def insert(self, key: Tuple, batch: GraphBatch) -> GraphBatch:
+        """Cache ``batch`` (built by :meth:`build`) under ``key`` (a miss)."""
         self.misses += 1
         # A fingerprint change supersedes the old entry for this bin;
         # drop it now so mutation loops don't accumulate dead batches.
@@ -421,8 +440,6 @@ class CollateCache:
         if old_key is not None and old_key != key:
             self._store.pop(old_key, None)
         self._current[prefix] = key
-        batch = collate([graphs[i] for i in key[1]], capacity=capacity)
-        batch.features = {}  # cache-owned: its edge features are memoized
         self._store[key] = batch
         if self.maxsize is not None and len(self._store) > self.maxsize:
             evicted_key, _ = self._store.popitem(last=False)
@@ -436,7 +453,7 @@ class CollateCache:
         """Drop the cached batches of ``graphs`` whose ``(indices,
         capacity)`` bin is not among ``bins``; other datasets' entries
         stay."""
-        token = next((t for t, known in self._datasets.items() if known is graphs), None)
+        token = self.token(graphs)
         keep = {
             (tuple(sorted(int(i) for i in indices)), int(capacity))
             for indices, capacity in bins

@@ -52,8 +52,8 @@ class KernelCounter:
 class _Local(threading.local):
     """Per-thread stack of active counters.
 
-    Kernels run on several threads at once (thread-pool workers, the
-    streaming prefetcher beside the training loop); a process-global
+    Kernels run on several threads at once (thread-executor workers
+    beside the driver); a process-global
     stack would let one thread's ``counting()`` block absorb — or pop —
     another's.
     """

@@ -315,7 +315,7 @@ class MACE(Module):
         :class:`~repro.graphs.CollateCache` owns, the result is memoized
         in ``batch.features`` under the config fields it depends on, so
         every model of that geometry shares one evaluation per cache entry
-        (on the prefetch thread when streaming); cached batches are never
+        (on the fetch worker when streaming); cached batches are never
         edited.  Any other batch is featurized, and bound, afresh on
         every call and nothing is stored on it, so one edited between two
         calls answers for its new content.  Pure NumPy on thread-local

@@ -5,12 +5,15 @@ optimization are written against this interface so they work with both
 the trained MACE model and the synthetic reference potential (useful for
 validating the drivers independently of the model).
 
-Both calculators can own a :class:`repro.graphs.NeighborListCache`
-(Verlet skin): pass a ``cutoff`` and the calculator keeps the graph's
-edges exact at every evaluation while rebuilding the underlying cell
-list only when an atom has moved more than ``skin / 2`` since the last
-build.  Without a ``cutoff`` the caller manages neighbor lists, as
-before.
+A calculator's ``neighbor_cache`` (:class:`repro.graphs.NeighborListCache`,
+Verlet skin) keeps the edges of the graph it is given exact at every
+evaluation while rebuilding the underlying cell list only when an atom
+has moved more than ``skin / 2`` since the last build, so
+:class:`~repro.md.VelocityVerlet` leaves the edges to it: one refilter a
+step.  :class:`MACECalculator` keeps one when given a ``cutoff``;
+without one the caller manages neighbor lists.
+:class:`ReferenceCalculator`'s ``probe_cache`` serves only its
+finite-difference probes.
 """
 
 from __future__ import annotations
@@ -117,9 +120,7 @@ class ReferenceCalculator:
     def __init__(self, potential: ReferencePotential | None = None, eps: float = 1e-4) -> None:
         self.potential = potential or ReferencePotential()
         self.eps = eps
-        self.neighbor_cache = NeighborListCache(
-            self.potential.cutoff, skin=DEFAULT_SKIN
-        )
+        self.probe_cache = NeighborListCache(self.potential.cutoff, skin=DEFAULT_SKIN)
 
     def energy_and_forces(self, graph: MolecularGraph) -> Tuple[float, np.ndarray]:
         if not graph.has_edges:
@@ -137,7 +138,7 @@ class ReferenceCalculator:
                 for sign, slot in ((+1, 0), (-1, 1)):
                     probe.positions[...] = graph.positions
                     probe.positions[i, d] += sign * self.eps
-                    self.neighbor_cache.update(probe)
+                    self.probe_cache.update(probe)
                     e = self.potential.energy(probe)
                     if slot == 0:
                         e_plus = e

@@ -115,7 +115,9 @@ class VelocityVerlet:
         ignored.  ``"auto"`` additionally lets the cache tune the skin
         from the observed per-step displacement (hot trajectories get a
         larger skin).  0 (default) keeps the legacy fixed-interval
-        rebuild.
+        rebuild.  A calculator that keeps its own ``neighbor_cache``
+        refilters the graph's edges on every call, so then the
+        integrator leaves them alone.
     seed:
         RNG seed for initial velocities and the thermostat noise.
     """
@@ -176,6 +178,8 @@ class VelocityVerlet:
         self.state.velocities = v
 
     def _refresh_edges(self) -> None:
+        if getattr(self.calculator, "neighbor_cache", None) is not None:
+            return  # the calculator refilters the graph's edges on every call
         if self.neighbor_cache is not None:
             self.neighbor_cache.update(self.graph)
         else:

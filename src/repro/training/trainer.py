@@ -102,13 +102,14 @@ class Trainer:
         A :class:`repro.data.ShardedDataset` for out-of-core training:
         label/edge validation and scaler fitting run from its size index
         (no payload reads at construction), and ``fit`` /
-        ``train_epoch_bins`` stream batches through a background
-        prefetcher bounded at ``prefetch_depth`` buffers.  Losses are
+        ``train_epoch_bins`` build batches on a forked fetch worker,
+        ``prefetch_depth`` batches ahead of compute.  Losses are
         byte-identical to an in-memory trainer over the same structures
         (``tests/test_store.py::TestStreamedTrainer``).  A dataset passed
         positionally as ``graphs`` is routed here automatically.
     prefetch_depth:
-        Streaming look-ahead in batches (2 = double buffering).
+        Batches a streamed epoch reads from its fetch worker ahead of
+        compute (2 = double buffering).
     lr:
         Learning rate (paper: 0.005).
     lr_gamma:
@@ -229,19 +230,26 @@ class Trainer:
     # -- batching -----------------------------------------------------------------
 
     def _collate(self, batch_indices: Sequence[int], capacity: int = 0) -> GraphBatch:
-        """Collate a mini-batch, through the cache when one is attached,
-        with a cached batch's edge features and topology memoized here —
-        on the prefetch thread when streaming.
+        """Collate a mini-batch, through the cache when one is attached.
 
         ``capacity`` is the bin size the plan packed the batch into; it is
         part of the cache key and bounds the batch's real atoms.
         """
-        if self.collate_cache is not None:
-            batch = self.collate_cache.get(self.graphs, batch_indices, capacity)
-        else:
-            batch = collate(
-                [self.graphs[i] for i in batch_indices], capacity=capacity
-            )
+        return self._resolve(self._prepare(batch_indices, capacity))
+
+    def _prepare(self, batch_indices: Sequence[int], capacity: int = 0) -> tuple:
+        """``(key, batch)``: ``batch`` is ``None`` if the cache holds
+        ``key``, else collated with a cached batch's features and topology
+        memoized (``key`` is ``None`` without a cache).  It leaves the
+        cache as it is, so a streamed epoch runs it on its fetch worker."""
+        cache = self.collate_cache
+        if cache is None:
+            graphs = [self.graphs[i] for i in batch_indices]
+            return None, self._checked(collate(graphs, capacity=capacity))
+        key = cache.key(self.graphs, batch_indices, capacity)
+        return key, None if key in cache else self._checked(cache.build(self.graphs, key))
+
+    def _checked(self, batch: GraphBatch) -> GraphBatch:
         # Init-time validation doesn't cover graphs appended to the list
         # afterwards; fail loudly instead of training on NaN targets.
         if np.isnan(batch.energies).any():
@@ -252,6 +260,19 @@ class Trainer:
         if batch.features is not None:  # a cached batch: fill its memo now
             self.model.featurize(batch)
         return batch
+
+    def _resolve(self, prepared: tuple) -> GraphBatch:
+        """A :meth:`_prepare` result's batch: cached on a hit, else inserted."""
+        key, batch = prepared
+        if key is None:
+            return batch
+        cache = self.collate_cache
+        hit = cache.lookup(key)
+        if hit is not None:
+            return hit
+        if batch is None:  # evicted since a fetch worker's snapshot
+            batch = self._checked(cache.build(self.graphs, key))
+        return cache.insert(key, batch)
 
     # -- loss ---------------------------------------------------------------------
 
@@ -345,7 +366,7 @@ class Trainer:
         """One optimizer step on an already-collated batch.
 
         The compute half of :meth:`train_step`; the streaming path feeds
-        it batches built on the prefetch thread.
+        it batches built on the fetch worker.
         """
         self.optimizer.zero_grad()
         loss = self._loss_step(batch)
@@ -362,35 +383,34 @@ class Trainer:
     def retain_bins(self, bins: Sequence[tuple]) -> None:
         """Apply the private collate cache's retention rule (see
         ``collate_cache``) for one epoch's ``(indices, capacity)`` bins;
-        a cache passed in is never pruned."""
+        a cache passed in is never pruned, but it learns the dataset's
+        token, which a fetch worker's keys then carry."""
         if self._owns_collate_cache:
             self.collate_cache.retain(
                 self.graphs, list(bins) + [(range(len(self.graphs)), 0)]
             )
+        elif self.collate_cache is not None:
+            self.collate_cache.token(self.graphs)
 
     def train_epoch_bins(self, bins: Sequence[tuple]) -> List[float]:
         """One pass over an epoch plan's ``(indices, capacity)`` bins.
 
-        With a ``dataset`` attached, batch construction runs on a
-        background prefetch thread through
-        :class:`~repro.data.StreamingLoader` — shard reads, collation
-        and the edge-geometry pipeline overlap the
-        previous batch's compute, double-buffered at ``prefetch_depth``.
-        Only the prefetch thread touches the collate cache and the shard
-        maps, and fills the batches' ``features`` memo, so the
-        streamed loss sequence is exactly the serial one
-        (``train_batch`` runs the same ops on the same bytes).  Overlap
-        counters accumulate into ``stream_stats``.  Does **not** advance
-        the scheduler —
-        epoch drivers (``fit``) own that, exactly as with ``train_step``
-        loops.  The trainer's private collate cache first forgets the
-        batches this plan cannot ask for (:meth:`retain_bins`).
+        With a ``dataset`` attached, :meth:`_prepare` runs on a fetch
+        worker forked for the epoch after :meth:`retain_bins` and joined
+        before this returns (:class:`~repro.data.StreamingLoader`), and
+        :meth:`_resolve` on the driver, ``prefetch_depth`` batches ahead
+        of ``train_batch``; the collate cache sees the serial lookups,
+        so losses and counters are the serial ones.  Overlap counters
+        accumulate into ``stream_stats``.  Does **not** advance the
+        scheduler — epoch drivers (``fit``) own that.
         """
         plan = [(indices, cap) for indices, cap in bins if indices]
         self.retain_bins(plan)
         if self.dataset is None or len(plan) <= 1:
             return [self.train_step(indices, cap) for indices, cap in plan]
-        loader = StreamingLoader(plan, self._collate, depth=self.prefetch_depth)
+        loader = StreamingLoader(
+            plan, self._prepare, depth=self.prefetch_depth, resolve=self._resolve
+        )
         try:
             losses = [self.train_batch(batch) for _, batch in loader]
         finally:

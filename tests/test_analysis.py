@@ -498,6 +498,35 @@ class TestParallelModuleStateRule:
         assert findings == []
 
 
+class TestUnboundedWaitRule:
+    def test_flags_waits_without_timeout(self, tmp_path):
+        findings = _lint(
+            tmp_path,
+            "data/loader.py",
+            "def drain(q, conn, proc, done, lookup):\n"
+            "    item = q.get()\n"
+            "    msg = conn.recv()\n"
+            "    proc.join(timeout=None)\n"
+            "    done.wait()\n"
+            "    q.get(timeout=0.05)\n"
+            "    proc.join(5.0)\n"
+            "    conn.poll(0.05)\n"
+            "    return lookup.get('key'), ', '.join(['a'])\n",
+        )
+        assert [f.rule for f in findings] == ["unbounded-wait"] * 4
+        assert [f.lineno for f in findings] == [2, 3, 4, 5]
+
+    def test_allow_comment_and_other_packages(self, tmp_path):
+        assert _lint(
+            tmp_path,
+            "parallel/worker_loop.py",
+            "def loop(tasks):\n"
+            "    # Worker side: idle until the driver sends.\n"
+            "    return tasks.get()  # lint: allow-unbounded-wait\n",
+        ) == []
+        assert _lint(tmp_path, "serving/engine.py", "def f(q):\n    return q.get()\n") == []
+
+
 class TestEpochPlanPayloadRule:
     def test_flags_payload_reads_in_distribution(self, tmp_path):
         findings = _lint(

@@ -578,7 +578,7 @@ class TestRotationInvarianceThroughPaddedPlans:
 class TestKernelCountersAreThreadLocal:
     def test_two_threads_count_independently(self):
         """One thread's ``counting()`` must neither absorb nor pop another's
-        (the prefetch thread runs kernels beside the training loop)."""
+        (thread-executor workers run kernels beside the driver)."""
         inside = threading.Barrier(2, timeout=10)
         totals = {}
 

@@ -11,13 +11,16 @@ The contracts under test (this PR's tentpole):
 - the mmap lifecycle is bounded: at most ``resident_shards`` maps stay
   resident no matter how many shards an epoch walks, and planning from
   the size index opens none at all;
-- the streaming loader overlaps fetch with compute, re-raises fetch
-  errors at the failing step, and resumes from ``next_step``;
+- the streaming loader fetches on a forked worker, re-raises fetch
+  errors at the failing step, and resumes from ``next_step``; a killed
+  worker is refetched, and no process, fd or shm segment outlives it;
 - a streamed ``Trainer`` reproduces the in-memory trainer's losses
   byte-for-byte.
 """
 
+import os
 import pickle
+import signal
 
 import numpy as np
 import pytest
@@ -222,14 +225,141 @@ class TestStreamingLoader:
 
     def test_close_mid_stream_joins_producer(self):
         plan = [(i,) for i in range(100)]
+        before = _children()  # e.g. multiprocessing's resource tracker
         loader = StreamingLoader(plan, lambda i: i, depth=2)
         for step, _ in loader:
             if step == 5:
                 break
         loader.close()
-        assert not loader._thread.is_alive()
+        assert loader._proc is None and _children() == before
         with pytest.raises(RuntimeError, match="closed"):
             list(loader)
+
+
+def _children():
+    """PIDs of this process's live or unreaped child processes."""
+    me, found = os.getpid(), []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit():
+            try:
+                with open(f"/proc/{entry}/stat") as f:
+                    fields = f.read().rsplit(")", 1)[1].split()
+            except OSError:  # exited while listing
+                continue
+            if int(fields[1]) == me:
+                found.append(int(entry))
+    return found
+
+
+def _process_resources(dataset):
+    """What a fetch worker could leak: child processes, open fds (but the
+    dataset's resident shard maps) and shared-memory segments."""
+    fds = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # the listing's own fd, closed by now
+            continue
+        if not target.startswith(str(dataset.path)):
+            fds.append((fd, target))
+    return _children(), sorted(fds), sorted(os.listdir("/dev/shm"))
+
+
+class TestFetchWorker:
+    """Fault and lifecycle cases of a streamed epoch's fetch worker, each
+    held to the serial trainer's losses bit for bit."""
+
+    CFG = MACEConfig(num_channels=2, lmax_sh=1, l_atomic_basis=1, correlation=2)
+    CAPACITY = 48  # ~7 bins over the 12 structures: the worker is mid-epoch
+
+    def _pair(self, corpus, packed):
+        serial = Trainer(MACE(self.CFG, seed=0), list(corpus))
+        streamed = Trainer(MACE(self.CFG, seed=0), dataset=packed)
+        bins = packed.sampler(self.CAPACITY, shuffle=False).plan_rank_bins(0, 0)
+        assert len(bins) >= 5
+        return serial, streamed, bins
+
+    def test_sigkill_mid_epoch_is_refetched_bitwise(self, corpus, packed, tmp_path):
+        serial, streamed, bins = self._pair(corpus, packed)
+        marker, prepare, before = tmp_path / "killed", streamed._prepare, _children()
+
+        def prepare_once_killed(indices, capacity):
+            (tmp_path / f"worker-{os.getpid()}").touch()
+            if list(indices) == list(bins[3][0]) and not marker.exists():
+                marker.touch()  # the refetching worker sees it and goes on
+                os.kill(os.getpid(), signal.SIGKILL)
+            return prepare(indices, capacity)
+
+        streamed._prepare = prepare_once_killed
+        for epoch in range(2):  # the second epoch hits the cache on every bin
+            assert streamed.train_epoch_bins(bins) == serial.train_epoch_bins(bins)
+        # The driver fetches each epoch's first step while its worker starts.
+        workers = {p.name for p in tmp_path.glob("worker-*")} - {f"worker-{os.getpid()}"}
+        assert marker.exists() and len(workers) == 3  # killed, refetching, 2nd epoch
+        assert streamed.collate_cache.stats() == serial.collate_cache.stats()
+        assert _children() == before
+
+    def test_fetch_error_surfaces_at_its_step_and_resumes_bitwise(self, corpus, packed):
+        serial, streamed, bins = self._pair(corpus, packed)
+        expected = serial.train_epoch_bins(bins)
+        streamed.retain_bins(bins)
+
+        def prepare_failing(indices, capacity):
+            if list(indices) == list(bins[4][0]):
+                raise OSError("shard vanished")
+            return streamed._prepare(indices, capacity)
+
+        loader = StreamingLoader(bins, prepare_failing, resolve=streamed._resolve)
+        losses = []
+        with pytest.raises(OSError, match="vanished"):
+            for _, batch in loader:
+                losses.append(streamed.train_batch(batch))
+        assert loader.next_step == len(losses) == 4
+        resumed = StreamingLoader(
+            bins, streamed._prepare, start=loader.next_step, resolve=streamed._resolve
+        )
+        losses += [streamed.train_batch(batch) for _, batch in resumed]
+        assert losses == expected
+
+    def test_nothing_outlives_an_epoch_an_error_or_a_kill(self, corpus, packed, tmp_path):
+        _, streamed, bins = self._pair(corpus, packed)
+        before = _process_resources(packed)
+        streamed.train_epoch_bins(bins)
+        assert _process_resources(packed) == before
+        prepare = streamed._prepare
+
+        def prepare_failing(indices, capacity):
+            if list(indices) == list(bins[2][0]):
+                raise ValueError("bad bin")
+            return prepare(indices, capacity)
+
+        streamed._prepare = prepare_failing
+        with pytest.raises(ValueError, match="bad bin"):
+            streamed.train_epoch_bins(bins)
+        assert _process_resources(packed) == before
+
+        driver = os.getpid()
+
+        def prepare_killed(indices, capacity):
+            if os.getpid() != driver:  # the driver fetches each first step
+                os.kill(os.getpid(), signal.SIGKILL)
+            return prepare(indices, capacity)
+
+        streamed._prepare = prepare_killed
+        with pytest.raises(RuntimeError, match="died twice"):
+            streamed.train_epoch_bins(bins)
+        assert _process_resources(packed) == before
+
+    def test_one_core_fetches_inline_bitwise(self, corpus, packed, monkeypatch):
+        from repro.data import stream
+
+        serial, streamed, bins = self._pair(corpus, packed)
+        monkeypatch.setattr(stream, "available_cores", lambda: 1)
+        monkeypatch.setattr(StreamingLoader, "_fork", lambda self: pytest.fail("forked"))
+        for epoch in range(2):
+            assert streamed.train_epoch_bins(bins) == serial.train_epoch_bins(bins)
+        assert streamed.stream_stats.stalls == streamed.stream_stats.batches == 2 * len(bins)
+        assert streamed.collate_cache.stats() == serial.collate_cache.stats()
 
 
 class TestStreamedTrainer:
