@@ -633,8 +633,9 @@ class UnboundedWaitRule(Rule):
                 timeout = node.args[-1]  # Queue.get(block, timeout), join(timeout)
             if isinstance(timeout, ast.Constant) and timeout.value is None:
                 timeout = None
-            if attr in ("recv", "recv_bytes") or (attr in ("get", "join", "wait") and timeout is None):
-                yield node.lineno, f".{attr}() blocks with no timeout; poll first or pass timeout="
+            waits = attr in ("get", "join", "wait") and timeout is None
+            if waits or attr in ("recv", "recv_bytes"):  # a Connection read takes no timeout
+                yield node.lineno, f".{attr}() has no timeout: poll first or pass timeout="
 
 
 RULES: List[Rule] = [

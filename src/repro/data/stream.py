@@ -16,6 +16,7 @@ reports :class:`StreamStats` as ``data.stream.*``.
 
 from __future__ import annotations
 
+import contextlib
 import fcntl
 import multiprocessing as mp
 import os
@@ -51,8 +52,8 @@ class StreamStats:
 
 
 class StreamingLoader:
-    """Iterate ``(step, resolve(fetch(*plan[step])))`` with ``fetch`` on a
-    forked worker.
+    """Iterate ``(step, fetch(*plan[step]))`` with ``fetch`` on a forked
+    worker.
 
     Parameters
     ----------
@@ -69,9 +70,6 @@ class StreamingLoader:
         buffering: one batch in compute, one ready.
     start:
         First plan step to fetch (resume point after a mid-epoch crash).
-    resolve:
-        Called on the driver with each fetched result, in plan order,
-        just before it is yielded; the identity by default.
 
     Single-shot: iterate once, then :meth:`close` (iterating to the end
     closes automatically).
@@ -83,7 +81,6 @@ class StreamingLoader:
         fetch: Callable[..., Any],
         depth: int = 2,
         start: int = 0,
-        resolve: Optional[Callable[[Any], Any]] = None,
     ) -> None:
         if depth <= 0:
             raise ValueError("depth must be positive")
@@ -91,14 +88,12 @@ class StreamingLoader:
             raise ValueError(f"start={start} outside plan of {len(plan)} steps")
         self.plan = list(plan)
         self.fetch = fetch
-        self.resolve = resolve if resolve is not None else (lambda item: item)
         self.depth = int(depth)
         self.start = int(start)
         self.stats = StreamStats()
         self._completed = 0
         self._ready: deque = deque()  # (ok, value) results read ahead
-        self._proc = None
-        self._conn = None
+        self._proc = self._conn = None
         self._respawned_at: Optional[int] = None
         self._closed = False
 
@@ -112,10 +107,10 @@ class StreamingLoader:
     def _fork(self, start: int) -> None:
         ctx = mp.get_context("fork")
         recv, send = ctx.Pipe(duplex=False)
-        try:  # room for a whole batch, so the worker goes on to the next one
+        # Room for a whole batch, so the worker goes on to the next one (a
+        # size above the host's pipe-max-size leaves the default).
+        with contextlib.suppress(OSError):
             fcntl.fcntl(send.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-        except OSError:  # above the host's pipe-max-size: the default stays
-            pass
         # Pipe wakeups are synchronous: the kernel puts the woken side on
         # its waker's core.  So while the worker lives, it and this thread
         # keep to cores of their own instead of preempting each other.
@@ -130,8 +125,7 @@ class StreamingLoader:
         self._conn = recv
 
     def _work(self, recv, send, start: int, cpus: set) -> None:
-        """Worker body: send each step's ``(ok, value)`` in order; stop
-        after the first error."""
+        """Send each step's ``(ok, value)`` in order; stop at an error."""
         recv.close()  # a driver that dies then breaks the pipe under send
         os.sched_setaffinity(0, cpus)
         for step in range(start, len(self.plan)):
@@ -200,19 +194,18 @@ class StreamingLoader:
                     pass  # a dead worker: _receive replaces it once these are used
                 if not ok:
                     raise value
-                item = self.resolve(value)
                 self.stats.batches += 1
                 self.stats.depth_sum += depth
                 if depth == 0 and waited > 1e-5:
                     self.stats.stalls += 1
                     self.stats.stall_seconds += waited
                 self._completed += 1
-                yield step, item
+                yield step, value
         finally:
             self.close()
 
     def run(self) -> List[Any]:
-        """Drain the whole plan; returns the resolved results in order."""
+        """Drain the whole plan; returns the fetched results in order."""
         return [item for _, item in self]
 
     def close(self) -> None:

@@ -462,6 +462,13 @@ class CollateCache:
             del self._store[key]
             self._current.pop(key[:3], None)
 
+    def holds(self, graphs: Sequence[MolecularGraph], bins: Iterable[Tuple]) -> bool:
+        """Whether every ``(indices, capacity)`` bin of ``graphs`` has a
+        cached batch; its fingerprint is checked only by :meth:`key`."""
+        token = self.token(graphs)
+        comps = ((tuple(sorted(int(i) for i in ix)), int(cap)) for ix, cap in bins)
+        return all((token, *comp) in self._current for comp in comps)
+
     def stats(self) -> Dict[str, float]:
         """Hit/miss counters plus the resulting hit rate."""
         total = self.hits + self.misses

@@ -262,8 +262,7 @@ class ThreadExecutor(BaseExecutor):
 def _worker_loop(ctx: WorkerContext, tasks, done) -> None:
     """Thread-worker main loop (also the template for the process loop)."""
     while True:
-        # Worker side: idle until the driver sends; it joins with a timeout.
-        kind, payload = tasks.get()  # lint: allow-unbounded-wait
+        kind, payload = tasks.get()  # lint: allow-unbounded-wait (worker idles until sent to)
         if kind == "stop":
             return
         if kind == "install":
@@ -285,8 +284,7 @@ def _process_worker_main(worker_id, slab_name, slab_bytes, tasks, done) -> None:
     slab = None if slab_name is None else ShmSlab.attach(slab_name, slab_bytes)
     ctx = WorkerContext(worker_id, slab=slab)
     while True:
-        # Worker side: idle until the driver sends; shutdown stops or kills it.
-        kind, payload = tasks.get()  # lint: allow-unbounded-wait
+        kind, payload = tasks.get()  # lint: allow-unbounded-wait (worker idles until sent to)
         if kind == "stop":
             # Release the slab view before interpreter teardown, where
             # SharedMemory.__del__ would trip over the exported buffer.
@@ -371,7 +369,7 @@ class ProcessExecutor(BaseExecutor):
         got = False
         for conn in ready:
             try:
-                # Ready from wait(): a whole message or EOF is pending.
+                # wait() found it ready: a whole message or EOF is pending
                 worker_id, task_id, result = conn.recv()  # lint: allow-unbounded-wait
             except (EOFError, OSError):
                 # Writer died (possibly mid-send): the pipe is done, and

@@ -406,13 +406,15 @@ class Trainer:
         """
         plan = [(indices, cap) for indices, cap in bins if indices]
         self.retain_bins(plan)
-        if self.dataset is None or len(plan) <= 1:
+        cache = self.collate_cache
+        # With every bin cached only keys are left to compute: cheaper here
+        # than a fork, whose copy-on-write faults the driver then pays.
+        cached = cache is not None and cache.holds(self.graphs, plan)
+        if self.dataset is None or len(plan) <= 1 or cached:
             return [self.train_step(indices, cap) for indices, cap in plan]
-        loader = StreamingLoader(
-            plan, self._prepare, depth=self.prefetch_depth, resolve=self._resolve
-        )
+        loader = StreamingLoader(plan, self._prepare, depth=self.prefetch_depth)
         try:
-            losses = [self.train_batch(batch) for _, batch in loader]
+            losses = [self.train_batch(self._resolve(item)) for _, item in loader]
         finally:
             loader.close()
             self.stream_stats.merge(loader.stats)

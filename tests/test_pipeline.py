@@ -505,6 +505,9 @@ class TestCollateCache:
         elsewhere = cache.get(other, [0, 2], 24)
         cache.retain(graphs, [([0, 1], 24), ([4], 24)])
         assert len(cache) == 2
+        assert cache.holds(graphs, [([1, 0], 24)]) and cache.holds(other, [([0, 2], 24)])
+        assert not cache.holds(graphs, [([0, 1], 24), ([4], 24)])
+        assert not cache.holds(graphs, [([2, 3], 24)])
         assert cache.get(graphs, [0, 1], 24) is kept
         assert cache.get(other, [2, 0], 24) is elsewhere
         assert cache.stats()["hits"] == 2

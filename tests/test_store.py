@@ -291,11 +291,11 @@ class TestFetchWorker:
             return prepare(indices, capacity)
 
         streamed._prepare = prepare_once_killed
-        for epoch in range(2):  # the second epoch hits the cache on every bin
+        for epoch in range(2):  # every bin is cached for the second: no fork
             assert streamed.train_epoch_bins(bins) == serial.train_epoch_bins(bins)
-        # The driver fetches each epoch's first step while its worker starts.
+        # The driver fetches the first step while its worker starts.
         workers = {p.name for p in tmp_path.glob("worker-*")} - {f"worker-{os.getpid()}"}
-        assert marker.exists() and len(workers) == 3  # killed, refetching, 2nd epoch
+        assert marker.exists() and len(workers) == 2  # the killed one, its refetcher
         assert streamed.collate_cache.stats() == serial.collate_cache.stats()
         assert _children() == before
 
@@ -309,16 +309,14 @@ class TestFetchWorker:
                 raise OSError("shard vanished")
             return streamed._prepare(indices, capacity)
 
-        loader = StreamingLoader(bins, prepare_failing, resolve=streamed._resolve)
+        loader = StreamingLoader(bins, prepare_failing)
         losses = []
         with pytest.raises(OSError, match="vanished"):
-            for _, batch in loader:
-                losses.append(streamed.train_batch(batch))
+            for _, item in loader:
+                losses.append(streamed.train_batch(streamed._resolve(item)))
         assert loader.next_step == len(losses) == 4
-        resumed = StreamingLoader(
-            bins, streamed._prepare, start=loader.next_step, resolve=streamed._resolve
-        )
-        losses += [streamed.train_batch(batch) for _, batch in resumed]
+        resumed = StreamingLoader(bins, streamed._prepare, start=loader.next_step)
+        losses += [streamed.train_batch(streamed._resolve(item)) for _, item in resumed]
         assert losses == expected
 
     def test_nothing_outlives_an_epoch_an_error_or_a_kill(self, corpus, packed, tmp_path):
@@ -334,6 +332,7 @@ class TestFetchWorker:
             return prepare(indices, capacity)
 
         streamed._prepare = prepare_failing
+        streamed.collate_cache.clear()  # each epoch forks: no bin is cached
         with pytest.raises(ValueError, match="bad bin"):
             streamed.train_epoch_bins(bins)
         assert _process_resources(packed) == before
@@ -346,6 +345,7 @@ class TestFetchWorker:
             return prepare(indices, capacity)
 
         streamed._prepare = prepare_killed
+        streamed.collate_cache.clear()
         with pytest.raises(RuntimeError, match="died twice"):
             streamed.train_epoch_bins(bins)
         assert _process_resources(packed) == before
@@ -355,10 +355,11 @@ class TestFetchWorker:
 
         serial, streamed, bins = self._pair(corpus, packed)
         monkeypatch.setattr(stream, "available_cores", lambda: 1)
-        monkeypatch.setattr(StreamingLoader, "_fork", lambda self: pytest.fail("forked"))
+        monkeypatch.setattr(StreamingLoader, "_fork", lambda self, start: pytest.fail("forked"))
         for epoch in range(2):
             assert streamed.train_epoch_bins(bins) == serial.train_epoch_bins(bins)
-        assert streamed.stream_stats.stalls == streamed.stream_stats.batches == 2 * len(bins)
+        # Inline, every fetch is a stall; the cached second epoch is not streamed.
+        assert streamed.stream_stats.stalls == streamed.stream_stats.batches == len(bins)
         assert streamed.collate_cache.stats() == serial.collate_cache.stats()
 
 
