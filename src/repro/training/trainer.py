@@ -395,20 +395,20 @@ class Trainer:
     def train_epoch_bins(self, bins: Sequence[tuple]) -> List[float]:
         """One pass over an epoch plan's ``(indices, capacity)`` bins.
 
-        With a ``dataset`` attached, :meth:`_prepare` runs on a fetch
-        worker forked for the epoch after :meth:`retain_bins` and joined
-        before this returns (:class:`~repro.data.StreamingLoader`), and
-        :meth:`_resolve` on the driver, ``prefetch_depth`` batches ahead
-        of ``train_batch``; the collate cache sees the serial lookups,
-        so losses and counters are the serial ones.  Overlap counters
-        accumulate into ``stream_stats``.  Does **not** advance the
-        scheduler — epoch drivers (``fit``) own that.
+        With a ``dataset`` attached and a bin not cached, :meth:`_prepare`
+        runs on a fetch worker forked for the epoch after
+        :meth:`retain_bins` and joined before this returns
+        (:class:`~repro.data.StreamingLoader`), and :meth:`_resolve` on the
+        driver, ``prefetch_depth`` batches ahead of ``train_batch``; the
+        collate cache sees the serial lookups, so losses and counters are
+        the serial ones.  With every bin cached only keys are left to
+        compute, cheaper here than a fork and its copy-on-write faults.
+        Overlap counters accumulate into ``stream_stats``.  Does **not**
+        advance the scheduler — epoch drivers (``fit``) own that.
         """
         plan = [(indices, cap) for indices, cap in bins if indices]
         self.retain_bins(plan)
         cache = self.collate_cache
-        # With every bin cached only keys are left to compute: cheaper here
-        # than a fork, whose copy-on-write faults the driver then pays.
         cached = cache is not None and cache.holds(self.graphs, plan)
         if self.dataset is None or len(plan) <= 1 or cached:
             return [self.train_step(indices, cap) for indices, cap in plan]
