@@ -390,15 +390,18 @@ def _bessel_basis(args, kwargs) -> ArraySpec:
 
 def _channelwise_tp(args, kwargs) -> ArraySpec:
     """Baseline: ``(Y, h, R, table)`` at edge extent.  Optimized: ``h``
-    read by the bound ``send`` (arguments 2-4), ``R`` by ``pair`` (6-8)."""
+    read by the bound ``send`` (arguments 2-4), ``R`` (5) by position, one
+    row per edge or one per pair."""
     if len(args) == 4:
         y, h, r, table = args
         _require(y.shape[0] == h.shape[0] == r.shape[0], "edge dimension mismatch")
     else:
-        y, h, r, table = args[0], args[1], args[5], args[9]
-        for x, rows in ((h, args[2:5]), (r, args[6:9])):  # h[send], R[pair]
-            edges = _gather_rows([x, *rows], kwargs)
-            _require(edges.shape[0] == y.shape[0], "edge dimension mismatch")
+        y, h, r, table = args[0], args[1], args[5], args[6]
+        edges = _gather_rows([h, *args[2:5]], kwargs)  # h[send]
+        _require(edges.shape[0] == y.shape[0], "edge dimension mismatch")
+        _require(
+            r.shape[0] in (y.shape[0], y.shape[0] / 2), "R must have a row per edge or pair"
+        )
     _require(
         y.ndim == 2 and y.shape[1] == _sh_dim(table.l1max),
         f"Y must be (E, {_sh_dim(table.l1max)}), got {y.shape}",

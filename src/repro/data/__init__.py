@@ -19,6 +19,7 @@ from .store import (
     ShardWriter,
     SizeIndex,
     StaleIndexError,
+    StoreVersionError,
     load_size_index,
     pack_graphs,
     pack_training_set,
@@ -49,6 +50,7 @@ __all__ = [
     "ShardedDatasetError",
     "ShardTruncatedError",
     "StaleIndexError",
+    "StoreVersionError",
     "SizeIndex",
     "load_size_index",
     "pack_graphs",

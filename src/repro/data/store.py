@@ -43,6 +43,7 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 import numpy as np
 
+from ..graphs.batch import check_pairs
 from ..graphs.molecular_graph import MolecularGraph
 from ..graphs.neighborlist import DEFAULT_CUTOFF, build_neighbor_list
 from .composite import DatasetSpec, build_training_set
@@ -56,13 +57,16 @@ __all__ = [
     "ShardTruncatedError",
     "SizeIndex",
     "StaleIndexError",
+    "StoreVersionError",
     "load_size_index",
     "pack_graphs",
     "pack_training_set",
 ]
 
 _FORMAT = "repro-sharded-dataset"
-_VERSION = 1
+# 2: every structure's edges are in the pair layout of
+# repro.mace.MACE.featurize (edges 2p and 2p + 1 are one pair).
+_VERSION = 2
 _ALIGN = 64  # field alignment inside a shard, matches the shm slab
 _INDEX_FILE = "index.json"
 _SIZES_FILE = "sizes.npz"
@@ -78,6 +82,10 @@ class ShardTruncatedError(ShardedDatasetError):
 
 class StaleIndexError(ShardedDatasetError):
     """The index does not describe the shard bytes on disk."""
+
+
+class StoreVersionError(ShardedDatasetError):
+    """The dataset was packed by another store version; repack it."""
 
 
 def _align(offset: int) -> int:
@@ -225,10 +233,10 @@ def _read_meta(path: Path) -> dict:
         raise ShardedDatasetError(
             f"{index_path}: unknown format {meta.get('format')!r}"
         )
-    if int(meta.get("version", -1)) > _VERSION:
-        raise ShardedDatasetError(
-            f"{index_path}: version {meta['version']} is newer than "
-            f"supported version {_VERSION}"
+    if meta.get("version") != _VERSION:
+        raise StoreVersionError(
+            f"{index_path}: store version {meta.get('version')}, this reader "
+            f"reads version {_VERSION}; repack the dataset"
         )
     return meta
 
@@ -308,9 +316,13 @@ class ShardWriter:
         return len(self._rows["n_atoms"])
 
     def add(self, graph: MolecularGraph) -> None:
-        """Append one structure (buffered; flushed per ``shard_size``)."""
+        """Append one structure (buffered; flushed per ``shard_size``).
+        Its edges, if built, must be in the pair layout
+        (:func:`~repro.graphs.batch.check_pairs` raises ``ValueError``)."""
         if self._closed:
             raise ShardedDatasetError("writer is closed")
+        if graph.has_edges:
+            check_pairs(graph.edge_index, graph.edge_shift)
         sys_id = self._system_ids.setdefault(graph.system, len(self._system_ids))
         energy = graph.energy
         labeled = energy is not None and math.isfinite(energy)

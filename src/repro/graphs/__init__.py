@@ -7,7 +7,7 @@ from .neighborlist import (
     build_neighbor_list,
     cell_list_neighbor_list,
 )
-from .batch import EdgeTopology, GraphBatch, bucket_size, collate, edge_pairs, edge_topology
+from .batch import EdgeTopology, GraphBatch, bucket_size, collate, edge_topology
 from .pipeline import DEFAULT_SKIN, CollateCache, NeighborListCache
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "GraphBatch",
     "collate",
     "bucket_size",
-    "edge_pairs",
     "EdgeTopology",
     "edge_topology",
     "build_neighbor_list",

@@ -20,7 +20,6 @@ a bin's real atoms fit it.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence, Tuple
 
@@ -34,7 +33,6 @@ __all__ = [
     "GraphBatch",
     "bucket_size",
     "collate",
-    "edge_pairs",
     "edge_topology",
     "masked_edges",
 ]
@@ -64,10 +62,8 @@ class GraphBatch:
     positions, species:
         Per-atom arrays: the member graphs' atoms, then the ghost atoms.
     edge_index:
-        ``(2, n_edges)`` with per-graph vertex offsets applied.  The
-        edge layout (both directions of every pair, ghosts paired by
-        position, the pair index of :func:`edge_pairs`) is documented
-        once, in :meth:`repro.mace.MACE.featurize`.
+        ``(2, n_edges)`` with per-graph vertex offsets applied, in the
+        edge layout of :meth:`repro.mace.MACE.featurize`.
     edge_shift:
         ``(n_edges, 3)`` periodic shift vectors.
     graph_index:
@@ -171,9 +167,11 @@ def collate(
       real ``NaN`` s.
 
     Real entries keep their order, so sums over them are unchanged bit
-    for bit.  Real and ghost edge counts are both even, which is what
-    lets :func:`edge_pairs` pair every edge; the layout is documented in
-    :meth:`repro.mace.MACE.featurize`.  Nothing here makes a ghost
+    for bit, and edges keep the layout of
+    :meth:`repro.mace.MACE.featurize`: real pairs first, then ghost
+    pairs.  The real edges are checked against it in O(E), and a
+    ``ValueError`` names the first edge that breaks it; edges are never
+    re-paired.  Nothing here makes a ghost
     vanish by itself: consumers zero the harmonics of zero-length edges
     (:meth:`repro.mace.MACE.featurize` gives ghost edges zero feature
     rows, the force path masks ``r == 0``), give ghost graphs zero loss
@@ -208,25 +206,23 @@ def collate(
     offsets = np.cumsum(n_atoms) - n_atoms  # per-graph vertex offsets
     species = _with_ghosts([g.species for g in graphs], atoms, 0)
     species[real_atoms:] = species[0]  # ghost atoms copy atom 0's species
+    edge_index = _with_ghosts(
+        [g.edge_index + off for g, off in zip(graphs, offsets)], edges, atoms - 1, axis=1
+    )
+    edge_shift = _with_ghosts(
+        [
+            g.edge_shift if g.edge_shift is not None else np.zeros((g.n_edges, 3))
+            for g in graphs
+        ],
+        edges,
+        0.0,
+    )
+    check_pairs(edge_index[:, :real_edges], edge_shift[:real_edges])
     return GraphBatch(
         positions=_with_ghosts([g.positions for g in graphs], atoms, 0.0),
         species=species,
-        edge_index=_with_ghosts(
-            [g.edge_index + off for g, off in zip(graphs, offsets)],
-            edges,
-            atoms - 1,
-            axis=1,
-        ),
-        edge_shift=_with_ghosts(
-            [
-                g.edge_shift
-                if g.edge_shift is not None
-                else np.zeros((g.n_edges, 3))
-                for g in graphs
-            ],
-            edges,
-            0.0,
-        ),
+        edge_index=edge_index,
+        edge_shift=edge_shift,
         graph_index=_with_ghosts(
             [np.repeat(np.arange(n_graphs, dtype=np.int64), n_atoms)],
             atoms,
@@ -244,102 +240,57 @@ def collate(
     )
 
 
-def edge_pairs(
-    edge_index, edge_shift, ghost_edges: int = 0
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The undirected pair of every directed edge: ``(pair, canon)``.
-
-    ``pair`` has shape ``(n_edges,)`` and names edge ``e``'s pair;
-    ``canon`` has shape ``(n_edges // 2,)`` and holds the lower edge
-    index of each pair, in edge order, so ``pair[canon]`` is
-    ``arange(n_edges // 2)``.  A real edge ``(send, recv, shift)`` pairs
-    with its exact reverse ``(recv, send, -shift)``: one ``lexsort``
-    orders the edges by their own key, another by the key their reverse
-    carries, and equal keys line up.  The trailing ``ghost_edges`` pair
-    by position (ghost ``2i`` with ghost ``2i + 1``), never by content,
-    so ghost endpoints stay invisible.  Pairing is an index, not a
-    reordering: the edge order is untouched.
-
-    Raises ``ValueError`` naming a real edge with no reverse, or when
-    the ghost count is odd.
-    """
-    send, recv, shift = _real_edges(edge_index, edge_shift, ghost_edges)
-    n_edges = np.asarray(edge_index[0]).size
-    pair, canon, _ = _pairs(send, recv, shift, _mates(send, recv, shift), n_edges)
-    return pair, canon
-
-
-def _real_edges(edge_index, edge_shift, ghost_edges: int):
-    """The real edges' ``(send, recv, shift)``, shifts without ``-0.0``."""
-    if ghost_edges % 2:
-        raise ValueError(f"{ghost_edges} ghost edges cannot pair: the count is odd")
-    send, recv = (np.asarray(row) for row in edge_index)
-    n_real = send.size - int(ghost_edges)
-    shift = np.asarray(edge_shift, dtype=np.float64)[:n_real] + 0.0  # no -0.0
-    return send[:n_real], recv[:n_real], shift
-
-
-def _mates(send, recv, shift) -> np.ndarray:
-    """Each real edge's exact reverse, matched by two ``lexsort`` s;
-    :func:`_pairs` checks the match."""
-    back = 0.0 - shift  # the reverse edge's shift, also never -0.0
-    own = np.lexsort((shift[:, 2], shift[:, 1], shift[:, 0], recv, send))
-    rev = np.lexsort((back[:, 2], back[:, 1], back[:, 0], send, recv))
-    mate = np.empty(send.size, dtype=np.int64)
-    mate[rev] = own
-    return mate
-
-
-def _pairs(send, recv, shift, mate, n_edges: int):
-    """``(pair, canon, mate)`` over all ``n_edges`` from the real edges'
-    ``mate``, after the O(E) test that it maps every real edge, in range,
-    to its exact reverse and is an involution without fixed points;
-    ghosts pair by position.  A mate that fails raises ``ValueError``."""
-    n_real, edges = send.size, np.arange(n_edges)
-    if not (
-        mate.shape == (n_real,)
-        and (n_real == 0 or 0 <= mate.min() <= mate.max() < n_real)
-        and np.array_equal(send[mate], recv)
-        and np.array_equal(recv[mate], send)
-        and np.array_equal(shift[mate], 0.0 - shift)
-        and np.array_equal(mate[mate], edges[:n_real])
-        and not (mate == edges[:n_real]).any()
-    ):
-        raise ValueError(_unpaired(send, recv, shift))
-    mate = np.concatenate((mate, edges[n_real:] ^ 1))  # an involution: n_real is even
-    canon = np.flatnonzero(mate > edges)
-    pair = np.empty(n_edges, dtype=np.int64)
-    pair[canon] = pair[mate[canon]] = np.arange(canon.size)
-    return pair, canon, mate
+def check_pairs(edge_index, edge_shift) -> None:
+    """Raise ``ValueError`` unless edges ``2p`` and ``2p + 1`` are the
+    two directions of one pair for every ``p``: ``(send, recv, shift)``
+    and ``(recv, send, -shift)``, not a zero-length self-edge (a
+    ``None`` shift is zero).  O(E); the message names the first two
+    edges that break the layout."""
+    send, recv = edge_index
+    shift = np.zeros((send.size, 3)) if edge_shift is None else np.asarray(edge_shift)
+    n = send.size - send.size % 2
+    a, b = slice(0, n, 2), slice(1, n, 2)
+    bad = (
+        (send[b] != recv[a])
+        | (recv[b] != send[a])
+        | (shift[b] != -shift[a]).any(axis=1)
+        | ((send[a] == recv[a]) & (shift[a] == 0.0).all(axis=1))
+    )
+    if bad.any():
+        e = 2 * int(np.argmax(bad))
+        edge = lambda i: f"{i} ({send[i]} -> {recv[i]}, shift {shift[i].tolist()})"
+        raise ValueError(
+            f"edges {edge(e)} and {edge(e + 1)} are not the two directions of one "
+            "pair; edges 2p and 2p + 1 must be (rebuild the neighbor list)"
+        )
+    if n < send.size:
+        raise ValueError(f"edge {n} has no reverse: {send.size} edges is odd")
 
 
 @dataclass(frozen=True, eq=False)
 class EdgeTopology:
     """Every row index of one batch, bound once with its CSR structure.
 
-    A batch's structure — who sends, who receives, which edges pair,
-    which graph and which species row each atom has — is fixed for the
-    batch, so each index is a :class:`~repro.autograd.ops.RowIndex`
-    whose stable order and row pointers are made once, here, and the
-    model's gathers and scatters (:meth:`repro.mace.MACE.message_passing`)
-    only wrap them.
+    A batch's structure — who sends, who receives, which graph and which
+    species row each atom has — is fixed for the batch, so each index is
+    a :class:`~repro.autograd.ops.RowIndex` whose stable order and row
+    pointers are made once, here, and the model's gathers and scatters
+    (:meth:`repro.mace.MACE.message_passing`) only wrap them.  Which
+    edges pair needs no index: the layout of
+    :meth:`repro.mace.MACE.featurize` fixes it by position.
 
     ``species`` ``(n_atoms,)`` are the model's species rows of each atom
     (over ``n_species``); ``send`` / ``recv`` ``(n_edges,)`` the edge
-    endpoints (over ``n_atoms``); ``pair`` ``(n_edges,)`` and ``canon``
-    ``(n_edges // 2,)`` the pairing of :func:`edge_pairs` (over the
-    pairs and the edges); ``graph_index`` ``(n_atoms,)`` the graph of
-    each atom (over ``n_graphs``).  :meth:`arrays` is the plan-input
-    order of all of them and :meth:`bind` reads a topology back from
-    a plan's inputs, so every shape is fixed by the batch's
+    endpoints (over ``n_atoms``); ``graph_index`` ``(n_atoms,)`` the
+    graph of each atom (over ``n_graphs``).  :meth:`arrays` is the
+    plan-input order of all of them and :meth:`bind` reads a topology
+    back from a plan's inputs, so every shape is fixed by the batch's
     ``(atoms, edges, graphs)`` bucket.
     """
 
     species: RowIndex
     send: RowIndex
     recv: RowIndex
-    pair: RowIndex
-    canon: RowIndex
     graph_index: RowIndex
 
     def arrays(self) -> tuple:
@@ -359,70 +310,47 @@ def edge_topology(
     batch: GraphBatch, species_rows: np.ndarray, n_species: int
 ) -> EdgeTopology:
     """The :class:`EdgeTopology` of ``batch`` with atoms on the model's
-    ``species_rows``: :func:`edge_pairs` plus one sort per index.  Its
-    one caller, :meth:`repro.mace.MACE.topology`, memoizes it."""
-    pair, canon = edge_pairs(batch.edge_index, batch.edge_shift, batch.ghost_edges)
+    ``species_rows``: one sort per index, after :func:`check_pairs` on
+    the real edges, so a batch edited since :func:`collate` is refused
+    too.  Its one caller, :meth:`repro.mace.MACE.topology`, memoizes it."""
+    n_real = batch.n_edges - batch.ghost_edges
+    check_pairs(batch.edge_index[:, :n_real], batch.edge_shift[:n_real])
     send, recv = batch.edge_index
     return EdgeTopology(
         row_index(species_rows, n_species),
         row_index(send, batch.n_atoms),
         row_index(recv, batch.n_atoms),
-        row_index(pair, canon.size),
-        row_index(canon, batch.n_edges),
         row_index(batch.graph_index, batch.n_graphs),
     )
 
 
 def masked_edges(
-    batch: GraphBatch, within: np.ndarray, mate: np.ndarray, send: RowIndex, recv: RowIndex
-) -> Tuple[RowIndex, RowIndex, RowIndex, RowIndex]:
-    """``batch``'s ``send``, ``recv``, ``pair`` and ``canon`` rows, in
-    O(E) and without a sort, when its real edges are the candidate edges
-    ``within`` keeps, in candidate order (a one-graph
-    :func:`collate` of a Verlet-skin cache's exact edges).
+    batch: GraphBatch, within: np.ndarray, send: RowIndex, recv: RowIndex
+) -> Tuple[RowIndex, RowIndex]:
+    """``batch``'s ``send`` and ``recv`` rows, in O(E) and without a
+    sort, when its real edges are the candidate edges ``within`` keeps,
+    in candidate order (a one-graph :func:`collate` of a Verlet-skin
+    cache's exact edges), and ``send`` / ``recv`` are the candidates'
+    bound rows.
 
-    ``mate`` is each candidate's reverse and ``send`` / ``recv`` the
-    candidates' bound rows.  Both directions of a pair pass or fail the
-    cutoff together, so the kept mates are the exact set's pairing, and
-    a stable filter of a sorted order stays sorted; ghost edges, at the
-    last atom and after every real edge, sort last.  Each derived array
-    is checked before use — the mate by :func:`edge_pairs`' O(E)
-    reverse-edge and involution test, each order by
-    :func:`~repro.autograd.ops.row_index` — so a stale input raises
-    ``ValueError`` instead of computing.
+    A stable filter of a sorted order stays sorted, and ghost edges, at
+    the last atom and after every real edge, sort last.  Each derived
+    order is checked by :func:`~repro.autograd.ops.row_index`, so a
+    stale input raises ``ValueError`` instead of computing.
     """
     keep = np.flatnonzero(within)
     n_real = batch.n_edges - batch.ghost_edges
-    shapes = {mate.shape, send.index.shape, recv.index.shape, within.shape}
-    if keep.size != n_real or len(shapes) != 1:
+    if keep.size != n_real or not within.shape == send.index.shape == recv.index.shape:
         raise ValueError(
             f"{keep.size} of {within.size} candidates kept for {n_real} real edges, "
-            f"with {mate.size} mates and {send.index.size} / {recv.index.size} rows"
+            f"with {send.index.size} / {recv.index.size} rows"
         )
-    at = np.full(within.size, n_real)  # candidate -> edge; a dropped one is out of range
+    at = np.empty(within.size, dtype=np.int64)  # candidate -> edge
     at[keep] = np.arange(n_real)
-    real = _real_edges(batch.edge_index, batch.edge_shift, batch.ghost_edges)
-    pair, canon, mate = _pairs(*real, at[mate[keep]], batch.n_edges)
     ghosts = np.arange(n_real, batch.n_edges)
 
     def rows(index, candidates: RowIndex) -> RowIndex:
         kept = candidates.order[within[candidates.order]]
         return row_index(index, batch.n_atoms, np.concatenate((at[kept], ghosts)))
 
-    return (
-        rows(batch.edge_index[0], send),
-        rows(batch.edge_index[1], recv),
-        row_index(pair, canon.size, np.column_stack((canon, mate[canon])).ravel()),
-        row_index(canon, batch.n_edges, np.arange(canon.size)),
-    )
-
-
-def _unpaired(send, recv, shift) -> str:
-    """The message naming a real edge :func:`edge_pairs` cannot pair."""
-    keys = list(zip(send.tolist(), recv.tolist(), map(tuple, shift.tolist())))
-    count = Counter(keys)
-    for e, (i, j, s) in enumerate(keys):
-        back = (j, i, tuple(0.0 - x for x in s))
-        if back == (i, j, s) or count[back] != count[(i, j, s)]:
-            return f"edge {e} ({i} -> {j}, shift {list(s)}) has no reverse edge"
-    return "the real edges do not pair up"
+    return rows(batch.edge_index[0], send), rows(batch.edge_index[1], recv)

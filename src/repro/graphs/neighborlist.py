@@ -17,8 +17,10 @@ The cell list is fully array-vectorized: atoms are sorted by linearized
 bin id, each bin becomes a contiguous slice located with
 ``np.searchsorted``, and all 27 bin-pair blocks are expanded in one ragged
 ``repeat``/``cumsum`` pass — no Python-level iteration over spatial
-buckets.  Both implementations return directed edges in both orientations,
-the convention MACE's message passing expects.
+buckets.  Every builder keeps each pair once (a half list: ``i < j``, or
+a self-image with a positive image), tests its cutoff once, and emits it
+as edges ``2p`` and ``2p + 1``, the two directions with shifts ``s`` and
+``-s`` (the layout: :meth:`repro.mace.MACE.featurize`).
 """
 
 from __future__ import annotations
@@ -47,21 +49,39 @@ def _periodic_images(cell: np.ndarray, cutoff: float) -> np.ndarray:
     perpendicular distance between opposing cell faces, so skewed cells are
     handled correctly.
     """
-    # Perpendicular widths: V / area(face) per direction.
-    volume = abs(np.linalg.det(cell))
-    if volume < 1e-12:
-        raise ValueError("cell is singular")
-    cross = np.stack(
-        [
-            np.cross(cell[1], cell[2]),
-            np.cross(cell[2], cell[0]),
-            np.cross(cell[0], cell[1]),
-        ]
-    )
-    widths = volume / np.linalg.norm(cross, axis=1)
+    widths = _cell_widths(cell)
     reps = np.maximum(np.ceil(cutoff / widths).astype(int), 0)
     ranges = [range(-r, r + 1) for r in reps]
     return np.array(list(itertools.product(*ranges)), dtype=np.int64)
+
+
+def _lattice(images: np.ndarray, cell: np.ndarray) -> np.ndarray:
+    """``images @ cell`` for integer image rows, elementwise, so every
+    builder gets the same bits for the same image."""
+    return images[:, :1] * cell[0] + images[:, 1:2] * cell[1] + images[:, 2:] * cell[2]
+
+
+def _canonical(send: np.ndarray, recv: np.ndarray, image: np.ndarray) -> np.ndarray:
+    """Whether each candidate is the one direction its pair keeps:
+    ``send < recv``, or a self-image whose image is lexicographically
+    positive (a half list)."""
+    a, b, c = image.T
+    positive = (a > 0) | ((a == 0) & ((b > 0) | ((b == 0) & (c > 0))))
+    return (send < recv) | ((send == recv) & positive)
+
+
+def _interleaved(
+    send: np.ndarray, recv: np.ndarray, shift: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(edge_index, edge_shift)`` with pair ``p`` as edges ``2p``
+    (``send -> recv``, ``shift``) and ``2p + 1`` (its reverse, ``-shift``)."""
+    edge_index = np.stack(
+        [np.column_stack((send, recv)).ravel(), np.column_stack((recv, send)).ravel()]
+    ).astype(np.int64)
+    edge_shift = np.empty((2 * send.size, 3))
+    edge_shift[0::2] = shift
+    np.negative(shift, out=edge_shift[1::2])
+    return edge_index, edge_shift
 
 
 def brute_force_neighbor_list(
@@ -75,15 +95,14 @@ def brute_force_neighbor_list(
     Returns
     -------
     edge_index:
-        ``(2, n_edges)`` array of (sender, receiver) pairs, both directions.
+        ``(2, n_edges)`` array of (sender, receiver) pairs: edges ``2p``
+        and ``2p + 1`` are the two directions of pair ``p``.
     edge_shift:
-        ``(n_edges, 3)`` Cartesian shift added to the *sender* position.
+        ``(n_edges, 3)`` Cartesian shift added to the *sender* position;
+        edge ``2p + 1``'s is edge ``2p``'s negated.
     """
     pos = np.asarray(positions, dtype=np.float64)
     n = pos.shape[0]
-    if n == 0:
-        return np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3))
-    senders, receivers, shifts = [], [], []
     if pbc and cell is not None:
         # Fold positions into the unit cell first; atoms that have
         # drifted outside (MD trajectories never wrap) would otherwise
@@ -91,40 +110,23 @@ def brute_force_neighbor_list(
         # wrap is folded back into the per-edge shift below.
         frac = pos @ np.linalg.inv(cell)
         base = np.floor(frac).astype(np.int64)
-        pos_w = (frac - base) @ cell
+        pos = (frac - base) @ cell
         images = _periodic_images(cell, cutoff)
-        shift_vecs = images @ cell
-        for s_idx in range(shift_vecs.shape[0]):
-            shift = shift_vecs[s_idx]
-            is_zero = bool(np.all(images[s_idx] == 0))
-            # delta[j, i] = pos_w[j] - pos_w[i] + shift, in the order that
-            # makes the reverse edge's delta its exact negation, so both
-            # directions of a pair pass or fail the cutoff together.
-            delta = pos_w[:, None, :] - pos_w[None, :, :] + shift
-            dist2 = np.einsum("jik,jik->ji", delta, delta)
-            mask = dist2 <= cutoff * cutoff
-            if is_zero:
-                np.fill_diagonal(mask, False)
-            j, i = np.nonzero(mask)
-            senders.append(j)
-            receivers.append(i)
-            # Total shift in original coordinates: the image shift plus
-            # the senders'/receivers' own folds.
-            shifts.append(shift + (base[i] - base[j]) @ cell)
     else:
-        delta = pos[:, None, :] - pos[None, :, :]
-        dist2 = np.einsum("jik,jik->ji", delta, delta)
-        mask = dist2 <= cutoff * cutoff
-        np.fill_diagonal(mask, False)
-        j, i = np.nonzero(mask)
-        senders.append(j)
-        receivers.append(i)
-        shifts.append(np.zeros((j.size, 3)))
-    edge_index = np.stack(
-        [np.concatenate(senders), np.concatenate(receivers)]
-    ).astype(np.int64)
-    edge_shift = np.concatenate(shifts, axis=0)
-    return edge_index, edge_shift
+        base, cell = np.zeros((n, 3), dtype=np.int64), np.zeros((3, 3))
+        images = np.zeros((1, 3), dtype=np.int64)
+    parts = []
+    for image in images[:, None, :]:
+        # Each pair once: send < recv, plus the self-images of a
+        # positive image.
+        send, recv = np.triu_indices(n, 0 if _canonical(0, 0, image)[0] else 1)
+        delta = pos[send] - pos[recv] + _lattice(image, cell)
+        keep = np.einsum("ij,ij->i", delta, delta) <= cutoff * cutoff
+        send, recv = send[keep], recv[keep]
+        # Total shift in original coordinates: the image plus the
+        # senders'/receivers' own folds.
+        parts.append((send, recv, _lattice(image + base[recv] - base[send], cell)))
+    return _interleaved(*(np.concatenate(p) for p in zip(*parts)))
 
 
 def cell_list_neighbor_list(
@@ -145,22 +147,20 @@ def cell_list_neighbor_list(
     enumerates the full image range.
     """
     pos = np.asarray(positions, dtype=np.float64)
-    n = pos.shape[0]
-    if n == 0:
-        return np.zeros((2, 0), dtype=np.int64), np.zeros((0, 3))
-    if pbc and cell is not None:
-        widths = _cell_widths(cell)
-        if np.any(widths < cutoff):
-            # Cutoff spans more than one cell period: neighbors can sit in
-            # images beyond the +-1 minimum-image neighborhood, which only
-            # the brute-force image enumeration covers.
-            return brute_force_neighbor_list(pos, cutoff, cell, pbc)
-        return _grid_periodic(pos, cutoff, cell)
-    return _grid_open(pos, cutoff)
+    periodic = pbc and cell is not None
+    # With no atoms, or a cutoff spanning more than one cell period (so
+    # neighbors can sit in images beyond the +-1 minimum-image
+    # neighborhood), only the brute-force image enumeration applies.
+    if pos.shape[0] == 0 or (periodic and np.any(_cell_widths(cell) < cutoff)):
+        return brute_force_neighbor_list(pos, cutoff, cell, pbc)
+    return _grid_periodic(pos, cutoff, cell) if periodic else _grid_open(pos, cutoff)
 
 
 def _cell_widths(cell: np.ndarray) -> np.ndarray:
+    """Perpendicular widths: V / area(face) per direction."""
     volume = abs(np.linalg.det(cell))
+    if volume < 1e-12:
+        raise ValueError("cell is singular")
     cross = np.stack(
         [
             np.cross(cell[1], cell[2]),
@@ -255,11 +255,11 @@ def _grid_open(pos: np.ndarray, cutoff: float) -> Tuple[np.ndarray, np.ndarray]:
     owner, member = _expand_segments(lo, counts)
     recv = owner % n  # owner flattens (offset, atom); atom is the receiver
     send = order[member]
+    half = send < recv
+    send, recv = send[half], recv[half]
     delta = pos[send] - pos[recv]
-    dist2 = np.einsum("ij,ij->i", delta, delta)
-    keep = (dist2 <= cutoff * cutoff) & (send != recv)
-    edge_index = np.stack([send[keep], recv[keep]]).astype(np.int64)
-    return edge_index, np.zeros((edge_index.shape[1], 3))
+    keep = np.einsum("ij,ij->i", delta, delta) <= cutoff * cutoff
+    return _interleaved(send[keep], recv[keep], np.zeros((int(keep.sum()), 3)))
 
 
 def _grid_periodic(
@@ -296,20 +296,17 @@ def _grid_periodic(
     owner, member = _expand_segments(lo, counts)
     recv = owner % n
     send = order[member]
-    # Image shift applied to the sender bucket, per (offset, atom) query.
+    # Image applied to the sender bucket, per (offset, atom) query.
     wrap_flat = wrap.reshape(-1, 3)
-    shift = (wrap_flat @ cell)[owner]
-    delta = pos_w[send] - pos_w[recv] + shift  # exactly antisymmetric
-    dist2 = np.einsum("ij,ij->i", delta, delta)
-    wrapped_query = np.any(wrap_flat != 0, axis=1)  # per (offset, atom)
-    same = (send == recv) & ~wrapped_query[owner]
-    keep = (dist2 <= cutoff * cutoff) & ~same
-    send, recv = send[keep], recv[keep]
+    half = _canonical(send, recv, wrap_flat[owner])
+    owner, send, recv = owner[half], send[half], recv[half]
+    delta = pos_w[send] - pos_w[recv] + _lattice(wrap_flat, cell)[owner]
+    keep = np.einsum("ij,ij->i", delta, delta) <= cutoff * cutoff
+    owner, send, recv = owner[keep], send[keep], recv[keep]
     # Total shift in original coordinates folds the atoms' own wraps
     # back in (zero for in-cell positions).
-    total_shift = shift[keep] + (base[recv] - base[send]) @ cell
-    edge_index = np.stack([send, recv]).astype(np.int64)
-    return edge_index, total_shift
+    image = wrap_flat[owner] + base[recv] - base[send]
+    return _interleaved(send, recv, _lattice(image, cell))
 
 
 def build_neighbor_list(

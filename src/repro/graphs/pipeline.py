@@ -14,9 +14,11 @@ caches that take batch construction off the hot path:
   or when the system itself changes (atom count, species, cell, pbc).
   The filtered edge set is always *identical* to a fresh build at
   ``cutoff`` — the skin trades a cheap O(E) distance filter per query for
-  an O(n) grid rebuild every few MD steps.  The candidates' pairing and
-  sender / receiver orders are likewise made once per rebuild, on the
-  first :meth:`NeighborListCache.topology` request, and each step's
+  an O(n) grid rebuild every few MD steps.  The candidates keep the
+  edge layout of :meth:`repro.mace.MACE.featurize` and the filter keeps
+  pairs whole, so the exact edges keep it too.  The candidates' sender /
+  receiver orders are made once per rebuild, on the first
+  :meth:`NeighborListCache.topology` request, and each step's
   :class:`~repro.graphs.EdgeTopology` is derived from them by the same
   cutoff mask (:func:`~repro.graphs.batch.masked_edges`).
 
@@ -59,7 +61,7 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 import numpy as np
 
 from ..autograd.ops import RowIndex, row_index
-from .batch import EdgeTopology, GraphBatch, _mates, _real_edges, collate, masked_edges
+from .batch import EdgeTopology, GraphBatch, collate, masked_edges
 from .molecular_graph import MolecularGraph
 from .neighborlist import DEFAULT_CUTOFF, build_neighbor_list
 
@@ -179,7 +181,7 @@ class NeighborListCache:
         self._prev_positions: Optional[np.ndarray] = None
         self._step_drift_ema: Optional[float] = None
         self._within: Optional[np.ndarray] = None  # the last query's cutoff mask
-        self._pairing = None  # the candidates' (mate, send rows, recv rows)
+        self._cand_rows = None  # the candidates' (send rows, recv rows)
         self._atom_rows: Dict[str, RowIndex] = {}
 
     # -- invalidation ---------------------------------------------------------------
@@ -253,12 +255,12 @@ class NeighborListCache:
             self._ref_species = graph.species.copy()
             self._ref_cell = None if graph.cell is None else graph.cell.copy()
             self._ref_pbc = graph.pbc
-            self._pairing = None
-        send, recv = self._cand_index
-        # pj - pi + shift: a reverse edge's delta is the exact negation,
-        # so both directions of a pair stay or go together.
-        delta = graph.positions[send] - graph.positions[recv] + self._cand_shift
+            self._cand_rows = None
+        # One test per pair, on its even edge; both edges stay or go.
+        send, recv = self._cand_index[:, 0::2]
+        delta = graph.positions[send] - graph.positions[recv] + self._cand_shift[0::2]
         within = np.einsum("ij,ij->i", delta, delta) <= self.cutoff * self.cutoff
+        within = np.repeat(within, 2)
         graph.edge_index = self._cand_index[:, within]
         graph.edge_shift = self._cand_shift[within]
         self._within = within
@@ -271,21 +273,19 @@ class NeighborListCache:
         one-graph :func:`~repro.graphs.collate` of the graph this cache
         last updated, with atoms on the model's ``species_rows``.
 
-        The first request after a rebuild pairs the candidates and sorts
-        their senders and receivers; every request derives the exact
-        set's edge rows from those by the last cutoff mask, in O(E) with
-        no sort, checked before use (:func:`~repro.graphs.batch.masked_edges`).
-        The species and graph rows are bound again only when their
-        content changes.
+        The first request after a rebuild sorts the candidates' senders
+        and receivers; every request derives the exact set's edge rows
+        from those by the last cutoff mask, in O(E) with no sort, checked
+        before use (:func:`~repro.graphs.batch.masked_edges`).  The
+        species and graph rows are bound again only when their content
+        changes.
         """
-        if self._pairing is None:
-            send, recv = self._cand_index
+        if self._cand_rows is None:
             n_atoms = self._ref_positions.shape[0]
-            mate = _mates(*_real_edges(self._cand_index, self._cand_shift, 0))
-            self._pairing = (mate, row_index(send, n_atoms), row_index(recv, n_atoms))
+            self._cand_rows = tuple(row_index(i, n_atoms) for i in self._cand_index)
         return EdgeTopology(
             self._bound_atoms("species", species_rows, n_species),
-            *masked_edges(batch, self._within, *self._pairing),
+            *masked_edges(batch, self._within, *self._cand_rows),
             self._bound_atoms("graph_index", batch.graph_index, batch.n_graphs),
         )
 

@@ -18,14 +18,19 @@ Two implementations share one precomputed path table:
 The optimized variant is a *segment reduction* over the non-zero CG
 entries, grouped by their distinct ``(i2, path)`` pairs, with sparse
 reduction matrices built once in :func:`channelwise_tp_table` (cached per
-degree cap).  It reads node features ``h`` by ``send`` and pair weights
-``R`` by ``pair``, takes ``h_p = h[:, :, pair_i2]`` once at node extent
-and runs **three stages per edge tile** of ``_TILE_EDGES`` edges:
+degree cap).  It reads node features ``h`` by ``send`` and radial weights
+``R`` by position — one row per edge, or one per undirected pair, which
+edges ``2p`` and ``2p + 1`` share (the layout of
+:meth:`repro.mace.MACE.featurize`) — takes ``h_p = h[:, :, pair_i2]``
+once at node extent and runs **three stages per edge tile** of
+``_TILE_EDGES`` edges:
 
 1. ``M_t = Y_t @ reduce_y`` — one GEMM folds the CG values and reduces the
    tile's harmonics onto a per-edge operator ``(T, n_pairs, d3)``;
-2. ``hr_t = h_p[send_t] * R[pair_t][:, :, pair_path]`` — two row takes,
-   one column gather and one in-place multiply form the pair features;
+2. ``hr_t = h_p[send_t] * R_t[:, :, pair_path]`` — one row take of ``h_p``,
+   one column gather of the tile's contiguous ``R`` rows (each pair row
+   broadcast to its two edges) and one in-place multiply form the pair
+   features;
 3. ``out_t = hr_t @ M_t`` — one batched matmul writes every output
    component of the tile straight into its rows of the result.
 
@@ -34,9 +39,10 @@ reused by every tile, so no ``(E, K, ·)`` operand is ever materialised —
 the NumPy stand-in for the paper's fused kernel keeping its
 intermediates out of slow memory.  Backward recomputes each tile's
 operator and gathers from the saved operands and runs the same stages
-transposed: precomputed one-hot GEMMs write the pair gradients into edge
-rows, summed onto nodes and pairs by the bound CSR rows of ``send`` and
-``pair``.  No per-component Python loop and no ``np.add.at`` anywhere.
+transposed: precomputed one-hot GEMMs write the gradients into edge
+rows; ``gh`` is summed onto nodes by the bound CSR rows of ``send`` and
+``gR``'s two edge rows of each pair are added inside the tile.  No
+per-component Python loop and no ``np.add.at`` anywhere.
 
 Both are differentiable (custom backward passes, validated by gradcheck)
 and numerically identical.
@@ -65,9 +71,10 @@ __all__ = [
 
 _F8 = 8.0  # bytes per float64 element
 
-# Edges per tile of the optimized kernel.  One tile's scratch buffer is
-# T * K * n_pairs floats (~170 KB at K=16, lmax (2, 1, 2)), so the whole
-# set stays cache-resident while every tile reuses it.
+# Edges per tile of the optimized kernel; even, so a tile holds whole
+# pairs.  One tile's scratch buffer is T * K * n_pairs floats (~170 KB
+# at K=16, lmax (2, 1, 2)), so the whole set stays cache-resident while
+# every tile reuses it.
 _TILE_EDGES = 64
 
 
@@ -208,20 +215,21 @@ def channelwise_tp_table(l1max: int, l2max: int, l3max: int) -> ChannelwiseTPTab
     )
 
 
-def _check_shapes(Y, h, R, table: ChannelwiseTPTable, send=None, pair=None) -> None:
-    """``send`` / ``pair``: ``(index, indptr)`` over ``h``'s / ``R``'s rows."""
+def _check_shapes(Y, h, R, table: ChannelwiseTPTable, send=None) -> None:
+    """``send``: ``(index, indptr)`` over ``h``'s rows, given by the fused
+    kernel only, whose ``R`` may also have one row per pair."""
     if Y.ndim != 2 or Y.shape[1] != sh_dim(table.l1max):
         raise ValueError(f"Y must be (E, {sh_dim(table.l1max)}), got {Y.shape}")
     if h.ndim != 3 or h.shape[2] != sh_dim(table.l2max):
         raise ValueError(f"h must be (rows, K, {sh_dim(table.l2max)}), got {h.shape}")
     if R.ndim != 3 or R.shape[2] != table.num_paths:
         raise ValueError(f"R must be (rows, K, {table.num_paths}), got {R.shape}")
-    for name, x, rows in (("h", h, send), ("R", R, pair)):
-        index, indptr = rows or (x, None)
-        if index.shape[0] != Y.shape[0] or (
-            indptr is not None and indptr.shape != (x.shape[0] + 1,)
-        ):
-            raise ValueError(f"edge dimension mismatch between Y and {name}'s rows")
+    E = Y.shape[0]
+    index, indptr = send or (h, None)
+    if index.shape[0] != E or (indptr is not None and indptr.shape != (h.shape[0] + 1,)):
+        raise ValueError("edge dimension mismatch between Y and h's rows")
+    if R.shape[0] != E and not (send and E % 2 == 0 and 2 * R.shape[0] == E):
+        raise ValueError(f"R must have one row per edge or per pair of {E} edges")
     if h.shape[1] != R.shape[1]:
         raise ValueError("channel dimension mismatch between h and R")
 
@@ -302,34 +310,33 @@ class _ChannelwiseTPOptimized(Function):
     tile.  ``saved`` holds only the operands: backward recomputes each
     tile's operator and gathers, then runs the stages transposed — a
     batched matmul each for the pair and operator gradients, one GEMM each
-    writing the tile's edge rows of ``gY``/``gh``/``gR``, summed onto rows
-    through ``send``/``pair``.  ``send`` and ``pair`` arrive as their bound
-    ``index, order, indptr`` Tensors, so ``grad_mask`` (which skips the
-    GEMMs and gathers of unneeded gradients) has ``Y``, ``h``, ``R`` at 0, 1, 5.
+    writing the tile's edge rows of ``gY``/``gh``/``gR``; ``gh`` is summed
+    onto nodes through ``send`` and a pair's two ``gR`` rows are added in
+    the tile, lower edge first.  ``send`` arrives as its bound ``index,
+    order, indptr`` Tensors, so ``grad_mask`` (which skips the GEMMs and
+    gathers of unneeded gradients) has ``Y``, ``h``, ``R`` at 0, 1, 5.
     """
 
     supports_out = True  # batched GEMM: out may not alias the operands
 
-    def forward(self, Y, h, send, s_order, s_ptr, R, pair, p_order, p_ptr, table, out=None):
-        _check_shapes(Y, h, R, table, (send, s_ptr), (pair, p_ptr))
+    def forward(self, Y, h, send, s_order, s_ptr, R, table, out=None):
+        _check_shapes(Y, h, R, table, (send, s_ptr))
         E, K = Y.shape[0], h.shape[1]
         P, d3 = table.n_pairs, sh_dim(table.l3max)
         if out is None:
             out = np.empty((E, K, d3))
         T = min(_TILE_EDGES, E)
+        step = 1 if R.shape[0] == E else 2  # edges per R row: 2 for pair rows
         h_p = np.take(h, table.pair_i2, axis=2)  # (N, K, P), once per call
-        M, hr, Rp = np.empty((T, P * d3)), np.empty((T, K, P)), np.empty((T, K, P))
-        Rt = np.empty((T,) + R.shape[1:])
+        M, hr, Rp = np.empty((T, P * d3)), np.empty((T, K, P)), np.empty((T // step, K, P))
         for s in range(0, E, _TILE_EDGES):
             e = min(s + _TILE_EDGES, E)
             n = e - s
             M_t = np.matmul(Y[s:e], table.reduce_y, out=M[:n]).reshape(n, P, d3)
             hr_t = _take(h_p, send[s:e], 0, hr[:n])
-            R_t = _take(_take(R, pair[s:e], 0, Rt[:n]), table.pair_path, 2, Rp[:n])
-            np.multiply(hr_t, R_t, out=hr_t)
-            np.matmul(hr_t, M_t, out=out[s:e])
-        send, pair = RowIndex(send, s_order, s_ptr), RowIndex(pair, p_order, p_ptr)
-        self.saved = (Y, h, send, R, pair, table)
+            R_t = _take(R[s // step : e // step], table.pair_path, 2, Rp[: n // step])
+            np.matmul(_times_rows(hr_t, R_t, hr_t), M_t, out=out[s:e])
+        self.saved = (Y, h, RowIndex(send, s_order, s_ptr), R, table)
         record_kernel(
             "tp_fused",
             1,
@@ -345,52 +352,61 @@ class _ChannelwiseTPOptimized(Function):
         return out
 
     def backward(self, grad):
-        Y, h, send, R, pair, table = self.saved
+        Y, h, send, R, table = self.saved
         E, (K, d2), n_paths = Y.shape[0], h.shape[1:], R.shape[2]
         P, d3 = table.n_pairs, sh_dim(table.l3max)
         mask = self.grad_mask
         need_y, need_h, need_r = (True,) * 3 if mask is None else (mask[0], mask[1], mask[5])
         gY = np.empty(Y.shape) if need_y else None
         gh = np.empty((E, K, d2)) if need_h else None  # edge rows until the scatter
-        gR = np.empty((E, K, n_paths)) if need_r else None
+        gR = np.empty(R.shape) if need_r else None
         if need_y or need_r:
             h_p = np.take(h, table.pair_i2, axis=2)
-        T = min(_TILE_EDGES, E)
+        T, step = min(_TILE_EDGES, E), 1 if R.shape[0] == E else 2
         M = np.empty((T, P * d3))  # the tile's operator, then its gradient
-        hp, Rp, g_hr, prod = (np.empty((T, K, P)) for _ in range(4))
-        Rt = np.empty((T, K, n_paths))
+        hp, g_hr, prod = (np.empty((T, K, P)) for _ in range(3))
+        Rp, gR_edges = np.empty((T // step, K, P)), np.empty((T, K, n_paths))
         for s in range(0, E, _TILE_EDGES):
             e = min(s + _TILE_EDGES, E)
             n, g = e - s, grad[s:e]
             if need_y or need_r:
                 hp_t = _take(h_p, send.index[s:e], 0, hp[:n])
             if need_y or need_h:
-                R_t = _take(R, pair.index[s:e], 0, Rt[:n])
-                Rp_t = _take(R_t, table.pair_path, 2, Rp[:n])
+                Rp_t = _take(R[s // step : e // step], table.pair_path, 2, Rp[: n // step])
             if need_h or need_r:
                 # d(hr_t): batched matmul against the tile's operator.
                 M_t = np.matmul(Y[s:e], table.reduce_y, out=M[:n]).reshape(n, P, d3)
                 g_hr_t = np.matmul(g, M_t.transpose(0, 2, 1), out=g_hr[:n])
                 if need_h:
                     np.matmul(
-                        np.multiply(g_hr_t, Rp_t, out=prod[:n]).reshape(n * K, P),
+                        _times_rows(g_hr_t, Rp_t, prod[:n]).reshape(n * K, P),
                         table.scatter_h,
                         out=gh[s:e].reshape(n * K, d2),
                     )
                 if need_r:
+                    g_r = gR[s:e] if step == 1 else gR_edges[:n]
                     np.matmul(
                         np.multiply(g_hr_t, hp_t, out=prod[:n]).reshape(n * K, P),
                         table.scatter_path,
-                        out=gR[s:e].reshape(n * K, n_paths),
+                        out=g_r.reshape(n * K, n_paths),
                     )
+                    if step == 2:
+                        np.add(g_r[0::2], g_r[1::2], out=gR[s // 2 : e // 2])
             if need_y:
                 # d(M_t) reduces over channels, then the transposed Y reduction.
-                hr_t = np.multiply(hp_t, Rp_t, out=prod[:n])
+                hr_t = _times_rows(hp_t, Rp_t, prod[:n])
                 gM_t = np.matmul(hr_t.transpose(0, 2, 1), g, out=M[:n].reshape(n, P, d3))
                 np.matmul(gM_t.reshape(n, P * d3), table.reduce_y.T, out=gY[s:e])
         gh = None if gh is None else scatter_rows(gh, send)
-        gR = None if gR is None else scatter_rows(gR, pair)
-        return gY, gh, None, None, None, gR, None, None, None, None
+        return gY, gh, None, None, None, gR, None
+
+
+def _times_rows(x: np.ndarray, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``x * rows`` into ``out``, each row of ``rows`` scaling its
+    ``len(x) // len(rows)`` consecutive rows of ``x``."""
+    shape = (rows.shape[0], -1) + x.shape[1:]
+    np.multiply(x.reshape(shape), rows[:, None], out=out.reshape(shape))
+    return out
 
 
 def _take(x: np.ndarray, index: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
@@ -425,21 +441,20 @@ def channelwise_tp_baseline(Y: Tensor, h: Tensor, R: Tensor, table: ChannelwiseT
 
 
 def channelwise_tp_optimized(
-    Y: Tensor, h: Tensor, R: Tensor, table: ChannelwiseTPTable, send=None, pair=None
+    Y: Tensor, h: Tensor, R: Tensor, table: ChannelwiseTPTable, send=None
 ) -> Tensor:
     """Algorithm 2 with the paper's optimizations (fusion + CG sparsity).
 
-    Reads ``h`` ``(N, K, (l2max+1)^2)`` node features by ``send`` and
-    ``R`` ``(E/2, K, num_paths)`` pair weights by ``pair``, each a
+    Reads ``h`` ``(N, K, (l2max+1)^2)`` node features by ``send``, a
     :class:`~repro.autograd.ops.RowIndex` (whose fields a compiled plan
-    rebinds per replay) or a raw integer array; an omitted index is the
-    identity over the edges.  Numerically identical to
-    :func:`channelwise_tp_baseline` on ``h[send]`` and ``R[pair]``, and
-    bitwise equal, gradients included, to gathering them first.
+    rebinds per replay) or a raw integer array; an omitted ``send`` is
+    the identity over the edges.  ``R`` is read by position: ``(E, K,
+    num_paths)`` is one row per edge, and ``(E/2, K, num_paths)`` one row
+    per undirected pair, which edges ``2p`` and ``2p + 1`` share.
+    Numerically identical to :func:`channelwise_tp_baseline` on
+    ``h[send]`` and ``R`` repeated per edge, and bitwise equal, gradients
+    included, to this kernel on those gathered operands.
     """
     E = Y.shape[0]
-    rows_h, rows_r = (
-        bound_tensors(*((np.arange(E), E) if index is None else (index, x.shape[0])))
-        for index, x in ((send, h), (pair, R))
-    )
-    return _ChannelwiseTPOptimized.apply(Y, h, *rows_h, R, *rows_r, table)
+    rows = bound_tensors(*((np.arange(E), E) if send is None else (send, h.shape[0])))
+    return _ChannelwiseTPOptimized.apply(Y, h, *rows, R, table)

@@ -26,7 +26,6 @@ what makes the ablation clean.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -109,20 +108,23 @@ class InteractionLayer(Module):
         features in, ``(N, K, (l_out+1)^2)`` out.
 
         The radial weights come from the Bessel ``basis`` of the pair
-        lengths, one row per undirected pair (see :meth:`MACE.featurize`);
-        the optimized TP reads ``h`` and them through ``topology.send`` and
-        ``topology.pair``, the baseline gathers both onto edges first.  The
-        batch's ``topology`` binds every index the block gathers and scatters by.
+        lengths, one row per undirected pair, which edges ``2p`` and
+        ``2p + 1`` share (see :meth:`MACE.featurize`); the optimized TP
+        reads ``h`` through ``topology.send`` and them by position, the
+        baseline gathers ``h`` onto edges and repeats each pair row for
+        its two edges first.  The batch's ``topology`` binds every index
+        the block gathers and scatters by.
         """
         cfg = self.cfg
         R = self.radial(basis)  # (E/2, K, n_paths) pair rows
         if cfg.kernel_variant == "optimized":
-            A_edge = channelwise_tp_optimized(
-                Y, h, R, self.tp_table, send=topology.send, pair=topology.pair
-            )
+            A_edge = channelwise_tp_optimized(Y, h, R, self.tp_table, send=topology.send)
         else:
-            h_j, R_j = gather_rows(h, topology.send), gather_rows(R, topology.pair)
-            A_edge = channelwise_tp_baseline(Y, h_j, R_j, self.tp_table)
+            n_pairs, K, n_paths = R.shape
+            R_j = concatenate([R, R], axis=1).reshape((2 * n_pairs, K, n_paths))
+            A_edge = channelwise_tp_baseline(
+                Y, gather_rows(h, topology.send), R_j, self.tp_table
+            )
         # Pool messages onto receivers; normalize by typical neighbor count.
         A = segment_sum(A_edge, topology.recv) / math.sqrt(cfg.avg_num_neighbors)
         A = self.linear_A(A)
@@ -202,8 +204,8 @@ class MACE(Module):
         :meth:`forward` and the force plans.
 
         Lengths stay per edge, since the cutoff mask and the harmonics
-        read them; the radial basis takes the ``canon`` edge of each
-        pair (:func:`~repro.graphs.edge_pairs`).  The harmonics of every
+        read them; the radial basis takes each pair's even edge
+        (:meth:`featurize`).  The harmonics of every
         zero-length edge are zeroed.  The channelwise TP is linear in
         them, so the ghost self-edges of :func:`~repro.graphs.collate`
         contribute exactly ``0.0`` to energies and forces.
@@ -212,9 +214,7 @@ class MACE(Module):
         r = edge_lengths(vec)
         mask = within_cutoff(r).reshape((r.shape[0], 1))
         Y = edge_spherical_harmonics(vec, self.cfg.lmax_sh) * mask
-        basis = bessel_basis(
-            gather_rows(r, topology.canon), self.cfg.n_radial_basis, self.cfg.cutoff
-        )
+        basis = bessel_basis(r[0::2], self.cfg.n_radial_basis, self.cfg.cutoff)
         return self.message_passing(topology, Y, basis)
 
     def message_passing(self, topology: EdgeTopology, Y: Tensor, basis: Tensor) -> Tensor:
@@ -259,7 +259,7 @@ class MACE(Module):
         :class:`~repro.graphs.NeighborListCache` whose last update gave
         the batch's one graph its edges; the edge rows are then derived
         from its candidates' rows by the cutoff mask instead of being
-        paired and sorted again (the MD calculator's per-step path).
+        sorted again (the MD calculator's per-step path).
         """
         key = ("topology", self.cfg.species)
         memo = batch.features
@@ -278,38 +278,38 @@ class MACE(Module):
         """The parameter-free edge features of ``batch``: ``(Y, basis)``.
 
         **The edge layout.**  A batch stores every undirected atom pair
-        as two directed edges, ``(send, recv, shift)`` and its exact
-        reverse ``(recv, send, -shift)``, in the neighbor list's order
-        (:func:`~repro.graphs.collate` keeps it and appends the ghost
-        self-edges; real and ghost counts are both even).
-        :func:`~repro.graphs.edge_pairs` indexes that layout without
-        reordering it: ``pair[e]`` names edge ``e``'s pair, ghosts pair
-        by position (``2i`` with ``2i + 1``), and pair ``p``'s canonical
-        edge ``canon[p]`` is its lower edge index, so the real pairs are
-        a prefix of the pair rows and the ghost pairs the rest.  Edge
-        vectors ``pos[send] - pos[recv] + shift`` are exact negations of
-        each other, so both directions' lengths, radial basis rows and
-        radial weights ``R`` are bitwise equal, and the radial work runs
-        once per pair: :class:`~repro.mace.radial.RadialNetwork`
-        evaluates its MLP on the pair rows, and the channelwise TP reads
-        ``R`` for both directions through ``pair`` (its backward sums
-        them).  Every other edge array, and every scatter over edges,
-        keeps the edge order.
+        ``p`` as two directed edges side by side: edge ``2p`` is
+        ``(send, recv, shift)`` and edge ``2p + 1`` its exact reverse
+        ``(recv, send, -shift)``.  The neighbor-list builders emit it
+        (:mod:`repro.graphs.neighborlist`: each pair found once, from one
+        side), a Verlet refilter keeps pairs whole, and
+        :func:`~repro.graphs.collate` keeps it — the member graphs' real
+        pairs first, then the ghost pairs, ghost self-edges paired by
+        position the same way — and refuses edges that break it.  So no
+        index names a pair: pair ``p`` is edges ``2p`` and ``2p + 1``,
+        the real pairs are a prefix of the pairs and the ghost pairs the
+        rest.  Edge vectors ``pos[send] - pos[recv] + shift`` of a pair
+        are exact negations of each other, so both directions' lengths,
+        radial basis rows and radial weights ``R`` are bitwise equal, and
+        the radial work runs once per pair, on the even edges:
+        :class:`~repro.mace.radial.RadialNetwork` evaluates its MLP on
+        the pair rows, and the channelwise TP reads row ``e // 2`` of
+        ``R`` for edge ``e`` (its backward sums the two).  Every other
+        edge array, and every scatter over edges, keeps the edge order.
 
-        **The topology is bound once per batch.**  The pairing and every
-        index the model gathers and scatters by — species rows,
-        senders, receivers, ``pair``, ``canon``, graph membership — are
-        one :class:`~repro.graphs.EdgeTopology` (:meth:`topology`), each
-        index with its CSR order and row pointers sorted when it is
-        built, so no replay sorts an index.  It is memoized under
-        exactly the rules of the features below.
+        **The topology is bound once per batch.**  Every index the model
+        gathers and scatters by — species rows, senders, receivers,
+        graph membership — is one :class:`~repro.graphs.EdgeTopology`
+        (:meth:`topology`), each index with its CSR order and row
+        pointers sorted when it is built, so no replay sorts an index.
+        It is memoized under exactly the rules of the features below.
 
         Returns the harmonics ``Y`` ``(n_edges, (lmax_sh+1)^2)``, one
         row per directed edge, and the Bessel x envelope radial ``basis``
         ``(n_edges // 2, n_radial_basis)``, one row per pair.  Both
         feature arrays are evaluated once,
-        without a tape, on the real edges (the canonical ones for the
-        basis), and their ghost rows stay zero: the channelwise TP is
+        without a tape, on the real edges (the even ones for the basis),
+        and their ghost rows stay zero: the channelwise TP is
         linear in the harmonics, so ghost edges' messages are exactly
         ``0.0`` with no mask op in the plan.  On a batch a
         :class:`~repro.graphs.CollateCache` owns, the result is memoized
@@ -326,10 +326,9 @@ class MACE(Module):
         memo = batch.features
         if memo is not None and key in memo:
             return memo[key]
-        canon = self.topology(batch).canon.index
         n_real = batch.n_edges - batch.ghost_edges
         edge_sh = np.zeros((batch.n_edges, sh_dim(cfg.lmax_sh)))
-        edge_radial = np.zeros((canon.size, cfg.n_radial_basis))
+        edge_radial = np.zeros((batch.n_edges // 2, cfg.n_radial_basis))
         with no_grad():
             vec = edge_vectors(
                 Tensor(batch.positions),
@@ -337,8 +336,7 @@ class MACE(Module):
                 batch.edge_shift[:n_real],
             )
             edge_sh[:n_real] = edge_spherical_harmonics(vec, cfg.lmax_sh).data
-            # The real pairs' canonical edges are the first n_real // 2.
-            r = edge_lengths(vec).data[canon[: n_real // 2]]
+            r = edge_lengths(vec).data[0::2]  # the real pairs' even edges
             edge_radial[: n_real // 2] = bessel_basis(
                 Tensor(r), cfg.n_radial_basis, cfg.cutoff
             ).data
@@ -351,8 +349,6 @@ class MACE(Module):
         in plan-input order: the :meth:`topology`'s arrays
         (:meth:`~repro.graphs.EdgeTopology.arrays`), then
         :meth:`featurize`'s edge harmonics and pair-row radial basis."""
-        if batch.features is None:  # a caller's: one topology for both reads
-            batch = replace(batch, features={})
         return self.topology(batch).arrays() + self.featurize(batch)
 
     # -- compiled execution (repro.runtime) --------------------------------------

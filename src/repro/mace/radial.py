@@ -84,8 +84,9 @@ class RadialNetwork(Module):
 
     Both directions of an undirected pair have bitwise-equal lengths, so
     the MLP runs once per pair, on the ``(E/2, n_basis)`` basis rows of
-    :meth:`repro.mace.MACE.featurize`, and the channelwise TP reads each
-    direction's row through ``pair``, summing both gradients onto it.  The
+    :meth:`repro.mace.MACE.featurize`, and the channelwise TP reads row
+    ``p`` for both edges ``2p`` and ``2p + 1``, summing both gradients
+    onto it.  The
     output is reshaped to one weight per (channel, tensor-product path),
     i.e. the precomputed ``R^(t)`` of Algorithm 2.
     """

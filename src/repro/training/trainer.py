@@ -258,7 +258,7 @@ class Trainer:
                 "(dataset mutated after Trainer construction?)"
             )
         if batch.features is not None:  # a cached batch: fill its memo now
-            self.model.featurize(batch)
+            self.model.message_inputs(batch)
         return batch
 
     def _resolve(self, prepared: tuple) -> GraphBatch:

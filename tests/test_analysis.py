@@ -122,13 +122,14 @@ class TestVerifierCorruptions:
 
     @pytest.mark.parametrize(
         "index, reader, source",
-        [("pair", 8, 4), ("send", 4, 8)],
+        [("pair", 5, 1), ("send", 1, 5)],
         ids=["pair-rows-not-R", "send-rows-not-h"],
     )
     def test_tp_rows_must_be_its_operands_rows(self, index, reader, source):
-        """The optimized TP reads ``h`` by ``send`` (arguments 2-4) and
-        ``R`` by ``pair`` (6-8): rebinding either index's row pointers to
-        the other's leaves it addressing another operand's rows."""
+        """The optimized TP reads ``h`` by ``send`` (arguments 2-4) and ``R``
+        (5) by position, a row per pair: binding either in place of the
+        other leaves ``R`` without a row per pair, or ``send`` addressing
+        the pair rows as if they were ``h``'s node rows."""
         model = MACE(_TP_CFG, seed=0)
         batch = collate([_tp_graph()])
         cache = PlanCache()
@@ -144,9 +145,10 @@ class TestVerifierCorruptions:
             (p, slots[source] if p == reader else slot) for p, slot in tp.bindings
         ]
         tp.tensor_slots = [slot for _, slot in tp.bindings]
-        atoms, pairs = batch.n_atoms, batch.n_edges // 2
-        rows, operand = (atoms, pairs) if index == "pair" else (pairs, atoms)
-        message = f"gather structure has {rows} rows, x has {operand}"
+        if index == "pair":
+            message = "R must have a row per edge or pair"
+        else:
+            message = f"gather structure has {batch.n_atoms} rows, x has {batch.n_edges // 2}"
         with pytest.raises(PlanInvalid, match=message) as exc:
             verify_plan(plan)
         assert exc.value.location == f"forward[{i}] _ChannelwiseTPOptimized"

@@ -146,40 +146,39 @@ class TestChannelwiseTP:
 
 
 def _edge_rows(rng, E, N):
-    """Bound ``send`` (random senders over ``N`` atoms) and ``pair``
-    (each of ``ceil(E/2)`` pairs read by two edges, the last by one when
-    ``E`` is odd) for ``E`` edges."""
-    n_pairs = (E + 1) // 2
-    send = row_index(rng.integers(0, N, E), N)
-    pair = row_index(rng.permutation(np.repeat(np.arange(n_pairs), 2))[:E], n_pairs)
-    return send, pair
+    """Bound ``send`` (random senders over ``N`` atoms) for ``E`` edges,
+    and the row count of their radial weights: one per pair (edges
+    ``2p`` and ``2p + 1``) when ``E`` is even, else one per edge."""
+    return row_index(rng.integers(0, N, E), N), E // 2 if E % 2 == 0 else E
 
 
-def _run_tp(fn_cls, Y, h, R, table, send, pair, g, mask, out=None):
+def _run_tp(fn_cls, Y, h, R, table, send, g, mask, out=None):
     """One forward and masked backward of a TP Function through the row
-    contract: the optimized kernel reads ``h`` / ``R`` rows itself; the
-    baseline runs on ``h[send]`` / ``R[pair]`` and its edge gradients are
-    summed onto rows as ``GatherRows.backward`` does.  Returns the Function,
-    its output and ``(gY, gh, gR)``."""
+    contract: the optimized kernel reads ``h`` rows by ``send`` and ``R``
+    rows by position itself; the baseline runs on ``h[send]`` and ``R``
+    repeated per edge, and its edge gradients are summed onto node rows
+    as ``GatherRows.backward`` does and onto pair rows.  Returns the
+    Function, its output and ``(gY, gh, gR)``."""
     fn = fn_cls()
     if fn_cls is _ChannelwiseTPOptimized:
-        result = fn.forward(Y, h, *send.arrays(), R, *pair.arrays(), table, out=out)
-        fn.grad_mask = (mask[0], mask[1], False, False, False, mask[2], False, False, False)
+        result = fn.forward(Y, h, *send.arrays(), R, table, out=out)
+        fn.grad_mask = (mask[0], mask[1], False, False, False, mask[2], False)
         grads = fn.backward(g)
         return fn, result, (grads[0], grads[1], grads[5])
-    result = fn.forward(Y, h[send.index], R[pair.index], table)
+    pairs = R.shape[0] != Y.shape[0]
+    result = fn.forward(Y, h[send.index], np.repeat(R, 2, axis=0) if pairs else R, table)
     fn.grad_mask = mask
     gY, gh, gR, _ = fn.backward(g)
     return fn, result, (
         gY,
         None if gh is None else scatter_rows(gh, send),
-        None if gR is None else scatter_rows(gR, pair),
+        gR if gR is None or not pairs else gR[0::2] + gR[1::2],
     )
 
 
 class TestEdgeTiles:
     """The optimized TP runs one loop over tiles of ``_TILE_EDGES`` edges,
-    reading node rows by ``send`` and pair rows by ``pair``; every tile
+    reading node rows by ``send`` and radial rows by position; every tile
     boundary, each ``grad_mask`` and the planner's ``out=`` buffer must
     reproduce the baseline on the gathered rows."""
 
@@ -189,12 +188,12 @@ class TestEdgeTiles:
     @pytest.mark.parametrize("E", [0, 1, TILE - 1, TILE, TILE + 1, 2 * TILE + 1])
     def test_matches_baseline(self, E, K, mask, use_out, rng):
         N = 7
-        send, pair = _edge_rows(rng, E, N)
+        send, n_rows = _edge_rows(rng, E, N)
         Y = rng.standard_normal((E, sh_dim(2)))
         h = rng.standard_normal((N, K, sh_dim(1)))
-        R = rng.standard_normal((pair.n_rows, K, TP_TABLE.num_paths))
+        R = rng.standard_normal((n_rows, K, TP_TABLE.num_paths))
         g = rng.standard_normal((E, K, sh_dim(2)))
-        args = (Y, h, R, TP_TABLE, send, pair, g, mask)
+        args = (Y, h, R, TP_TABLE, send, g, mask)
         _, ref_out, ref_grads = _run_tp(_ChannelwiseTPBaseline, *args)
 
         buf = np.full(ref_out.shape, np.nan)
@@ -203,8 +202,8 @@ class TestEdgeTiles:
         # Nothing pair-shaped outlives forward: saved holds the operands.
         saved = [a for a in fn.saved if isinstance(a, np.ndarray)]
         saved += [a for r in fn.saved if isinstance(r, RowIndex) for a in r.arrays()]
-        assert len(saved) == 3 + 6
-        operands = (Y, h, R, *send.arrays(), *pair.arrays())
+        assert len(saved) == 3 + 3
+        operands = (Y, h, R, *send.arrays())
         assert all(any(a is x for x in operands) for a in saved)
 
         np.testing.assert_allclose(out, ref_out, atol=1e-10)
@@ -230,14 +229,14 @@ class TestEdgeTiles:
         scalar = channelwise_tp_table(2, 0, 2)
         live = [TP_TABLE.paths.index(p) for p in scalar.paths]
         dead = [p for p in range(TP_TABLE.num_paths) if p not in live]
-        send, pair = _edge_rows(rng, E, N)
+        send, n_rows = _edge_rows(rng, E, N)
         Y = rng.standard_normal((E, sh_dim(2)))
         h0 = rng.standard_normal((N, K, 1))
         h = np.concatenate([h0, np.zeros((N, K, sh_dim(1) - 1))], axis=2)
-        R = rng.standard_normal((pair.n_rows, K, TP_TABLE.num_paths))
+        R = rng.standard_normal((n_rows, K, TP_TABLE.num_paths))
         g = rng.standard_normal((E, K, sh_dim(2)))
         results = [
-            _run_tp(fn_cls, Y, h_in, R_in, table, send, pair, g, mask)[1:]
+            _run_tp(fn_cls, Y, h_in, R_in, table, send, g, mask)[1:]
             for table, h_in, R_in in ((TP_TABLE, h, R), (scalar, h0, R[:, :, live]))
         ]
         (out_full, (gY_full, gh_full, gR_full)), (out, (gY, gh, gR)) = results
@@ -260,16 +259,16 @@ class TestEdgeTiles:
         ``(E, K, n_pairs)`` array beyond its output and three gradients."""
         E, K, N = 9792, 16, 204
         rng = np.random.default_rng(0)
-        send, pair = _edge_rows(rng, E, N)
+        send, n_rows = _edge_rows(rng, E, N)
         Y = Tensor(rng.standard_normal((E, sh_dim(2))), requires_grad=True)
         h = Tensor(rng.standard_normal((N, K, sh_dim(1))), requires_grad=True)
         R = Tensor(
-            rng.standard_normal((pair.n_rows, K, TP_TABLE.num_paths)), requires_grad=True
+            rng.standard_normal((n_rows, K, TP_TABLE.num_paths)), requires_grad=True
         )
         g = np.ones((E, K, sh_dim(2)))
         tracemalloc.start()
         try:
-            out = channelwise_tp_optimized(Y, h, R, TP_TABLE, send=send, pair=pair)
+            out = channelwise_tp_optimized(Y, h, R, TP_TABLE, send=send)
             out.backward(g)
             _, peak = tracemalloc.get_traced_memory()
         finally:

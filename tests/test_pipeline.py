@@ -425,8 +425,8 @@ class TestCollateCache:
         g = graphs[0]
         ei = g.edge_index.copy()
         assert ei.shape[1] >= 2
-        # Replace one edge with a (bogus) different pair, same count.
-        ei[:, 0] = (ei[:, 0] + 1) % g.n_atoms
+        # Replace one pair (edges 0 and 1) with a different pair, same count.
+        ei[:, :2] = (ei[:, :2] + 1) % g.n_atoms
         g.edge_index = ei
         after = cache.get(graphs, [0, 1])
         assert after is not before

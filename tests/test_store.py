@@ -18,6 +18,7 @@ The contracts under test (this PR's tentpole):
   byte-for-byte.
 """
 
+import json
 import os
 import pickle
 import signal
@@ -32,6 +33,7 @@ from repro.data import (
     ShardedDatasetError,
     ShardTruncatedError,
     StaleIndexError,
+    StoreVersionError,
     StreamingLoader,
     attach_labels,
     build_training_set,
@@ -154,6 +156,26 @@ class TestIntegrity:
         ds = ShardedDataset(path)
         with pytest.raises(StaleIndexError, match="checksum"):
             ds.verify()
+
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_another_store_version_is_refused_at_open(self, packed, version):
+        """Version 1 stores kept edges in neighbor-list order, not the pair
+        layout; no reader opens a version other than its own."""
+        index = packed.path / "index.json"
+        meta = json.loads(index.read_text())
+        assert meta["version"] == 2
+        meta["version"] = version
+        index.write_text(json.dumps(meta))
+        with pytest.raises(StoreVersionError, match=f"store version {version}, .* version 2"):
+            ShardedDataset(packed.path)
+        with pytest.raises(ShardedDatasetError):
+            load_size_index(packed.path)
+
+    def test_edges_out_of_the_pair_layout_are_not_packed(self, corpus, tmp_path):
+        g = build_neighbor_list(MolecularGraph(corpus[0].positions, corpus[0].species))
+        g.edge_index, g.edge_shift = g.edge_index[:, 1:-1], g.edge_shift[1:-1]  # misaligned
+        with pytest.raises(ValueError, match="two directions of one pair"):
+            pack_graphs([g], tmp_path / "bad", cutoff=CUTOFF)
 
     def test_missing_index_is_not_a_dataset(self, tmp_path):
         with pytest.raises(ShardedDatasetError, match="not a sharded dataset"):

@@ -2,9 +2,10 @@
 
 Every index a model gathers or scatters by is sorted where a batch's
 topology is built — once per cache entry, once per Verlet rebuild in MD
-— and never in a replay.  These tests count the sorts, check that the
-MD path's O(E) mask derivation binds exactly the arrays a from-scratch
-build does, and that stale derivation inputs raise instead of computing.
+— and never in a replay; pairs need no index and no sort at all.  These
+tests count the sorts, check that the MD path's O(E) mask derivation
+binds exactly the arrays a from-scratch build does, and that stale
+derivation inputs raise instead of computing.
 """
 
 import collections
@@ -97,8 +98,8 @@ def test_warm_replays_sort_no_index(sorts):
 
 
 def test_md_sorts_only_at_verlet_rebuilds(sorts):
-    """Each rebuild pairs the candidates once (two lexsorts) and binds each
-    index at most once; every other step derives its topology by mask."""
+    """Each rebuild binds each index at most once and pairs nothing (no
+    lexsort); every other step derives its topology by mask."""
     rng = np.random.default_rng(2)
     graph = periodic_graph(rng, 24)
     calculator = MACECalculator(MACE(CFG, seed=0), cutoff=CUTOFF, skin=0.4)
@@ -109,7 +110,7 @@ def test_md_sorts_only_at_verlet_rebuilds(sorts):
         sorts.clear()
         calculator.energy_and_forces(graph)
         if neighbors.rebuilds > rebuilds:
-            assert sorts["lexsorts"] == 2
+            assert sorts["lexsorts"] == 0
             # send, recv, and the species and graph rows the first time
             assert sorts["builds"] <= 4
         else:
@@ -126,8 +127,8 @@ def test_reference_probes_pay_for_no_topology(sorts):
 
 def test_masked_topology_equals_a_fresh_build():
     """Across random displacements that cross rebuilds, the mask-derived
-    topology is the from-scratch ``edge_pairs`` + ``scatter_matrix`` one,
-    array for array; a stale mate raises instead of computing."""
+    topology is the from-scratch ``scatter_matrix`` one, array for array;
+    stale candidate rows or a stale mask raise instead of computing."""
     rng = np.random.default_rng(7)
     graph = periodic_graph(rng, 20)
     neighbors = NeighborListCache(CUTOFF, skin=0.3)
@@ -141,21 +142,15 @@ def test_masked_topology_equals_a_fresh_build():
         species = model.species_indices(batch.species)
         derived = neighbors.topology(batch, species, CFG.n_species)
         assert_same_topology(derived, edge_topology(batch, species, CFG.n_species))
-        windows[-1] = neighbors._pairing
+        windows[-1] = (neighbors._within, neighbors._cand_rows)
     assert len(windows) > 2
-    mate, send, recv = neighbors._pairing
+    send, recv = neighbors._cand_rows
     within = neighbors._within
-    # A mate from an earlier window.
-    with pytest.raises(ValueError):
-        masked_edges(batch, within, windows[0][0], send, recv)
-    # An involution of the right size that pairs the wrong edges.
-    canon = np.flatnonzero(mate > np.arange(mate.size))
-    a, b = canon[0], canon[-1]
-    stale = mate.copy()
-    stale[[a, b, mate[a], mate[b]]] = [mate[b], mate[a], b, a]
-    assert np.array_equal(stale[stale], np.arange(stale.size))
-    with pytest.raises(ValueError, match="no reverse|do not pair"):
-        masked_edges(batch, within, stale, send, recv)
+    # The rows and the mask of an earlier window.
+    with pytest.raises(ValueError, match="candidates kept"):
+        masked_edges(batch, within, *windows[0][1])
+    with pytest.raises(ValueError, match="candidates kept"):
+        masked_edges(batch, windows[0][0], send, recv)
     # A sender order that is not the stable one.
     with pytest.raises(ValueError, match="stable argsort"):
         row_index(send.index, send.n_rows, send.order[::-1])
