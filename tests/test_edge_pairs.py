@@ -197,8 +197,10 @@ def test_builders_emit_interleaved_pairs(seed, n_atoms, geometry, at_cutoff):
     graph = MolecularGraph(pos, np.ones(n_atoms, dtype=np.int64), cell=cell, pbc=pbc)
     method = ("brute", "cell")[seed % 2]
     verlet = NeighborListCache(CUTOFF, skin=0.3, method=method)
-    for _ in range(8):
-        graph.positions = graph.positions + rng.normal(0.0, 0.12, pos.shape)
+    for step in range(8):
+        drift = rng.normal(0.0, 0.02, pos.shape)
+        drift[0, 0] += 0.3 * (step % 2)  # past skin / 2 every other step: a rebuild
+        graph.positions = graph.positions + drift
         verlet.update(graph)
         assert_pairs(graph.edge_index, graph.edge_shift)
         fresh = build_neighbor_list(
