@@ -214,6 +214,37 @@ def test_builders_emit_interleaved_pairs(seed, n_atoms, geometry, at_cutoff):
     assert verlet.rebuilds >= 3
 
 
+@pytest.mark.parametrize("seed", [0, 3, 6])
+def test_neighbor_lists_keep_both_directions_at_the_cutoff(seed):
+    """Every builder tests ``pos[j] - pos[i] + shift``, whose reverse is
+    its exact negation, so a cutoff within an ulp of a pair's length
+    keeps both directions or neither (``pos[j] + shift - pos[i]`` kept
+    one direction alone on these cells)."""
+    rng = np.random.default_rng(seed)
+    cell = np.eye(3) * 9.0 + rng.normal(0.0, 0.3, (3, 3))
+    pos = rng.uniform(0.0, 1.0, (3, 3)) @ cell
+    (send, recv), shift = brute_force_neighbor_list(pos, 4.0, cell, True)
+    lengths = [
+        np.sqrt(np.einsum("ij,ij->i", d, d))
+        for d in (pos[send] + shift - pos[recv], pos[send] - pos[recv] + shift)
+    ]
+    cutoffs = {
+        float(c)
+        for r in lengths
+        for c in (*r, *np.nextafter(r, 0.0), *np.nextafter(r, 9.0))
+    }
+    species = np.ones(3, dtype=np.int64)
+    for cutoff in sorted(cutoffs):
+        verlet = MolecularGraph(pos.copy(), species, cell=cell, pbc=True)
+        NeighborListCache(cutoff, skin=0.5).update(verlet)
+        for index, shifts in (
+            brute_force_neighbor_list(pos, cutoff, cell, True),
+            cell_list_neighbor_list(pos, cutoff, cell, True),
+            (verlet.edge_index, verlet.edge_shift),
+        ):
+            assert_pairs(index, shifts)  # each edge 2p + 1 is edge 2p reversed
+
+
 def test_self_image_edges_and_isolated_atoms_pair():
     rng = np.random.default_rng(3)
     tiny = random_graph(rng, 1, True, 1.2, "brute")  # one atom, its own images
